@@ -30,12 +30,15 @@ from .growth import (
 from .homomesy import (
     CellStatistic,
     HomomesyReport,
+    OrbitPartition,
     cell_sum,
     inc_system,
     orbit_average,
+    partition_orbits,
     ssyt_system,
     symmetric_subsets,
     syt_poset_system,
+    verdict,
     verify_homomesy,
 )
 from .ktableaux import (

@@ -263,10 +263,8 @@ def _cmd_homomesy(args) -> int:
     else:
         raise ParseError("homomesy needs a system: (-k with --partition/--shape), (-q ...), or --family")
 
-    reports = [
-        homomesy.verify_homomesy(system, stat, budget=args.budget, threads=args.threads)
-        for stat in stats
-    ]
+    partition = homomesy.partition_orbits(system, budget=args.budget)
+    reports = [homomesy.verdict(partition, stat) for stat in stats]
     violated = any(r.verdict == "violated" for r in reports)
     if args.format == "json":
         payload = [homomesy.report_to_jsonable(r) for r in reports]
@@ -390,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--cells", help="statistic support 'r1,c1;r2,c2'")
     sub.add_argument("--symmetric-all", action="store_true", help="sweep all rotate-fixed supports")
     sub.add_argument("--budget", type=int, help="maximum number of enumerated elements")
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
 
     sub = subs.add_parser("counterexample", help="the 3x4 deficiency-3 homomesy violation")
     _add_io_arguments(sub, with_input=False)

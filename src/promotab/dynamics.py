@@ -8,7 +8,7 @@ toggle product) so the two routes can be checked against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import PreconditionError
 from .shapes import Box, Partition, Tableau, part
@@ -344,15 +344,3 @@ def orbit(t: Tableau, operator: str | Callable[[Tableau], Tableau] = "promote") 
     rotated = tuple(elements[lead:] + elements[:lead])
     return Orbit(representative=rotated[0], elements=rotated, period=len(rotated))
 
-
-def orbit_elements(t: Tableau, operator: str | Callable[[Tableau], Tableau] = "promote") -> Iterator[Tableau]:
-    """The cycle of `t` starting at `t` itself, in application order."""
-    if isinstance(operator, str):
-        op = _OPERATORS[operator]
-    else:
-        op = operator
-    yield t
-    cur = op(t)
-    while cur != t:
-        yield cur
-        cur = op(cur)

@@ -247,17 +247,6 @@ def render_window(w: GrowthWindow, tracked: Box | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def toggled_pair(w: GrowthWindow, start_row: int, hops, corner: int) -> tuple[Tableau, Tableau]:
-    """The tableaux decoded from a path and from its bend at one corner.
-
-    Bending at chain index i changes the decode by the single toggle i;
-    this helper pairs the two decodes for that check.
-    """
-    original = path_tableau(w, start_row, hops)
-    bent = path_tableau(w, start_row, bend_path(hops, corner))
-    return original, bent
-
-
 __all__ = [
     "ChainEncoding",
     "GrowthWindow",
@@ -273,5 +262,4 @@ __all__ = [
     "bend_path",
     "bendable_corners",
     "render_window",
-    "toggled_pair",
 ]

@@ -1,27 +1,28 @@
 """Cell-sum statistics, exact orbit averages, and homomesy verdicts.
 
-A dynamical system here is any finite set with an invertible step map;
-orbits are discovered by exhaustive enumeration under an explicit element
-budget, averages are exact rationals, and the verdict is `homomesic`
-exactly when every orbit average equals the first.  Everything is
-deterministic: orbits are keyed by their canonical representative, so the
-report does not depend on enumeration chunking or thread schedule.
+A dynamical system here is any finite set with an invertible step map.
+:func:`partition_orbits` enumerates it under an explicit element budget and
+walks each orbit once, keeping the orbit's size, its canonical element and
+the total of every entry over the orbit.  Cell sums are linear, so
+:func:`verdict` reads any statistic's exact orbit averages from those
+totals; the verdict is `homomesic` exactly when every orbit average equals
+the first.  Orbits are ordered by their canonical representative, so every
+report is deterministic.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from threading import Lock
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .dynamics import promote, promote_inverse
 from .errors import BudgetExceededError, PreconditionError
 from .ktableaux import IncreasingTableau, enumerate_increasing, k_promote
 from .posets import FinitePoset, LinearExtension, linear_extensions, poset_promote, rotate
-from .shapes import Tableau, check_partition, enumerate_ssyt
+from .shapes import Tableau, check_partition, enumerate_ssyt, part
 
 
 @dataclass(frozen=True)
@@ -32,21 +33,43 @@ class CellStatistic:
     name: str
 
 
-def cell_sum(obj, support) -> int:
-    """Sum of the entries of a tableau (by box) or of a labelled poset
-    object (by element id, or by box when the poset is grid-embedded)."""
+def _entries(obj) -> tuple[tuple[int, ...], Callable]:
+    """The entries of obj as one flat tuple, and the map from a support
+    item to its index in that tuple, which rejects items obj lacks."""
     if isinstance(obj, Tableau):
-        return sum(obj.entry(r, c) for r, c in support)
+
+        def box_index(box) -> int:
+            r, c = box
+            if not obj.has_box(r, c):
+                raise PreconditionError(f"box ({r}, {c}) is not present in the tableau")
+            return sum(map(len, obj.rows[: r - 1])) + c - part(obj.inner, r) - 1
+
+        return tuple(chain.from_iterable(obj.rows)), box_index
     if isinstance(obj, (LinearExtension, IncreasingTableau)):
-        total = 0
-        for item in support:
+        poset = obj.poset
+
+        def element_index(item) -> int:
             if isinstance(item, tuple):
-                item = obj.poset.element_at(item)
-            if not 1 <= item <= obj.poset.size:
+                item = poset.element_at(item)
+            if not 1 <= item <= poset.size:
                 raise PreconditionError(f"element {item} outside the poset")
-            total += obj.label(item)
-        return total
+            return item - 1
+
+        return obj.labels, element_index
     raise PreconditionError(f"unsupported object for cell_sum: {type(obj).__name__}")
+
+
+def cell_sum(obj, support, totals: tuple[int, ...] | None = None) -> int:
+    """Sum of the entries of a tableau (by box) or of a labelled poset
+    object (by element id, or by box when the poset is grid-embedded).
+
+    `totals`, laid out like obj's entries, is summed in their place: given
+    the per-entry totals of obj's orbit, the result is the orbit total of
+    the statistic.  Each support item counts once.
+    """
+    entries, index = _entries(obj)
+    values = entries if totals is None else totals
+    return sum(values[index(item)] for item in support)
 
 
 def orbit_average(elements: Iterable, statistic: CellStatistic) -> Fraction:
@@ -106,6 +129,77 @@ def inc_system(p: FinitePoset, q: int) -> System:
     )
 
 
+# -- orbit partitions ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OrbitTotals:
+    """One orbit: its size, its canonical element (least sort key), and the
+    total over the orbit of each entry, laid out like `lead`'s entries."""
+
+    size: int
+    lead: object
+    totals: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class OrbitPartition:
+    """A system split into orbits, ordered by canonical representative."""
+
+    system: str
+    orbits: tuple[OrbitTotals, ...]
+
+
+def partition_orbits(system: System, budget: int) -> OrbitPartition:
+    """Enumerate the system and walk each of its orbits once.
+
+    `budget` caps the number of enumerated elements; exceeding it raises
+    :class:`BudgetExceededError` rather than returning a partial answer.
+    A walk may only visit enumerated elements that no walk has visited
+    yet, so it ends within the element count.  A step map that leaves the
+    enumerated set or is not a bijection on it, or an enumeration that
+    repeats an element, raises :class:`PreconditionError`.
+    """
+    if budget < 1:
+        raise PreconditionError(f"budget must be positive: {budget}")
+    elements = []
+    for x in system.enumerate():
+        elements.append(x)
+        if len(elements) > budget:
+            raise BudgetExceededError(
+                f"{system.description} exceeds the element budget {budget}"
+            )
+    key, step = system.sort_key, system.step
+    unvisited = {key(x) for x in elements}
+    orbits: dict[tuple, OrbitTotals] = {}
+    for start in elements:
+        k = key(start)
+        if k not in unvisited:
+            continue
+        orb, keys, cur = [], [], start
+        while True:
+            unvisited.remove(k)
+            orb.append(cur)
+            keys.append(k)
+            cur = step(cur)
+            if cur == start:
+                break
+            k = key(cur)
+            if k not in unvisited:
+                raise PreconditionError(
+                    f"{system.description}: the step map is not a bijection on the enumerated elements"
+                )
+        lead = min(range(len(orb)), key=keys.__getitem__)
+        totals = tuple(map(sum, zip(*(_entries(y)[0] for y in orb))))
+        orbits[keys[lead]] = OrbitTotals(size=len(orb), lead=orb[lead], totals=totals)
+    covered = sum(o.size for o in orbits.values())
+    if covered != len(elements):
+        raise PreconditionError(
+            f"{system.description}: orbits cover {covered} of {len(elements)} enumerated elements"
+        )
+    return OrbitPartition(system=system.description, orbits=tuple(orbits[k] for k in sorted(orbits)))
+
+
 # -- verdicts ------------------------------------------------------------------
 
 
@@ -133,19 +227,40 @@ class HomomesyReport:
         return self.orbits[0].average if self.homomesic and self.orbits else None
 
 
-def _orbit_of(start, step) -> list:
-    elements = [start]
-    cur = step(start)
-    while cur != start:
-        elements.append(cur)
-        cur = step(cur)
-    return elements
-
-
 def _representative(obj) -> tuple:
     if isinstance(obj, Tableau):
         return tuple(obj.rows)
     return tuple(obj.labels)
+
+
+def verdict(partition: OrbitPartition, statistic: CellStatistic) -> HomomesyReport:
+    """Compare the exact orbit averages of one statistic over a partition.
+
+    Each average is the sum of the support's orbit totals over the orbit
+    size, which equals the mean of :func:`cell_sum` over the orbit.
+    """
+    summaries = [
+        OrbitSummary(
+            size=o.size,
+            average=Fraction(cell_sum(o.lead, statistic.support, o.totals), o.size),
+            representative=_representative(o.lead),
+        )
+        for o in partition.orbits
+    ]
+    outcome = "homomesic"
+    witness = None
+    for summary in summaries[1:]:
+        if summary.average != summaries[0].average:
+            outcome = "violated"
+            witness = (summaries[0], summary)
+            break
+    return HomomesyReport(
+        system=partition.system,
+        statistic=statistic.name,
+        orbits=tuple(summaries),
+        verdict=outcome,
+        witness=witness,
+    )
 
 
 def verify_homomesy(
@@ -156,80 +271,12 @@ def verify_homomesy(
 ) -> HomomesyReport:
     """Partition the system into orbits and compare exact orbit averages.
 
-    `budget` caps the number of enumerated elements; exceeding it raises
-    :class:`BudgetExceededError` rather than returning a partial answer.
-    With threads > 1, orbit discovery runs over enumeration chunks in
-    parallel; duplicates are merged by canonical representative, so the
-    report is identical to the sequential one.
+    `budget` caps the number of enumerated elements, as in
+    :func:`partition_orbits`.  `threads` is accepted for compatibility and
+    has no effect.  To check several statistics on one system, build the
+    partition once and call :func:`verdict` for each.
     """
-    if budget < 1:
-        raise PreconditionError(f"budget must be positive: {budget}")
-    elements = []
-    for x in system.enumerate():
-        elements.append(x)
-        if len(elements) > budget:
-            raise BudgetExceededError(
-                f"{system.description} exceeds the element budget {budget}"
-            )
-    orbits: dict[tuple, list] = {}
-    if threads <= 1 or len(elements) < 2:
-        seen: set[tuple] = set()
-        for x in elements:
-            if system.sort_key(x) in seen:
-                continue
-            orb = _orbit_of(x, system.step)
-            seen.update(system.sort_key(y) for y in orb)
-            key = min(system.sort_key(y) for y in orb)
-            orbits[key] = orb
-    else:
-        lock = Lock()
-        seen_shared: set[tuple] = set()
-
-        def sweep(chunk) -> dict[tuple, list]:
-            local: dict[tuple, list] = {}
-            for x in chunk:
-                kx = system.sort_key(x)
-                with lock:
-                    if kx in seen_shared:
-                        continue
-                orb = _orbit_of(x, system.step)
-                keys = [system.sort_key(y) for y in orb]
-                with lock:
-                    seen_shared.update(keys)
-                local[min(keys)] = orb
-            return local
-
-        chunk_size = max(1, (len(elements) + threads - 1) // threads)
-        chunks = [elements[i : i + chunk_size] for i in range(0, len(elements), chunk_size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for partial in pool.map(sweep, chunks):
-                orbits.update(partial)
-
-    summaries = []
-    for key in sorted(orbits):
-        orb = orbits[key]
-        lead = min(range(len(orb)), key=lambda i: system.sort_key(orb[i]))
-        summaries.append(
-            OrbitSummary(
-                size=len(orb),
-                average=orbit_average(orb, statistic),
-                representative=_representative(orb[lead]),
-            )
-        )
-    verdict = "homomesic"
-    witness = None
-    for summary in summaries[1:]:
-        if summary.average != summaries[0].average:
-            verdict = "violated"
-            witness = (summaries[0], summary)
-            break
-    return HomomesyReport(
-        system=system.description,
-        statistic=statistic.name,
-        orbits=tuple(summaries),
-        verdict=verdict,
-        witness=witness,
-    )
+    return verdict(partition_orbits(system, budget), statistic)
 
 
 # -- symmetric supports --------------------------------------------------------

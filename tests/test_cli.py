@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from promotab.cli import main
 
 T_MAIN_TEXT = "k=6\n1 1 2 3\n3 3 4 4\n5 5\n"
@@ -159,6 +161,41 @@ class TestHomomesy:
         payload = json.loads(out1)
         assert payload["verdict"] == "homomesic"
         assert all("/" in o["average"] for o in payload["orbits"])
+
+    @pytest.mark.parametrize(
+        "args, code, err",
+        [
+            (
+                "--shape 3x3 -k 6 --cells 4,4 --budget 100000",
+                3,
+                "precondition violated: box (4, 4) is not present in the tableau\n",
+            ),
+            (
+                "--family cayley --cells 9,9 --budget 100000",
+                3,
+                "precondition violated: no element embedded at box (9, 9)\n",
+            ),
+            (
+                "--shape 3x4 -q 3 --cells 4,1 --budget 100000",
+                3,
+                "precondition violated: no element embedded at box (4, 1)\n",
+            ),
+            (
+                "--shape 3x3 -k 6 --symmetric-all --budget 5",
+                4,
+                "budget exhausted: ssyt(shape=3,3,3;k=6;op=promote) exceeds the element budget 5\n",
+            ),
+            # an empty system is vacuously homomesic, and its support is never checked
+            ("--shape 2x2 -k 0 --cells 5,5 --budget 100", 0, ""),
+        ],
+    )
+    def test_error_paths(self, capsys, args, code, err):
+        got_code, out, got_err = run(capsys, "homomesy", *args.split())
+        assert (got_code, got_err) == (code, err)
+        if code == 0:
+            assert out.splitlines()[-1] == "verdict: homomesic"
+        else:
+            assert out == ""
 
     def test_threads_flag(self, capsys):
         code, out, _ = run(

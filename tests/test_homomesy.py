@@ -7,19 +7,22 @@ from promotab.errors import BudgetExceededError, PreconditionError
 from promotab.growth import orbit_values
 from promotab.homomesy import (
     CellStatistic,
+    System,
     cell_sum,
     fraction_str,
     inc_system,
     orbit_average,
+    partition_orbits,
     report_to_json,
     ssyt_system,
     symmetric_subsets,
     syt_poset_system,
+    verdict,
     verify_homomesy,
 )
 from promotab.ktableaux import increasing_from_grid
 from promotab.posets import build_cominuscule, linear_extensions
-from promotab.shapes import Tableau, enumerate_ssyt
+from promotab.shapes import Tableau, count_ssyt, enumerate_ssyt
 
 
 def stat(*boxes):
@@ -50,6 +53,17 @@ class TestCellSum:
     def test_out_of_range_support(self):
         with pytest.raises(PreconditionError):
             cell_sum(Tableau([[1]], 2), frozenset({(2, 2)}))
+
+    def test_mixed_poset_support_counts_each_item(self):
+        p = build_cominuscule("rectangle", 2, 2)
+        ext = next(linear_extensions(p))
+        assert cell_sum(ext, frozenset({1, (1, 1)})) == 2 * ext.label(1)
+
+    def test_skew_tableau_boxes(self):
+        t = Tableau([[2, 3], [1, 4]], 4, inner=(1,))
+        assert cell_sum(t, frozenset({(1, 2), (1, 3), (2, 1), (2, 2)})) == 10
+        with pytest.raises(PreconditionError, match=r"box \(1, 1\) is not present"):
+            cell_sum(t, frozenset({(1, 1)}))
 
 
 class TestOrbitAverage:
@@ -83,9 +97,7 @@ class TestVerify:
         )
         report = verify_homomesy(inc_system(p, 3), statistic, budget=100_000)
         assert report.verdict == "violated"
-        assert report.witness is not None
-        averages = {fraction_str(o.average) for o in report.orbits}
-        assert "91/9" in averages and "10/1" in averages
+        assert {fraction_str(o.average) for o in report.witness} == {"91/9", "10/1"}
 
     def test_informational_non_symmetric_support(self):
         report = verify_homomesy(ssyt_system((2, 2), 3), stat((1, 1)), budget=100)
@@ -107,6 +119,85 @@ class TestVerify:
         statistic = CellStatistic(support=frozenset({p.element_at((1, 3)), p.element_at((2, 2))}), name="diag")
         report = verify_homomesy(syt_poset_system(p), statistic, budget=100)
         assert report.homomesic and report.common_average == 7
+
+
+def _orbit_from(system, lead, size):
+    elements = [lead]
+    for _ in range(size - 1):
+        elements.append(system.step(elements[-1]))
+    assert system.step(elements[-1]) == lead
+    return elements
+
+
+def _ssyt_3x3():
+    return ssyt_system((3, 3, 3), 6), list(symmetric_subsets((3, 3))), count_ssyt((3, 3, 3), 6)
+
+
+def _inc_3x4():
+    p = build_cominuscule("rectangle", 3, 4)
+    return inc_system(p, 3), list(symmetric_subsets(p)), 882
+
+
+def _cayley():
+    p = build_cominuscule("cayley")
+    return syt_poset_system(p), list(symmetric_subsets(p)), 78
+
+
+def _partition_331():
+    support = frozenset({(1, 1), (3, 1), (2, 3)})
+    return ssyt_system((3, 3, 1), 4), [CellStatistic(support, "cells")], count_ssyt((3, 3, 1), 4)
+
+
+def _shifted_staircase_boxes():
+    p = build_cominuscule("shifted_staircase", 4)
+    support = frozenset({(1, 1), (2, 3), (4, 4)})
+    return syt_poset_system(p), [CellStatistic(support, "boxes")], sum(1 for _ in linear_extensions(p))
+
+
+class TestPartition:
+    @pytest.mark.parametrize(
+        "build", [_ssyt_3x3, _inc_3x4, _cayley, _partition_331, _shifted_staircase_boxes]
+    )
+    def test_totals_match_definition(self, build):
+        system, statistics, size = build()
+        partition = partition_orbits(system, budget=100_000)
+        assert sum(o.size for o in partition.orbits) == size
+        orbits = [_orbit_from(system, o.lead, o.size) for o in partition.orbits]
+        for statistic in statistics:
+            report = verdict(partition, statistic)
+            assert [o.average for o in report.orbits] == [
+                orbit_average(elements, statistic) for elements in orbits
+            ]
+
+    @pytest.mark.parametrize(
+        "enumerate, step",
+        [
+            # every element steps to one fixed element
+            (lambda: enumerate_ssyt((2, 2), 3), lambda t: Tableau([[1, 1], [2, 2]], 3)),
+            # promotion leaves an enumeration that stops short
+            (lambda: (t for t in enumerate_ssyt((2, 2), 3) if t.entry(1, 1) == 1), None),
+            # an enumeration that repeats an element
+            (lambda: [*enumerate_ssyt((2, 2), 3), Tableau([[1, 1], [2, 2]], 3)], None),
+        ],
+        ids=["constant-step", "step-leaves-set", "repeated-element"],
+    )
+    def test_non_bijective_system_fails_loudly(self, enumerate, step):
+        base = ssyt_system((2, 2), 3)
+        system = System("broken", enumerate, step or base.step, base.sort_key)
+        with pytest.raises(PreconditionError, match="broken"):
+            partition_orbits(system, budget=100)
+
+    def test_support_is_validated_only_when_an_orbit_exists(self):
+        bad = stat((5, 5))
+        assert verdict(partition_orbits(ssyt_system((2, 2), 0), budget=10), bad).homomesic
+        with pytest.raises(PreconditionError, match=r"box \(5, 5\) is not present"):
+            verdict(partition_orbits(ssyt_system((2, 2), 2), budget=10), bad)
+        p = build_cominuscule("shifted_staircase", 3)
+        partition = partition_orbits(syt_poset_system(p), budget=100)
+        with pytest.raises(PreconditionError, match="no element embedded at box"):
+            verdict(partition, CellStatistic(frozenset({(3, 1)}), "off-grid"))
+        with pytest.raises(PreconditionError, match="element 7 outside the poset"):
+            verdict(partition, CellStatistic(frozenset({7}), "off-range"))
 
 
 class TestSymmetricSubsets:
