@@ -4,6 +4,7 @@ increasing tableaux, with exact (rational) homomesy verification."""
 from .dynamics import (
     Orbit,
     SlideRecord,
+    cycle,
     dual_evacuate,
     evacuate,
     evacuate_via_toggles,

@@ -8,12 +8,13 @@ toggle product) so the two routes can be checked against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, TypeVar
 
 from .errors import PreconditionError
 from .shapes import Box, Partition, Tableau, part
 
 Picker = Callable[[list[Box]], Box]
+X = TypeVar("X")
 
 
 @dataclass(frozen=True)
@@ -320,27 +321,42 @@ def dual_evacuate_via_complement(t: Tableau) -> Tableau:
     return rotate_complement(evacuate(rotate_complement(t)))
 
 
-_OPERATORS: dict[str, Callable[[Tableau], Tableau]] = {
+OPERATORS: dict[str, Callable[[Tableau], Tableau]] = {
     "promote": promote,
     "promote_inverse": promote_inverse,
 }
 
 
-def orbit(t: Tableau, operator: str | Callable[[Tableau], Tableau] = "promote") -> Orbit:
+def lookup_operator(name: str) -> Callable[[Tableau], Tableau]:
+    """The step map registered in :data:`OPERATORS` under `name`."""
+    try:
+        return OPERATORS[name]
+    except KeyError:
+        raise PreconditionError(f"unknown operator {name!r}")
+
+
+def cycle(start: X, step: Callable[[X], X]) -> Iterator[X]:
+    """Yield start, step(start), ... and stop just before start returns.
+
+    If some other element returns first, step is not injective on the
+    orbit and :class:`PreconditionError` is raised, so on a finite set the
+    walk always ends.
+    """
+    seen = {start}
+    cur = start
+    while True:
+        yield cur
+        cur = step(cur)
+        if cur == start:
+            return
+        if cur in seen:
+            raise PreconditionError("the step map is not injective: the walk revisited an element")
+        seen.add(cur)
+
+
+def orbit(t: Tableau, operator: str = "promote") -> Orbit:
     """The cycle of `t` under an invertible operator, canonically rotated."""
-    if isinstance(operator, str):
-        try:
-            op = _OPERATORS[operator]
-        except KeyError:
-            raise PreconditionError(f"unknown orbit operator: {operator!r}")
-    else:
-        op = operator
-    elements = [t]
-    cur = op(t)
-    while cur != t:
-        elements.append(cur)
-        cur = op(cur)
+    elements = list(cycle(t, lookup_operator(operator)))
     lead = min(range(len(elements)), key=lambda i: elements[i].row_reading())
     rotated = tuple(elements[lead:] + elements[:lead])
     return Orbit(representative=rotated[0], elements=rotated, period=len(rotated))
-

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .dynamics import evacuate, promote
+from .dynamics import cycle, evacuate, promote
 from .errors import PreconditionError
 from .shapes import Box, Partition, Tableau, contains, enumerate_ssyt, part
 
@@ -119,12 +119,7 @@ def period_window(t: Tableau) -> int:
         raise PreconditionError("promotion orbits require a straight shape")
     if t.is_rectangular:
         return t.ceiling
-    period = 1
-    cur = promote(t)
-    while cur != t:
-        period += 1
-        cur = promote(cur)
-    return period
+    return sum(1 for _ in cycle(t, promote))
 
 
 def orbit_values(t: Tableau, box: Box, window: int | None = None) -> Multiset:

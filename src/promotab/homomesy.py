@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, Iterator
 
-from .dynamics import promote, promote_inverse
+from .dynamics import cycle, lookup_operator
 from .errors import BudgetExceededError, PreconditionError
 from .ktableaux import IncreasingTableau, enumerate_increasing, k_promote
 from .posets import FinitePoset, LinearExtension, linear_extensions, poset_promote, rotate
@@ -96,13 +96,11 @@ class System:
 def ssyt_system(shape, ceiling: int, operator: str = "promote") -> System:
     """Semistandard tableaux of a straight shape under (inverse) promotion."""
     shape = check_partition(shape) if shape else ()
-    ops = {"promote": promote, "promote_inverse": promote_inverse}
-    if operator not in ops:
-        raise PreconditionError(f"unknown operator {operator!r}")
+    step = lookup_operator(operator)
     return System(
         description=f"ssyt(shape={','.join(map(str, shape))};k={ceiling};op={operator})",
         enumerate=lambda: enumerate_ssyt(shape, ceiling),
-        step=ops[operator],
+        step=step,
         sort_key=lambda t: t.row_reading(),
     )
 
@@ -155,10 +153,11 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
 
     `budget` caps the number of enumerated elements; exceeding it raises
     :class:`BudgetExceededError` rather than returning a partial answer.
-    A walk may only visit enumerated elements that no walk has visited
-    yet, so it ends within the element count.  A step map that leaves the
-    enumerated set or is not a bijection on it, or an enumeration that
-    repeats an element, raises :class:`PreconditionError`.
+    Each walk is a :func:`~promotab.dynamics.cycle` that may only visit
+    enumerated elements that no walk has visited yet, so it ends within
+    the element count.  A step map that leaves the enumerated set or is
+    not a bijection on it, or an enumeration that repeats an element,
+    raises :class:`PreconditionError` naming the system.
     """
     if budget < 1:
         raise PreconditionError(f"budget must be positive: {budget}")
@@ -169,26 +168,23 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
             raise BudgetExceededError(
                 f"{system.description} exceeds the element budget {budget}"
             )
-    key, step = system.sort_key, system.step
+    key = system.sort_key
     unvisited = {key(x) for x in elements}
     orbits: dict[tuple, OrbitTotals] = {}
     for start in elements:
-        k = key(start)
-        if k not in unvisited:
+        if key(start) not in unvisited:
             continue
-        orb, keys, cur = [], [], start
-        while True:
-            unvisited.remove(k)
-            orb.append(cur)
-            keys.append(k)
-            cur = step(cur)
-            if cur == start:
-                break
-            k = key(cur)
-            if k not in unvisited:
-                raise PreconditionError(
-                    f"{system.description}: the step map is not a bijection on the enumerated elements"
-                )
+        orb, keys = [], []
+        try:
+            for cur in cycle(start, system.step):
+                k = key(cur)
+                if k not in unvisited:
+                    raise PreconditionError("the step map is not a bijection on the enumerated elements")
+                unvisited.remove(k)
+                orb.append(cur)
+                keys.append(k)
+        except PreconditionError as exc:
+            raise PreconditionError(f"{system.description}: {exc}") from exc
         lead = min(range(len(orb)), key=keys.__getitem__)
         totals = tuple(map(sum, zip(*(_entries(y)[0] for y in orb))))
         orbits[keys[lead]] = OrbitTotals(size=len(orb), lead=orb[lead], totals=totals)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .dynamics import cycle
 from .errors import PreconditionError
 from .posets import FinitePoset, LinearExtension, ferrers_poset, rotate
 from .shapes import Box, Tableau
@@ -104,16 +105,6 @@ def k_promote_inverse(t: IncreasingTableau) -> IncreasingTableau:
         state = switch(state, i, BULLET, t.poset)
     final = tuple(1 if v == BULLET else v for v in state)
     return IncreasingTableau(t.poset, final)
-
-
-def k_orbit(t: IncreasingTableau) -> tuple[IncreasingTableau, ...]:
-    """The K-promotion cycle of t, detected by revisiting the start."""
-    elements = [t]
-    cur = k_promote(t)
-    while cur != t:
-        elements.append(cur)
-        cur = k_promote(cur)
-    return tuple(elements)
 
 
 def k_evacuate(t: IncreasingTableau) -> IncreasingTableau:
@@ -240,7 +231,8 @@ class KOrbitOrderReport:
 
 def k_orbit_order_check(n: int, q: int) -> KOrbitOrderReport:
     """Verify that K-promotion to the power 2n-q fixes all of the
-    deficiency-q increasing tableaux on the 2 x n rectangle."""
+    deficiency-q increasing tableaux on the 2 x n rectangle, i.e. that
+    every orbit size divides 2n-q."""
     if n < 1:
         raise PreconditionError("n must be positive")
     p = build_rectangle_poset(2, n)
@@ -250,13 +242,11 @@ def k_orbit_order_check(n: int, q: int) -> KOrbitOrderReport:
     failures = 0
     for t in enumerate_increasing(p, q):
         count += 1
-        cur = t
-        for _ in range(bound):
-            cur = k_promote(cur)
-        if cur != t:
+        size = sum(1 for _ in cycle(t, k_promote))
+        if bound % size:
             failures += 1
             continue
-        sizes.add(len(k_orbit(t)))
+        sizes.add(size)
     return KOrbitOrderReport(n, q, bound, count, tuple(sorted(sizes)), failures)
 
 
@@ -295,7 +285,7 @@ def three_by_four_counterexample() -> CounterexampleReport:
         raise RuntimeError("support is expected to be rotate-fixed")
 
     def orbit_stats(start: IncreasingTableau) -> tuple[int, Fraction]:
-        elements = k_orbit(start)
+        elements = list(cycle(start, k_promote))
         total = sum(sum(x.label(e) for e in elems) for x in elements)
         return len(elements), Fraction(total, len(elements))
 

@@ -101,18 +101,20 @@ def trajectory(t: Tableau) -> LabeledPath:
     """
     m, n = _require_standard_rectangle(t)
     marker: Box = (m, n)
-    label = t.entry(m, n)
     records: list[tuple[Box, int]] = []
     cur = t
-    while not (marker == (1, 1) and label == 1):
+    for label in range(t.entry(m, n), 1, -1):
         path = promotion_path(cur)
         if marker in path.boxes:
             idx = path.boxes.index(marker)
             assert idx >= 1, "marker can only exit the top-left corner with label 1"
             records.append((marker, label))
             marker = path.boxes[idx - 1]
-        label -= 1
         cur = promote(cur)
+    if marker != (1, 1):
+        raise RuntimeError(
+            "marker did not reach the top-left corner; this indicates a bug in promote"
+        )
     records.append(((1, 1), 1))
     boxes, labels = zip(*records)
     assert len(boxes) == m + n - 1

@@ -357,19 +357,6 @@ def rotate_reverse(t: LinearExtension) -> LinearExtension:
     return LinearExtension(t.poset, labels)
 
 
-def check_cominuscule_homomesy(p: FinitePoset, support, budget: int = 100_000) -> "HomomesyReport":
-    """Exhaustive homomesy verdict for a rotate-fixed element set under
-    promotion of linear extensions."""
-    from .homomesy import CellStatistic, syt_poset_system, verify_homomesy
-
-    rot = rotate(p)
-    support = frozenset(support)
-    if {rot[x] for x in support} != support:
-        raise PreconditionError("support must be fixed setwise by rotate")
-    stat = CellStatistic(support=support, name=f"elements{sorted(support)}")
-    return verify_homomesy(syt_poset_system(p), stat, budget=budget)
-
-
 # -- text format --------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from promotab.dynamics import (
+    cycle,
     dual_evacuate,
     dual_evacuate_via_complement,
     evacuate,
@@ -266,6 +267,18 @@ class TestOrbit:
     def test_inverse_operator_orbit(self):
         orb = orbit(T([[1]], 4), "promote_inverse")
         assert orb.period == 4
+
+
+class TestCycle:
+    def test_promotion_cycle_closes(self):
+        t = T([[1, 2, 3], [3, 4, 4]], 5)
+        elements = list(cycle(t, promote))
+        assert len(elements) == len(set(elements)) == 5
+        assert elements[0] == t and promote(elements[-1]) == t
+
+    def test_constant_step_fails_loudly(self):
+        with pytest.raises(PreconditionError, match="not injective"):
+            list(cycle(T([[1]], 3), lambda t: T([[2]], 3)))
 
 
 class TestConjugationIdentities:

@@ -77,6 +77,16 @@ class TestOrbitAverage:
         assert avg == Fraction(6, 5)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda op: orbit(Tableau([[1]], 3), op), lambda op: ssyt_system((2, 2), 3, op)],
+    ids=["orbit", "ssyt_system"],
+)
+def test_unknown_operator_is_rejected(build):
+    with pytest.raises(PreconditionError, match="unknown operator 'bogus'"):
+        build("bogus")
+
+
 class TestVerify:
     def test_rectangular_symmetric_supports_are_homomesic(self):
         system = ssyt_system((2, 2), 4)

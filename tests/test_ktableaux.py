@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from promotab.dynamics import cycle
 from promotab.dynamics import evacuate as tableau_evacuate
 from promotab.dynamics import promote as tableau_promote
 from promotab.errors import PreconditionError
@@ -13,7 +14,6 @@ from promotab.ktableaux import (
     increasing_from_grid,
     increasing_to_grid,
     k_evacuate,
-    k_orbit,
     k_orbit_order_check,
     k_promote,
     k_promote_inverse,
@@ -172,17 +172,20 @@ class TestOrbitOrder:
     def test_three_columns_deficiency_one(self):
         report = k_orbit_order_check(3, 1)
         assert report.ok and report.order_bound == 5
+        assert report.tableaux_checked == 5 and report.orbit_sizes == (5,)
 
     def test_deficiency_zero_matches_ceiling_order(self):
         report = k_orbit_order_check(3, 0)
         assert report.ok and report.order_bound == 6
+        assert report.tableaux_checked == 5 and report.orbit_sizes == (2, 3)
 
     def test_four_columns_deficiency_two(self):
         report = k_orbit_order_check(4, 2)
         assert report.ok and report.order_bound == 6
+        assert report.tableaux_checked == 9 and report.orbit_sizes == (3, 6)
 
     def test_orbits_detected_by_revisit(self):
-        orb = k_orbit(T61)
+        orb = list(cycle(T61, k_promote))
         assert orb[0] == T61 and len(set(orb)) == len(orb)
         assert k_promote(orb[-1]) == T61
 
