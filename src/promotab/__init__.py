@@ -14,6 +14,7 @@ from .dynamics import (
     promote,
     promote_inverse,
     promote_via_toggles,
+    promotion_period,
     rectify,
     slide_toggle,
     toggle,

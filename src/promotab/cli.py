@@ -19,12 +19,12 @@ def _read_input(args) -> str:
     if getattr(args, "text", None) is not None:
         return args.text
     source = getattr(args, "input", None) or "-"
-    if source == "-":
-        return sys.stdin.read()
     try:
+        if source == "-":
+            return sys.stdin.read()
         with open(source, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read input file {source!r}: {exc}")
 
 

@@ -354,6 +354,28 @@ def cycle(start: X, step: Callable[[X], X]) -> Iterator[X]:
         seen.add(cur)
 
 
+def promotion_period(t: Tableau) -> list[Tableau]:
+    """t, P(t), ... over one full promotion period.
+
+    On a rectangle the order of promotion divides the ceiling k, so the
+    period is k and the orbit is repeated to that length; on other
+    straight shapes the period is the orbit itself.  Box-value multisets
+    are only evacuation-invariant over such full periods.
+    """
+    if not t.is_straight:
+        raise PreconditionError("promotion orbits require a straight shape")
+    elements = list(cycle(t, promote))
+    if not t.is_rectangular:
+        return elements
+    repeats, rest = divmod(t.ceiling, len(elements))
+    if rest:
+        raise RuntimeError(
+            f"promotion orbit of size {len(elements)} does not divide the ceiling {t.ceiling}; "
+            "this indicates a bug in promote"
+        )
+    return elements * repeats
+
+
 def orbit(t: Tableau, operator: str = "promote") -> Orbit:
     """The cycle of `t` under an invertible operator, canonically rotated."""
     elements = list(cycle(t, lookup_operator(operator)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .dynamics import cycle, evacuate, promote
+from .dynamics import evacuate, promote, promotion_period
 from .errors import PreconditionError
 from .shapes import Box, Partition, Tableau, contains, enumerate_ssyt, part
 
@@ -107,36 +107,14 @@ def column_evacuation(w: GrowthWindow, row_index: int) -> Tableau:
     return decode_chain(ChainEncoding(chain))
 
 
-def period_window(t: Tableau) -> int:
-    """Window length covering a whole number of promotion periods.
-
-    On rectangles the period divides the ceiling, so the window is the
-    ceiling itself; elsewhere the period is unrelated to the ceiling and
-    the window is the orbit size.  Box-value multisets are only
-    evacuation-invariant over such full-period windows.
-    """
-    if not t.is_straight:
-        raise PreconditionError("promotion orbits require a straight shape")
-    if t.is_rectangular:
-        return t.ceiling
-    return sum(1 for _ in cycle(t, promote))
-
-
-def orbit_values(t: Tableau, box: Box, window: int | None = None) -> Multiset:
-    """Multiset of the values box takes over one full period window."""
+def orbit_values(t: Tableau, box: Box) -> Multiset:
+    """Multiset of the values box takes over one full promotion period."""
     if not t.is_straight:
         raise PreconditionError("orbit values require a straight shape")
     r, c = box
     if not t.has_box(r, c):
         raise PreconditionError(f"box {box} is not in the shape")
-    if window is None:
-        window = period_window(t)
-    values = []
-    cur = t
-    for _ in range(window):
-        values.append(cur.entry(r, c))
-        cur = promote(cur)
-    return tuple(sorted(values))
+    return tuple(sorted(u.entry(r, c) for u in promotion_period(t)))
 
 
 @dataclass(frozen=True)
@@ -159,23 +137,12 @@ def check_dis_invariance(shape, ceiling: int) -> DisInvarianceReport:
     checked = 0
     for t in enumerate_ssyt(shape, ceiling):
         checked += 1
-        window = period_window(t)
-        values_t = _all_box_values(t, window)
-        values_e = _all_box_values(evacuate(t), window)
-        for box in values_t:
-            if Counter(values_t[box]) != Counter(values_e[box]):
+        period_t = promotion_period(t)
+        period_e = promotion_period(evacuate(t))
+        for box in t.boxes():
+            if Counter(u.entry(*box) for u in period_t) != Counter(u.entry(*box) for u in period_e):
                 violations.append((t, box))
     return DisInvarianceReport(tuple(shape), ceiling, checked, tuple(violations))
-
-
-def _all_box_values(t: Tableau, window: int) -> dict[Box, list[int]]:
-    values: dict[Box, list[int]] = {box: [] for box in t.boxes()}
-    cur = t
-    for _ in range(window):
-        for box in values:
-            values[box].append(cur.entry(*box))
-        cur = promote(cur)
-    return values
 
 
 def path_tableau(w: GrowthWindow, start_row: int, hops) -> Tableau:
@@ -251,7 +218,6 @@ __all__ = [
     "build_window",
     "column_evacuation",
     "orbit_values",
-    "period_window",
     "check_dis_invariance",
     "path_tableau",
     "bend_path",

@@ -263,14 +263,12 @@ def verify_homomesy(
     system: System,
     statistic: CellStatistic,
     budget: int,
-    threads: int = 1,
 ) -> HomomesyReport:
     """Partition the system into orbits and compare exact orbit averages.
 
     `budget` caps the number of enumerated elements, as in
-    :func:`partition_orbits`.  `threads` is accepted for compatibility and
-    has no effect.  To check several statistics on one system, build the
-    partition once and call :func:`verdict` for each.
+    :func:`partition_orbits`.  To check several statistics on one system,
+    build the partition once and call :func:`verdict` for each.
     """
     return verdict(partition_orbits(system, budget), statistic)
 
@@ -321,7 +319,7 @@ def report_to_jsonable(report: HomomesyReport) -> dict:
             {
                 "size": o.size,
                 "average": fraction_str(o.average),
-                "representative": _jsonable(o.representative),
+                "representative": o.representative,
             }
             for o in report.orbits
         ],
@@ -329,7 +327,7 @@ def report_to_jsonable(report: HomomesyReport) -> dict:
     }
     if report.witness is not None:
         out["witness"] = [
-            {"size": o.size, "average": fraction_str(o.average), "representative": _jsonable(o.representative)}
+            {"size": o.size, "average": fraction_str(o.average), "representative": o.representative}
             for o in report.witness
         ]
     return out
@@ -337,9 +335,3 @@ def report_to_jsonable(report: HomomesyReport) -> dict:
 
 def report_to_json(report: HomomesyReport) -> str:
     return json.dumps(report_to_jsonable(report), sort_keys=True, indent=2)
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value

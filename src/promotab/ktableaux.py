@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 from .dynamics import cycle
 from .errors import PreconditionError
-from .posets import FinitePoset, LinearExtension, ferrers_poset, rotate
+from .posets import FinitePoset, LinearExtension, build_cominuscule, ferrers_poset, rotate
 from .shapes import Box, Tableau
 
 BULLET = 0
@@ -235,7 +235,7 @@ def k_orbit_order_check(n: int, q: int) -> KOrbitOrderReport:
     every orbit size divides 2n-q."""
     if n < 1:
         raise PreconditionError("n must be positive")
-    p = build_rectangle_poset(2, n)
+    p = build_cominuscule("rectangle", 2, n)
     bound = 2 * n - q
     sizes = set()
     count = 0
@@ -248,12 +248,6 @@ def k_orbit_order_check(n: int, q: int) -> KOrbitOrderReport:
             continue
         sizes.add(size)
     return KOrbitOrderReport(n, q, bound, count, tuple(sorted(sizes)), failures)
-
-
-def build_rectangle_poset(m: int, n: int) -> FinitePoset:
-    from .posets import build_cominuscule
-
-    return build_cominuscule("rectangle", m, n)
 
 
 @dataclass(frozen=True)
@@ -273,7 +267,7 @@ def three_by_four_counterexample() -> CounterexampleReport:
     """Build the two deficiency-3 tableaux on the 3 x 4 rectangle whose
     K-promotion orbits have different cell-sum averages over the
     rotate-fixed pair {(2,2), (2,3)}, and verify the exact numbers."""
-    p = build_rectangle_poset(3, 4)
+    p = build_cominuscule("rectangle", 3, 4)
     rows_t = ((1, 2, 3, 5), (2, 4, 5, 7), (3, 6, 8, 9))
     rows_u = ((1, 4, 5, 6), (2, 6, 7, 8), (3, 7, 8, 9))
     t = increasing_from_grid(Tableau(rows_t, 9))

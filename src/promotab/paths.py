@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import evacuate, promote
+from .dynamics import evacuate, promotion_period
 from .errors import PreconditionError
 from .shapes import Box, Tableau, enumerate_syt, validate
 
@@ -81,14 +81,7 @@ def apply_promotion_path(t: Tableau, path: LabeledPath) -> Tableau:
 
 def _progression(t: Tableau) -> list[LabeledPath]:
     """The promotion paths of t, P(t), ..., P^(k-1)(t)."""
-    k = t.size
-    paths = []
-    cur = t
-    for _ in range(k):
-        paths.append(promotion_path(cur))
-        cur = promote(cur)
-    assert cur == t, "promotion on a rectangle must return after size-many steps"
-    return paths
+    return [promotion_path(x) for x in promotion_period(t)]
 
 
 def trajectory(t: Tableau) -> LabeledPath:
@@ -102,15 +95,13 @@ def trajectory(t: Tableau) -> LabeledPath:
     m, n = _require_standard_rectangle(t)
     marker: Box = (m, n)
     records: list[tuple[Box, int]] = []
-    cur = t
-    for label in range(t.entry(m, n), 1, -1):
+    for label, cur in zip(range(t.entry(m, n), 1, -1), promotion_period(t)):
         path = promotion_path(cur)
         if marker in path.boxes:
             idx = path.boxes.index(marker)
             assert idx >= 1, "marker can only exit the top-left corner with label 1"
             records.append((marker, label))
             marker = path.boxes[idx - 1]
-        cur = promote(cur)
     if marker != (1, 1):
         raise RuntimeError(
             "marker did not reach the top-left corner; this indicates a bug in promote"
@@ -199,13 +190,9 @@ def check_flow_invariance(m: int, n: int) -> FlowInvarianceReport:
     checked = 0
     for t in enumerate_syt((n,) * m):
         checked += 1
-        ev_t = _flow_events(t)
-        ev_e = _flow_events(evacuate(t))
-        for box in ev_t:
-            ins_t = sorted(v for _, v in ev_t[box][0])
-            ins_e = sorted(v for _, v in ev_e[box][0])
-            outs_t = sorted(v for _, v in ev_t[box][1])
-            outs_e = sorted(v for _, v in ev_e[box][1])
-            if ins_t != ins_e or outs_t != outs_e:
+        flows_t = flow_tables(t)
+        flows_e = flow_tables(evacuate(t))
+        for box in flows_t:
+            if flows_t[box] != flows_e[box]:
                 violations.append((t, box))
     return FlowInvarianceReport(m, n, checked, tuple(violations))

@@ -72,12 +72,6 @@ class FinitePoset:
     def lt(self, x: int, y: int) -> bool:
         return y in self._above[x]
 
-    def leq(self, x: int, y: int) -> bool:
-        return x == y or y in self._above[x]
-
-    def upper_covers(self, x: int) -> tuple[int, ...]:
-        return self._up[x]
-
     def lower_covers(self, x: int) -> tuple[int, ...]:
         return self._down[x]
 

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -31,6 +32,20 @@ class TestPromote:
         code, _, err = run(capsys, "promote", "--text", "k=6\n1 0 2\n")
         assert code == 2
         assert "parse error" in err
+
+    def test_undecodable_file_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe k=3\n1 2\n")
+        code, out, err = run(capsys, "promote", str(path))
+        assert code == 2 and out == ""
+        assert "cannot read input file" in err
+
+    def test_undecodable_stdin_is_a_parse_error(self, monkeypatch, capsys):
+        raw = io.BytesIO(b"\xff\xfe k=3\n1 2\n")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(raw, encoding="utf-8", errors="strict"))
+        code, out, err = run(capsys, "promote")
+        assert code == 2 and out == ""
+        assert "cannot read input file '-'" in err
 
     def test_precondition_exit_code(self, capsys):
         # a valid skew tableau, but promotion needs a straight shape

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import promotab.dynamics as dynamics
 from promotab.dynamics import (
     cycle,
     dual_evacuate,
@@ -15,6 +16,7 @@ from promotab.dynamics import (
     promote,
     promote_inverse,
     promote_via_toggles,
+    promotion_period,
     rectify,
     slide_toggle,
     toggle,
@@ -279,6 +281,30 @@ class TestCycle:
     def test_constant_step_fails_loudly(self):
         with pytest.raises(PreconditionError, match="not injective"):
             list(cycle(T([[1]], 3), lambda t: T([[2]], 3)))
+
+
+class TestPromotionPeriod:
+    def test_rectangle_repeats_a_short_orbit_to_the_ceiling(self):
+        t = T([[1, 2], [3, 4]], 4)
+        p = promotion_period(t)
+        assert len(set(p)) == 2
+        assert len(p) == 4 and p[0] == t and p[2] == p[0]
+
+    def test_non_rectangle_period_is_the_orbit(self):
+        p = promotion_period(T_MAIN)
+        assert p == list(cycle(T_MAIN, promote))
+        assert len(p) == 12
+
+    def test_rejects_skew_shape(self):
+        skew = T([[2], [1]], 3, (1,))
+        with pytest.raises(PreconditionError, match="promotion orbits require a straight shape"):
+            promotion_period(skew)
+
+    def test_orbit_not_dividing_the_ceiling_is_a_bug(self, monkeypatch):
+        a, b = T([[1, 2]], 3), T([[1, 3]], 3)
+        monkeypatch.setattr(dynamics, "promote", lambda t: b if t == a else a)
+        with pytest.raises(RuntimeError, match="bug in promote"):
+            promotion_period(a)
 
 
 class TestConjugationIdentities:

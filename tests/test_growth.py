@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import promotab.growth as growth
 from promotab.dynamics import evacuate, promote, toggle
 from promotab.errors import PreconditionError
 from promotab.growth import (
@@ -152,6 +153,12 @@ class TestDisInvariance:
 
     def test_single_column_trivial(self):
         assert check_dis_invariance((1,), 3).ok
+
+    def test_broken_evacuation_is_reported(self, monkeypatch):
+        least = Tableau([[1, 1], [2]], 3)
+        monkeypatch.setattr(growth, "evacuate", lambda t: least)
+        report = check_dis_invariance((2, 1), 3)
+        assert not report.ok
 
 
 class TestPathToggles:

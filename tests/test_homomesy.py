@@ -117,13 +117,6 @@ class TestVerify:
         with pytest.raises(BudgetExceededError):
             verify_homomesy(ssyt_system((2, 2), 4), stat(), budget=10)
 
-    def test_threads_do_not_change_the_report(self):
-        system = ssyt_system((3, 2), 4)
-        statistic = stat((1, 1), (2, 2))
-        sequential = verify_homomesy(system, statistic, budget=1000, threads=1)
-        parallel = verify_homomesy(system, statistic, budget=1000, threads=4)
-        assert sequential == parallel
-
     def test_poset_system(self):
         p = build_cominuscule("shifted_staircase", 3)
         statistic = CellStatistic(support=frozenset({p.element_at((1, 3)), p.element_at((2, 2))}), name="diag")

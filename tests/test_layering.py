@@ -1,5 +1,7 @@
 """The library's import graph points one way: homomesy and the CLI sit on
-top of the combinatorial modules, which never import them back."""
+top of the combinatorial modules, which never import them back.  Every
+module also uses each name it imports, so deleted code leaves no stale
+imports behind."""
 
 import ast
 from pathlib import Path
@@ -28,6 +30,19 @@ def imported_modules(path: Path) -> set[str]:
     return names
 
 
+def unused_imports(path: Path) -> set[str]:
+    """Names a module imports at top level but never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".", 1)[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
 def import_graph() -> dict[str, set[str]]:
     return {path.stem: imported_modules(path) for path in SRC.glob("*.py")}
 
@@ -51,3 +66,23 @@ def test_guard_sees_relative_and_absolute_imports(tmp_path):
         "    from promotab import shapes\n"
     )
     assert imported_modules(probe) == {"homomesy", "cli", "shapes"}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.stem
+)
+def test_no_unused_imports(path):
+    assert not unused_imports(path)
+
+
+def test_unused_import_guard_sees_leftovers(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import os.path\n"
+        "from .dynamics import cycle, promote as step\n"
+        "def f(x: int) -> str:\n"
+        "    return json.dumps(step(x))\n"
+    )
+    assert unused_imports(probe) == {"os", "cycle"}

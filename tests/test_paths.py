@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+import promotab.paths as paths
 from promotab.dynamics import evacuate, promote, promote_inverse
 from promotab.errors import PreconditionError
 from promotab.growth import orbit_values
@@ -157,3 +158,9 @@ class TestFlowInvariance:
     def test_single_row(self):
         report = check_flow_invariance(1, 4)
         assert report.ok and report.tableaux_checked == 1
+
+    def test_broken_evacuation_is_reported(self, monkeypatch):
+        least = T([[1, 2, 3], [4, 5, 6]], 6)
+        monkeypatch.setattr(paths, "evacuate", lambda t: least)
+        report = check_flow_invariance(2, 3)
+        assert not report.ok
