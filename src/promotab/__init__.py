@@ -41,7 +41,6 @@ from .homomesy import (
     symmetric_subsets,
     syt_poset_system,
     verdict,
-    verify_homomesy,
 )
 from .ktableaux import (
     IncreasingTableau,

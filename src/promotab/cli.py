@@ -156,6 +156,8 @@ def _cmd_growth(args) -> int:
         if len(boxes) != 1:
             raise ParseError("growth tracks a single box; pass --cells r,c")
         tracked = boxes[0]
+        if not t.has_box(*tracked):
+            raise PreconditionError(f"box {tracked} is not in the shape")
     payload = {
         "ceiling": window.ceiling,
         "rows": [[list(d) for d in enc.diagrams] for enc in window.rows],
@@ -217,9 +219,12 @@ def _cmd_paths(args) -> int:
 
 
 def _statistics_for(args, system_kind, domain) -> list[homomesy.CellStatistic]:
+    """The statistics to check; `domain` is None on a non-rectangular ssyt shape."""
     if args.symmetric_all and args.cells:
         raise ParseError("pass either --cells or --symmetric-all, not both")
     if args.symmetric_all:
+        if domain is None:
+            raise ParseError("--symmetric-all on ssyt systems needs a rectangular shape")
         return list(homomesy.symmetric_subsets(domain))
     if args.cells is None:
         raise ParseError("homomesy needs --cells r1,c1;r2,c2 or --symmetric-all")
@@ -253,9 +258,8 @@ def _cmd_homomesy(args) -> int:
         else:
             raise ParseError("ssyt systems need --partition a,b,c or --shape MxN")
         system = homomesy.ssyt_system(shape, args.ceiling, args.operator.replace("-", "_"))
-        stats = _statistics_for(args, "ssyt", (len(shape), shape[0]) if shape else (0, 0))
-        if args.symmetric_all and (not shape or len(set(shape)) > 1):
-            raise ParseError("--symmetric-all on ssyt systems needs a rectangular shape")
+        rectangle = (len(shape), shape[0]) if len(set(shape)) == 1 else None
+        stats = _statistics_for(args, "ssyt", rectangle)
     elif args.family or args.partition:
         poset = _parse_family(args.family) if args.family else posets.ferrers_poset(_parse_partition(args.partition))
         system = homomesy.syt_poset_system(poset)
@@ -265,23 +269,18 @@ def _cmd_homomesy(args) -> int:
 
     partition = homomesy.partition_orbits(system, budget=args.budget)
     reports = [homomesy.verdict(partition, stat) for stat in stats]
-    violated = any(r.verdict == "violated" for r in reports)
-    if args.format == "json":
-        payload = [homomesy.report_to_jsonable(r) for r in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload, sort_keys=True, indent=2))
-    else:
-        for r in reports:
-            print(f"system: {r.system}")
-            print(f"statistic: {r.statistic}")
-            for o in r.orbits:
-                print(f"  orbit size={o.size} average={homomesy.fraction_str(o.average)}")
-            print(f"verdict: {r.verdict}")
-            if r.witness:
-                a, b = r.witness
-                print(
-                    f"witness: {homomesy.fraction_str(a.average)} != {homomesy.fraction_str(b.average)}"
-                )
-    return 1 if violated else 0
+    frac = homomesy.fraction_str
+    lines = []
+    for r in reports:
+        lines += [f"system: {r.system}", f"statistic: {r.statistic}"]
+        lines += [f"  orbit size={o.size} average={frac(o.average)}" for o in r.orbits]
+        lines.append(f"verdict: {r.verdict}")
+        if r.witness:
+            a, b = r.witness
+            lines.append(f"witness: {frac(a.average)} != {frac(b.average)}")
+    payload = [homomesy.report_to_jsonable(r) for r in reports]
+    _emit(args, "".join(f"{line}\n" for line in lines), payload[0] if len(payload) == 1 else payload)
+    return 1 if any(r.verdict == "violated" for r in reports) else 0
 
 
 def _cmd_counterexample(args) -> int:
@@ -351,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         "on tableaux, posets, and increasing tableaux.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    operators = tuple(name.replace("_", "-") for name in dynamics.OPERATORS)
 
     for verb in ("promote", "evacuate", "kpromote", "kevacuate"):
         sub = subs.add_parser(verb, help=f"apply {verb} to a tableau")
@@ -358,11 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("orbit", help="the full operator cycle of a tableau")
     _add_io_arguments(sub)
-    sub.add_argument(
-        "--operator",
-        choices=("promote", "promote-inverse"),
-        default="promote",
-    )
+    sub.add_argument("--operator", choices=operators, default="promote")
 
     sub = subs.add_parser("growth", help="growth window of chain encodings")
     _add_io_arguments(sub)
@@ -384,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--family", help="cominuscule family, e.g. propeller:4")
     sub.add_argument("-k", "--ceiling", type=int, help="entry ceiling (ssyt systems)")
     sub.add_argument("-q", type=int, help="deficiency (increasing tableau systems)")
-    sub.add_argument("--operator", choices=("promote", "promote-inverse"), default="promote")
+    sub.add_argument("--operator", choices=operators, default="promote")
     sub.add_argument("--cells", help="statistic support 'r1,c1;r2,c2'")
     sub.add_argument("--symmetric-all", action="store_true", help="sweep all rotate-fixed supports")
     sub.add_argument("--budget", type=int, help="maximum number of enumerated elements")

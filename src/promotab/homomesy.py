@@ -59,17 +59,14 @@ def _entries(obj) -> tuple[tuple[int, ...], Callable]:
     raise PreconditionError(f"unsupported object for cell_sum: {type(obj).__name__}")
 
 
-def cell_sum(obj, support, totals: tuple[int, ...] | None = None) -> int:
+def cell_sum(obj, support) -> int:
     """Sum of the entries of a tableau (by box) or of a labelled poset
     object (by element id, or by box when the poset is grid-embedded).
 
-    `totals`, laid out like obj's entries, is summed in their place: given
-    the per-entry totals of obj's orbit, the result is the orbit total of
-    the statistic.  Each support item counts once.
+    Each support item counts once, so an element and its box both count.
     """
     entries, index = _entries(obj)
-    values = entries if totals is None else totals
-    return sum(values[index(item)] for item in support)
+    return sum(entries[index(item)] for item in support)
 
 
 def orbit_average(elements: Iterable, statistic: CellStatistic) -> Fraction:
@@ -170,6 +167,8 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
             )
     key = system.sort_key
     unvisited = {key(x) for x in elements}
+    if len(unvisited) != len(elements):
+        raise PreconditionError(f"{system.description}: the enumeration repeats an element")
     orbits: dict[tuple, OrbitTotals] = {}
     for start in elements:
         if key(start) not in unvisited:
@@ -188,11 +187,6 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
         lead = min(range(len(orb)), key=keys.__getitem__)
         totals = tuple(map(sum, zip(*(_entries(y)[0] for y in orb))))
         orbits[keys[lead]] = OrbitTotals(size=len(orb), lead=orb[lead], totals=totals)
-    covered = sum(o.size for o in orbits.values())
-    if covered != len(elements):
-        raise PreconditionError(
-            f"{system.description}: orbits cover {covered} of {len(elements)} enumerated elements"
-        )
     return OrbitPartition(system=system.description, orbits=tuple(orbits[k] for k in sorted(orbits)))
 
 
@@ -232,13 +226,22 @@ def _representative(obj) -> tuple:
 def verdict(partition: OrbitPartition, statistic: CellStatistic) -> HomomesyReport:
     """Compare the exact orbit averages of one statistic over a partition.
 
-    Each average is the sum of the support's orbit totals over the orbit
-    size, which equals the mean of :func:`cell_sum` over the orbit.
+    All elements of a system share one shape or one poset, and
+    :func:`partition_orbits` lays out every orbit's totals like its lead's
+    entries, so the support is resolved to entry positions once, against
+    the first lead (an empty partition never checks it).  Each average is
+    the sum of those positions' orbit totals over the orbit size, which
+    equals the mean of :func:`cell_sum` over the orbit; a position named
+    twice, by an element and by its box, counts twice there too.
     """
+    positions = []
+    if partition.orbits:
+        index = _entries(partition.orbits[0].lead)[1]
+        positions = [index(item) for item in statistic.support]
     summaries = [
         OrbitSummary(
             size=o.size,
-            average=Fraction(cell_sum(o.lead, statistic.support, o.totals), o.size),
+            average=Fraction(sum(o.totals[i] for i in positions), o.size),
             representative=_representative(o.lead),
         )
         for o in partition.orbits
@@ -257,20 +260,6 @@ def verdict(partition: OrbitPartition, statistic: CellStatistic) -> HomomesyRepo
         verdict=outcome,
         witness=witness,
     )
-
-
-def verify_homomesy(
-    system: System,
-    statistic: CellStatistic,
-    budget: int,
-) -> HomomesyReport:
-    """Partition the system into orbits and compare exact orbit averages.
-
-    `budget` caps the number of enumerated elements, as in
-    :func:`partition_orbits`.  To check several statistics on one system,
-    build the partition once and call :func:`verdict` for each.
-    """
-    return verdict(partition_orbits(system, budget), statistic)
 
 
 # -- symmetric supports --------------------------------------------------------

@@ -58,7 +58,7 @@ class FinitePoset:
                 raise PreconditionError(f"cover ({x}, {y}) is implied by others (not reduced)")
         self.size = size
         self.covers = covers_f
-        self.embedding = dict(embedding) if embedding else None
+        self.embedding = dict(embedding) if embedding is not None else None
         self.rotation = dict(rotation) if rotation else None
         self.name = name
         self._above = above

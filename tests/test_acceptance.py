@@ -29,10 +29,11 @@ from promotab.homomesy import (
     CellStatistic,
     fraction_str,
     inc_system,
+    partition_orbits,
     ssyt_system,
     symmetric_subsets,
     syt_poset_system,
-    verify_homomesy,
+    verdict,
 )
 from promotab.ktableaux import (
     enumerate_increasing,
@@ -172,9 +173,9 @@ def test_c02_counterexample_reproduction():
         support=frozenset(poset.element_at(b) for b in ((2, 2), (2, 3))),
         name="cells:[(2, 2), (2, 3)]",
     )
-    verdict = verify_homomesy(inc_system(poset, 3), statistic, budget=100_000)
-    assert verdict.verdict == "violated"
-    averages = {fraction_str(o.average) for o in verdict.orbits}
+    report = verdict(partition_orbits(inc_system(poset, 3), budget=100_000), statistic)
+    assert report.verdict == "violated"
+    averages = {fraction_str(o.average) for o in report.orbits}
     assert {"91/9", "10/1"} <= averages
     print("ACCEPTANCE 02 PASS: 3x4 deficiency-3 counterexample, averages 91/9 vs 10")
 
@@ -185,9 +186,9 @@ def test_c03_rectangular_homomesy_sweep():
         for k in range(1, kmax + 1):
             cases.append((m, n, k))
     for m, n, k in cases:
-        system = ssyt_system(rect(m, n), k)
+        partition = partition_orbits(ssyt_system(rect(m, n), k), budget=10_000)
         for statistic in symmetric_subsets((m, n)):
-            report = verify_homomesy(system, statistic, budget=10_000)
+            report = verdict(partition, statistic)
             assert report.homomesic, (m, n, k, statistic.name)
             expected = Fraction((k + 1) * len(statistic.support), 2)
             if report.orbits:
@@ -306,8 +307,9 @@ def test_c09_poset_promotion_homomesy():
     for p in sweep_posets:
         for t in linear_extensions(p):
             assert poset_evacuate(t) == rotate_reverse(t)
+        partition = partition_orbits(syt_poset_system(p), budget=10_000)
         for statistic in symmetric_subsets(p):
-            report = verify_homomesy(syt_poset_system(p), statistic, budget=10_000)
+            report = verdict(partition, statistic)
             assert report.homomesic, (p.name, statistic.name)
     for name in ("cayley", "freudenthal"):
         p = build_cominuscule(name)
@@ -325,14 +327,15 @@ def test_c10_two_row_k_promotion_homomesy():
             assert report.ok, (n, q)
             for t in enumerate_increasing(p, q):
                 assert k_evacuate(k_evacuate(t)) == t
+            partition = partition_orbits(inc_system(p, q), budget=10_000)
             for statistic in symmetric_subsets((2, n)):
                 support = frozenset(p.element_at(b) for b in statistic.support)
                 named = CellStatistic(support=support, name=statistic.name)
-                verdict = verify_homomesy(inc_system(p, q), named, budget=10_000)
-                assert verdict.homomesic, (n, q, statistic.name)
-                if verdict.orbits:
+                report = verdict(partition, named)
+                assert report.homomesic, (n, q, statistic.name)
+                if report.orbits:
                     expected = Fraction((2 * n - q + 1) * len(support), 2)
-                    assert verdict.common_average == expected, (n, q, statistic.name)
+                    assert report.common_average == expected, (n, q, statistic.name)
         for tab in enumerate_syt(rect(2, n)):
             assert increasing_to_grid(k_promote(increasing_from_grid(tab))) == promote(tab)
     print("ACCEPTANCE 10 PASS: 2xn K-promotion order, K-evacuation involution, homomesy, q=0 bridge")

@@ -88,6 +88,11 @@ class TestGrowthAndDis:
         assert code == 0
         assert out.strip() == "{2,3,3,4,4}"
 
+    def test_growth_rejects_a_box_outside_the_shape(self, capsys):
+        code, out, err = run(capsys, "growth", "--text", "k=3\n1 2\n", "--cells", "5,5")
+        assert (code, out) == (3, "")
+        assert err == "precondition violated: box (5, 5) is not in the shape\n"
+
     def test_dis_requires_cells(self, capsys):
         code, _, err = run(capsys, "dis", "--text", "k=5\n1 2 3\n3 4 4\n")
         assert code == 2
@@ -114,6 +119,13 @@ class TestKOps:
         code, out, _ = run(capsys, "kevacuate", "--text", T_INC_TEXT)
         assert code == 0
         assert out == "k=5\n1 2\n2 4\n3 5\n"
+
+    @pytest.mark.parametrize("verb", ["kpromote", "kevacuate"])
+    def test_empty_tableau(self, capsys, verb):
+        assert run(capsys, verb, "--text", "k=0\n") == (0, "k=0\n", "")
+        code, out, _ = run(capsys, verb, "--text", "k=0\n", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"ceiling": 0, "rows": []}
 
     def test_rejects_non_increasing(self, capsys):
         code, _, err = run(capsys, "kpromote", "--text", "k=5\n1 2\n3 3\n4 5\n")
@@ -211,6 +223,19 @@ class TestHomomesy:
             assert out.splitlines()[-1] == "verdict: homomesic"
         else:
             assert out == ""
+
+    def test_symmetric_all_checks_the_shape_before_building_statistics(self, monkeypatch, capsys):
+        def refuse(_):
+            raise AssertionError("statistics built before the shape was checked")
+
+        monkeypatch.setattr("promotab.homomesy.symmetric_subsets", refuse)
+        args = "homomesy --partition 7,7,7,7,1 -k 3 --symmetric-all --budget 10".split()
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err == "parse error: --symmetric-all on ssyt systems needs a rectangular shape\n"
+        code, _, err = run(capsys, *args, "--cells", "1,1")
+        assert code == 2
+        assert err == "parse error: pass either --cells or --symmetric-all, not both\n"
 
     def test_threads_flag(self, capsys):
         code, out, _ = run(

@@ -18,7 +18,6 @@ from promotab.homomesy import (
     symmetric_subsets,
     syt_poset_system,
     verdict,
-    verify_homomesy,
 )
 from promotab.ktableaux import increasing_from_grid
 from promotab.posets import build_cominuscule, linear_extensions
@@ -89,14 +88,14 @@ def test_unknown_operator_is_rejected(build):
 
 class TestVerify:
     def test_rectangular_symmetric_supports_are_homomesic(self):
-        system = ssyt_system((2, 2), 4)
+        partition = partition_orbits(ssyt_system((2, 2), 4), budget=100)
         for statistic in symmetric_subsets((2, 2)):
-            report = verify_homomesy(system, statistic, budget=100)
+            report = verdict(partition, statistic)
             assert report.homomesic
             assert report.common_average == Fraction(5 * len(statistic.support), 2)
 
     def test_total_size_partitioned(self):
-        report = verify_homomesy(ssyt_system((2, 2), 4), stat(), budget=100)
+        report = verdict(partition_orbits(ssyt_system((2, 2), 4), budget=100), stat())
         assert sum(o.size for o in report.orbits) == 20
 
     def test_violation_witness(self):
@@ -105,22 +104,22 @@ class TestVerify:
             support=frozenset({p.element_at((2, 2)), p.element_at((2, 3))}),
             name="cells:[(2,2),(2,3)]",
         )
-        report = verify_homomesy(inc_system(p, 3), statistic, budget=100_000)
+        report = verdict(partition_orbits(inc_system(p, 3), budget=100_000), statistic)
         assert report.verdict == "violated"
         assert {fraction_str(o.average) for o in report.witness} == {"91/9", "10/1"}
 
     def test_informational_non_symmetric_support(self):
-        report = verify_homomesy(ssyt_system((2, 2), 3), stat((1, 1)), budget=100)
+        report = verdict(partition_orbits(ssyt_system((2, 2), 3), budget=100), stat((1, 1)))
         assert report.verdict in ("homomesic", "violated")
 
     def test_budget_is_loud(self):
         with pytest.raises(BudgetExceededError):
-            verify_homomesy(ssyt_system((2, 2), 4), stat(), budget=10)
+            partition_orbits(ssyt_system((2, 2), 4), budget=10)
 
     def test_poset_system(self):
         p = build_cominuscule("shifted_staircase", 3)
         statistic = CellStatistic(support=frozenset({p.element_at((1, 3)), p.element_at((2, 2))}), name="diag")
-        report = verify_homomesy(syt_poset_system(p), statistic, budget=100)
+        report = verdict(partition_orbits(syt_poset_system(p), budget=100), statistic)
         assert report.homomesic and report.common_average == 7
 
 
@@ -151,6 +150,13 @@ def _partition_331():
     return ssyt_system((3, 3, 1), 4), [CellStatistic(support, "cells")], count_ssyt((3, 3, 1), 4)
 
 
+def _cayley_mixed():
+    # element 1 and its box (1, 1) name one position, which counts twice
+    p = build_cominuscule("cayley")
+    support = frozenset({1, (1, 1), (2, 3)})
+    return syt_poset_system(p), [CellStatistic(support, "mixed")], 78
+
+
 def _shifted_staircase_boxes():
     p = build_cominuscule("shifted_staircase", 4)
     support = frozenset({(1, 1), (2, 3), (4, 4)})
@@ -159,7 +165,8 @@ def _shifted_staircase_boxes():
 
 class TestPartition:
     @pytest.mark.parametrize(
-        "build", [_ssyt_3x3, _inc_3x4, _cayley, _partition_331, _shifted_staircase_boxes]
+        "build",
+        [_ssyt_3x3, _inc_3x4, _cayley, _cayley_mixed, _partition_331, _shifted_staircase_boxes],
     )
     def test_totals_match_definition(self, build):
         system, statistics, size = build()
@@ -242,6 +249,6 @@ class TestJson:
         assert fraction_str(Fraction(91, 9)) == "91/9"
 
     def test_json_is_deterministic(self):
-        report = verify_homomesy(ssyt_system((2, 2), 3), stat((1, 1), (2, 2)), budget=100)
+        report = verdict(partition_orbits(ssyt_system((2, 2), 3), budget=100), stat((1, 1), (2, 2)))
         assert report_to_json(report) == report_to_json(report)
         assert '"verdict"' in report_to_json(report)

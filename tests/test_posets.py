@@ -7,7 +7,7 @@ from promotab.dynamics import evacuate as tableau_evacuate
 from promotab.dynamics import promote as tableau_promote
 from promotab.dynamics import toggle as tableau_toggle
 from promotab.errors import ParseError, PreconditionError
-from promotab.homomesy import CellStatistic, syt_poset_system, verify_homomesy
+from promotab.homomesy import CellStatistic, partition_orbits, syt_poset_system, verdict
 from promotab.posets import (
     FinitePoset,
     LinearExtension,
@@ -206,7 +206,7 @@ class TestPosetPromotionEvacuation:
 
 def poset_verdict(p, support):
     stat = CellStatistic(support=frozenset(support), name=f"elements{sorted(support)}")
-    return verify_homomesy(syt_poset_system(p), stat, budget=100_000)
+    return verdict(partition_orbits(syt_poset_system(p), budget=100_000), stat)
 
 
 class TestCominusculeHomomesy:
