@@ -3,12 +3,17 @@
 All operations are pure: they take immutable tableaux and return new ones.
 Promotion is implemented twice on purpose (the slide definition and the
 toggle product) so the two routes can be checked against each other.
+
+:func:`jdt_slide`/:func:`rectify` and :func:`toggle` are the one-step
+definitions.  The step maps built on them (:func:`promote` and the toggle
+sweeps) work on plain rows and build one :class:`Tableau`, their result;
+the tests check each of them against the chain of one-step definitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import PreconditionError
 from .shapes import Box, Partition, Tableau, part
@@ -121,19 +126,76 @@ def promote(t: Tableau) -> Tableau:
     """
     if not t.is_straight:
         raise PreconditionError("promotion requires a straight shape")
-    k = t.ceiling
-    ones = sum(1 for v in t.rows[0] if v == 1) if t.rows else 0
-    if any(v == 1 for row in t.rows[1:] for v in row):
+    return Tableau(_promote_rows(t.rows, t.ceiling), t.ceiling)
+
+
+def _promote_rows(rows: Sequence[Sequence[int]], k: int) -> list[list[int]]:
+    """The rows of :func:`promote` with ceiling k, from the rows of a
+    straight shape.
+
+    The holes left by the 1s slide out one by one, rightmost first, by the
+    rule of :func:`jdt_slide` (on equal values the hole moves below), on
+    one list of rows.
+    """
+    if any(1 in row for row in rows[1:]):
         raise PreconditionError("not semistandard: 1 below the first row")
-    if ones == 0:
-        return Tableau(tuple(tuple(v - 1 for v in row) for row in t.rows), k)
-    skew_rows = (t.rows[0][ones:],) + t.rows[1:]
-    rect = rectify(Tableau(skew_rows, k, (ones,)))
-    new_rows = []
-    for r in range(1, len(t.outer) + 1):
-        base = rect.rows[r - 1] if r <= len(rect.rows) else ()
-        new_rows.append(tuple(v - 1 for v in base) + (k,) * (t.outer[r - 1] - len(base)))
-    return Tableau(new_rows, k)
+    out = [list(row) for row in rows] + [[]]  # an empty row ends every slide downwards
+    ones = out[0].count(1)
+    for c in range(ones - 1, -1, -1):
+        r = 0
+        while True:
+            below = out[r + 1][c] if c < len(out[r + 1]) else None
+            right = out[r][c + 1] if c + 1 < len(out[r]) else None
+            if below is None and right is None:
+                break
+            if right is None or (below is not None and below <= right):
+                out[r][c] = below
+                r += 1
+            else:
+                out[r][c] = right
+                c += 1
+        out[r].pop()
+    return [[v - 1 for v in new] + [k] * (len(old) - len(new)) for new, old in zip(out, rows)]
+
+
+def _toggle_rows(rows: Sequence[Sequence[int]], offsets: Sequence[int], i: int) -> list[Sequence[int]]:
+    """The rows of :func:`toggle` at index i, from rows of entries whose
+    row r starts after `offsets[r]` absent cells; `offsets` has one more
+    item than `rows`, a 0.
+
+    Freeness is read from the input rows only; a row without a free entry
+    is returned as it is.
+    """
+    out = list(rows)
+    last = len(rows) - 1
+    for r, row in enumerate(rows):
+        if i not in row and i + 1 not in row:
+            continue
+        above, to_above = (rows[r - 1], offsets[r] - offsets[r - 1]) if r else ((), 0)
+        below, to_below = (rows[r + 1], offsets[r] - offsets[r + 1]) if r < last else ((), 0)
+        free: list[int] = []
+        count_hi = 0
+        for j, v in enumerate(row):
+            if v == i:
+                b = j + to_below
+                if not (0 <= b < len(below) and below[b] == i + 1):
+                    free.append(j)
+            elif v == i + 1:
+                a = j + to_above
+                if not (0 <= a < len(above) and above[a] == i):
+                    free.append(j)
+                    count_hi += 1
+        if free:
+            new_row = list(row)
+            for idx, j in enumerate(free):
+                new_row[j] = i if idx < count_hi else i + 1
+            out[r] = new_row
+    return out
+
+
+def _offsets(t: Tableau) -> list[int]:
+    """The absent cells before each row of t, and a trailing 0."""
+    return [part(t.inner, r) for r in range(1, len(t.rows) + 2)]
 
 
 def toggle(t: Tableau, i: int) -> Tableau:
@@ -145,38 +207,23 @@ def toggle(t: Tableau, i: int) -> Tableau:
     """
     if not 1 <= i <= t.ceiling - 1:
         raise PreconditionError(f"toggle index {i} out of range [1, {t.ceiling - 1}]")
-    new_rows = []
-    for r, row in enumerate(t.rows, start=1):
-        off = part(t.inner, r)
-        free: list[int] = []
-        count_hi = 0
-        for j, v in enumerate(row):
-            c = off + j + 1
-            if v == i:
-                if t.get(r + 1, c) != i + 1:
-                    free.append(j)
-            elif v == i + 1:
-                if t.get(r - 1, c) != i:
-                    free.append(j)
-                    count_hi += 1
-        if not free:
-            new_rows.append(row)
-            continue
-        new_row = list(row)
-        for idx, j in enumerate(free):
-            new_row[j] = i if idx < count_hi else i + 1
-        new_rows.append(tuple(new_row))
-    return Tableau(new_rows, t.ceiling, t.inner)
+    return Tableau(_toggle_rows(t.rows, _offsets(t), i), t.ceiling, t.inner)
+
+
+def _toggle_sweep(t: Tableau, indices: Iterable[int]) -> Tableau:
+    """The toggles at `indices`, applied in order, as one tableau."""
+    rows: Sequence[Sequence[int]] = t.rows
+    offsets = _offsets(t)
+    for i in indices:
+        rows = _toggle_rows(rows, offsets, i)
+    return Tableau(rows, t.ceiling, t.inner)
 
 
 def promote_via_toggles(t: Tableau) -> Tableau:
     """Promotion as the ascending toggle sweep."""
     if not t.is_straight:
         raise PreconditionError("promotion requires a straight shape")
-    u = t
-    for i in range(1, t.ceiling):
-        u = toggle(u, i)
-    return u
+    return _toggle_sweep(t, range(1, t.ceiling))
 
 
 def promote_inverse(t: Tableau) -> Tableau:
@@ -188,10 +235,7 @@ def promote_inverse(t: Tableau) -> Tableau:
     """
     if not t.is_straight:
         raise PreconditionError("promotion requires a straight shape")
-    u = t
-    for i in range(t.ceiling - 1, 0, -1):
-        u = toggle(u, i)
-    return u
+    return _toggle_sweep(t, range(t.ceiling - 1, 0, -1))
 
 
 def slide_toggle(t: Tableau, i: int) -> Tableau:
@@ -253,8 +297,14 @@ def partial_promote(t: Tableau, i: int) -> Tableau:
         raise PreconditionError("partial promotion requires a straight shape")
     if not 1 <= i <= t.ceiling:
         raise PreconditionError(f"partial promotion ceiling {i} out of range [1, {t.ceiling}]")
+    return Tableau(_partial_promote_rows(t.rows, i), t.ceiling)
+
+
+def _partial_promote_rows(rows: Sequence[Sequence[int]], i: int) -> list[Sequence[int]]:
+    """The rows of :func:`partial_promote` at i, from the rows of a
+    straight shape."""
     sub_rows = []
-    for row in t.rows:
+    for row in rows:
         taken = 0
         for v in row:
             if v <= i:
@@ -264,12 +314,11 @@ def partial_promote(t: Tableau, i: int) -> Tableau:
         sub_rows.append(row[:taken])
     while sub_rows and not sub_rows[-1]:
         sub_rows.pop()
-    promoted = promote(Tableau(tuple(sub_rows), i))
-    new_rows = []
-    for r, row in enumerate(t.rows, start=1):
-        base = promoted.rows[r - 1] if r <= len(promoted.rows) else ()
-        new_rows.append(base + row[len(base):])
-    return Tableau(new_rows, t.ceiling)
+    if any(len(a) < len(b) for a, b in zip(sub_rows, sub_rows[1:])):
+        raise PreconditionError(f"the entries <= {i} do not form a straight shape")
+    promoted = _promote_rows(sub_rows, i)
+    promoted += [[]] * (len(rows) - len(promoted))
+    return [base + list(row[len(base):]) for base, row in zip(promoted, rows)]
 
 
 def evacuate(t: Tableau) -> Tableau:
@@ -283,33 +332,25 @@ def evacuate(t: Tableau) -> Tableau:
     k = t.ceiling
     if k == 0:
         return t
-    u = promote(t)
+    rows = _promote_rows(t.rows, k)
     for j in range(2, k + 1):
-        u = partial_promote(u, k - j + 1)
-    return u
+        rows = _partial_promote_rows(rows, k - j + 1)
+    return Tableau(rows, k)
 
 
 def evacuate_via_toggles(t: Tableau) -> Tableau:
     """Evacuation as the triangular toggle product."""
     if not t.is_straight:
         raise PreconditionError("evacuation requires a straight shape")
-    u = t
-    for j in range(t.ceiling - 1, 0, -1):
-        for i in range(1, j + 1):
-            u = toggle(u, i)
-    return u
+    return _toggle_sweep(t, (i for j in range(t.ceiling - 1, 0, -1) for i in range(1, j + 1)))
 
 
 def dual_evacuate(t: Tableau) -> Tableau:
     """Dual evacuation of a rectangular tableau, as a toggle product."""
     if not t.is_rectangular:
         raise PreconditionError("dual evacuation requires a rectangular straight shape")
-    u = t
     k = t.ceiling
-    for lo in range(1, k):
-        for i in range(k - 1, lo - 1, -1):
-            u = toggle(u, i)
-    return u
+    return _toggle_sweep(t, (i for lo in range(1, k) for i in range(k - 1, lo - 1, -1)))
 
 
 def dual_evacuate_via_complement(t: Tableau) -> Tableau:

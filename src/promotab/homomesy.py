@@ -22,7 +22,7 @@ from .dynamics import cycle, lookup_operator
 from .errors import BudgetExceededError, PreconditionError
 from .ktableaux import IncreasingTableau, enumerate_increasing, k_promote
 from .posets import FinitePoset, LinearExtension, linear_extensions, poset_promote, rotate
-from .shapes import Tableau, check_partition, enumerate_ssyt, part
+from .shapes import Tableau, check_partition, count_ssyt, enumerate_ssyt, part
 
 
 @dataclass(frozen=True)
@@ -82,12 +82,17 @@ def orbit_average(elements: Iterable, statistic: CellStatistic) -> Fraction:
 
 @dataclass(frozen=True)
 class System:
-    """A finite invertible dynamical system, described for reports."""
+    """A finite invertible dynamical system, described for reports.
+
+    `count`, when known, is the exact number of elements, so a budget can
+    be refused before anything is enumerated.
+    """
 
     description: str
     enumerate: Callable[[], Iterator]
     step: Callable
     sort_key: Callable
+    count: int | None = None
 
 
 def ssyt_system(shape, ceiling: int, operator: str = "promote") -> System:
@@ -99,6 +104,8 @@ def ssyt_system(shape, ceiling: int, operator: str = "promote") -> System:
         enumerate=lambda: enumerate_ssyt(shape, ceiling),
         step=step,
         sort_key=lambda t: t.row_reading(),
+        # a negative ceiling is left for the enumeration to reject
+        count=count_ssyt(shape, ceiling) if ceiling >= 0 else None,
     )
 
 
@@ -149,7 +156,8 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
     """Enumerate the system and walk each of its orbits once.
 
     `budget` caps the number of enumerated elements; exceeding it raises
-    :class:`BudgetExceededError` rather than returning a partial answer.
+    :class:`BudgetExceededError` rather than returning a partial answer,
+    before enumerating when the system knows its exact count.
     Each walk is a :func:`~promotab.dynamics.cycle` that may only visit
     enumerated elements that no walk has visited yet, so it ends within
     the element count.  A step map that leaves the enumerated set or is
@@ -158,13 +166,14 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
     """
     if budget < 1:
         raise PreconditionError(f"budget must be positive: {budget}")
+    over_budget = f"{system.description} exceeds the element budget {budget}"
+    if system.count is not None and system.count > budget:
+        raise BudgetExceededError(over_budget)
     elements = []
     for x in system.enumerate():
         elements.append(x)
         if len(elements) > budget:
-            raise BudgetExceededError(
-                f"{system.description} exceeds the element budget {budget}"
-            )
+            raise BudgetExceededError(over_budget)
     key = system.sort_key
     unvisited = {key(x) for x in elements}
     if len(unvisited) != len(elements):

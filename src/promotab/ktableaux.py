@@ -5,13 +5,17 @@ poset onto 1..d; the deficiency q is |P| - d, and q = 0 recovers linear
 extensions.  K-promotion replaces the 1s by bullets, bubbles the bullets
 upward with the simultaneous `switch` operators, then decrements and
 refills.  Intermediate switch states carry bullets, encoded as label 0.
+
+:func:`switch` is the one-step definition.  K-promotion and its inverse
+switch a plain label list and build one :class:`IncreasingTableau`, their
+result; the tests check both against the chain of :func:`switch` calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .dynamics import cycle
 from .errors import PreconditionError
@@ -27,7 +31,7 @@ class IncreasingTableau:
     __slots__ = ("poset", "labels", "d", "_hash")
 
     def __init__(self, poset: FinitePoset, labels: Sequence[int]):
-        labels_t = tuple(int(v) for v in labels)
+        labels_t = tuple(map(int, labels))
         if len(labels_t) != poset.size:
             raise PreconditionError(f"expected {poset.size} labels, got {len(labels_t)}")
         values = set(labels_t)
@@ -85,26 +89,52 @@ def switch(state: Sequence[int], a: int, b: int, poset: FinitePoset) -> tuple[in
     return tuple(out)
 
 
+def _switch_bullets(labels: list[int], order: Iterable[int], poset: FinitePoset) -> None:
+    """Apply ``switch(., i, BULLET)`` to `labels` in place, for each i in
+    `order` in turn.
+
+    A switch moves only elements next to a bullet, so each one reads the
+    neighbours of the current bullets: those labelled i become bullets and
+    the bullets next to them become i.  If no bullet touches an i, the
+    switch changes nothing.
+    """
+    neighbors = poset.neighbors
+    bullets = [x for x, v in enumerate(labels, start=1) if v == BULLET]
+    for i in order:
+        movers: set[int] = set()
+        stay, back = [], []
+        for x in bullets:
+            hit = [y for y in neighbors(x) if labels[y - 1] == i]
+            if hit:
+                back.append(x)
+                movers.update(hit)
+            else:
+                stay.append(x)
+        if not back:
+            continue
+        for x in back:
+            labels[x - 1] = i
+        for y in movers:
+            labels[y - 1] = BULLET
+        bullets = stay + list(movers)
+
+
 def k_promote(t: IncreasingTableau) -> IncreasingTableau:
     """K-promotion: bulletize the 1s, switch the bullets up through
     2..d, then decrement every label and turn bullets into d."""
     d = t.d
-    state = tuple(BULLET if v == 1 else v for v in t.labels)
-    for i in range(2, d + 1):
-        state = switch(state, i, BULLET, t.poset)
-    final = tuple(d if v == BULLET else v - 1 for v in state)
-    return IncreasingTableau(t.poset, final)
+    state = [BULLET if v == 1 else v for v in t.labels]
+    _switch_bullets(state, range(2, d + 1), t.poset)
+    return IncreasingTableau(t.poset, [d if v == BULLET else v - 1 for v in state])
 
 
 def k_promote_inverse(t: IncreasingTableau) -> IncreasingTableau:
     """Inverse K-promotion: bulletize the d's, increment, switch the
     bullets back down, then turn bullets into 1."""
     d = t.d
-    state = tuple(BULLET if v == d else v + 1 for v in t.labels)
-    for i in range(d, 1, -1):
-        state = switch(state, i, BULLET, t.poset)
-    final = tuple(1 if v == BULLET else v for v in state)
-    return IncreasingTableau(t.poset, final)
+    state = [BULLET if v == d else v + 1 for v in t.labels]
+    _switch_bullets(state, range(d, 1, -1), t.poset)
+    return IncreasingTableau(t.poset, [1 if v == BULLET else v for v in state])
 
 
 def k_evacuate(t: IncreasingTableau) -> IncreasingTableau:
@@ -133,7 +163,10 @@ def k_evacuate(t: IncreasingTableau) -> IncreasingTableau:
 
 def enumerate_increasing(p: FinitePoset, q: int) -> Iterator[IncreasingTableau]:
     """All increasing tableaux of deficiency q, as chains of order ideals
-    growing by a nonempty antichain of currently-minimal elements."""
+    growing by a nonempty antichain of currently-minimal elements.
+
+    The minimal elements of what remains are kept as a sorted list, from
+    the number of unplaced lower covers of each element."""
     if not 0 <= q <= p.size:
         raise PreconditionError(f"deficiency {q} out of range [0, {p.size}]")
     d = p.size - q
@@ -144,9 +177,13 @@ def enumerate_increasing(p: FinitePoset, q: int) -> Iterator[IncreasingTableau]:
     if d == 0:
         return
     labels = [0] * p.size
+    upper: dict[int, list[int]] = {x: [] for x in p.elements()}
+    for x, y in p.covers:
+        upper[x].append(y)
+    waiting = {x: len(p.lower_covers(x)) for x in p.elements()}
 
-    def grow(step: int, placed: frozenset[int]) -> Iterator[IncreasingTableau]:
-        remaining = p.size - len(placed)
+    def grow(step: int, placed: int, ready: list[int]) -> Iterator[IncreasingTableau]:
+        remaining = p.size - placed
         steps_left = d - step + 1
         if remaining < steps_left:
             return
@@ -154,16 +191,25 @@ def enumerate_increasing(p: FinitePoset, q: int) -> Iterator[IncreasingTableau]:
             if remaining == 0:
                 yield IncreasingTableau(p, labels)
             return
-        ready = p.minimal_of(x for x in p.elements() if x not in placed)
         for mask in range(1, 1 << len(ready)):
-            chosen = [ready[i] for i in range(len(ready)) if mask >> i & 1]
+            chosen, rest = [], []
+            for i, x in enumerate(ready):
+                (chosen if mask >> i & 1 else rest).append(x)
+            if remaining - len(chosen) < steps_left - 1:
+                continue
             for x in chosen:
                 labels[x - 1] = step
-            yield from grow(step + 1, placed | frozenset(chosen))
+                for y in upper[x]:
+                    waiting[y] -= 1
+                    if not waiting[y]:
+                        rest.append(y)
+            yield from grow(step + 1, placed + len(chosen), sorted(rest))
             for x in chosen:
                 labels[x - 1] = 0
+                for y in upper[x]:
+                    waiting[y] += 1
 
-    yield from grow(1, frozenset())
+    yield from grow(1, 0, [x for x in p.elements() if not waiting[x]])
 
 
 # -- grid and linear-extension bridges ----------------------------------------

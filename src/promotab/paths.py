@@ -50,20 +50,29 @@ def _require_standard_rectangle(t: Tableau) -> tuple[int, int]:
 def promotion_path(t: Tableau) -> LabeledPath:
     """The slide path of promotion: start top-left, repeatedly step to the
     smaller of the boxes below and to the right, end bottom-right."""
-    m, n = _require_standard_rectangle(t)
+    _require_standard_rectangle(t)
+    return _path(t)
+
+
+def _path(t: Tableau) -> LabeledPath:
+    """:func:`promotion_path` of a tableau already known to be a standard
+    rectangle."""
+    rows = t.rows
+    m, n = len(rows), len(rows[0])
     r, c = 1, 1
     boxes = [(1, 1)]
+    labels = [rows[0][0]]
     while (r, c) != (m, n):
-        below = t.get(r + 1, c)
-        right = t.get(r, c + 1)
+        below = rows[r][c - 1] if r < m else None
+        right = rows[r - 1][c] if c < n else None
         assert below != right, "standard tableaux have distinct entries"
         if right is None or (below is not None and below < right):
             r += 1
         else:
             c += 1
         boxes.append((r, c))
-    labels = tuple(t.entry(r, c) for r, c in boxes)
-    return LabeledPath(tuple(boxes), labels)
+        labels.append(rows[r - 1][c - 1])
+    return LabeledPath(tuple(boxes), tuple(labels))
 
 
 def apply_promotion_path(t: Tableau, path: LabeledPath) -> Tableau:
@@ -80,8 +89,9 @@ def apply_promotion_path(t: Tableau, path: LabeledPath) -> Tableau:
 
 
 def _progression(t: Tableau) -> list[LabeledPath]:
-    """The promotion paths of t, P(t), ..., P^(k-1)(t)."""
-    return [promotion_path(x) for x in promotion_period(t)]
+    """The promotion paths of t, P(t), ..., P^(k-1)(t), for a standard
+    rectangle t; promotion keeps it one."""
+    return [_path(x) for x in promotion_period(t)]
 
 
 def trajectory(t: Tableau) -> LabeledPath:
@@ -96,7 +106,7 @@ def trajectory(t: Tableau) -> LabeledPath:
     marker: Box = (m, n)
     records: list[tuple[Box, int]] = []
     for label, cur in zip(range(t.entry(m, n), 1, -1), promotion_period(t)):
-        path = promotion_path(cur)
+        path = _path(cur)
         if marker in path.boxes:
             idx = path.boxes.index(marker)
             assert idx >= 1, "marker can only exit the top-left corner with label 1"

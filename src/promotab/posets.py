@@ -6,12 +6,17 @@ immediately below it and the box immediately to its right.  Every family
 carries a `rotate` involution: 180-degree rotation for rectangles,
 propellers, and the Cayley poset; antidiagonal reflection for shifted
 staircases and the Freudenthal poset.
+
+:func:`poset_toggle` is the one-step definition of the linear-extension
+dynamics.  Promotion, its inverse and evacuation toggle a plain label list
+and build one :class:`LinearExtension`, their result; the tests check each
+of them against the chain of :func:`poset_toggle` calls.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, PreconditionError
 from .shapes import Box, check_partition
@@ -30,7 +35,7 @@ class FinitePoset:
     elements to boxes and enables the geometric `rotate` involutions.
     """
 
-    __slots__ = ("size", "covers", "embedding", "rotation", "name", "_above", "_up", "_down", "_box_of")
+    __slots__ = ("size", "covers", "embedding", "rotation", "name", "_above", "_up", "_down", "_neighbors", "_box_of")
 
     def __init__(
         self,
@@ -64,6 +69,7 @@ class FinitePoset:
         self._above = above
         self._up = {x: tuple(v) for x, v in up.items()}
         self._down = {x: tuple(v) for x, v in down.items()}
+        self._neighbors = {x: self._up[x] + self._down[x] for x in up}
         self._box_of = {box: x for x, box in (self.embedding or {}).items()}
 
     def elements(self) -> range:
@@ -76,7 +82,7 @@ class FinitePoset:
         return self._down[x]
 
     def neighbors(self, x: int) -> tuple[int, ...]:
-        return self._up[x] + self._down[x]
+        return self._neighbors[x]
 
     def minimal_of(self, subset) -> list[int]:
         subset = set(subset)
@@ -128,7 +134,7 @@ class LinearExtension:
     __slots__ = ("poset", "labels", "_hash")
 
     def __init__(self, poset: FinitePoset, labels: Sequence[int]):
-        labels_t = tuple(int(v) for v in labels)
+        labels_t = tuple(map(int, labels))
         if sorted(labels_t) != list(range(1, poset.size + 1)):
             raise PreconditionError(f"labels {labels_t} are not a bijection onto 1..{poset.size}")
         for x, y in poset.covers:
@@ -268,25 +274,30 @@ def rotate(p: FinitePoset) -> dict[int, int]:
 
 def linear_extensions(p: FinitePoset) -> Iterator[LinearExtension]:
     """All linear extensions, by DFS over the lattice of order ideals
-    (repeatedly labelling a minimal element of what remains)."""
-    labels = [0] * p.size
-    placed: set[int] = set()
+    (repeatedly labelling a minimal element of what remains).
 
-    def extend(next_label: int) -> Iterator[LinearExtension]:
+    The minimal elements of what remains are kept as a sorted list, from
+    the number of unplaced lower covers of each element."""
+    labels = [0] * p.size
+    waiting = {x: len(p._down[x]) for x in p.elements()}
+
+    def extend(next_label: int, ready: list[int]) -> Iterator[LinearExtension]:
         if next_label > p.size:
             yield LinearExtension(p, labels)
             return
-        for x in p.elements():
-            if x in placed:
-                continue
-            if all(d in placed for d in p.lower_covers(x)):
-                labels[x - 1] = next_label
-                placed.add(x)
-                yield from extend(next_label + 1)
-                placed.discard(x)
-                labels[x - 1] = 0
+        for idx, x in enumerate(ready):
+            labels[x - 1] = next_label
+            rest = ready[:idx] + ready[idx + 1 :]
+            for y in p._up[x]:
+                waiting[y] -= 1
+                if not waiting[y]:
+                    rest.append(y)
+            yield from extend(next_label + 1, sorted(rest))
+            for y in p._up[x]:
+                waiting[y] += 1
+            labels[x - 1] = 0
 
-    yield from extend(1)
+    yield from extend(1, [x for x in p.elements() if not waiting[x]])
 
 
 def random_linear_extension(p: FinitePoset, rng: random.Random) -> LinearExtension:
@@ -320,25 +331,37 @@ def poset_toggle(t: LinearExtension, i: int) -> LinearExtension:
     return LinearExtension(t.poset, labels)
 
 
+def _toggle_sweep(t: LinearExtension, indices: Iterable[int]) -> LinearExtension:
+    """The poset toggles at `indices`, applied in order, as one linear
+    extension.  The labels are toggled in a list, next to the inverse
+    array from each label to its element."""
+    labels = list(t.labels)
+    element = [0] * (len(labels) + 1)
+    for x, v in enumerate(labels, start=1):
+        element[v] = x
+    above = t.poset._above
+    for i in indices:
+        x, y = element[i], element[i + 1]
+        if y not in above[x]:
+            labels[x - 1], labels[y - 1] = i + 1, i
+            element[i], element[i + 1] = y, x
+    return LinearExtension(t.poset, labels)
+
+
 def poset_promote(t: LinearExtension) -> LinearExtension:
     """Promotion of a linear extension: the ascending toggle sweep."""
-    for i in range(1, t.poset.size):
-        t = poset_toggle(t, i)
-    return t
+    return _toggle_sweep(t, range(1, t.poset.size))
 
 
 def poset_promote_inverse(t: LinearExtension) -> LinearExtension:
-    for i in range(t.poset.size - 1, 0, -1):
-        t = poset_toggle(t, i)
-    return t
+    """Inverse promotion: the descending toggle sweep."""
+    return _toggle_sweep(t, range(t.poset.size - 1, 0, -1))
 
 
 def poset_evacuate(t: LinearExtension) -> LinearExtension:
     """Evacuation of a linear extension: the triangular toggle product."""
-    for j in range(t.poset.size - 1, 0, -1):
-        for i in range(1, j + 1):
-            t = poset_toggle(t, i)
-    return t
+    d = t.poset.size
+    return _toggle_sweep(t, (i for j in range(d - 1, 0, -1) for i in range(1, j + 1)))
 
 
 def rotate_reverse(t: LinearExtension) -> LinearExtension:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -22,10 +23,10 @@ Box = tuple[int, int]
 
 def check_partition(parts: Sequence[int]) -> Partition:
     """Validate and normalize a weakly decreasing sequence of positive parts."""
-    out = tuple(int(p) for p in parts)
-    if any(p <= 0 for p in out):
+    out = tuple(map(int, parts))
+    if out and min(out) <= 0:
         raise PreconditionError(f"partition parts must be positive: {out}")
-    if any(out[i] < out[i + 1] for i in range(len(out) - 1)):
+    if any(a < b for a, b in zip(out, out[1:])):
         raise PreconditionError(f"partition parts must be weakly decreasing: {out}")
     return out
 
@@ -59,24 +60,24 @@ class Tableau:
 
     def __init__(self, rows: Sequence[Sequence[int]], ceiling: int, inner: Sequence[int] = ()):
         inner_p: Partition = check_partition(inner) if inner else ()
-        rows_t = tuple(tuple(int(v) for v in row) for row in rows)
-        outer = tuple(part(inner_p, r + 1) + len(rows_t[r]) for r in range(len(rows_t)))
+        rows_t = tuple([tuple(map(int, row)) for row in rows])
+        outer = tuple(map(len, rows_t))
+        if inner_p:
+            outer = tuple(part(inner_p, r) + n for r, n in enumerate(outer, start=1))
         ceiling = int(ceiling)
         if ceiling < 0:
             raise PreconditionError(f"ceiling must be nonnegative: {ceiling}")
-        try:
-            outer_p = check_partition(outer) if outer else ()
-        except PreconditionError:
+        if outer and (outer[-1] <= 0 or tuple(sorted(outer, reverse=True)) != outer):
             raise PreconditionError(f"rows {rows_t} with inner {inner_p} do not form a skew shape")
-        if not contains(outer_p, inner_p):
-            raise PreconditionError(f"inner shape {inner_p} not contained in outer {outer_p}")
-        for row in rows_t:
-            for v in row:
-                if not 1 <= v <= ceiling:
-                    raise PreconditionError(f"entry {v} out of range [1, {ceiling}]")
+        if inner_p and not contains(outer, inner_p):
+            raise PreconditionError(f"inner shape {inner_p} not contained in outer {outer}")
+        entries = tuple(chain.from_iterable(rows_t))
+        if entries and not 1 <= min(entries) <= max(entries) <= ceiling:
+            v = next(v for v in entries if not 1 <= v <= ceiling)
+            raise PreconditionError(f"entry {v} out of range [1, {ceiling}]")
         self.rows = rows_t
         self.inner = inner_p
-        self.outer = outer_p
+        self.outer = outer
         self.ceiling = ceiling
         self._hash = hash((rows_t, inner_p, ceiling))
 
@@ -163,15 +164,17 @@ def validate(t: Tableau, kind: str) -> bool:
         for a, b in zip(row, row[1:]):
             if b < a or (strict_rows and b == a):
                 return False
-    for (r, c), v in t.items():
-        below = t.get(r + 1, c)
-        if below is not None and below <= v:
-            return False
+    for r, (row, below) in enumerate(zip(t.rows, t.rows[1:]), start=1):
+        # row r's entry j sits above entry j + shift of row r + 1
+        shift = part(t.inner, r) - part(t.inner, r + 1)
+        for j in range(max(0, -shift), min(len(row), len(below) - shift)):
+            if below[j + shift] <= row[j]:
+                return False
     if kind == "standard":
-        values = sorted(v for _, v in t.items())
+        values = sorted(v for row in t.rows for v in row)
         return values == list(range(1, t.size + 1))
     if kind == "increasing":
-        values = {v for _, v in t.items()}
+        values = {v for row in t.rows for v in row}
         return values == set(range(1, len(values) + 1))
     return True
 

@@ -224,6 +224,15 @@ class TestHomomesy:
         else:
             assert out == ""
 
+    def test_a_known_size_is_refused_before_enumerating(self, monkeypatch, capsys):
+        def refuse(*_):
+            raise AssertionError("enumerated a system known to exceed the budget")
+
+        monkeypatch.setattr("promotab.homomesy.enumerate_ssyt", refuse)
+        code, out, err = run(capsys, "homomesy", *"--shape 3x3 -k 8 --symmetric-all --budget 14111".split())
+        assert (code, out) == (4, "")
+        assert err == "budget exhausted: ssyt(shape=3,3,3;k=8;op=promote) exceeds the element budget 14111\n"
+
     def test_symmetric_all_checks_the_shape_before_building_statistics(self, monkeypatch, capsys):
         def refuse(_):
             raise AssertionError("statistics built before the shape was checked")
@@ -277,3 +286,33 @@ class TestFamilies:
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "families", "--family", "octonion")
         assert code == 2
+
+
+MALFORMED_INPUT = {
+    "empty": "",
+    "no-header": "1 2\n3\n",
+    "bad-header": "k=x\n1\n",
+    "non-integer": "k=3\n1 x\n",
+    "out-of-range": "k=3\n1 4\n",
+    "not-semistandard-or-increasing": "k=3\n2 1\n3 3\n",
+    "skew": "k=3\n. 1\n2\n",
+    "rows-not-a-shape": "k=3\n1\n2 3\n",
+}
+INPUT_VERBS = {
+    "promote": (),
+    "evacuate": (),
+    "orbit": (),
+    "growth": (),
+    "dis": ("--cells", "1,1"),
+    "paths": (),
+    "kpromote": (),
+    "kevacuate": (),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUT)
+@pytest.mark.parametrize("verb", INPUT_VERBS)
+def test_malformed_input_is_refused_in_one_line(capsys, verb, case):
+    code, out, err = run(capsys, verb, "--text", MALFORMED_INPUT[case], *INPUT_VERBS[verb])
+    assert code in (2, 3) and out == ""
+    assert err.endswith("\n") and err.count("\n") == 1, err

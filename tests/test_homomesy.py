@@ -116,6 +116,19 @@ class TestVerify:
         with pytest.raises(BudgetExceededError):
             partition_orbits(ssyt_system((2, 2), 4), budget=10)
 
+    def test_a_known_count_is_refused_before_enumeration(self):
+        def refuse():
+            raise AssertionError("enumerated a system known to exceed the budget")
+
+        base = ssyt_system((2, 2), 4)
+        assert base.count == 20
+        system = System(base.description, refuse, base.step, base.sort_key, count=base.count)
+        with pytest.raises(PreconditionError, match="budget must be positive"):
+            partition_orbits(system, budget=0)
+        with pytest.raises(BudgetExceededError, match="exceeds the element budget 19"):
+            partition_orbits(system, budget=19)
+        assert sum(o.size for o in partition_orbits(base, budget=20).orbits) == 20
+
     def test_poset_system(self):
         p = build_cominuscule("shifted_staircase", 3)
         statistic = CellStatistic(support=frozenset({p.element_at((1, 3)), p.element_at((2, 2))}), name="diag")
