@@ -225,6 +225,8 @@ def _statistics_for(args, system_kind, domain) -> list[homomesy.CellStatistic]:
     if args.symmetric_all:
         if domain is None:
             raise ParseError("--symmetric-all on ssyt systems needs a rectangular shape")
+        if system_kind == "syt_poset" and domain.rotation is None:
+            raise ParseError("--symmetric-all on linear extensions needs a --family poset; --partition has no rotation")
         return list(homomesy.symmetric_subsets(domain))
     if args.cells is None:
         raise ParseError("homomesy needs --cells r1,c1;r2,c2 or --symmetric-all")
@@ -239,6 +241,10 @@ def _statistics_for(args, system_kind, domain) -> list[homomesy.CellStatistic]:
 def _cmd_homomesy(args) -> int:
     if args.budget is None:
         raise ParseError("homomesy needs an explicit --budget N")
+    if sum(map(bool, (args.partition, args.shape, args.family))) > 1:
+        raise ParseError("pass one of --partition, --shape or --family, not several")
+    if args.ceiling is not None and args.q is not None:
+        raise ParseError("pass either -k or -q, not both")
     if args.q is not None:
         if args.shape:
             m, n = _parse_shape(args.shape)

@@ -37,7 +37,7 @@ class Orbit:
 
     ``elements[0]`` is the representative: the element whose row reading
     word is lexicographically least, so orbits discovered from different
-    seeds (or threads) compare equal.
+    seeds compare equal.
     """
 
     representative: Tableau

@@ -2,9 +2,11 @@
 
 An increasing tableau is a strictly order-preserving surjection from a
 poset onto 1..d; the deficiency q is |P| - d, and q = 0 recovers linear
-extensions.  K-promotion replaces the 1s by bullets, bubbles the bullets
-upward with the simultaneous `switch` operators, then decrements and
-refills.  Intermediate switch states carry bullets, encoded as label 0.
+extensions.  Both are enumerated by
+:func:`~promotab.shapes.order_ideal_chains`.  K-promotion replaces the 1s
+by bullets, bubbles the bullets upward with the simultaneous `switch`
+operators, then decrements and refills.  Intermediate switch states carry
+bullets, encoded as label 0.
 
 :func:`switch` is the one-step definition.  K-promotion and its inverse
 switch a plain label list and build one :class:`IncreasingTableau`, their
@@ -20,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 from .dynamics import cycle
 from .errors import PreconditionError
 from .posets import FinitePoset, LinearExtension, build_cominuscule, ferrers_poset, rotate
-from .shapes import Box, Tableau
+from .shapes import Box, Tableau, order_ideal_chains
 
 BULLET = 0
 
@@ -162,54 +164,12 @@ def k_evacuate(t: IncreasingTableau) -> IncreasingTableau:
 
 
 def enumerate_increasing(p: FinitePoset, q: int) -> Iterator[IncreasingTableau]:
-    """All increasing tableaux of deficiency q, as chains of order ideals
-    growing by a nonempty antichain of currently-minimal elements.
-
-    The minimal elements of what remains are kept as a sorted list, from
-    the number of unplaced lower covers of each element."""
+    """All increasing tableaux of deficiency q, in the order of
+    :func:`order_ideal_chains` with d = |P| - q labels."""
     if not 0 <= q <= p.size:
         raise PreconditionError(f"deficiency {q} out of range [0, {p.size}]")
-    d = p.size - q
-    if p.size == 0:
-        if q == 0:
-            yield IncreasingTableau(p, ())
-        return
-    if d == 0:
-        return
-    labels = [0] * p.size
-    upper: dict[int, list[int]] = {x: [] for x in p.elements()}
-    for x, y in p.covers:
-        upper[x].append(y)
-    waiting = {x: len(p.lower_covers(x)) for x in p.elements()}
-
-    def grow(step: int, placed: int, ready: list[int]) -> Iterator[IncreasingTableau]:
-        remaining = p.size - placed
-        steps_left = d - step + 1
-        if remaining < steps_left:
-            return
-        if steps_left == 0:
-            if remaining == 0:
-                yield IncreasingTableau(p, labels)
-            return
-        for mask in range(1, 1 << len(ready)):
-            chosen, rest = [], []
-            for i, x in enumerate(ready):
-                (chosen if mask >> i & 1 else rest).append(x)
-            if remaining - len(chosen) < steps_left - 1:
-                continue
-            for x in chosen:
-                labels[x - 1] = step
-                for y in upper[x]:
-                    waiting[y] -= 1
-                    if not waiting[y]:
-                        rest.append(y)
-            yield from grow(step + 1, placed + len(chosen), sorted(rest))
-            for x in chosen:
-                labels[x - 1] = 0
-                for y in upper[x]:
-                    waiting[y] += 1
-
-    yield from grow(1, 0, [x for x in p.elements() if not waiting[x]])
+    for labels in order_ideal_chains(p.size, p.covers, p.size - q):
+        yield IncreasingTableau(p, labels)
 
 
 # -- grid and linear-extension bridges ----------------------------------------

@@ -5,7 +5,8 @@ combinatorially from their box diagrams: each box is covered by the box
 immediately below it and the box immediately to its right.  Every family
 carries a `rotate` involution: 180-degree rotation for rectangles,
 propellers, and the Cayley poset; antidiagonal reflection for shifted
-staircases and the Freudenthal poset.
+staircases and the Freudenthal poset.  Linear extensions are enumerated by
+:func:`~promotab.shapes.order_ideal_chains` with one label per element.
 
 :func:`poset_toggle` is the one-step definition of the linear-extension
 dynamics.  Promotion, its inverse and evacuation toggle a plain label list
@@ -19,7 +20,7 @@ import random
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, PreconditionError
-from .shapes import Box, check_partition
+from .shapes import Box, check_partition, order_ideal_chains
 
 CAYLEY_ROWS = ((0, 5), (2, 3), (3, 3), (3, 5))
 FREUDENTHAL_ROWS = ((0, 6), (3, 3), (4, 3), (4, 5), (4, 5), (7, 2), (8, 1), (8, 1), (8, 1))
@@ -35,7 +36,7 @@ class FinitePoset:
     elements to boxes and enables the geometric `rotate` involutions.
     """
 
-    __slots__ = ("size", "covers", "embedding", "rotation", "name", "_above", "_up", "_down", "_neighbors", "_box_of")
+    __slots__ = ("size", "covers", "embedding", "rotation", "name", "_above", "_down", "_neighbors", "_box_of")
 
     def __init__(
         self,
@@ -67,9 +68,8 @@ class FinitePoset:
         self.rotation = dict(rotation) if rotation else None
         self.name = name
         self._above = above
-        self._up = {x: tuple(v) for x, v in up.items()}
         self._down = {x: tuple(v) for x, v in down.items()}
-        self._neighbors = {x: self._up[x] + self._down[x] for x in up}
+        self._neighbors = {x: tuple(up[x] + down[x]) for x in up}
         self._box_of = {box: x for x, box in (self.embedding or {}).items()}
 
     def elements(self) -> range:
@@ -273,31 +273,10 @@ def rotate(p: FinitePoset) -> dict[int, int]:
 
 
 def linear_extensions(p: FinitePoset) -> Iterator[LinearExtension]:
-    """All linear extensions, by DFS over the lattice of order ideals
-    (repeatedly labelling a minimal element of what remains).
-
-    The minimal elements of what remains are kept as a sorted list, from
-    the number of unplaced lower covers of each element."""
-    labels = [0] * p.size
-    waiting = {x: len(p._down[x]) for x in p.elements()}
-
-    def extend(next_label: int, ready: list[int]) -> Iterator[LinearExtension]:
-        if next_label > p.size:
-            yield LinearExtension(p, labels)
-            return
-        for idx, x in enumerate(ready):
-            labels[x - 1] = next_label
-            rest = ready[:idx] + ready[idx + 1 :]
-            for y in p._up[x]:
-                waiting[y] -= 1
-                if not waiting[y]:
-                    rest.append(y)
-            yield from extend(next_label + 1, sorted(rest))
-            for y in p._up[x]:
-                waiting[y] += 1
-            labels[x - 1] = 0
-
-    yield from extend(1, [x for x in p.elements() if not waiting[x]])
+    """All linear extensions: :func:`order_ideal_chains` with one label per
+    element, trying the smallest ready element first."""
+    for labels in order_ideal_chains(p.size, p.covers, p.size):
+        yield LinearExtension(p, labels)
 
 
 def random_linear_extension(p: FinitePoset, rng: random.Random) -> LinearExtension:

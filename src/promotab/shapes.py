@@ -4,6 +4,10 @@ Tableaux are oriented in matrix coordinates (English notation): row 1 is the
 top row, and box (r, c) means row r, column c, both 1-based.  Skew tableaux
 store only their present cells; absent inner cells are implied by the inner
 partition.
+
+:func:`order_ideal_chains` is the one enumerator of labellings that grow
+one order ideal per label: standard tableaux here, linear extensions in
+`posets` and increasing tableaux in `ktableaux` are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -11,9 +15,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, PreconditionError
 
@@ -228,38 +232,88 @@ def enumerate_ssyt(shape: Sequence[int], ceiling: int, inner: Sequence[int] = ()
     yield from fill(0)
 
 
-def enumerate_syt(shape: Sequence[int]) -> Iterator[Tableau]:
-    """All standard tableaux of a straight shape, each exactly once.
+def order_ideal_chains(size: int, covers: Iterable[tuple[int, int]], d: int) -> Iterator[tuple[int, ...]]:
+    """Every strictly order-preserving surjection onto 1..d from the poset
+    on 1..size with covers (x, y), y covering x, as the labels of 1..size.
 
-    Values 1..n are placed in order; value v may go in any cell whose left
-    and upper neighbours are already filled.  Ceiling of the results is n.
+    Label j goes on a nonempty antichain of the minimal elements of what
+    remains.  The minimal elements of what remains are kept as a sorted
+    list, from the number of unplaced lower covers of each element, and
+    antichains are tried in increasing bitmask order over that list.  No
+    branch is a dead end: each antichain leaves an element for every later
+    label and takes every element whose longest chain upward needs all the
+    labels left.
     """
+    up: list[list[int]] = [[] for _ in range(size + 1)]
+    waiting = [0] * (size + 1)
+    for x, y in covers:
+        up[x].append(y)
+        waiting[y] += 1
+    latest: dict[int, int] = {}  # the largest label each element can take
+
+    def settle(x: int) -> int:
+        if x not in latest:
+            latest[x] = min(map(settle, up[x]), default=d + 1) - 1
+        return latest[x]
+
+    if any(settle(x) < 1 for x in range(1, size + 1)):
+        return  # a chain longer than d
+    labels = [0] * size
+    antichains: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
+
+    def grow(label: int, remaining: int, ready: list[int]) -> Iterator[tuple[int, ...]]:
+        if label > d:
+            if not remaining:
+                yield tuple(labels)
+            return
+        n = len(ready)
+        most = remaining - d + label  # each later label needs an element
+        if most > n:
+            most = n
+        # with one element to place, an element that must take this label is the only one ready
+        forced = sum(1 << i for i, x in enumerate(ready) if latest[x] == label) if most > 1 else 0
+        picks = antichains.get((n, most))
+        if picks is None:
+            picks = antichains[n, most] = [
+                (mask, tuple(i for i in range(n) if mask >> i & 1))
+                for mask in range(1, 1 << n)
+                if mask.bit_count() <= most
+            ]
+        for mask, picked in picks:
+            if forced and mask & forced != forced:
+                continue
+            if len(picked) == 1:
+                i = picked[0]
+                chosen, rest = ready[i : i + 1], ready[:i] + ready[i + 1 :]
+            else:
+                chosen = [ready[i] for i in picked]
+                rest = [x for i, x in enumerate(ready) if not mask >> i & 1]
+            for x in chosen:
+                labels[x - 1] = label
+                for y in up[x]:
+                    waiting[y] -= 1
+                    if not waiting[y]:
+                        rest.append(y)
+            yield from grow(label + 1, remaining - len(chosen), sorted(rest))
+            for x in chosen:
+                for y in up[x]:
+                    waiting[y] += 1
+
+    yield from grow(1, size, [x for x in range(1, size + 1) if not waiting[x]])
+
+
+def enumerate_syt(shape: Sequence[int]) -> Iterator[Tableau]:
+    """All standard tableaux of a straight shape, each exactly once: the
+    linear extensions of its cells numbered row by row, in the order of
+    :func:`order_ideal_chains`.  Ceiling of the results is n."""
     outer = check_partition(shape) if shape else ()
     n = sum(outer)
-    if n == 0:
-        yield Tableau((), 0)
-        return
-    grid: dict[Box, int] = {}
-    filled = [0] * len(outer)  # filled[r-1] = number of cells filled in row r
-
-    def place(v: int) -> Iterator[Tableau]:
-        if v > n:
-            rows = tuple(tuple(grid[(r, c)] for c in range(1, outer[r - 1] + 1)) for r in range(1, len(outer) + 1))
-            yield Tableau(rows, n)
-            return
-        for r in range(1, len(outer) + 1):
-            c = filled[r - 1] + 1
-            if c > outer[r - 1]:
-                continue
-            if r > 1 and filled[r - 2] < c:
-                continue
-            grid[(r, c)] = v
-            filled[r - 1] += 1
-            yield from place(v + 1)
-            filled[r - 1] -= 1
-            del grid[(r, c)]
-
-    yield from place(1)
+    starts = list(accumulate(outer, initial=0))
+    covers = [(x, x + 1) for a, b in zip(starts, starts[1:]) for x in range(a + 1, b)]
+    for r in range(1, len(outer)):  # each cell of row r + 1 covers the cell above it
+        covers += [(y - outer[r - 1], y) for y in range(starts[r] + 1, starts[r + 1] + 1)]
+    for labels in order_ideal_chains(n, covers, n):
+        yield Tableau([labels[a:b] for a, b in zip(starts, starts[1:])], n)
 
 
 def hook_lengths(shape: Sequence[int]) -> dict[Box, int]:

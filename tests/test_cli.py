@@ -246,6 +246,38 @@ class TestHomomesy:
         assert code == 2
         assert err == "parse error: pass either --cells or --symmetric-all, not both\n"
 
+    def test_symmetric_all_checks_the_rotation_before_building_statistics(self, monkeypatch, capsys):
+        def refuse(_):
+            raise AssertionError("statistics built before the rotation was checked")
+
+        monkeypatch.setattr("promotab.homomesy.symmetric_subsets", refuse)
+        code, out, err = run(capsys, "homomesy", *"--partition 2,2 --symmetric-all --budget 10".split())
+        assert (code, out) == (2, "")
+        assert err == (
+            "parse error: --symmetric-all on linear extensions needs a --family poset; --partition has no rotation\n"
+        )
+
+    @pytest.mark.parametrize(
+        "args, err",
+        [
+            ("--shape 2x2 -k 3 -q 1", "pass either -k or -q, not both"),
+            ("--family cayley -k 3 -q 1", "pass either -k or -q, not both"),
+            ("--shape 2x2 --partition 3,2 -k 3", "pass one of --partition, --shape or --family, not several"),
+            ("--family cayley --shape 3x4 -q 1", "pass one of --partition, --shape or --family, not several"),
+            ("--family cayley --partition 2,2", "pass one of --partition, --shape or --family, not several"),
+            ("--family cayley --partition 2,2 --shape 2x2", "pass one of --partition, --shape or --family, not several"),
+        ],
+    )
+    def test_conflicting_system_selectors_are_refused_before_building(self, monkeypatch, capsys, args, err):
+        def refuse(*_):
+            raise AssertionError("built a system from conflicting selectors")
+
+        for name in ("homomesy.ssyt_system", "homomesy.inc_system", "homomesy.syt_poset_system",
+                     "posets.build_cominuscule", "posets.ferrers_poset"):
+            monkeypatch.setattr(f"promotab.{name}", refuse)
+        code, out, got = run(capsys, "homomesy", *args.split(), "--cells", "1,1", "--budget", "100")
+        assert (code, out, got) == (2, "", f"parse error: {err}\n")
+
     def test_threads_flag(self, capsys):
         code, out, _ = run(
             capsys,

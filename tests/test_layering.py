@@ -1,7 +1,8 @@
 """The library's import graph points one way: homomesy and the CLI sit on
-top of the combinatorial modules, which never import them back.  Every
-module also uses each name it imports, so deleted code leaves no stale
-imports behind."""
+top of the combinatorial modules, which never import them back, and each
+combinatorial module imports only the layers below it.  Every module
+also uses each name it imports, so deleted code leaves no stale imports
+behind."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,16 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "promotab"
 LOWER = ("shapes", "dynamics", "growth", "paths", "posets", "ktableaux")
 UPPER = {"homomesy", "cli"}
+# What each lower module may import: shapes is the bottom layer, so code
+# that several modules share (such as the order-ideal enumerator) lives there.
+LOWER_IMPORTS = {
+    "shapes": {"errors"},
+    "dynamics": {"shapes", "errors"},
+    "posets": {"shapes", "errors"},
+    "ktableaux": {"dynamics", "posets", "shapes", "errors"},
+    "growth": {"dynamics", "shapes", "errors"},
+    "paths": {"dynamics", "shapes", "errors"},
+}
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -54,6 +65,11 @@ def test_every_module_is_covered():
 @pytest.mark.parametrize("module", LOWER)
 def test_lower_modules_do_not_import_upward(module):
     assert not import_graph()[module] & UPPER
+
+
+@pytest.mark.parametrize("module", LOWER)
+def test_lower_modules_import_only_the_layers_below(module):
+    assert import_graph()[module] <= LOWER_IMPORTS[module]
 
 
 def test_guard_sees_relative_and_absolute_imports(tmp_path):

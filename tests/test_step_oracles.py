@@ -2,11 +2,13 @@
 
 `promote` and `evacuate` slide on plain rows, the toggle sweeps toggle plain rows,
 poset promotion toggles a label list and K-promotion switches a label
-list; each builds one validated object at the end.  The enumerations of
-linear extensions and increasing tableaux keep their minimal elements up
-to date instead of rescanning, and must yield the same lists in order.  These tests compare
-them with the chains of public one-step definitions kept in `util`, over
-the acceptance ranges and on degenerate inputs.
+list; each builds one validated object at the end.  Standard tableaux,
+linear extensions and increasing tableaux are enumerated by one kernel
+that keeps its minimal elements up to date instead of rescanning, and
+must yield the same lists in order as the rescanning enumerations.  These
+tests compare them with the chains of public one-step definitions and the
+rescanning enumerations kept in `util`, over the acceptance ranges and on
+degenerate inputs.
 """
 
 import pytest
@@ -21,18 +23,21 @@ from promotab.dynamics import (
     promote_via_toggles,
     toggle,
 )
+from promotab.errors import BudgetExceededError
+from promotab.homomesy import partition_orbits, syt_poset_system
 from promotab.ktableaux import IncreasingTableau, enumerate_increasing, k_promote, k_promote_inverse
 from promotab.posets import (
     FinitePoset,
     LinearExtension,
     build_cominuscule,
+    ferrers_poset,
     linear_extensions,
     poset_evacuate,
     poset_promote,
     poset_promote_inverse,
     poset_toggle,
 )
-from promotab.shapes import Tableau, enumerate_ssyt
+from promotab.shapes import Tableau, enumerate_ssyt, enumerate_syt, order_ideal_chains
 from util import (
     chain,
     descending,
@@ -162,3 +167,30 @@ def test_degenerate_increasing_tableaux(p, labels):
     check_k_steps(t)
     for q in range(p.size + 1):
         assert list(enumerate_increasing(p, q)) == list(enumerate_increasing_by_rescan(p, q))
+
+
+def test_syt_enumeration_is_the_ferrers_linear_extensions_in_order():
+    shapes = [(), *partitions_up_to(8)]
+    assert {(1,), (5,), (1, 1, 1, 1)} <= set(shapes)
+    for shape in shapes:
+        p = ferrers_poset(shape)
+        expected = []
+        for e in linear_extensions_by_rescan(p):
+            label_at = {p.embedding[x]: v for x, v in enumerate(e.labels, start=1)}
+            rows = [[label_at[r, c] for c in range(1, n + 1)] for r, n in enumerate(shape, start=1)]
+            expected.append(Tableau(rows, p.size))
+        assert list(enumerate_syt(shape)) == expected, shape
+
+
+def test_poset_enumeration_is_pulled_only_up_to_the_budget(monkeypatch):
+    pulled = []
+
+    def counted(*args):
+        for labels in order_ideal_chains(*args):
+            pulled.append(labels)
+            yield labels
+
+    monkeypatch.setattr("promotab.posets.order_ideal_chains", counted)
+    with pytest.raises(BudgetExceededError):
+        partition_orbits(syt_poset_system(build_cominuscule("freudenthal")), budget=10)
+    assert len(pulled) == 11
