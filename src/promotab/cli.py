@@ -274,6 +274,9 @@ def _cmd_homomesy(args) -> int:
         raise ParseError("homomesy needs a system: (-k with --partition/--shape), (-q ...), or --family")
 
     partition = homomesy.partition_orbits(system, budget=args.budget)
+    if len(stats) * len(partition.orbits) > args.budget:
+        sizes = f"{len(stats)} statistics x {len(partition.orbits)} orbits = {len(stats) * len(partition.orbits)}"
+        raise BudgetExceededError(f"{partition.system}: {sizes} report rows exceed the budget {args.budget}")
     reports = [homomesy.verdict(partition, stat) for stat in stats]
     frac = homomesy.fraction_str
     lines = []
@@ -389,7 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--operator", choices=operators, default="promote")
     sub.add_argument("--cells", help="statistic support 'r1,c1;r2,c2'")
     sub.add_argument("--symmetric-all", action="store_true", help="sweep all rotate-fixed supports")
-    sub.add_argument("--budget", type=int, help="maximum number of enumerated elements")
+    sub.add_argument(
+        "--budget", type=int, help="maximum number of enumerated elements, and of report rows (statistics x orbits)"
+    )
     sub.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
 
     sub = subs.add_parser("counterexample", help="the 3x4 deficiency-3 homomesy violation")

@@ -3,11 +3,12 @@
 A dynamical system here is any finite set with an invertible step map.
 :func:`partition_orbits` enumerates it under an explicit element budget and
 walks each orbit once, keeping the orbit's size, its canonical element and
-the total of every entry over the orbit.  Cell sums are linear, so
-:func:`verdict` reads any statistic's exact orbit averages from those
-totals; the verdict is `homomesic` exactly when every orbit average equals
-the first.  Orbits are ordered by their canonical representative, so every
-report is deterministic.
+the total of every entry over the orbit, laid out like its entries tuple
+(a tableau's reading word, a poset object's labels), which is also its
+key.  Cell sums are linear, so :func:`verdict` reads any statistic's exact
+orbit averages from those totals; the verdict is `homomesic` exactly when
+every orbit average equals the first.  Orbits are ordered by their least
+key, so every report is deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .dynamics import cycle, lookup_operator
@@ -33,30 +33,30 @@ class CellStatistic:
     name: str
 
 
-def _entries(obj) -> tuple[tuple[int, ...], Callable]:
-    """The entries of obj as one flat tuple, and the map from a support
-    item to its index in that tuple, which rejects items obj lacks."""
+def _entries(obj) -> tuple[int, ...]:
+    """The entries of obj as one flat tuple: a tableau's in reading order
+    (bottom row first), a labelled poset object's labels."""
     if isinstance(obj, Tableau):
-
-        def box_index(box) -> int:
-            r, c = box
-            if not obj.has_box(r, c):
-                raise PreconditionError(f"box ({r}, {c}) is not present in the tableau")
-            return sum(map(len, obj.rows[: r - 1])) + c - part(obj.inner, r) - 1
-
-        return tuple(chain.from_iterable(obj.rows)), box_index
+        return obj.row_reading()
     if isinstance(obj, (LinearExtension, IncreasingTableau)):
-        poset = obj.poset
-
-        def element_index(item) -> int:
-            if isinstance(item, tuple):
-                item = poset.element_at(item)
-            if not 1 <= item <= poset.size:
-                raise PreconditionError(f"element {item} outside the poset")
-            return item - 1
-
-        return obj.labels, element_index
+        return obj.labels
     raise PreconditionError(f"unsupported object for cell_sum: {type(obj).__name__}")
+
+
+def _position(obj, item) -> int:
+    """The index in :func:`_entries` of a support item, rejecting items
+    obj lacks: a box of a tableau, or an element (or its box) of a poset."""
+    if isinstance(obj, Tableau):
+        r, c = item
+        if not obj.has_box(r, c):
+            raise PreconditionError(f"box ({r}, {c}) is not present in the tableau")
+        return sum(map(len, obj.rows[r:])) + c - part(obj.inner, r) - 1
+    poset = obj.poset
+    if isinstance(item, tuple):
+        item = poset.element_at(item)
+    if not 1 <= item <= poset.size:
+        raise PreconditionError(f"element {item} outside the poset")
+    return item - 1
 
 
 def cell_sum(obj, support) -> int:
@@ -65,8 +65,8 @@ def cell_sum(obj, support) -> int:
 
     Each support item counts once, so an element and its box both count.
     """
-    entries, index = _entries(obj)
-    return sum(entries[index(item)] for item in support)
+    entries = _entries(obj)
+    return sum(entries[_position(obj, item)] for item in support)
 
 
 def orbit_average(elements: Iterable, statistic: CellStatistic) -> Fraction:
@@ -91,7 +91,6 @@ class System:
     description: str
     enumerate: Callable[[], Iterator]
     step: Callable
-    sort_key: Callable
     count: int | None = None
 
 
@@ -103,7 +102,6 @@ def ssyt_system(shape, ceiling: int, operator: str = "promote") -> System:
         description=f"ssyt(shape={','.join(map(str, shape))};k={ceiling};op={operator})",
         enumerate=lambda: enumerate_ssyt(shape, ceiling),
         step=step,
-        sort_key=lambda t: t.row_reading(),
         # a negative ceiling is left for the enumeration to reject
         count=count_ssyt(shape, ceiling) if ceiling >= 0 else None,
     )
@@ -116,7 +114,6 @@ def syt_poset_system(p: FinitePoset) -> System:
         description=f"syt_poset({label})",
         enumerate=lambda: linear_extensions(p),
         step=poset_promote,
-        sort_key=lambda t: t.labels,
     )
 
 
@@ -127,7 +124,6 @@ def inc_system(p: FinitePoset, q: int) -> System:
         description=f"inc({label};q={q})",
         enumerate=lambda: enumerate_increasing(p, q),
         step=k_promote,
-        sort_key=lambda t: t.labels,
     )
 
 
@@ -136,8 +132,8 @@ def inc_system(p: FinitePoset, q: int) -> System:
 
 @dataclass(frozen=True)
 class OrbitTotals:
-    """One orbit: its size, its canonical element (least sort key), and the
-    total over the orbit of each entry, laid out like `lead`'s entries."""
+    """One orbit: its size, its canonical element (least reading word or
+    labels), and the total over the orbit of each of `lead`'s entries."""
 
     size: int
     lead: object
@@ -174,28 +170,26 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
         elements.append(x)
         if len(elements) > budget:
             raise BudgetExceededError(over_budget)
-    key = system.sort_key
-    unvisited = {key(x) for x in elements}
+    unvisited = set(map(_entries, elements))
     if len(unvisited) != len(elements):
         raise PreconditionError(f"{system.description}: the enumeration repeats an element")
     orbits: dict[tuple, OrbitTotals] = {}
     for start in elements:
-        if key(start) not in unvisited:
+        if _entries(start) not in unvisited:
             continue
-        orb, keys = [], []
+        orb = []  # (key, element) pairs; keys are distinct, so min never compares elements
         try:
             for cur in cycle(start, system.step):
-                k = key(cur)
+                k = _entries(cur)
                 if k not in unvisited:
                     raise PreconditionError("the step map is not a bijection on the enumerated elements")
                 unvisited.remove(k)
-                orb.append(cur)
-                keys.append(k)
+                orb.append((k, cur))
         except PreconditionError as exc:
             raise PreconditionError(f"{system.description}: {exc}") from exc
-        lead = min(range(len(orb)), key=keys.__getitem__)
-        totals = tuple(map(sum, zip(*(_entries(y)[0] for y in orb))))
-        orbits[keys[lead]] = OrbitTotals(size=len(orb), lead=orb[lead], totals=totals)
+        key, lead = min(orb)
+        totals = tuple(map(sum, zip(*(k for k, _ in orb))))
+        orbits[key] = OrbitTotals(size=len(orb), lead=lead, totals=totals)
     return OrbitPartition(system=system.description, orbits=tuple(orbits[k] for k in sorted(orbits)))
 
 
@@ -243,10 +237,7 @@ def verdict(partition: OrbitPartition, statistic: CellStatistic) -> HomomesyRepo
     equals the mean of :func:`cell_sum` over the orbit; a position named
     twice, by an element and by its box, counts twice there too.
     """
-    positions = []
-    if partition.orbits:
-        index = _entries(partition.orbits[0].lead)[1]
-        positions = [index(item) for item in statistic.support]
+    positions = [_position(o.lead, item) for o in partition.orbits[:1] for item in statistic.support]
     summaries = [
         OrbitSummary(
             size=o.size,

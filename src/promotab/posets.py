@@ -36,7 +36,7 @@ class FinitePoset:
     elements to boxes and enables the geometric `rotate` involutions.
     """
 
-    __slots__ = ("size", "covers", "embedding", "rotation", "name", "_above", "_down", "_neighbors", "_box_of")
+    __slots__ = ("size", "covers", "embedding", "rotation", "name", "_up", "_down", "_neighbors", "_box_of")
 
     def __init__(
         self,
@@ -58,25 +58,35 @@ class FinitePoset:
         for x, y in sorted(covers_f):
             up[x].append(y)
             down[y].append(x)
-        above = _strict_closure(size, up)
+        # Kahn's topological order, then each element's upper set as a bitmask
+        order = [x for x in up if not down[x]]
+        waiting = {x: len(v) for x, v in down.items()}
+        for x in order:
+            for y in up[x]:
+                waiting[y] -= 1
+                if not waiting[y]:
+                    order.append(y)
+        if len(order) < size:
+            raise PreconditionError("cover relation contains a cycle")
+        above = [0] * (size + 1)
+        for x in reversed(order):
+            for y in up[x]:
+                above[x] |= above[y] | 1 << y
         for x, y in covers_f:
-            if any(y in above[z] for z in up[x] if z != y):
+            if any(above[z] >> y & 1 for z in up[x]):
                 raise PreconditionError(f"cover ({x}, {y}) is implied by others (not reduced)")
         self.size = size
         self.covers = covers_f
         self.embedding = dict(embedding) if embedding is not None else None
         self.rotation = dict(rotation) if rotation else None
         self.name = name
-        self._above = above
+        self._up = {x: frozenset(v) for x, v in up.items()}
         self._down = {x: tuple(v) for x, v in down.items()}
         self._neighbors = {x: tuple(up[x] + down[x]) for x in up}
         self._box_of = {box: x for x, box in (self.embedding or {}).items()}
 
     def elements(self) -> range:
         return range(1, self.size + 1)
-
-    def lt(self, x: int, y: int) -> bool:
-        return y in self._above[x]
 
     def lower_covers(self, x: int) -> tuple[int, ...]:
         return self._down[x]
@@ -102,30 +112,6 @@ class FinitePoset:
     def __repr__(self) -> str:
         label = self.name or f"{self.size} elements"
         return f"<FinitePoset {label}, {len(self.covers)} covers>"
-
-
-def _strict_closure(size: int, up: dict[int, list[int]]) -> dict[int, frozenset[int]]:
-    """above[x] = all y with x < y; raises on cycles."""
-    above: dict[int, frozenset[int]] = {}
-    state: dict[int, int] = {}
-
-    def visit(x: int) -> frozenset[int]:
-        if state.get(x) == 1:
-            raise PreconditionError("cover relation contains a cycle")
-        if x in above:
-            return above[x]
-        state[x] = 1
-        acc: set[int] = set()
-        for y in up[x]:
-            acc.add(y)
-            acc |= visit(y)
-        above[x] = frozenset(acc)
-        state[x] = 2
-        return above[x]
-
-    for x in range(1, size + 1):
-        visit(x)
-    return above
 
 
 class LinearExtension:
@@ -260,12 +246,11 @@ def rotate(p: FinitePoset) -> dict[int, int]:
     if p.rotation is None:
         raise PreconditionError("poset has no rotation (build it via build_cominuscule)")
     rot = dict(p.rotation)
-    for x in p.elements():
-        if rot[rot[x]] != x:
-            raise PreconditionError("rotation is not an involution")
-    for x, y in p.covers:
-        if not p.lt(rot[y], rot[x]):
-            raise PreconditionError("rotation is not order-reversing")
+    if any(rot[rot[x]] != x for x in p.elements()):
+        raise PreconditionError("rotation is not an involution")
+    # an involution reverses the order exactly when it reverses every cover
+    if any((rot[y], rot[x]) not in p.covers for x, y in p.covers):
+        raise PreconditionError("rotation is not order-reversing")
     return rot
 
 
@@ -297,13 +282,14 @@ def random_linear_extension(p: FinitePoset, rng: random.Random) -> LinearExtensi
 
 
 def poset_toggle(t: LinearExtension, i: int) -> LinearExtension:
-    """Swap the labels i and i+1 unless they sit on comparable elements."""
+    """Swap the labels i and i+1 unless they sit on comparable elements,
+    that is (no label lying between them) unless they form a cover."""
     d = t.poset.size
     if not 1 <= i <= d - 1:
         raise PreconditionError(f"toggle index {i} out of range [1, {d - 1}]")
     x = t.element_of(i)
     y = t.element_of(i + 1)
-    if t.poset.lt(x, y):
+    if y in t.poset._up[x]:
         return t
     labels = list(t.labels)
     labels[x - 1], labels[y - 1] = i + 1, i
@@ -318,10 +304,10 @@ def _toggle_sweep(t: LinearExtension, indices: Iterable[int]) -> LinearExtension
     element = [0] * (len(labels) + 1)
     for x, v in enumerate(labels, start=1):
         element[v] = x
-    above = t.poset._above
+    up = t.poset._up
     for i in indices:
         x, y = element[i], element[i + 1]
-        if y not in above[x]:
+        if y not in up[x]:
             labels[x - 1], labels[y - 1] = i + 1, i
             element[i], element[i + 1] = y, x
     return LinearExtension(t.poset, labels)

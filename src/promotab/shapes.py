@@ -12,6 +12,7 @@ one order ideal per label: standard tableaux here, linear extensions in
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,6 +187,17 @@ def validate(t: Tableau, kind: str) -> bool:
 # -- enumeration ---------------------------------------------------------
 
 
+def _check_recursion_room(levels: int, what: str) -> None:
+    """Refuse, before it starts, a recursion `levels` calls deep that would
+    pass the interpreter's recursion limit from the caller's stack depth."""
+    limit = sys.getrecursionlimit()
+    depth, frame = 20, sys._getframe()  # 20 frames of headroom for the calls at the deepest level
+    while frame := frame.f_back:
+        depth += 1
+    if depth + levels > limit:
+        raise PreconditionError(f"enumerating {what} needs {levels} nested calls, past the recursion limit {limit}")
+
+
 def enumerate_ssyt(shape: Sequence[int], ceiling: int, inner: Sequence[int] = ()) -> Iterator[Tableau]:
     """All semistandard tableaux of the given shape with entries <= ceiling.
 
@@ -229,6 +241,7 @@ def enumerate_ssyt(shape: Sequence[int], ceiling: int, inner: Sequence[int] = ()
             yield from fill(idx + 1)
         grid.pop((r, c), None)
 
+    _check_recursion_room(len(boxes) + 1, f"{len(boxes)} cells")
     yield from fill(0)
 
 
@@ -249,14 +262,17 @@ def order_ideal_chains(size: int, covers: Iterable[tuple[int, int]], d: int) -> 
     for x, y in covers:
         up[x].append(y)
         waiting[y] += 1
-    latest: dict[int, int] = {}  # the largest label each element can take
-
-    def settle(x: int) -> int:
-        if x not in latest:
-            latest[x] = min(map(settle, up[x]), default=d + 1) - 1
-        return latest[x]
-
-    if any(settle(x) < 1 for x in range(1, size + 1)):
+    ready = [x for x in range(1, size + 1) if not waiting[x]]
+    order, pending = ready[:], waiting[:]  # Kahn's topological order
+    for x in order:
+        for y in up[x]:
+            pending[y] -= 1
+            if not pending[y]:
+                order.append(y)
+    latest = [d] * (size + 1)  # the largest label each element can take
+    for x in reversed(order):
+        latest[x] = min((latest[y] for y in up[x]), default=d + 1) - 1
+    if any(latest[x] < 1 for x in order):
         return  # a chain longer than d
     labels = [0] * size
     antichains: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
@@ -299,7 +315,8 @@ def order_ideal_chains(size: int, covers: Iterable[tuple[int, int]], d: int) -> 
                 for y in up[x]:
                     waiting[y] += 1
 
-    yield from grow(1, size, [x for x in range(1, size + 1) if not waiting[x]])
+    _check_recursion_room(d + 1, f"{d} labels")
+    yield from grow(1, size, ready)
 
 
 def enumerate_syt(shape: Sequence[int]) -> Iterator[Tableau]:

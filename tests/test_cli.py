@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 
@@ -255,6 +256,38 @@ class TestHomomesy:
         assert (code, out) == (2, "")
         assert err == (
             "parse error: --symmetric-all on linear extensions needs a --family poset; --partition has no rotation\n"
+        )
+
+    @pytest.mark.parametrize(
+        "args, what",
+        [
+            ("--partition 1100 --cells 1,1 --budget 10", "1100 labels"),
+            ("--partition 1100 -k 2 --cells 1,1 --budget 10000", "1100 cells"),
+        ],
+    )
+    def test_a_chain_too_long_for_the_recursion_limit_is_refused(self, capsys, args, what):
+        code, out, err = run(capsys, "homomesy", *args.split())
+        assert (code, out) == (3, "")
+        assert err == (
+            f"precondition violated: enumerating {what} needs 1101 nested calls,"
+            f" past the recursion limit {sys.getrecursionlimit()}\n"
+        )
+
+    def test_a_long_chain_gets_a_verdict(self, capsys):
+        code, out, err = run(capsys, "homomesy", *"--partition 800 --cells 1,1 --budget 10".split())
+        assert (code, err) == (0, "")
+        assert out.endswith("  orbit size=1 average=1/1\nverdict: homomesic\n")
+
+    def test_oversize_report_is_refused_after_the_partition_before_any_verdict(self, monkeypatch, capsys):
+        def refuse(*_):
+            raise AssertionError("a verdict was computed for a report over the budget")
+
+        monkeypatch.setattr("promotab.homomesy.verdict", refuse)
+        code, out, err = run(capsys, "homomesy", *"--family cayley --symmetric-all --budget 1000".split())
+        assert (code, out) == (4, "")
+        assert err == (
+            "budget exhausted: syt_poset(cayley): 256 statistics x 7 orbits = 1792 report rows"
+            " exceed the budget 1000\n"
         )
 
     @pytest.mark.parametrize(

@@ -122,7 +122,7 @@ class TestVerify:
 
         base = ssyt_system((2, 2), 4)
         assert base.count == 20
-        system = System(base.description, refuse, base.step, base.sort_key, count=base.count)
+        system = System(base.description, refuse, base.step, count=base.count)
         with pytest.raises(PreconditionError, match="budget must be positive"):
             partition_orbits(system, budget=0)
         with pytest.raises(BudgetExceededError, match="exceeds the element budget 19"):
@@ -206,7 +206,7 @@ class TestPartition:
     )
     def test_non_bijective_system_fails_loudly(self, enumerate, step):
         base = ssyt_system((2, 2), 3)
-        system = System("broken", enumerate, step or base.step, base.sort_key)
+        system = System("broken", enumerate, step or base.step)
         with pytest.raises(PreconditionError, match="broken"):
             partition_orbits(system, budget=100)
 

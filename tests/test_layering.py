@@ -2,7 +2,7 @@
 top of the combinatorial modules, which never import them back, and each
 combinatorial module imports only the layers below it.  Every module
 also uses each name it imports, so deleted code leaves no stale imports
-behind."""
+behind, and no module reaches into another's `_`-prefixed helpers."""
 
 import ast
 from pathlib import Path
@@ -54,6 +54,30 @@ def unused_imports(path: Path) -> set[str]:
     return imported - used
 
 
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_reaches(path: Path) -> set[str]:
+    """`_`-prefixed names the file imports from a promotab module, and
+    `module._name` reads on a name bound to a promotab module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules, found = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name.startswith("promotab"))
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("promotab"):
+                continue
+            found.update(a.name for a in node.names if is_private(a.name))
+            if (node.module or "") in ("", "promotab"):
+                modules.update(a.asname or a.name for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and is_private(node.attr) and ast.unparse(node.value) in modules:
+            found.add(f"{ast.unparse(node.value)}.{node.attr}")
+    return found
+
+
 def import_graph() -> dict[str, set[str]]:
     return {path.stem: imported_modules(path) for path in SRC.glob("*.py")}
 
@@ -102,3 +126,32 @@ def test_unused_import_guard_sees_leftovers(tmp_path):
         "    return json.dumps(step(x))\n"
     )
     assert unused_imports(probe) == {"os", "cycle"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_reaches_into_another_modules_private_names(path):
+    assert not private_reaches(path)
+
+
+def test_private_name_guard_sees_imports_and_attribute_reads(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import sys\n"
+        "import promotab.posets\n"
+        "from . import dynamics, shapes as sh\n"
+        "from .homomesy import _entries, verdict\n"
+        "from promotab.ktableaux import _switch_labels\n"
+        "def f(t):\n"
+        "    sys._getframe()\n"
+        "    t._hash\n"
+        "    dynamics.promote(t)\n"
+        "    dynamics.__name__\n"
+        "    return dynamics._promote_rows(t), sh._check(t), promotab.posets._up\n"
+    )
+    assert private_reaches(probe) == {
+        "_entries",
+        "_switch_labels",
+        "dynamics._promote_rows",
+        "sh._check",
+        "promotab.posets._up",
+    }

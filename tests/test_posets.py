@@ -86,6 +86,25 @@ class TestBuildCominuscule:
         with pytest.raises(PreconditionError):
             FinitePoset(2, [(1, 2), (2, 1)])
 
+    @pytest.mark.parametrize(
+        "size, covers, message",
+        [
+            (3, [(1, 2), (2, 3), (3, 1)], "cover relation contains a cycle"),
+            (3, [(1, 2), (2, 3), (1, 3)], r"cover \(1, 3\) is implied by others \(not reduced\)"),
+            (4, [(1, 2), (2, 3), (3, 4), (1, 3)], r"cover \(1, 3\) is implied by others \(not reduced\)"),
+            (3, [(1, 2), (2, 4)], r"cover \(2, 4\) out of range for size 3"),
+        ],
+        ids=["3-cycle", "non-reduced", "non-reduced-in-a-longer-chain", "out-of-range"],
+    )
+    def test_invalid_covers_are_named(self, size, covers, message):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            FinitePoset(size, covers)
+
+    def test_a_long_chain_builds(self):
+        p = chain(3000)
+        assert len(p.covers) == 2999
+        assert p.lower_covers(3000) == (2999,)
+
 
 class TestRotate:
     def test_rectangle_formula(self):
@@ -114,6 +133,16 @@ class TestRotate:
     def test_rotate_requires_a_built_family(self):
         with pytest.raises(PreconditionError):
             rotate(chain(3))
+
+    def test_rotate_rejects_a_map_that_is_not_an_involution(self):
+        p = FinitePoset(3, [], rotation={1: 2, 2: 3, 3: 1})
+        with pytest.raises(PreconditionError, match="^rotation is not an involution$"):
+            rotate(p)
+
+    def test_rotate_rejects_a_map_that_keeps_the_order(self):
+        p = FinitePoset(2, [(1, 2)], rotation={1: 1, 2: 2})
+        with pytest.raises(PreconditionError, match="^rotation is not order-reversing$"):
+            rotate(p)
 
 
 class TestLinearExtensions:

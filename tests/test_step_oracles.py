@@ -11,6 +11,8 @@ rescanning enumerations kept in `util`, over the acceptance ranges and on
 degenerate inputs.
 """
 
+from itertools import islice
+
 import pytest
 
 from promotab.dynamics import (
@@ -49,6 +51,7 @@ from util import (
     partial_promote_by_definition,
     partitions_up_to,
     promote_by_rectify,
+    strict_order,
     sweep,
     triangular_chain,
 )
@@ -110,6 +113,16 @@ def test_poset_steps_equal_toggle_chains_and_enumeration_is_unchanged(family):
     memo: dict = {}
     for t in extensions:
         check_poset_steps(t, memo)
+
+
+@pytest.mark.parametrize("family", C09_FAMILIES, ids=lambda f: f[0])
+def test_poset_toggle_fixes_exactly_the_comparable_pairs(family):
+    p = build_cominuscule(*family)
+    less = strict_order(p)
+    for t in islice(linear_extensions(p), 1000 if family[0] == "freudenthal" else None):
+        for i in range(1, p.size):
+            x, y = t.element_of(i), t.element_of(i + 1)
+            assert (poset_toggle(t, i) == t) == ((x, y) in less or (y, x) in less)
 
 
 @pytest.mark.parametrize("system", K_SYSTEMS, ids=lambda s: f"{s[1]}x{s[2]}-q{s[3]}")

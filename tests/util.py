@@ -68,6 +68,15 @@ def brute_linear_extension_count(p: FinitePoset) -> int:
     return count
 
 
+def strict_order(p: FinitePoset) -> set[tuple[int, int]]:
+    """Oracle: every pair (x, y) with x < y, closing the covers under
+    transitivity (Warshall's algorithm over the elements)."""
+    below = {(x, y) for x, y in p.covers}
+    for z in p.elements():
+        below |= {(x, y) for x, w in below if w == z for v, y in below if v == z}
+    return below
+
+
 def brute_increasing_count(p: FinitePoset, q: int) -> int:
     """Oracle: filter all label assignments onto 1..(|P|-q)."""
     d = p.size - q
