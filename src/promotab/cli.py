@@ -231,6 +231,8 @@ def _statistics_for(args, system_kind, domain) -> list[homomesy.CellStatistic]:
     if args.cells is None:
         raise ParseError("homomesy needs --cells r1,c1;r2,c2 or --symmetric-all")
     boxes = _parse_cells(args.cells)
+    if len(set(boxes)) < len(boxes):
+        raise ParseError(f"--cells names box {next(b for b in boxes if boxes.count(b) > 1)} more than once")
     if system_kind == "ssyt":
         support = frozenset(boxes)
     else:

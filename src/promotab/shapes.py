@@ -8,11 +8,11 @@ partition.
 :func:`order_ideal_chains` is the one enumerator of labellings that grow
 one order ideal per label: standard tableaux here, linear extensions in
 `posets` and increasing tableaux in `ktableaux` are thin wrappers over it.
+It and :func:`enumerate_ssyt` are loops over explicit state, not recursions.
 """
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,22 +187,12 @@ def validate(t: Tableau, kind: str) -> bool:
 # -- enumeration ---------------------------------------------------------
 
 
-def _check_recursion_room(levels: int, what: str) -> None:
-    """Refuse, before it starts, a recursion `levels` calls deep that would
-    pass the interpreter's recursion limit from the caller's stack depth."""
-    limit = sys.getrecursionlimit()
-    depth, frame = 20, sys._getframe()  # 20 frames of headroom for the calls at the deepest level
-    while frame := frame.f_back:
-        depth += 1
-    if depth + levels > limit:
-        raise PreconditionError(f"enumerating {what} needs {levels} nested calls, past the recursion limit {limit}")
-
-
 def enumerate_ssyt(shape: Sequence[int], ceiling: int, inner: Sequence[int] = ()) -> Iterator[Tableau]:
     """All semistandard tableaux of the given shape with entries <= ceiling.
 
     Deterministic row-major lexicographic order: cells are filled row by
-    row, left to right, trying smaller values first.
+    row, left to right, trying smaller values first and backing up to the
+    previous cell when one has no value left.
     """
     outer = check_partition(shape) if shape else ()
     inner_p = check_partition(inner) if inner else ()
@@ -218,31 +208,27 @@ def enumerate_ssyt(shape: Sequence[int], ceiling: int, inner: Sequence[int] = ()
     if not boxes:
         yield Tableau(tuple(() for _ in outer), ceiling, inner_p)
         return
-    grid: dict[Box, int] = {}
-
-    def fill(idx: int) -> Iterator[Tableau]:
-        if idx == len(boxes):
-            rows = []
-            for r in range(1, len(outer) + 1):
-                off = part(inner_p, r)
-                rows.append(tuple(grid[(r, c)] for c in range(off + 1, part(outer, r) + 1)))
-            yield Tableau(rows, ceiling, inner_p)
+    n = len(boxes)
+    index = {box: i for i, box in enumerate(boxes)}
+    left = [index.get((r, c - 1), n) for r, c in boxes]
+    above = [index.get((r - 1, c), n) for r, c in boxes]
+    starts = list(accumulate((part(outer, r) - part(inner_p, r) for r in range(1, len(outer) + 1)), initial=0))
+    values = [0] * (n + 1)  # a missing neighbour's index is n, whose value stays 0
+    i, v = 0, 1  # the cell being filled and the value to try in it
+    while True:
+        if v <= ceiling:
+            values[i] = v
+            if i + 1 < n:
+                i += 1
+                v = max(values[left[i]], values[above[i]] + 1)
+            else:
+                yield Tableau([values[a:b] for a, b in zip(starts, starts[1:])], ceiling, inner_p)
+                v += 1
+        elif i:
+            i -= 1
+            v = values[i] + 1
+        else:
             return
-        r, c = boxes[idx]
-        left = grid.get((r, c - 1))
-        above = grid.get((r - 1, c))
-        lo = 1
-        if left is not None:
-            lo = max(lo, left)
-        if above is not None:
-            lo = max(lo, above + 1)
-        for v in range(lo, ceiling + 1):
-            grid[(r, c)] = v
-            yield from fill(idx + 1)
-        grid.pop((r, c), None)
-
-    _check_recursion_room(len(boxes) + 1, f"{len(boxes)} cells")
-    yield from fill(0)
 
 
 def order_ideal_chains(size: int, covers: Iterable[tuple[int, int]], d: int) -> Iterator[tuple[int, ...]]:
@@ -255,7 +241,8 @@ def order_ideal_chains(size: int, covers: Iterable[tuple[int, int]], d: int) -> 
     antichains are tried in increasing bitmask order over that list.  No
     branch is a dead end: each antichain leaves an element for every later
     label and takes every element whose longest chain upward needs all the
-    labels left.
+    labels left.  A stack holds the search state of each label but the
+    last, which takes every element left.
     """
     up: list[list[int]] = [[] for _ in range(size + 1)]
     waiting = [0] * (size + 1)
@@ -274,49 +261,59 @@ def order_ideal_chains(size: int, covers: Iterable[tuple[int, int]], d: int) -> 
         latest[x] = min((latest[y] for y in up[x]), default=d + 1) - 1
     if any(latest[x] < 1 for x in order):
         return  # a chain longer than d
+    if d < 1:
+        yield ()  # the empty poset, with no labels
+        return
     labels = [0] * size
-    antichains: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
-
-    def grow(label: int, remaining: int, ready: list[int]) -> Iterator[tuple[int, ...]]:
-        if label > d:
-            if not remaining:
-                yield tuple(labels)
-            return
-        n = len(ready)
-        most = remaining - d + label  # each later label needs an element
-        if most > n:
-            most = n
-        # with one element to place, an element that must take this label is the only one ready
-        forced = sum(1 << i for i, x in enumerate(ready) if latest[x] == label) if most > 1 else 0
-        picks = antichains.get((n, most))
-        if picks is None:
-            picks = antichains[n, most] = [
-                (mask, tuple(i for i in range(n) if mask >> i & 1))
-                for mask in range(1, 1 << n)
-                if mask.bit_count() <= most
-            ]
-        for mask, picked in picks:
-            if forced and mask & forced != forced:
-                continue
-            if len(picked) == 1:
-                i = picked[0]
-                chosen, rest = ready[i : i + 1], ready[:i] + ready[i + 1 :]
-            else:
-                chosen = [ready[i] for i in picked]
-                rest = [x for i, x in enumerate(ready) if not mask >> i & 1]
-            for x in chosen:
-                labels[x - 1] = label
-                for y in up[x]:
-                    waiting[y] -= 1
-                    if not waiting[y]:
-                        rest.append(y)
-            yield from grow(label + 1, remaining - len(chosen), sorted(rest))
-            for x in chosen:
+    antichains: dict[tuple[int, int, int], list[tuple[int, tuple[int, ...]]]] = {}
+    stack: list[list] = []  # per label but the last: [ready, elements left, antichains, next one, antichain held]
+    rest, remaining = ready, size  # the ready elements and the count left for the next label
+    while True:
+        label = len(stack) + 1
+        if label < d:
+            ready, n = sorted(rest), len(rest)
+            most = min(remaining - d + label, n)  # each later label needs an element
+            # with one element to place, an element that must take this label is the only one ready
+            forced = sum(1 << i for i, x in enumerate(ready) if latest[x] == label) if most > 1 else 0
+            picks = antichains.get((n, most, forced))
+            if picks is None:
+                picks = antichains[n, most, forced] = [
+                    (mask, tuple(i for i in range(n) if mask >> i & 1))
+                    for mask in range(1, 1 << n)
+                    if mask.bit_count() <= most and mask & forced == forced
+                ]
+            stack.append([ready, remaining, picks, 0, ()])
+        elif len(rest) == remaining > 0:  # the last label takes every element left
+            for x in rest:
+                labels[x - 1] = d
+            yield tuple(labels)
+        while stack:  # undo the antichain each label holds until one has another to try
+            top = stack[-1]
+            ready, remaining, picks, t, held = top
+            for x in held:
                 for y in up[x]:
                     waiting[y] += 1
-
-    _check_recursion_room(d + 1, f"{d} labels")
-    yield from grow(1, size, ready)
+            if t < len(picks):
+                break
+            stack.pop()
+        else:
+            return
+        mask, picked = picks[t]
+        if len(picked) == 1:
+            i = picked[0]
+            chosen, rest = ready[i : i + 1], ready[:i] + ready[i + 1 :]
+        else:
+            chosen = [ready[i] for i in picked]
+            rest = [x for i, x in enumerate(ready) if not mask >> i & 1]
+        label = len(stack)
+        for x in chosen:
+            labels[x - 1] = label
+            for y in up[x]:
+                waiting[y] -= 1
+                if not waiting[y]:
+                    rest.append(y)
+        top[3], top[4] = t + 1, chosen
+        remaining -= len(chosen)
 
 
 def enumerate_syt(shape: Sequence[int]) -> Iterator[Tableau]:

@@ -148,6 +148,11 @@ class TestEnumerateIncreasing:
         incs = {t.labels for t in enumerate_increasing(P23, 0)}
         assert exts == incs
 
+    def test_a_long_chain_has_one_of_deficiency_zero(self):
+        p = FinitePoset(1500, [(x, x + 1) for x in range(1, 1500)])
+        found = list(enumerate_increasing(p, 0))
+        assert [t.labels for t in found] == [tuple(range(1, 1501))]
+
     def test_onto_single_label_needs_antichain(self):
         p = ferrers_poset((2, 2))
         assert list(enumerate_increasing(p, p.size - 1)) == []

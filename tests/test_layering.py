@@ -2,7 +2,9 @@
 top of the combinatorial modules, which never import them back, and each
 combinatorial module imports only the layers below it.  Every module
 also uses each name it imports, so deleted code leaves no stale imports
-behind, and no module reaches into another's `_`-prefixed helpers."""
+behind, and no module reaches into another's `_`-prefixed helpers.  No
+function calls itself, so no input is too deep for the interpreter's
+recursion limit."""
 
 import ast
 from pathlib import Path
@@ -75,6 +77,18 @@ def private_reaches(path: Path) -> set[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and is_private(node.attr) and ast.unparse(node.value) in modules:
             found.add(f"{ast.unparse(node.value)}.{node.attr}")
+    return found
+
+
+def self_calls(path: Path) -> set[str]:
+    """Functions, nested ones included, that call themselves by name, or
+    as `self.name` in a method."""
+    found = set()
+    for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) in (fn.name, f"self.{fn.name}"):
+                    found.add(fn.name)
     return found
 
 
@@ -155,3 +169,29 @@ def test_private_name_guard_sees_imports_and_attribute_reads(tmp_path):
         "sh._check",
         "promotab.posets._up",
     }
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_function_calls_itself(path):
+    assert not self_calls(path)
+
+
+def test_self_call_guard_sees_nested_and_method_recursion(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def depth(n):\n"
+        "    return 0 if n == 0 else 1 + depth(n - 1)\n"
+        "def enumerate_all(cells):\n"
+        "    def fill(i):\n"
+        "        if i < len(cells):\n"
+        "            yield from fill(i + 1)\n"
+        "    return fill(0)\n"
+        "class Tree:\n"
+        "    def size(self):\n"
+        "        return 1 + sum(child.size() for child in self.children) + self.size()\n"
+        "    def height(self):\n"
+        "        return max(child.height() for child in self.children)\n"
+        "def count(xs):\n"
+        "    return len(xs) + depth(len(xs))\n"
+    )
+    assert self_calls(probe) == {"depth", "fill", "size"}

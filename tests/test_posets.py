@@ -149,6 +149,10 @@ class TestLinearExtensions:
     def test_chain_has_one(self):
         assert len(list(linear_extensions(chain(4)))) == 1
 
+    def test_a_long_chain_has_one(self):
+        found = list(linear_extensions(chain(3000)))
+        assert [e.labels for e in found] == [tuple(range(1, 3001))]
+
     def test_antichain_has_factorial_many(self):
         assert len(list(linear_extensions(antichain(3)))) == 6
 

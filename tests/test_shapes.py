@@ -1,3 +1,5 @@
+from itertools import accumulate, product
+
 import pytest
 
 from promotab.errors import ParseError, PreconditionError
@@ -68,8 +70,20 @@ class TestEnumeration:
                 assert len(found) == count_ssyt(shape, k)
 
     def test_row_major_lexicographic_order(self):
-        entries = [tuple(v for row in t.rows for v in row) for t in enumerate_ssyt((2, 1), 3)]
-        assert entries == sorted(entries)
+        cases = [(shape, k, ()) for shape in ((), *partitions_up_to(6)) for k in range(5)]
+        cases += [((3, 2, 1), k, (1, 1)) for k in range(4)]
+        for shape, k, inner in cases:
+            lengths = [a - b for a, b in zip(shape, inner + (0,) * len(shape))]
+            starts = list(accumulate(lengths, initial=0))
+            fillings = (
+                Tableau([values[a:b] for a, b in zip(starts, starts[1:])], k, inner)
+                for values in product(range(1, k + 1), repeat=starts[-1])
+            )
+            expected = [t for t in fillings if validate(t, "semistandard")]
+            assert list(enumerate_ssyt(shape, k, inner)) == expected, (shape, k, inner)
+
+    def test_a_long_row_enumerates(self):
+        assert len(list(enumerate_ssyt((1200,), 2))) == count_ssyt((1200,), 2) == 1201
 
     def test_syt_counts(self):
         assert len(list(enumerate_syt((2, 1)))) == 2
