@@ -36,6 +36,7 @@ def _read_tableau(args, kind: str | None = "semistandard") -> shapes.Tableau:
 
 
 def _parse_cells(text: str) -> tuple[tuple[int, int], ...]:
+    """The boxes of a nonempty 'r1,c1;r2,c2' list."""
     cells = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -48,6 +49,8 @@ def _parse_cells(text: str) -> tuple[tuple[int, int], ...]:
             cells.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise ParseError(f"bad cell {chunk!r}; expected integers")
+    if not cells:
+        raise ParseError(f"--cells {text!r} names no box; expected 'r1,c1;r2,c2'")
     return tuple(cells)
 
 
@@ -347,6 +350,14 @@ def _cmd_families(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are parse errors, which
+    :func:`main` reports on one line with exit code 2."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 def _add_io_arguments(sub, with_input: bool = True) -> None:
     if with_input:
         sub.add_argument("input", nargs="?", default="-", help="input file, or '-' for stdin")
@@ -355,7 +366,7 @@ def _add_io_arguments(sub, with_input: bool = True) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="promotab",
         description="Promotion, evacuation, and exact homomesy verification "
         "on tableaux, posets, and increasing tableaux.",
@@ -410,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "promote": lambda a: _cmd_unary(a, dynamics.promote),
         "evacuate": lambda a: _cmd_unary(a, dynamics.evacuate),
@@ -426,6 +435,7 @@ def main(argv=None) -> int:
         "families": _cmd_families,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

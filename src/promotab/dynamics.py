@@ -8,15 +8,20 @@ toggle product) so the two routes can be checked against each other.
 definitions.  The step maps built on them (:func:`promote` and the toggle
 sweeps) work on plain rows and build one :class:`Tableau`, their result;
 the tests check each of them against the chain of one-step definitions.
+Each operator in :data:`OPERATORS` has one row kernel.  Its step on
+tableaux wraps it, and so does :func:`reading_word_step`, its step on
+reading words (the keys that homomesy systems walk), which builds no
+tableau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import PreconditionError
-from .shapes import Box, Partition, Tableau, part
+from .shapes import Box, Partition, ReadingLayout, Tableau, part
 
 Picker = Callable[[list[Box]], Box]
 X = TypeVar("X")
@@ -210,13 +215,16 @@ def toggle(t: Tableau, i: int) -> Tableau:
     return Tableau(_toggle_rows(t.rows, _offsets(t), i), t.ceiling, t.inner)
 
 
-def _toggle_sweep(t: Tableau, indices: Iterable[int]) -> Tableau:
-    """The toggles at `indices`, applied in order, as one tableau."""
-    rows: Sequence[Sequence[int]] = t.rows
-    offsets = _offsets(t)
+def _sweep_rows(rows: Sequence[Sequence[int]], offsets: Sequence[int], indices: Iterable[int]) -> Sequence[Sequence[int]]:
+    """The rows after the toggles at `indices`, applied in order."""
     for i in indices:
         rows = _toggle_rows(rows, offsets, i)
-    return Tableau(rows, t.ceiling, t.inner)
+    return rows
+
+
+def _toggle_sweep(t: Tableau, indices: Iterable[int]) -> Tableau:
+    """The toggles at `indices`, applied in order, as one tableau."""
+    return Tableau(_sweep_rows(t.rows, _offsets(t), indices), t.ceiling, t.inner)
 
 
 def promote_via_toggles(t: Tableau) -> Tableau:
@@ -235,7 +243,13 @@ def promote_inverse(t: Tableau) -> Tableau:
     """
     if not t.is_straight:
         raise PreconditionError("promotion requires a straight shape")
-    return _toggle_sweep(t, range(t.ceiling - 1, 0, -1))
+    return Tableau(_promote_inverse_rows(t.rows, t.ceiling), t.ceiling)
+
+
+def _promote_inverse_rows(rows: Sequence[Sequence[int]], k: int) -> Sequence[Sequence[int]]:
+    """The rows of :func:`promote_inverse` with ceiling k, from the rows of
+    a straight shape."""
+    return _sweep_rows(rows, [0] * (len(rows) + 1), range(k - 1, 0, -1))
 
 
 def slide_toggle(t: Tableau, i: int) -> Tableau:
@@ -362,18 +376,44 @@ def dual_evacuate_via_complement(t: Tableau) -> Tableau:
     return rotate_complement(evacuate(rotate_complement(t)))
 
 
-OPERATORS: dict[str, Callable[[Tableau], Tableau]] = {
-    "promote": promote,
-    "promote_inverse": promote_inverse,
+# Each operator's step on tableaux, and the row kernel that it and
+# :func:`reading_word_step` share.
+OPERATORS: dict[str, tuple[Callable[[Tableau], Tableau], Callable]] = {
+    "promote": (promote, _promote_rows),
+    "promote_inverse": (promote_inverse, _promote_inverse_rows),
 }
 
 
-def lookup_operator(name: str) -> Callable[[Tableau], Tableau]:
-    """The step map registered in :data:`OPERATORS` under `name`."""
+def _registered(name: str) -> tuple[Callable[[Tableau], Tableau], Callable]:
+    """The pair registered in :data:`OPERATORS` under `name`."""
     try:
         return OPERATORS[name]
     except KeyError:
         raise PreconditionError(f"unknown operator {name!r}")
+
+
+def lookup_operator(name: str) -> Callable[[Tableau], Tableau]:
+    """The step map on tableaux registered under `name`."""
+    return _registered(name)[0]
+
+
+def reading_word_step(layout: ReadingLayout, ceiling: int, operator: str) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The step map `operator` on reading words: a word of the straight
+    layout, with entries <= ceiling, to the reading word of the tableau
+    that the step on tableaux gives.
+
+    The word is cut into rows, the operator's row kernel steps them, and
+    the rows are read back; no tableau is built.
+    """
+    kernel = _registered(operator)[1]
+    if layout.inner:
+        raise PreconditionError("promotion requires a straight shape")
+    rows = layout.rows
+
+    def step(word: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(reversed(kernel(rows(word), ceiling))))
+
+    return step
 
 
 def cycle(start: X, step: Callable[[X], X]) -> Iterator[X]:

@@ -1,14 +1,18 @@
 """Cell-sum statistics, exact orbit averages, and homomesy verdicts.
 
 A dynamical system here is any finite set with an invertible step map.
-:func:`partition_orbits` enumerates it under an explicit element budget and
-walks each orbit once, keeping the orbit's size, its canonical element and
-the total of every entry over the orbit, laid out like its entries tuple
-(a tableau's reading word, a poset object's labels), which is also its
-key.  Cell sums are linear, so :func:`verdict` reads any statistic's exact
-orbit averages from those totals; the verdict is `homomesic` exactly when
-every orbit average equals the first.  Orbits are ordered by their least
-key, so every report is deterministic.
+A :class:`System` enumerates and steps flat keys: an element's entries
+tuple (a tableau's reading word, a poset object's labels).
+:func:`partition_orbits` enumerates it under an explicit element budget,
+checks every key with the system's tuple-level test, and walks each orbit
+once on keys, keeping the orbit's size, its canonical element (the one
+validated object it builds per orbit) and the total of every entry over
+the orbit, laid out like the key.  Cell sums are linear, so
+:func:`verdict` reads any statistic's exact orbit averages from those
+totals; the verdict is `homomesic` exactly when every orbit average
+equals the first.  Orbits are ordered by their least key, so every report
+is deterministic.  :func:`cell_sum` and :func:`orbit_average` stay the
+definitions on objects that the tests check the totals against.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .dynamics import cycle, lookup_operator
+from .dynamics import cycle, reading_word_step
 from .errors import BudgetExceededError, PreconditionError
-from .ktableaux import IncreasingTableau, enumerate_increasing, k_promote
-from .posets import FinitePoset, LinearExtension, linear_extensions, poset_promote, rotate
-from .shapes import Tableau, check_partition, count_ssyt, enumerate_ssyt, part
+from .ktableaux import IncreasingTableau, increasing_labels, k_promote_labels
+from .posets import FinitePoset, LinearExtension, linear_extension_labels, poset_promote_labels, rotate
+from .shapes import ReadingLayout, Tableau, count_ssyt, part, ssyt_words
 
 
 @dataclass(frozen=True)
@@ -79,31 +83,42 @@ def orbit_average(elements: Iterable, statistic: CellStatistic) -> Fraction:
 
 # -- systems -------------------------------------------------------------------
 
+Key = tuple[int, ...]
+
 
 @dataclass(frozen=True)
 class System:
-    """A finite invertible dynamical system, described for reports.
+    """A finite invertible dynamical system on flat keys, described for
+    reports.
 
-    `count`, when known, is the exact number of elements, so a budget can
-    be refused before anything is enumerated.
+    An element's key is its entries tuple (see :func:`cell_sum`): a
+    tableau's reading word or a poset labelling's labels.  `enumerate`
+    yields every element's key and `step` maps a key to the next one.
+    `admits` tests a key against the conditions the element's constructor
+    checks, and `element` builds that validated object.  `count`, when
+    known, is the exact number of elements, so a budget can be refused
+    before anything is enumerated.
     """
 
     description: str
-    enumerate: Callable[[], Iterator]
-    step: Callable
+    enumerate: Callable[[], Iterable[Key]]
+    step: Callable[[Key], Key]
+    admits: Callable[[Key], bool]
+    element: Callable[[Key], object]
     count: int | None = None
 
 
 def ssyt_system(shape, ceiling: int, operator: str = "promote") -> System:
     """Semistandard tableaux of a straight shape under (inverse) promotion."""
-    shape = check_partition(shape) if shape else ()
-    step = lookup_operator(operator)
+    layout = ReadingLayout(shape)
     return System(
-        description=f"ssyt(shape={','.join(map(str, shape))};k={ceiling};op={operator})",
-        enumerate=lambda: enumerate_ssyt(shape, ceiling),
-        step=step,
+        description=f"ssyt(shape={','.join(map(str, layout.outer))};k={ceiling};op={operator})",
+        enumerate=lambda: ssyt_words(layout, ceiling),
+        step=reading_word_step(layout, ceiling, operator),
+        admits=layout.semistandard_test(ceiling),
+        element=lambda word: Tableau(layout.rows(word), ceiling),
         # a negative ceiling is left for the enumeration to reject
-        count=count_ssyt(shape, ceiling) if ceiling >= 0 else None,
+        count=count_ssyt(layout.outer, ceiling) if ceiling >= 0 else None,
     )
 
 
@@ -112,8 +127,10 @@ def syt_poset_system(p: FinitePoset) -> System:
     label = p.name or f"poset{p.size}"
     return System(
         description=f"syt_poset({label})",
-        enumerate=lambda: linear_extensions(p),
-        step=poset_promote,
+        enumerate=lambda: linear_extension_labels(p),
+        step=lambda labels: poset_promote_labels(p, labels),
+        admits=p.labelling_test(p.size),
+        element=lambda labels: LinearExtension(p, labels),
     )
 
 
@@ -122,8 +139,10 @@ def inc_system(p: FinitePoset, q: int) -> System:
     label = p.name or f"poset{p.size}"
     return System(
         description=f"inc({label};q={q})",
-        enumerate=lambda: enumerate_increasing(p, q),
-        step=k_promote,
+        enumerate=lambda: increasing_labels(p, q),
+        step=lambda labels: k_promote_labels(p, labels),
+        admits=p.labelling_test(p.size - q),
+        element=lambda labels: IncreasingTableau(p, labels),
     )
 
 
@@ -132,8 +151,8 @@ def inc_system(p: FinitePoset, q: int) -> System:
 
 @dataclass(frozen=True)
 class OrbitTotals:
-    """One orbit: its size, its canonical element (least reading word or
-    labels), and the total over the orbit of each of `lead`'s entries."""
+    """One orbit: its size, its canonical element (the element of its least
+    key), and the total over the orbit of each of `lead`'s entries."""
 
     size: int
     lead: object
@@ -149,47 +168,50 @@ class OrbitPartition:
 
 
 def partition_orbits(system: System, budget: int) -> OrbitPartition:
-    """Enumerate the system and walk each of its orbits once.
+    """Enumerate the system and walk each of its orbits once, on keys.
 
     `budget` caps the number of enumerated elements; exceeding it raises
     :class:`BudgetExceededError` rather than returning a partial answer,
-    before enumerating when the system knows its exact count.
-    Each walk is a :func:`~promotab.dynamics.cycle` that may only visit
-    enumerated elements that no walk has visited yet, so it ends within
-    the element count.  A step map that leaves the enumerated set or is
-    not a bijection on it, or an enumeration that repeats an element,
-    raises :class:`PreconditionError` naming the system.
+    before enumerating when the system knows its exact count.  Every
+    enumerated key must pass `system.admits`.  Each walk is a
+    :func:`~promotab.dynamics.cycle` that may only visit enumerated keys
+    that no walk has visited yet, so it ends within the element count.
+    An enumeration that yields a key the system does not admit or repeats
+    one, or a step map that leaves the enumerated set or is not a
+    bijection on it, raises :class:`PreconditionError` naming the system.
+    The only objects built are the orbit leads, one per orbit.
     """
     if budget < 1:
         raise PreconditionError(f"budget must be positive: {budget}")
     over_budget = f"{system.description} exceeds the element budget {budget}"
     if system.count is not None and system.count > budget:
         raise BudgetExceededError(over_budget)
-    elements = []
-    for x in system.enumerate():
-        elements.append(x)
-        if len(elements) > budget:
+    keys = []
+    for key in system.enumerate():
+        if not system.admits(key):
+            raise PreconditionError(f"{system.description}: the enumeration yields {key}, which is not an element")
+        keys.append(key)
+        if len(keys) > budget:
             raise BudgetExceededError(over_budget)
-    unvisited = set(map(_entries, elements))
-    if len(unvisited) != len(elements):
+    unvisited = set(keys)
+    if len(unvisited) != len(keys):
         raise PreconditionError(f"{system.description}: the enumeration repeats an element")
-    orbits: dict[tuple, OrbitTotals] = {}
-    for start in elements:
-        if _entries(start) not in unvisited:
+    orbits: dict[Key, OrbitTotals] = {}
+    for start in keys:
+        if start not in unvisited:
             continue
-        orb = []  # (key, element) pairs; keys are distinct, so min never compares elements
+        orb = []
         try:
-            for cur in cycle(start, system.step):
-                k = _entries(cur)
-                if k not in unvisited:
+            for key in cycle(start, system.step):
+                if key not in unvisited:
                     raise PreconditionError("the step map is not a bijection on the enumerated elements")
-                unvisited.remove(k)
-                orb.append((k, cur))
+                unvisited.remove(key)
+                orb.append(key)
         except PreconditionError as exc:
             raise PreconditionError(f"{system.description}: {exc}") from exc
-        key, lead = min(orb)
-        totals = tuple(map(sum, zip(*(k for k, _ in orb))))
-        orbits[key] = OrbitTotals(size=len(orb), lead=lead, totals=totals)
+        lead = min(orb)
+        totals = tuple(map(sum, zip(*orb)))
+        orbits[lead] = OrbitTotals(size=len(orb), lead=system.element(lead), totals=totals)
     return OrbitPartition(system=system.description, orbits=tuple(orbits[k] for k in sorted(orbits)))
 
 

@@ -9,8 +9,12 @@ operators, then decrements and refills.  Intermediate switch states carry
 bullets, encoded as label 0.
 
 :func:`switch` is the one-step definition.  K-promotion and its inverse
-switch a plain label list and build one :class:`IncreasingTableau`, their
-result; the tests check both against the chain of :func:`switch` calls.
+switch a plain label list, reading only the covers ahead of each bullet
+(indexed from 0), and build one :class:`IncreasingTableau`, their result;
+the tests check both against the chain of :func:`switch` calls.
+:func:`increasing_labels` and :func:`k_promote_labels` are the
+enumeration and the K-promotion on label tuples alone, which homomesy
+systems walk.
 """
 
 from __future__ import annotations
@@ -80,54 +84,62 @@ def switch(state: Sequence[int], a: int, b: int, poset: FinitePoset) -> tuple[in
         raise PreconditionError("switch needs two distinct labels")
     state_t = tuple(state)
     out = list(state_t)
-    for x in poset.elements():
-        v = state_t[x - 1]
-        if v == a:
-            if any(state_t[y - 1] == b for y in poset.neighbors(x)):
-                out[x - 1] = b
-        elif v == b:
-            if any(state_t[y - 1] == a for y in poset.neighbors(x)):
-                out[x - 1] = a
+    other = {a: b, b: a}
+    for x, v in enumerate(state_t):
+        if v in other and any(state_t[y] == other[v] for y in poset.above[x] + poset.below[x]):
+            out[x] = other[v]
     return tuple(out)
 
 
-def _switch_bullets(labels: list[int], order: Iterable[int], poset: FinitePoset) -> None:
+def _switch_bullets(labels: list[int], order: Iterable[int], ahead: Sequence[Sequence[int]]) -> None:
     """Apply ``switch(., i, BULLET)`` to `labels` in place, for each i in
-    `order` in turn.
+    `order` in turn.  The bullets start on the least labels and `order`
+    ascends with `ahead` the poset's `above`, or they start on the
+    greatest labels and `order` descends with `ahead` its `below`.
 
     A switch moves only elements next to a bullet, so each one reads the
     neighbours of the current bullets: those labelled i become bullets and
     the bullets next to them become i.  If no bullet touches an i, the
-    switch changes nothing.
+    switch changes nothing.  Labels strictly increase along covers, so
+    every neighbour of a bullet that holds a label still to come lies
+    ahead of it, and only those are read.
     """
-    neighbors = poset.neighbors
-    bullets = [x for x, v in enumerate(labels, start=1) if v == BULLET]
+    bullets = [x for x, v in enumerate(labels) if v == BULLET]
     for i in order:
-        movers: set[int] = set()
-        stay, back = [], []
+        stay, back, hit = [], [], []
         for x in bullets:
-            hit = [y for y in neighbors(x) if labels[y - 1] == i]
-            if hit:
+            found = len(hit)
+            for y in ahead[x]:
+                if labels[y] == i:
+                    hit.append(y)
+            if len(hit) > found:
                 back.append(x)
-                movers.update(hit)
             else:
                 stay.append(x)
         if not back:
             continue
+        for y in hit:
+            if labels[y] == i:  # an i next to two bullets is hit twice
+                labels[y] = BULLET
+                stay.append(y)
         for x in back:
-            labels[x - 1] = i
-        for y in movers:
-            labels[y - 1] = BULLET
-        bullets = stay + list(movers)
+            labels[x] = i
+        bullets = stay
+
+
+def k_promote_labels(p: FinitePoset, labels: Sequence[int]) -> tuple[int, ...]:
+    """K-promotion on the labels of an increasing tableau of p: bulletize
+    the 1s, switch the bullets up through 2..d, then decrement every label
+    and turn bullets into d."""
+    d = max(labels, default=0)
+    state = [BULLET if v == 1 else v for v in labels]
+    _switch_bullets(state, range(2, d + 1), p.above)
+    return tuple([d if v == BULLET else v - 1 for v in state])
 
 
 def k_promote(t: IncreasingTableau) -> IncreasingTableau:
-    """K-promotion: bulletize the 1s, switch the bullets up through
-    2..d, then decrement every label and turn bullets into d."""
-    d = t.d
-    state = [BULLET if v == 1 else v for v in t.labels]
-    _switch_bullets(state, range(2, d + 1), t.poset)
-    return IncreasingTableau(t.poset, [d if v == BULLET else v - 1 for v in state])
+    """K-promotion: :func:`k_promote_labels`."""
+    return IncreasingTableau(t.poset, k_promote_labels(t.poset, t.labels))
 
 
 def k_promote_inverse(t: IncreasingTableau) -> IncreasingTableau:
@@ -135,7 +147,7 @@ def k_promote_inverse(t: IncreasingTableau) -> IncreasingTableau:
     bullets back down, then turn bullets into 1."""
     d = t.d
     state = [BULLET if v == d else v + 1 for v in t.labels]
-    _switch_bullets(state, range(d, 1, -1), t.poset)
+    _switch_bullets(state, range(d, 1, -1), t.poset.below)
     return IncreasingTableau(t.poset, [1 if v == BULLET else v for v in state])
 
 
@@ -163,12 +175,18 @@ def k_evacuate(t: IncreasingTableau) -> IncreasingTableau:
     return IncreasingTableau(t.poset, labels)
 
 
-def enumerate_increasing(p: FinitePoset, q: int) -> Iterator[IncreasingTableau]:
-    """All increasing tableaux of deficiency q, in the order of
-    :func:`order_ideal_chains` with d = |P| - q labels."""
+def increasing_labels(p: FinitePoset, q: int) -> Iterator[tuple[int, ...]]:
+    """The labels of every increasing tableau of deficiency q: the order
+    of :func:`order_ideal_chains` with d = |P| - q labels."""
     if not 0 <= q <= p.size:
         raise PreconditionError(f"deficiency {q} out of range [0, {p.size}]")
-    for labels in order_ideal_chains(p.size, p.covers, p.size - q):
+    return order_ideal_chains(p.size, p.covers, p.size - q)
+
+
+def enumerate_increasing(p: FinitePoset, q: int) -> Iterator[IncreasingTableau]:
+    """All increasing tableaux of deficiency q, in the order of
+    :func:`increasing_labels`."""
+    for labels in increasing_labels(p, q):
         yield IncreasingTableau(p, labels)
 
 

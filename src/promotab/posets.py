@@ -10,17 +10,22 @@ staircases and the Freudenthal poset.  Linear extensions are enumerated by
 
 :func:`poset_toggle` is the one-step definition of the linear-extension
 dynamics.  Promotion, its inverse and evacuation toggle a plain label list
-and build one :class:`LinearExtension`, their result; the tests check each
-of them against the chain of :func:`poset_toggle` calls.
+with one kernel, on the poset's covers indexed from 0, and build one
+:class:`LinearExtension`, their result; the tests check each of them
+against the chain of :func:`poset_toggle` calls.
+:func:`linear_extension_labels` and :func:`poset_promote_labels` are the
+enumeration and the promotion on label tuples alone, which homomesy
+systems walk.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Sequence
+from operator import lt
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError, PreconditionError
-from .shapes import Box, check_partition, order_ideal_chains
+from .shapes import Box, check_partition, order_ideal_chains, pairwise_test
 
 CAYLEY_ROWS = ((0, 5), (2, 3), (3, 3), (3, 5))
 FREUDENTHAL_ROWS = ((0, 6), (3, 3), (4, 3), (4, 5), (4, 5), (7, 2), (8, 1), (8, 1), (8, 1))
@@ -34,9 +39,12 @@ class FinitePoset:
     `covers` holds pairs (x, y) with x covered by y; the relation must be
     acyclic and transitively reduced.  An optional planar embedding maps
     elements to boxes and enables the geometric `rotate` involutions.
+    `above` and `below` count elements from 0, as label tuples do:
+    ``above[x - 1]`` holds the elements that cover x, each as y - 1, and
+    ``below[x - 1]`` the elements that x covers.
     """
 
-    __slots__ = ("size", "covers", "embedding", "rotation", "name", "_up", "_down", "_neighbors", "_box_of")
+    __slots__ = ("size", "covers", "embedding", "rotation", "name", "above", "below", "_box_of")
 
     def __init__(
         self,
@@ -68,35 +76,42 @@ class FinitePoset:
                     order.append(y)
         if len(order) < size:
             raise PreconditionError("cover relation contains a cycle")
-        above = [0] * (size + 1)
+        upper_set = [0] * (size + 1)
         for x in reversed(order):
             for y in up[x]:
-                above[x] |= above[y] | 1 << y
+                upper_set[x] |= upper_set[y] | 1 << y
         for x, y in covers_f:
-            if any(above[z] >> y & 1 for z in up[x]):
+            if any(upper_set[z] >> y & 1 for z in up[x]):
                 raise PreconditionError(f"cover ({x}, {y}) is implied by others (not reduced)")
         self.size = size
         self.covers = covers_f
         self.embedding = dict(embedding) if embedding is not None else None
         self.rotation = dict(rotation) if rotation else None
         self.name = name
-        self._up = {x: frozenset(v) for x, v in up.items()}
-        self._down = {x: tuple(v) for x, v in down.items()}
-        self._neighbors = {x: tuple(up[x] + down[x]) for x in up}
+        self.above = tuple(tuple(y - 1 for y in up[x]) for x in up)
+        self.below = tuple(tuple(y - 1 for y in down[x]) for x in down)
         self._box_of = {box: x for x, box in (self.embedding or {}).items()}
 
     def elements(self) -> range:
         return range(1, self.size + 1)
 
     def lower_covers(self, x: int) -> tuple[int, ...]:
-        return self._down[x]
-
-    def neighbors(self, x: int) -> tuple[int, ...]:
-        return self._neighbors[x]
+        if not 1 <= x <= self.size:
+            raise PreconditionError(f"element {x} outside the poset")
+        return tuple(y + 1 for y in self.below[x - 1])
 
     def minimal_of(self, subset) -> list[int]:
         subset = set(subset)
-        return sorted(x for x in subset if not any(d in subset for d in self._down[x]))
+        return sorted(x for x in subset if not any(d in subset for d in self.lower_covers(x)))
+
+    def labelling_test(self, d: int) -> Callable[[Sequence[int]], bool]:
+        """The test whether labels, one per element (element x's at index
+        x - 1), strictly increase along every cover and take exactly the
+        values 1..d: what :class:`LinearExtension` (d = size) and an
+        increasing tableau with d labels check, on a plain tuple."""
+        size, values = self.size, frozenset(range(1, d + 1))
+        increasing = pairwise_test(lt, [(x - 1, y - 1) for x, y in sorted(self.covers)])
+        return lambda labels: len(labels) == size and set(labels) == values and increasing(labels)
 
     def element_at(self, box: Box) -> int:
         if box not in self._box_of:
@@ -257,10 +272,15 @@ def rotate(p: FinitePoset) -> dict[int, int]:
 # -- linear extension dynamics ----------------------------------------------
 
 
+def linear_extension_labels(p: FinitePoset) -> Iterator[tuple[int, ...]]:
+    """The labels of every linear extension: :func:`order_ideal_chains`
+    with one label per element, trying the smallest ready element first."""
+    return order_ideal_chains(p.size, p.covers, p.size)
+
+
 def linear_extensions(p: FinitePoset) -> Iterator[LinearExtension]:
-    """All linear extensions: :func:`order_ideal_chains` with one label per
-    element, trying the smallest ready element first."""
-    for labels in order_ideal_chains(p.size, p.covers, p.size):
+    """All linear extensions, in the order of :func:`linear_extension_labels`."""
+    for labels in linear_extension_labels(p):
         yield LinearExtension(p, labels)
 
 
@@ -289,44 +309,51 @@ def poset_toggle(t: LinearExtension, i: int) -> LinearExtension:
         raise PreconditionError(f"toggle index {i} out of range [1, {d - 1}]")
     x = t.element_of(i)
     y = t.element_of(i + 1)
-    if y in t.poset._up[x]:
+    if y - 1 in t.poset.above[x - 1]:
         return t
     labels = list(t.labels)
     labels[x - 1], labels[y - 1] = i + 1, i
     return LinearExtension(t.poset, labels)
 
 
-def _toggle_sweep(t: LinearExtension, indices: Iterable[int]) -> LinearExtension:
-    """The poset toggles at `indices`, applied in order, as one linear
-    extension.  The labels are toggled in a list, next to the inverse
-    array from each label to its element."""
-    labels = list(t.labels)
+def _sweep(p: FinitePoset, labels: Sequence[int], indices: Iterable[int]) -> tuple[int, ...]:
+    """The labels of a linear extension of p after the poset toggles at
+    `indices`, applied in order.  The labels are toggled in a list, next
+    to the inverse array from each label to its element."""
+    labels = list(labels)
     element = [0] * (len(labels) + 1)
-    for x, v in enumerate(labels, start=1):
+    for x, v in enumerate(labels):
         element[v] = x
-    up = t.poset._up
+    up = p.above
     for i in indices:
         x, y = element[i], element[i + 1]
         if y not in up[x]:
-            labels[x - 1], labels[y - 1] = i + 1, i
+            labels[x], labels[y] = i + 1, i
             element[i], element[i + 1] = y, x
-    return LinearExtension(t.poset, labels)
+    return tuple(labels)
+
+
+def poset_promote_labels(p: FinitePoset, labels: Sequence[int]) -> tuple[int, ...]:
+    """Promotion on the labels of a linear extension of p: the ascending
+    toggle sweep, with no object built."""
+    return _sweep(p, labels, range(1, p.size))
 
 
 def poset_promote(t: LinearExtension) -> LinearExtension:
-    """Promotion of a linear extension: the ascending toggle sweep."""
-    return _toggle_sweep(t, range(1, t.poset.size))
+    """Promotion of a linear extension: :func:`poset_promote_labels`."""
+    return LinearExtension(t.poset, poset_promote_labels(t.poset, t.labels))
 
 
 def poset_promote_inverse(t: LinearExtension) -> LinearExtension:
     """Inverse promotion: the descending toggle sweep."""
-    return _toggle_sweep(t, range(t.poset.size - 1, 0, -1))
+    return LinearExtension(t.poset, _sweep(t.poset, t.labels, range(t.poset.size - 1, 0, -1)))
 
 
 def poset_evacuate(t: LinearExtension) -> LinearExtension:
     """Evacuation of a linear extension: the triangular toggle product."""
     d = t.poset.size
-    return _toggle_sweep(t, (i for j in range(d - 1, 0, -1) for i in range(1, j + 1)))
+    indices = (i for j in range(d - 1, 0, -1) for i in range(1, j + 1))
+    return LinearExtension(t.poset, _sweep(t.poset, t.labels, indices))
 
 
 def rotate_reverse(t: LinearExtension) -> LinearExtension:

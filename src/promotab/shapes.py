@@ -8,7 +8,10 @@ partition.
 :func:`order_ideal_chains` is the one enumerator of labellings that grow
 one order ideal per label: standard tableaux here, linear extensions in
 `posets` and increasing tableaux in `ktableaux` are thin wrappers over it.
-It and :func:`enumerate_ssyt` are loops over explicit state, not recursions.
+:func:`ssyt_words` is the one SSYT enumerator: it yields reading words,
+laid out by a :class:`ReadingLayout`, and :func:`enumerate_ssyt` wraps
+each in a tableau.  Both enumerators are loops over explicit state, not
+recursions.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter, le, lt
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError, PreconditionError
 
@@ -187,48 +191,118 @@ def validate(t: Tableau, kind: str) -> bool:
 # -- enumeration ---------------------------------------------------------
 
 
-def enumerate_ssyt(shape: Sequence[int], ceiling: int, inner: Sequence[int] = ()) -> Iterator[Tableau]:
-    """All semistandard tableaux of the given shape with entries <= ceiling.
+def pairwise_test(op: Callable[[int, int], bool], pairs: Sequence[tuple[int, int]]) -> Callable[[Sequence[int]], bool]:
+    """The test whether ``op(s[i], s[j])`` holds for every (i, j) in
+    `pairs`, on a sequence s: two item getters read the pairs' sides."""
+    if not pairs:
+        return lambda s: True
+    # the first pair is read twice, so each getter returns a tuple even for one pair
+    firsts = itemgetter(pairs[0][0], *(i for i, _ in pairs))
+    seconds = itemgetter(pairs[0][1], *(j for _, j in pairs))
+    return lambda s: all(map(op, firsts(s), seconds(s)))
 
-    Deterministic row-major lexicographic order: cells are filled row by
-    row, left to right, trying smaller values first and backing up to the
-    previous cell when one has no value left.
+
+class ReadingLayout:
+    """Where each cell of a (skew) shape sits in its reading word: rows
+    bottom to top, each left to right, as in :meth:`Tableau.row_reading`.
+
+    The reading word is the flat key of a tableau of the shape.
+    :meth:`rows` cuts a word into a tableau's rows (top row first), and
+    :meth:`semistandard_test` tests words without building a tableau.
+    `bounds` holds each row's slice of the word, top row first; `fill`,
+    `left` and `above` hold, for the cells in row-major order, the
+    word index of the cell and of its left and upper neighbours (`size`
+    for a missing one).
     """
-    outer = check_partition(shape) if shape else ()
-    inner_p = check_partition(inner) if inner else ()
-    if not contains(outer, inner_p):
-        raise PreconditionError(f"inner {inner_p} not contained in outer {outer}")
+
+    __slots__ = ("outer", "inner", "size", "bounds", "fill", "left", "above")
+
+    def __init__(self, shape: Sequence[int], inner: Sequence[int] = ()):
+        outer = check_partition(shape) if shape else ()
+        inner_p = check_partition(inner) if inner else ()
+        if not contains(outer, inner_p):
+            raise PreconditionError(f"inner {inner_p} not contained in outer {outer}")
+        lengths = [part(outer, r) - part(inner_p, r) for r in range(1, len(outer) + 1)]
+        ends = list(accumulate(reversed(lengths), initial=0))
+        bounds = list(zip(ends, ends[1:]))[::-1]
+        n = ends[-1]
+        cells = [(r, c) for r in range(1, len(outer) + 1) for c in range(part(inner_p, r) + 1, part(outer, r) + 1)]
+        index = {(r, c): bounds[r - 1][0] + c - part(inner_p, r) - 1 for r, c in cells}
+        fill = [index[cell] for cell in cells]
+        left = [index.get((r, c - 1), n) for r, c in cells]
+        above = [index.get((r - 1, c), n) for r, c in cells]
+        self.outer = outer
+        self.inner = inner_p
+        self.size = n
+        self.bounds = tuple(bounds)
+        self.fill = tuple(fill)
+        self.left = tuple(left)
+        self.above = tuple(above)
+
+    def rows(self, word: Sequence[int]) -> list[Sequence[int]]:
+        """The rows, top row first, of the tableau whose reading word is `word`."""
+        return [word[a:b] for a, b in self.bounds]
+
+    def semistandard_test(self, ceiling: int) -> Callable[[Sequence[int]], bool]:
+        """The test whether a word is the reading word of a semistandard
+        tableau of the shape with entries in [1, ceiling]: rows weakly
+        increase and columns strictly increase."""
+        n = self.size
+        weak_rows = pairwise_test(le, [(j, i) for i, j in zip(self.fill, self.left) if j < n])
+        strict_columns = pairwise_test(lt, [(a, i) for i, a in zip(self.fill, self.above) if a < n])
+
+        def test(word: Sequence[int]) -> bool:
+            if len(word) != n:
+                return False
+            if word and not 1 <= min(word) <= max(word) <= ceiling:
+                return False
+            return weak_rows(word) and strict_columns(word)
+
+        return test
+
+
+def ssyt_words(layout: ReadingLayout, ceiling: int) -> Iterator[tuple[int, ...]]:
+    """The reading words of every semistandard tableau of the layout's
+    shape with entries <= ceiling, in the order of :func:`enumerate_ssyt`.
+
+    Cells are filled row by row, left to right, trying smaller values
+    first and backing up to the previous cell when one has no value left;
+    each value is written at the cell's index in the reading word.
+    """
     if ceiling < 0:
         raise PreconditionError(f"ceiling must be nonnegative: {ceiling}")
-    boxes = [
-        (r, c)
-        for r in range(1, len(outer) + 1)
-        for c in range(part(inner_p, r) + 1, part(outer, r) + 1)
-    ]
-    if not boxes:
-        yield Tableau(tuple(() for _ in outer), ceiling, inner_p)
+    n = layout.size
+    if not n:
+        yield ()
         return
-    n = len(boxes)
-    index = {box: i for i, box in enumerate(boxes)}
-    left = [index.get((r, c - 1), n) for r, c in boxes]
-    above = [index.get((r - 1, c), n) for r, c in boxes]
-    starts = list(accumulate((part(outer, r) - part(inner_p, r) for r in range(1, len(outer) + 1)), initial=0))
+    fill, left, above = layout.fill, layout.left, layout.above
     values = [0] * (n + 1)  # a missing neighbour's index is n, whose value stays 0
-    i, v = 0, 1  # the cell being filled and the value to try in it
+    i, v = 0, 1  # the cell being filled, in row-major order, and the value to try in it
     while True:
         if v <= ceiling:
-            values[i] = v
+            values[fill[i]] = v
             if i + 1 < n:
                 i += 1
                 v = max(values[left[i]], values[above[i]] + 1)
             else:
-                yield Tableau([values[a:b] for a, b in zip(starts, starts[1:])], ceiling, inner_p)
+                yield tuple(values[:n])
                 v += 1
         elif i:
             i -= 1
-            v = values[i] + 1
+            v = values[fill[i]] + 1
         else:
             return
+
+
+def enumerate_ssyt(shape: Sequence[int], ceiling: int, inner: Sequence[int] = ()) -> Iterator[Tableau]:
+    """All semistandard tableaux of the given shape with entries <= ceiling.
+
+    Deterministic row-major lexicographic order: the tableaux of the
+    reading words of :func:`ssyt_words`.
+    """
+    layout = ReadingLayout(shape, inner)
+    for word in ssyt_words(layout, ceiling):
+        yield Tableau(layout.rows(word), ceiling, layout.inner)
 
 
 def order_ideal_chains(size: int, covers: Iterable[tuple[int, int]], d: int) -> Iterator[tuple[int, ...]]:

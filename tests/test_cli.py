@@ -1,5 +1,6 @@
 import io
 import json
+import shlex
 
 import pytest
 
@@ -228,7 +229,7 @@ class TestHomomesy:
         def refuse(*_):
             raise AssertionError("enumerated a system known to exceed the budget")
 
-        monkeypatch.setattr("promotab.homomesy.enumerate_ssyt", refuse)
+        monkeypatch.setattr("promotab.homomesy.ssyt_words", refuse)
         code, out, err = run(capsys, "homomesy", *"--shape 3x3 -k 8 --symmetric-all --budget 14111".split())
         assert (code, out) == (4, "")
         assert err == "budget exhausted: ssyt(shape=3,3,3;k=8;op=promote) exceeds the element budget 14111\n"
@@ -386,6 +387,11 @@ MALFORMED_FLAGS = [
     ("homomesy", "--shape 2x2 -k 3 --cells 1,1 --budget 0"),
     ("homomesy", "--shape 2x2 -k 3 --cells 1,x --budget 100"),
     ("homomesy", "--shape 2x2 -k 3 --cells 1,1;1,1 --budget 100"),
+    ("homomesy", "--shape 2x2 -k 3 --cells '' --budget 100"),
+    ("homomesy", "--shape 2x2 -k 3 --cells ';' --budget 100"),
+    ("homomesy", "--shape 2x2 -k x --cells 1,1 --budget 100"),
+    ("homomesy", "--shape 2x2 -k 3 --cells 1,1 --budget 100 --bogus"),
+    ("families", "--format xml"),
     ("families", "--family rectangle:1x"),
     ("growth", "--height 1"),
     ("dis", "--cells 1,1;1,2"),
@@ -397,9 +403,19 @@ FLAG_INPUT = {"growth": T_MAIN_TEXT, "dis": T_MAIN_TEXT, "paths": "k=4\n1 2\n3 4
 @pytest.mark.parametrize("verb, flags", MALFORMED_FLAGS, ids=[f"{v} {f}".replace(" ", "_") for v, f in MALFORMED_FLAGS])
 def test_malformed_flag_values_are_refused_in_one_line(capsys, verb, flags):
     text = ("--text", FLAG_INPUT[verb]) if verb in FLAG_INPUT else ()
-    code, out, err = run(capsys, verb, *flags.split(), *text)
+    code, out, err = run(capsys, verb, *shlex.split(flags), *text)
     assert code in (2, 3) and out == ""
     assert err.endswith("\n") and err.count("\n") == 1, err
+
+
+def test_usage_errors_are_one_parse_error_line_and_help_is_unchanged(capsys):
+    assert run(capsys) == (2, "", "parse error: the following arguments are required: command\n")
+    code, out, err = run(capsys, *"homomesy --shape 2x2 -k x --cells 1,1 --budget 100".split())
+    assert (code, out, err) == (2, "", "parse error: argument -k/--ceiling: invalid int value: 'x'\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["homomesy", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: promotab homomesy")
 
 
 @pytest.mark.parametrize("case", MALFORMED_INPUT)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from promotab.errors import BudgetExceededError, PreconditionError
 from promotab.growth import orbit_values
 from promotab.homomesy import (
     CellStatistic,
-    System,
+    _entries,
     cell_sum,
     fraction_str,
     inc_system,
@@ -19,8 +20,8 @@ from promotab.homomesy import (
     syt_poset_system,
     verdict,
 )
-from promotab.ktableaux import increasing_from_grid
-from promotab.posets import build_cominuscule, linear_extensions
+from promotab.ktableaux import IncreasingTableau, increasing_from_grid
+from promotab.posets import LinearExtension, build_cominuscule, linear_extensions
 from promotab.shapes import Tableau, count_ssyt, enumerate_ssyt
 
 
@@ -122,7 +123,7 @@ class TestVerify:
 
         base = ssyt_system((2, 2), 4)
         assert base.count == 20
-        system = System(base.description, refuse, base.step, count=base.count)
+        system = replace(base, enumerate=refuse)
         with pytest.raises(PreconditionError, match="budget must be positive"):
             partition_orbits(system, budget=0)
         with pytest.raises(BudgetExceededError, match="exceeds the element budget 19"):
@@ -137,11 +138,11 @@ class TestVerify:
 
 
 def _orbit_from(system, lead, size):
-    elements = [lead]
+    keys = [_entries(lead)]
     for _ in range(size - 1):
-        elements.append(system.step(elements[-1]))
-    assert system.step(elements[-1]) == lead
-    return elements
+        keys.append(system.step(keys[-1]))
+    assert system.step(keys[-1]) == keys[0]
+    return [system.element(key) for key in keys]
 
 
 def _ssyt_3x3():
@@ -195,20 +196,47 @@ class TestPartition:
     @pytest.mark.parametrize(
         "enumerate, step",
         [
-            # every element steps to one fixed element
-            (lambda: enumerate_ssyt((2, 2), 3), lambda t: Tableau([[1, 1], [2, 2]], 3)),
-            # promotion leaves an enumeration that stops short
-            (lambda: (t for t in enumerate_ssyt((2, 2), 3) if t.entry(1, 1) == 1), None),
+            # every element steps to one fixed element, [[1, 1], [2, 2]]
+            (lambda: ssyt_system((2, 2), 3).enumerate(), lambda word: (2, 2, 1, 1)),
+            # promotion leaves an enumeration that stops short: entry (1, 1) is the third letter
+            (lambda: (w for w in ssyt_system((2, 2), 3).enumerate() if w[2] == 1), None),
             # an enumeration that repeats an element
-            (lambda: [*enumerate_ssyt((2, 2), 3), Tableau([[1, 1], [2, 2]], 3)], None),
+            (lambda: [*ssyt_system((2, 2), 3).enumerate(), (2, 2, 1, 1)], None),
+            # an enumeration that yields a word that is not semistandard, [[2, 2], [1, 1]],
+            # under a step that is a bijection on any set
+            (lambda: [*ssyt_system((2, 2), 3).enumerate(), (1, 1, 2, 2)], lambda word: word),
         ],
-        ids=["constant-step", "step-leaves-set", "repeated-element"],
+        ids=["constant-step", "step-leaves-set", "repeated-element", "invalid-key"],
     )
     def test_non_bijective_system_fails_loudly(self, enumerate, step):
         base = ssyt_system((2, 2), 3)
-        system = System("broken", enumerate, step or base.step)
+        system = replace(base, description="broken", enumerate=enumerate, step=step or base.step)
         with pytest.raises(PreconditionError, match="broken"):
             partition_orbits(system, budget=100)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ssyt_system((3, 3, 3), 5),
+            lambda: ssyt_system((3, 2), 4, "promote_inverse"),
+            lambda: syt_poset_system(build_cominuscule("cayley")),
+            lambda: inc_system(build_cominuscule("rectangle", 3, 4), 3),
+        ],
+        ids=["ssyt", "ssyt-inverse", "linear-extensions", "increasing"],
+    )
+    def test_the_walk_builds_one_object_per_orbit(self, monkeypatch, build):
+        system = build()
+        built = []
+        for cls in (Tableau, LinearExtension, IncreasingTableau):
+
+            def counted(obj, *args, _init=cls.__init__, **kwargs):
+                built.append(type(obj))
+                _init(obj, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        partition = partition_orbits(system, budget=100_000)
+        assert len(built) == len(partition.orbits) < sum(o.size for o in partition.orbits)
+        assert built == [type(o.lead) for o in partition.orbits]
 
     def test_support_is_validated_only_when_an_orbit_exists(self):
         bad = stat((5, 5))

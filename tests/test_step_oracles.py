@@ -9,9 +9,14 @@ must yield the same lists in order as the rescanning enumerations.  These
 tests compare them with the chains of public one-step definitions and the
 rescanning enumerations kept in `util`, over the acceptance ranges and on
 degenerate inputs.
+
+The homomesy systems enumerate and step key tuples instead of objects.
+Their keys must be the public enumerations' entries tuples, in order,
+their steps the public steps, and their tuple-level key tests the checks
+that the objects' constructors (and `validate`) make.
 """
 
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -25,8 +30,8 @@ from promotab.dynamics import (
     promote_via_toggles,
     toggle,
 )
-from promotab.errors import BudgetExceededError
-from promotab.homomesy import partition_orbits, syt_poset_system
+from promotab.errors import BudgetExceededError, PreconditionError
+from promotab.homomesy import _entries, inc_system, partition_orbits, ssyt_system, syt_poset_system
 from promotab.ktableaux import IncreasingTableau, enumerate_increasing, k_promote, k_promote_inverse
 from promotab.posets import (
     FinitePoset,
@@ -39,7 +44,7 @@ from promotab.posets import (
     poset_promote_inverse,
     poset_toggle,
 )
-from promotab.shapes import Tableau, enumerate_ssyt, enumerate_syt, order_ideal_chains
+from promotab.shapes import ReadingLayout, Tableau, enumerate_ssyt, enumerate_syt, order_ideal_chains, validate
 from util import (
     chain,
     descending,
@@ -193,6 +198,88 @@ def test_syt_enumeration_is_the_ferrers_linear_extensions_in_order():
             rows = [[label_at[r, c] for c in range(1, n + 1)] for r, n in enumerate(shape, start=1)]
             expected.append(Tableau(rows, p.size))
         assert list(enumerate_syt(shape)) == expected, shape
+
+
+def c03_ssyt_systems():
+    for m, n, kmax in ((2, 2, 5), (2, 3, 5), (3, 3, 4)):
+        for k in range(1, kmax + 1):
+            yield (n,) * m, k
+    yield (), 3  # the empty shape
+    yield (2, 2), 0
+
+
+def c09_posets():
+    yield from (build_cominuscule("shifted_staircase", n) for n in (1, 2, 3))
+    yield from (build_cominuscule("propeller", n) for n in (3, 4))
+    yield from (build_cominuscule("rectangle", m, n) for m in range(1, 11) for n in range(1, 10 // m + 1))
+    yield FinitePoset(0, [])
+
+
+def c10_systems():
+    for n in range(1, 6):
+        p = build_cominuscule("rectangle", 2, n)
+        yield from ((p, q) for q in range(2 * n))
+    yield FinitePoset(0, []), 0
+
+
+def check_keyed_system(system, elements, step) -> None:
+    """The system's keys are its public enumeration's entries tuples, in
+    order; each builds its element, and steps to its element's step."""
+    keys = list(system.enumerate())
+    assert keys == [_entries(x) for x in elements]
+    for key, x in zip(keys, elements):
+        assert system.admits(key)
+        assert system.element(key) == x
+        assert system.step(key) == _entries(step(x))
+
+
+@pytest.mark.parametrize("operator", ["promote", "promote_inverse"])
+@pytest.mark.parametrize("shape, k", list(c03_ssyt_systems()), ids=repr)
+def test_ssyt_keys_and_steps_equal_the_tableaux(shape, k, operator):
+    step = {"promote": promote, "promote_inverse": promote_inverse}[operator]
+    check_keyed_system(ssyt_system(shape, k, operator), list(enumerate_ssyt(shape, k)), step)
+
+
+@pytest.mark.parametrize("p", list(c09_posets()), ids=repr)
+def test_linear_extension_keys_and_steps_equal_the_objects(p):
+    check_keyed_system(syt_poset_system(p), list(linear_extensions(p)), poset_promote)
+
+
+@pytest.mark.parametrize("p, q", list(c10_systems()), ids=repr)
+def test_increasing_keys_and_steps_equal_the_objects(p, q):
+    check_keyed_system(inc_system(p, q), list(enumerate_increasing(p, q)), k_promote)
+
+
+@pytest.mark.parametrize(
+    "shape, inner",
+    [((), ()), ((3,), ()), ((1, 1, 1), ()), ((2, 2), ()), ((3, 2), ()), ((2, 2, 1), (1,)), ((3, 2, 1), (1, 1)), ((2, 1), (1, 1))],
+    ids=repr,
+)
+def test_the_semistandard_word_test_is_the_tableau_checks(shape, inner):
+    layout = ReadingLayout(shape, inner)
+    for k in range(4):
+        semistandard = layout.semistandard_test(k)
+        for word in product(range(k + 2), repeat=layout.size):
+            in_range = all(1 <= v <= k for v in word)
+            expected = in_range and validate(Tableau(layout.rows(word), k, inner), "semistandard")
+            assert semistandard(word) == expected, (word, k)
+        assert not semistandard((1,) * (layout.size + 1))
+
+
+@pytest.mark.parametrize("p", [*DEGENERATE_POSETS, FinitePoset(3, [(1, 2), (1, 3)]), ferrers_poset((2, 2))], ids=repr)
+def test_the_labelling_test_is_the_constructor_checks(p):
+    def builds(cls, labels):
+        try:
+            return cls(p, labels)
+        except PreconditionError:
+            return None
+
+    tests = [p.labelling_test(d) for d in range(p.size + 1)]
+    for labels in product(range(p.size + 2), repeat=p.size):
+        t = builds(IncreasingTableau, labels)
+        assert [test(labels) for test in tests] == [t is not None and t.d == d for d in range(p.size + 1)], labels
+        assert tests[-1](labels) == (builds(LinearExtension, labels) is not None)
+    assert not tests[-1]((1,) * (p.size + 1))
 
 
 def test_poset_enumeration_is_pulled_only_up_to_the_budget(monkeypatch):
