@@ -272,8 +272,9 @@ def _cmd_homomesy(args) -> int:
         rectangle = (len(shape), shape[0]) if len(set(shape)) == 1 else None
         stats = _statistics_for(args, "ssyt", rectangle)
     elif args.family or args.partition:
-        poset = _parse_family(args.family) if args.family else posets.ferrers_poset(_parse_partition(args.partition))
-        system = homomesy.syt_poset_system(poset)
+        shape = _parse_partition(args.partition) if args.partition else None
+        poset = _parse_family(args.family) if args.family else posets.ferrers_poset(shape)
+        system = homomesy.syt_poset_system(poset, count=None if shape is None else shapes.count_syt(shape))
         stats = _statistics_for(args, "syt_poset", poset)
     else:
         raise ParseError("homomesy needs a system: (-k with --partition/--shape), (-q ...), or --family")
@@ -283,17 +284,19 @@ def _cmd_homomesy(args) -> int:
         sizes = f"{len(stats)} statistics x {len(partition.orbits)} orbits = {len(stats) * len(partition.orbits)}"
         raise BudgetExceededError(f"{partition.system}: {sizes} report rows exceed the budget {args.budget}")
     reports = [homomesy.verdict(partition, stat) for stat in stats]
-    frac = homomesy.fraction_str
-    lines = []
-    for r in reports:
-        lines += [f"system: {r.system}", f"statistic: {r.statistic}"]
-        lines += [f"  orbit size={o.size} average={frac(o.average)}" for o in r.orbits]
-        lines.append(f"verdict: {r.verdict}")
-        if r.witness:
-            a, b = r.witness
-            lines.append(f"witness: {frac(a.average)} != {frac(b.average)}")
-    payload = [homomesy.report_to_jsonable(r) for r in reports]
-    _emit(args, "".join(f"{line}\n" for line in lines), payload[0] if len(payload) == 1 else payload)
+    if args.format == "json":
+        print(homomesy.reports_to_json(reports))
+    else:
+        frac = homomesy.fraction_str
+        lines = []
+        for r in reports:
+            lines += [f"system: {r.system}", f"statistic: {r.statistic}"]
+            lines += [f"  orbit size={o.size} average={frac(o.average)}" for o in r.orbits]
+            lines.append(f"verdict: {r.verdict}")
+            if r.witness:
+                a, b = r.witness
+                lines.append(f"witness: {frac(a.average)} != {frac(b.average)}")
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
     return 1 if any(r.verdict == "violated" for r in reports) else 0
 
 

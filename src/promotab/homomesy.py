@@ -13,6 +13,10 @@ totals; the verdict is `homomesic` exactly when every orbit average
 equals the first.  Orbits are ordered by their least key, so every report
 is deterministic.  :func:`cell_sum` and :func:`orbit_average` stay the
 definitions on objects that the tests check the totals against.
+
+:func:`reports_to_json` writes reports from per-orbit fragments encoded
+once per partition, byte-identical to the ``indent=2`` JSON of
+:func:`report_to_jsonable`, which stays as the definition.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .dynamics import cycle, reading_word_step
 from .errors import BudgetExceededError, PreconditionError
@@ -122,8 +126,8 @@ def ssyt_system(shape, ceiling: int, operator: str = "promote") -> System:
     )
 
 
-def syt_poset_system(p: FinitePoset) -> System:
-    """Linear extensions of a poset under promotion."""
+def syt_poset_system(p: FinitePoset, count: int | None = None) -> System:
+    """Linear extensions of a poset under promotion; `count` is their exact number, if known."""
     label = p.name or f"poset{p.size}"
     return System(
         description=f"syt_poset({label})",
@@ -131,6 +135,7 @@ def syt_poset_system(p: FinitePoset) -> System:
         step=lambda labels: poset_promote_labels(p, labels),
         admits=p.labelling_test(p.size),
         element=lambda labels: LinearExtension(p, labels),
+        count=count,
     )
 
 
@@ -152,11 +157,13 @@ def inc_system(p: FinitePoset, q: int) -> System:
 @dataclass(frozen=True)
 class OrbitTotals:
     """One orbit: its size, its canonical element (the element of its least
-    key), and the total over the orbit of each of `lead`'s entries."""
+    key), the total over the orbit of each of `lead`'s entries, and the
+    lead's rows or labels, which every report on the partition shares."""
 
     size: int
     lead: object
     totals: tuple[int, ...]
+    representative: tuple
 
 
 @dataclass(frozen=True)
@@ -211,7 +218,9 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
             raise PreconditionError(f"{system.description}: {exc}") from exc
         lead = min(orb)
         totals = tuple(map(sum, zip(*orb)))
-        orbits[lead] = OrbitTotals(size=len(orb), lead=system.element(lead), totals=totals)
+        obj = system.element(lead)
+        rep = obj.rows if isinstance(obj, Tableau) else obj.labels
+        orbits[lead] = OrbitTotals(size=len(orb), lead=obj, totals=totals, representative=rep)
     return OrbitPartition(system=system.description, orbits=tuple(orbits[k] for k in sorted(orbits)))
 
 
@@ -242,12 +251,6 @@ class HomomesyReport:
         return self.orbits[0].average if self.homomesic and self.orbits else None
 
 
-def _representative(obj) -> tuple:
-    if isinstance(obj, Tableau):
-        return tuple(obj.rows)
-    return tuple(obj.labels)
-
-
 def verdict(partition: OrbitPartition, statistic: CellStatistic) -> HomomesyReport:
     """Compare the exact orbit averages of one statistic over a partition.
 
@@ -264,7 +267,7 @@ def verdict(partition: OrbitPartition, statistic: CellStatistic) -> HomomesyRepo
         OrbitSummary(
             size=o.size,
             average=Fraction(sum(o.totals[i] for i in positions), o.size),
-            representative=_representative(o.lead),
+            representative=o.representative,
         )
         for o in partition.orbits
     ]
@@ -323,26 +326,56 @@ def fraction_str(f: Fraction) -> str:
 
 
 def report_to_jsonable(report: HomomesyReport) -> dict:
+    def entry(o: OrbitSummary) -> dict:
+        return {"size": o.size, "average": fraction_str(o.average), "representative": o.representative}
+
     out = {
         "system": report.system,
         "statistic": report.statistic,
-        "orbits": [
-            {
-                "size": o.size,
-                "average": fraction_str(o.average),
-                "representative": o.representative,
-            }
-            for o in report.orbits
-        ],
+        "orbits": [entry(o) for o in report.orbits],
         "verdict": report.verdict,
     }
     if report.witness is not None:
-        out["witness"] = [
-            {"size": o.size, "average": fraction_str(o.average), "representative": o.representative}
-            for o in report.witness
-        ]
+        out["witness"] = [entry(o) for o in report.witness]
     return out
 
 
-def report_to_json(report: HomomesyReport) -> str:
-    return json.dumps(report_to_jsonable(report), sort_keys=True, indent=2)
+def _json_list(items: Iterable, indent: str) -> str:
+    """``json.dumps(indent=2)`` of a list whose items encode as
+    ``str(item)``, with its closing bracket at `indent`."""
+    inner = indent + "  "
+    body = (",\n" + inner).join(map(str, items))
+    return f"[\n{inner}{body}\n{indent}]" if body else "[]"
+
+
+def reports_to_json(reports: Sequence[HomomesyReport]) -> str:
+    """One report as a JSON object, any other number as a list, in the
+    bytes of ``json.dumps(payload, sort_keys=True, indent=2)`` over
+    :func:`report_to_jsonable`.  An orbit's entry after its average (its
+    representative, encoded from its int tuples, and its size) is one
+    fragment per representative object, which all its reports share."""
+    pad = "  " if len(reports) != 1 else ""  # the reports' braces
+    key, entry, field = pad + "  ", pad + "    ", pad + "      "  # report keys, orbit braces, orbit keys
+    fragments: dict[tuple[int, int], str] = {}
+
+    def orbit_list(summaries) -> str:
+        items = []
+        for o in summaries:
+            tail = fragments.get((id(o.representative), o.size))
+            if tail is None:
+                rep = o.representative
+                if rep and not isinstance(rep[0], int):
+                    rep = [_json_list(row, field + "  ") for row in rep]
+                tail = f'",\n{field}"representative": {_json_list(rep, field)},\n{field}"size": {o.size}\n{entry}}}'
+                fragments[id(o.representative), o.size] = tail
+            items.append(f'{{\n{field}"average": "{fraction_str(o.average)}{tail}')
+        return _json_list(items, key)
+
+    docs = []
+    for r in reports:
+        fields = [f'"orbits": {orbit_list(r.orbits)}']
+        fields += [f'"{name}": {json.dumps(getattr(r, name))}' for name in ("statistic", "system", "verdict")]
+        if r.witness is not None:
+            fields.append(f'"witness": {orbit_list(r.witness)}')
+        docs.append(f"{{\n{key}" + f",\n{key}".join(fields) + f"\n{pad}}}")
+    return _json_list(docs, "") if pad else docs[0]

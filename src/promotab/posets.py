@@ -20,11 +20,10 @@ systems walk.
 
 from __future__ import annotations
 
-import random
 from operator import lt
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import ParseError, PreconditionError
+from .errors import PreconditionError
 from .shapes import Box, check_partition, order_ideal_chains, pairwise_test
 
 CAYLEY_ROWS = ((0, 5), (2, 3), (3, 3), (3, 5))
@@ -284,23 +283,6 @@ def linear_extensions(p: FinitePoset) -> Iterator[LinearExtension]:
         yield LinearExtension(p, labels)
 
 
-def random_linear_extension(p: FinitePoset, rng: random.Random) -> LinearExtension:
-    """A random linear extension (greedy over random minimal elements;
-    not uniform, which property checks do not require)."""
-    labels = [0] * p.size
-    placed: set[int] = set()
-    for next_label in range(1, p.size + 1):
-        ready = [
-            x
-            for x in p.elements()
-            if x not in placed and all(d in placed for d in p.lower_covers(x))
-        ]
-        x = rng.choice(ready)
-        labels[x - 1] = next_label
-        placed.add(x)
-    return LinearExtension(p, labels)
-
-
 def poset_toggle(t: LinearExtension, i: int) -> LinearExtension:
     """Swap the labels i and i+1 unless they sit on comparable elements,
     that is (no label lying between them) unless they form a cover."""
@@ -374,26 +356,3 @@ def format_poset(p: FinitePoset) -> str:
     lines = [f"elements={p.size}"]
     lines.extend(f"{x}<{y}" for x, y in sorted(p.covers))
     return "\n".join(lines) + "\n"
-
-
-def parse_poset(text: str) -> FinitePoset:
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("elements="):
-        raise ParseError("poset text must start with an 'elements=<d>' line")
-    try:
-        size = int(lines[0].split("=", 1)[1])
-    except ValueError:
-        raise ParseError(f"malformed element count: {lines[0]!r}")
-    covers = []
-    for line in lines[1:]:
-        if "<" not in line:
-            raise ParseError(f"expected a cover 'x<y', got {line!r}")
-        a, b = line.split("<", 1)
-        try:
-            covers.append((int(a), int(b)))
-        except ValueError:
-            raise ParseError(f"bad cover line {line!r}")
-    try:
-        return FinitePoset(size, covers)
-    except PreconditionError as exc:
-        raise ParseError(str(exc))

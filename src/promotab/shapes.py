@@ -212,10 +212,10 @@ class ReadingLayout:
     `bounds` holds each row's slice of the word, top row first; `fill`,
     `left` and `above` hold, for the cells in row-major order, the
     word index of the cell and of its left and upper neighbours (`size`
-    for a missing one).
+    for a missing one); `below` holds the number of cells under each.
     """
 
-    __slots__ = ("outer", "inner", "size", "bounds", "fill", "left", "above")
+    __slots__ = ("outer", "inner", "size", "bounds", "fill", "left", "above", "below")
 
     def __init__(self, shape: Sequence[int], inner: Sequence[int] = ()):
         outer = check_partition(shape) if shape else ()
@@ -238,6 +238,7 @@ class ReadingLayout:
         self.fill = tuple(fill)
         self.left = tuple(left)
         self.above = tuple(above)
+        self.below = tuple(sum(length >= c for length in outer[r:]) for r, c in cells)
 
     def rows(self, word: Sequence[int]) -> list[Sequence[int]]:
         """The rows, top row first, of the tableau whose reading word is `word`."""
@@ -267,7 +268,8 @@ def ssyt_words(layout: ReadingLayout, ceiling: int) -> Iterator[tuple[int, ...]]
 
     Cells are filled row by row, left to right, trying smaller values
     first and backing up to the previous cell when one has no value left;
-    each value is written at the cell's index in the reading word.
+    each value is written at the cell's index in the reading word.  A cell
+    takes at most the ceiling minus its `below`, so no branch is a dead end.
     """
     if ceiling < 0:
         raise PreconditionError(f"ceiling must be nonnegative: {ceiling}")
@@ -275,11 +277,14 @@ def ssyt_words(layout: ReadingLayout, ceiling: int) -> Iterator[tuple[int, ...]]
     if not n:
         yield ()
         return
+    caps = [ceiling - below for below in layout.below]
+    if min(caps) < 1:  # a column longer than the ceiling
+        return
     fill, left, above = layout.fill, layout.left, layout.above
     values = [0] * (n + 1)  # a missing neighbour's index is n, whose value stays 0
     i, v = 0, 1  # the cell being filled, in row-major order, and the value to try in it
     while True:
-        if v <= ceiling:
+        if v <= caps[i]:
             values[fill[i]] = v
             if i + 1 < n:
                 i += 1

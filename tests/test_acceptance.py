@@ -55,7 +55,6 @@ from promotab.posets import (
     build_cominuscule,
     linear_extensions,
     poset_evacuate,
-    random_linear_extension,
     rotate,
     rotate_reverse,
 )
@@ -70,7 +69,7 @@ from promotab.shapes import (
     rotate_complement,
     rsk_insert,
 )
-from util import partitions_up_to
+from util import partitions_up_to, random_linear_extension
 
 
 def T(rows, k, inner=()):

@@ -4,6 +4,7 @@ import shlex
 
 import pytest
 
+from promotab import homomesy
 from promotab.cli import main
 
 T_MAIN_TEXT = "k=6\n1 1 2 3\n3 3 4 4\n5 5\n"
@@ -233,6 +234,32 @@ class TestHomomesy:
         code, out, err = run(capsys, "homomesy", *"--shape 3x3 -k 8 --symmetric-all --budget 14111".split())
         assert (code, out) == (4, "")
         assert err == "budget exhausted: ssyt(shape=3,3,3;k=8;op=promote) exceeds the element budget 14111\n"
+
+    def test_a_partition_poset_is_refused_before_enumerating(self, monkeypatch, capsys):
+        def refuse(*_):
+            raise AssertionError("enumerated a system known to exceed the budget")
+
+        monkeypatch.setattr("promotab.homomesy.linear_extension_labels", refuse)
+        code, out, err = run(capsys, "homomesy", *"--partition 4,4,4 --cells 1,1 --budget 461".split())
+        assert (code, out) == (4, "")
+        assert err == "budget exhausted: syt_poset(ferrers(4, 4, 4)) exceeds the element budget 461\n"
+        monkeypatch.undo()
+        code, out, _ = run(capsys, "homomesy", *"--partition 4,4,4 --cells 1,1 --budget 462".split())
+        assert code == 0 and out.endswith("verdict: homomesic\n")
+
+    def test_only_partition_posets_carry_a_count(self, monkeypatch, capsys):
+        counts = []
+        build = homomesy.syt_poset_system
+
+        def recorded(poset, count=None):
+            counts.append(count)
+            return build(poset, count)
+
+        monkeypatch.setattr(homomesy, "syt_poset_system", recorded)
+        for args in ("--family cayley", "--family rectangle:2x3", "--partition 3,3", "--partition 3,2,1"):
+            code, _, _ = run(capsys, "homomesy", *args.split(), "--cells", "1,1", "--budget", "1000")
+            assert code == 0
+        assert counts == [None, None, 5, 16]
 
     def test_symmetric_all_checks_the_shape_before_building_statistics(self, monkeypatch, capsys):
         def refuse(_):

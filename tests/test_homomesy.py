@@ -14,7 +14,7 @@ from promotab.homomesy import (
     inc_system,
     orbit_average,
     partition_orbits,
-    report_to_json,
+    reports_to_json,
     ssyt_system,
     symmetric_subsets,
     syt_poset_system,
@@ -291,5 +291,5 @@ class TestJson:
 
     def test_json_is_deterministic(self):
         report = verdict(partition_orbits(ssyt_system((2, 2), 3), budget=100), stat((1, 1), (2, 2)))
-        assert report_to_json(report) == report_to_json(report)
-        assert '"verdict"' in report_to_json(report)
+        assert reports_to_json([report]) == reports_to_json([report])
+        assert '"verdict"' in reports_to_json([report])

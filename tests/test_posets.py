@@ -15,17 +15,15 @@ from promotab.posets import (
     ferrers_poset,
     format_poset,
     linear_extensions,
-    parse_poset,
     poset_evacuate,
     poset_promote,
     poset_promote_inverse,
     poset_toggle,
-    random_linear_extension,
     rotate,
     rotate_reverse,
 )
 from promotab.shapes import Tableau, enumerate_syt
-from util import brute_linear_extension_count
+from util import brute_linear_extension_count, parse_poset, random_linear_extension
 
 
 def chain(d):

@@ -1,9 +1,12 @@
+import inspect
+import sys
 from itertools import accumulate, product
 
 import pytest
 
 from promotab.errors import ParseError, PreconditionError
 from promotab.shapes import (
+    ReadingLayout,
     Tableau,
     Word,
     complement_reverse,
@@ -16,9 +19,45 @@ from promotab.shapes import (
     reading_word,
     rotate_complement,
     rsk_insert,
+    ssyt_words,
     validate,
 )
-from util import partitions_up_to
+from util import partitions_up_to, unpruned_ssyt_words
+
+
+def skew_shapes_up_to(cells: int):
+    """Every (outer, inner) pair with at most `cells` outer cells, the
+    straight shapes (inner empty) among them."""
+    for outer in ((), *partitions_up_to(cells)):
+        inners = [()]
+        for length in outer:
+            inners = [mu + (x,) for mu in inners for x in range(min(length, mu[-1] if mu else length) + 1)]
+        yield from ((outer, tuple(x for x in mu if x)) for mu in inners)
+
+
+def entered_cells(layout: ReadingLayout, ceiling: int) -> tuple[int, list]:
+    """The number of times :func:`ssyt_words` writes a value into a cell,
+    counted by a line tracer, and the words it yields."""
+    lines, start = inspect.getsourcelines(ssyt_words)
+    write = start + next(i for i, line in enumerate(lines) if line.strip() == "values[fill[i]] = v")
+    writes = 0
+
+    def local(frame, event, _):
+        nonlocal writes
+        if event == "line" and frame.f_lineno == write:
+            writes += 1
+        return local
+
+    def trace(frame, event, _):
+        return local if frame.f_code is ssyt_words.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        words = list(ssyt_words(layout, ceiling))
+    finally:
+        sys.settrace(previous)
+    return writes, words
 
 
 def T(rows, k, inner=()):
@@ -81,6 +120,32 @@ class TestEnumeration:
             )
             expected = [t for t in fillings if validate(t, "semistandard")]
             assert list(enumerate_ssyt(shape, k, inner)) == expected, (shape, k, inner)
+
+    def test_words_equal_the_unpruned_loop_on_every_small_shape(self):
+        for outer, inner in skew_shapes_up_to(7):
+            layout = ReadingLayout(outer, inner)
+            for k in range(5):
+                assert list(ssyt_words(layout, k)) == list(unpruned_ssyt_words(layout, k)), (outer, inner, k)
+
+    @pytest.mark.parametrize(
+        "outer, inner, ceilings",
+        [
+            ((3, 3, 3), (), range(6)),
+            ((4, 2, 1, 1), (), range(6)),
+            ((2, 1, 1), (1,), range(4)),  # the long column is not the first cell's
+            ((3, 3, 2, 2), (2, 1), range(6)),
+            ((5, 5, 5, 5, 5), (), (5, 6)),
+        ],
+    )
+    def test_every_cell_entered_leads_to_a_word(self, outer, inner, ceilings):
+        layout = ReadingLayout(outer, inner)
+        for k in ceilings:
+            writes, words = entered_cells(layout, k)
+            # a write fixes a row-major prefix that no earlier write fixed, so
+            # there are no dead ends exactly when every write is a prefix of a word
+            prefixes = {tuple(w[j] for j in layout.fill[:length]) for w in words for length in range(1, layout.size + 1)}
+            assert writes == len(prefixes), (outer, inner, k)
+            assert len(words) == count_ssyt(outer, k) or inner
 
     def test_a_long_row_enumerates(self):
         assert len(list(enumerate_ssyt((1200,), 2))) == count_ssyt((1200,), 2) == 1201

@@ -1,11 +1,13 @@
 """Shared helpers and independent brute-force oracles for the test suite."""
 
+import random
 from itertools import permutations, product
 
 from promotab.dynamics import promote, rectify
+from promotab.errors import ParseError, PreconditionError
 from promotab.ktableaux import BULLET, IncreasingTableau, switch
 from promotab.posets import FinitePoset, LinearExtension
-from promotab.shapes import Tableau
+from promotab.shapes import ReadingLayout, Tableau
 
 
 def partitions_of(n: int):
@@ -250,3 +252,71 @@ def linear_extensions_by_rescan(p: FinitePoset):
                 labels[x - 1] = 0
 
     yield from extend(1)
+
+
+def random_linear_extension(p: FinitePoset, rng: random.Random) -> LinearExtension:
+    """A random linear extension (greedy over random minimal elements;
+    not uniform, which property checks do not require)."""
+    labels = [0] * p.size
+    placed: set[int] = set()
+    for next_label in range(1, p.size + 1):
+        ready = [
+            x
+            for x in p.elements()
+            if x not in placed and all(d in placed for d in p.lower_covers(x))
+        ]
+        x = rng.choice(ready)
+        labels[x - 1] = next_label
+        placed.add(x)
+    return LinearExtension(p, labels)
+
+
+def parse_poset(text: str) -> FinitePoset:
+    """Oracle: read back the text of `promotab.posets.format_poset`, an
+    `elements=d` line and then one `x<y` cover per line."""
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    if not lines or not lines[0].startswith("elements="):
+        raise ParseError("poset text must start with an 'elements=<d>' line")
+    try:
+        size = int(lines[0].split("=", 1)[1])
+    except ValueError:
+        raise ParseError(f"malformed element count: {lines[0]!r}")
+    covers = []
+    for line in lines[1:]:
+        if "<" not in line:
+            raise ParseError(f"expected a cover 'x<y', got {line!r}")
+        a, b = line.split("<", 1)
+        try:
+            covers.append((int(a), int(b)))
+        except ValueError:
+            raise ParseError(f"bad cover line {line!r}")
+    try:
+        return FinitePoset(size, covers)
+    except PreconditionError as exc:
+        raise ParseError(str(exc))
+
+
+def unpruned_ssyt_words(layout: ReadingLayout, ceiling: int):
+    """Oracle: the SSYT reading-word loop that tries every value up to the
+    ceiling in every cell, dead ends included."""
+    n = layout.size
+    if not n:
+        yield ()
+        return
+    fill, left, above = layout.fill, layout.left, layout.above
+    values = [0] * (n + 1)
+    i, v = 0, 1
+    while True:
+        if v <= ceiling:
+            values[fill[i]] = v
+            if i + 1 < n:
+                i += 1
+                v = max(values[left[i]], values[above[i]] + 1)
+            else:
+                yield tuple(values[:n])
+                v += 1
+        elif i:
+            i -= 1
+            v = values[fill[i]] + 1
+        else:
+            return
