@@ -13,6 +13,7 @@ from .dynamics import (
     partial_promote,
     promote,
     promote_inverse,
+    promote_inverse_via_toggles,
     promote_via_toggles,
     promotion_period,
     rectify,

@@ -1,23 +1,30 @@
 """Jeu de taquin, promotion, Bender-Knuth toggles, and evacuation.
 
 All operations are pure: they take immutable tableaux and return new ones.
-Promotion is implemented twice on purpose (the slide definition and the
-toggle product) so the two routes can be checked against each other.
+Promotion and its inverse are implemented twice on purpose (slides and
+toggle sweeps) so the two routes can be checked against each other.
 
 :func:`jdt_slide`/:func:`rectify` and :func:`toggle` are the one-step
-definitions.  The step maps built on them (:func:`promote` and the toggle
-sweeps) work on plain rows and build one :class:`Tableau`, their result;
-the tests check each of them against the chain of one-step definitions.
-Each operator in :data:`OPERATORS` has one row kernel.  Its step on
-tableaux wraps it, and so does :func:`reading_word_step`, its step on
-reading words (the keys that homomesy systems walk), which builds no
-tableau.
+definitions.  Two slide kernels work on the reading word of a straight
+shape, through the shape's table of neighbours: one slides the holes of
+the 1s out (promotion, and partial promotion below a ceiling), the other
+slides the holes of the entries equal to the ceiling back in (inverse
+promotion).
+:func:`promote`, :func:`promote_inverse`, :func:`partial_promote` and
+:func:`evacuate` check that a tableau is semistandard, run a kernel on its
+reading word and build one :class:`Tableau`, their result.  Each operator
+in :data:`OPERATORS` has one kernel, which its step on tableaux and
+:func:`reading_word_step`, its step on reading words (the keys that
+homomesy systems walk), share.  The toggle sweeps
+(:func:`promote_via_toggles`, :func:`promote_inverse_via_toggles`,
+:func:`evacuate_via_toggles`) toggle plain rows; the tests check every
+kernel against them and against the chains of one-step definitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import PreconditionError
@@ -124,43 +131,104 @@ def rectify(t: Tableau, pick: Picker | None = None) -> Tableau:
     return cur
 
 
+def _slide_out(layout: ReadingLayout, i: int, k: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """Promotion of the entries <= i on the reading words of a straight
+    layout with entries <= k, every larger entry frozen.
+
+    The holes of the top row's 1s slide out one by one, rightmost first,
+    by the rule of :func:`jdt_slide` (on equal values the hole moves
+    below), and a cell holding more than i counts as absent.  Each hole
+    stops holding k + 1, which later slides read as absent; then every
+    entry <= i is decremented and every stopped hole holds i.
+    """
+    south, east = layout.south, layout.east
+    top = layout.size - part(layout.outer, 1)  # the top row's first index
+    absent = k + 1
+    relabel = (-1).__add__ if i == k else lambda v: v - 1 if v <= i else v if v < absent else i
+
+    def step(word: Sequence[int]) -> tuple[int, ...]:
+        w = [*word, absent]  # a missing neighbour's index, -1, reads this absent cell
+        for h in range(top + word.count(1) - 1, top - 1, -1):
+            while True:
+                s, e = south[h], east[h]
+                below, right = w[s], w[e]
+                if below <= right:
+                    if below > i:
+                        break
+                    w[h], h = below, s
+                elif right > i:
+                    break
+                else:
+                    w[h], h = right, e
+            w[h] = absent
+        w.pop()
+        return tuple(map(relabel, w))
+
+    return step
+
+
+def _slide_in(layout: ReadingLayout, k: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """Inverse promotion on the reading words of a straight layout with
+    entries <= k: the reverse slides of :func:`_slide_out`.
+
+    The k's become holes and slide north-west one by one, leftmost first
+    (their order in the reading word): a hole takes the larger of the
+    cells above and to the left, the one above on equal values.  Each
+    hole stops holding 0, which later slides read as absent; then every
+    entry is incremented.
+    """
+    north, west = layout.north, layout.west
+
+    def step(word: Sequence[int]) -> tuple[int, ...]:
+        w = [*word, 0]  # a missing neighbour's index, -1, reads this absent cell
+        j = -1
+        for _ in range(word.count(k)):
+            h = j = word.index(k, j + 1)
+            while True:
+                a, b = north[h], west[h]
+                above, left = w[a], w[b]
+                if above >= left:
+                    if not above:
+                        break
+                    w[h], h = above, a
+                else:
+                    w[h], h = left, b
+            w[h] = 0
+        w.pop()
+        return tuple(map((1).__add__, w))
+
+    return step
+
+
+@lru_cache(maxsize=8)
+def _straight(outer: Partition, ceiling: int) -> tuple[ReadingLayout, Callable[[Sequence[int]], bool]]:
+    """The reading layout of a straight shape and its semistandard test
+    at `ceiling`.  Sweeps step many tableaux of one shape in a row, so a
+    few recent shapes are kept; more would only add memory."""
+    layout = ReadingLayout(outer)
+    return layout, layout.semistandard_test(ceiling)
+
+
+def _reading_word(t: Tableau, step: str) -> tuple[ReadingLayout, tuple[int, ...]]:
+    """The layout and reading word of t, which `step` needs straight and
+    semistandard."""
+    if not t.is_straight:
+        raise PreconditionError(f"{step} requires a straight shape")
+    layout, semistandard = _straight(t.outer, t.ceiling)
+    word = t.row_reading()
+    if not semistandard(word):
+        raise PreconditionError("not semistandard")
+    return layout, word
+
+
 def promote(t: Tableau) -> Tableau:
     """Promotion: delete the 1s, rectify, decrement, refill with the ceiling.
 
     A tableau without 1s is simply decremented.
     """
-    if not t.is_straight:
-        raise PreconditionError("promotion requires a straight shape")
-    return Tableau(_promote_rows(t.rows, t.ceiling), t.ceiling)
-
-
-def _promote_rows(rows: Sequence[Sequence[int]], k: int) -> list[list[int]]:
-    """The rows of :func:`promote` with ceiling k, from the rows of a
-    straight shape.
-
-    The holes left by the 1s slide out one by one, rightmost first, by the
-    rule of :func:`jdt_slide` (on equal values the hole moves below), on
-    one list of rows.
-    """
-    if any(1 in row for row in rows[1:]):
-        raise PreconditionError("not semistandard: 1 below the first row")
-    out = [list(row) for row in rows] + [[]]  # an empty row ends every slide downwards
-    ones = out[0].count(1)
-    for c in range(ones - 1, -1, -1):
-        r = 0
-        while True:
-            below = out[r + 1][c] if c < len(out[r + 1]) else None
-            right = out[r][c + 1] if c + 1 < len(out[r]) else None
-            if below is None and right is None:
-                break
-            if right is None or (below is not None and below <= right):
-                out[r][c] = below
-                r += 1
-            else:
-                out[r][c] = right
-                c += 1
-        out[r].pop()
-    return [[v - 1 for v in new] + [k] * (len(old) - len(new)) for new, old in zip(out, rows)]
+    layout, word = _reading_word(t, "promotion")
+    k = t.ceiling
+    return Tableau(layout.rows(_slide_out(layout, k, k)(word)), k)
 
 
 def _toggle_rows(rows: Sequence[Sequence[int]], offsets: Sequence[int], i: int) -> list[Sequence[int]]:
@@ -215,16 +283,13 @@ def toggle(t: Tableau, i: int) -> Tableau:
     return Tableau(_toggle_rows(t.rows, _offsets(t), i), t.ceiling, t.inner)
 
 
-def _sweep_rows(rows: Sequence[Sequence[int]], offsets: Sequence[int], indices: Iterable[int]) -> Sequence[Sequence[int]]:
-    """The rows after the toggles at `indices`, applied in order."""
-    for i in indices:
-        rows = _toggle_rows(rows, offsets, i)
-    return rows
-
-
 def _toggle_sweep(t: Tableau, indices: Iterable[int]) -> Tableau:
     """The toggles at `indices`, applied in order, as one tableau."""
-    return Tableau(_sweep_rows(t.rows, _offsets(t), indices), t.ceiling, t.inner)
+    rows: Sequence[Sequence[int]] = t.rows
+    offsets = _offsets(t)
+    for i in indices:
+        rows = _toggle_rows(rows, offsets, i)
+    return Tableau(rows, t.ceiling, t.inner)
 
 
 def promote_via_toggles(t: Tableau) -> Tableau:
@@ -235,21 +300,21 @@ def promote_via_toggles(t: Tableau) -> Tableau:
 
 
 def promote_inverse(t: Tableau) -> Tableau:
+    """Inverse promotion, as the reverse slides of :func:`promote`."""
+    layout, word = _reading_word(t, "promotion")
+    return Tableau(layout.rows(_slide_in(layout, t.ceiling)(word)), t.ceiling)
+
+
+def promote_inverse_via_toggles(t: Tableau) -> Tableau:
     """Inverse promotion, as the descending toggle sweep.
 
     Each toggle is an involution, so reversing the sweep inverts
-    :func:`promote_via_toggles` (equal to :func:`promote`) exactly, with
-    no reference to the orbit period.
+    :func:`promote_via_toggles` exactly, with no reference to the orbit
+    period.
     """
     if not t.is_straight:
         raise PreconditionError("promotion requires a straight shape")
-    return Tableau(_promote_inverse_rows(t.rows, t.ceiling), t.ceiling)
-
-
-def _promote_inverse_rows(rows: Sequence[Sequence[int]], k: int) -> Sequence[Sequence[int]]:
-    """The rows of :func:`promote_inverse` with ceiling k, from the rows of
-    a straight shape."""
-    return _sweep_rows(rows, [0] * (len(rows) + 1), range(k - 1, 0, -1))
+    return _toggle_sweep(t, range(t.ceiling - 1, 0, -1))
 
 
 def slide_toggle(t: Tableau, i: int) -> Tableau:
@@ -304,35 +369,13 @@ def partial_promote(t: Tableau, i: int) -> Tableau:
     """Promote the entries <= i in place, freezing everything larger.
 
     The cells holding entries <= i of a straight semistandard tableau form
-    a straight sub-shape; it is promoted with ceiling i and written back
-    under the unchanged frozen entries.
+    a straight sub-shape; it is promoted with ceiling i under the
+    unchanged frozen entries.
     """
-    if not t.is_straight:
-        raise PreconditionError("partial promotion requires a straight shape")
+    layout, word = _reading_word(t, "partial promotion")
     if not 1 <= i <= t.ceiling:
         raise PreconditionError(f"partial promotion ceiling {i} out of range [1, {t.ceiling}]")
-    return Tableau(_partial_promote_rows(t.rows, i), t.ceiling)
-
-
-def _partial_promote_rows(rows: Sequence[Sequence[int]], i: int) -> list[Sequence[int]]:
-    """The rows of :func:`partial_promote` at i, from the rows of a
-    straight shape."""
-    sub_rows = []
-    for row in rows:
-        taken = 0
-        for v in row:
-            if v <= i:
-                taken += 1
-            else:
-                break
-        sub_rows.append(row[:taken])
-    while sub_rows and not sub_rows[-1]:
-        sub_rows.pop()
-    if any(len(a) < len(b) for a, b in zip(sub_rows, sub_rows[1:])):
-        raise PreconditionError(f"the entries <= {i} do not form a straight shape")
-    promoted = _promote_rows(sub_rows, i)
-    promoted += [[]] * (len(rows) - len(promoted))
-    return [base + list(row[len(base):]) for base, row in zip(promoted, rows)]
+    return Tableau(layout.rows(_slide_out(layout, i, t.ceiling)(word)), t.ceiling)
 
 
 def evacuate(t: Tableau) -> Tableau:
@@ -341,15 +384,11 @@ def evacuate(t: Tableau) -> Tableau:
     Stage j freezes the top j-1 values of the previous stage and promotes
     the remaining portion with the reduced ceiling.
     """
-    if not t.is_straight:
-        raise PreconditionError("evacuation requires a straight shape")
+    layout, word = _reading_word(t, "evacuation")
     k = t.ceiling
-    if k == 0:
-        return t
-    rows = _promote_rows(t.rows, k)
-    for j in range(2, k + 1):
-        rows = _partial_promote_rows(rows, k - j + 1)
-    return Tableau(rows, k)
+    for i in range(k, 0, -1):
+        word = _slide_out(layout, i, k)(word)
+    return Tableau(layout.rows(word), k)
 
 
 def evacuate_via_toggles(t: Tableau) -> Tableau:
@@ -376,11 +415,12 @@ def dual_evacuate_via_complement(t: Tableau) -> Tableau:
     return rotate_complement(evacuate(rotate_complement(t)))
 
 
-# Each operator's step on tableaux, and the row kernel that it and
+# Each operator's step on tableaux, and its kernel on the reading words of
+# a layout at a ceiling, which the step on tableaux and
 # :func:`reading_word_step` share.
 OPERATORS: dict[str, tuple[Callable[[Tableau], Tableau], Callable]] = {
-    "promote": (promote, _promote_rows),
-    "promote_inverse": (promote_inverse, _promote_inverse_rows),
+    "promote": (promote, lambda layout, k: _slide_out(layout, k, k)),
+    "promote_inverse": (promote_inverse, _slide_in),
 }
 
 
@@ -398,22 +438,15 @@ def lookup_operator(name: str) -> Callable[[Tableau], Tableau]:
 
 
 def reading_word_step(layout: ReadingLayout, ceiling: int, operator: str) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """The step map `operator` on reading words: a word of the straight
-    layout, with entries <= ceiling, to the reading word of the tableau
-    that the step on tableaux gives.
-
-    The word is cut into rows, the operator's row kernel steps them, and
-    the rows are read back; no tableau is built.
+    """The step map `operator` on reading words: a semistandard word of
+    the straight layout, with entries <= ceiling, to the reading word of
+    the tableau that the step on tableaux gives.  No tableau is built and
+    the word is not checked.
     """
     kernel = _registered(operator)[1]
     if layout.inner:
         raise PreconditionError("promotion requires a straight shape")
-    rows = layout.rows
-
-    def step(word: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(chain.from_iterable(reversed(kernel(rows(word), ceiling))))
-
-    return step
+    return kernel(layout, ceiling)
 
 
 def cycle(start: X, step: Callable[[X], X]) -> Iterator[X]:

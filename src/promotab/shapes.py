@@ -209,13 +209,14 @@ class ReadingLayout:
     The reading word is the flat key of a tableau of the shape.
     :meth:`rows` cuts a word into a tableau's rows (top row first), and
     :meth:`semistandard_test` tests words without building a tableau.
-    `bounds` holds each row's slice of the word, top row first; `fill`,
-    `left` and `above` hold, for the cells in row-major order, the
-    word index of the cell and of its left and upper neighbours (`size`
-    for a missing one); `below` holds the number of cells under each.
+    `bounds` holds each row's slice of the word, top row first; `fill`
+    and `below` hold, for the cells in row-major order, the word index of
+    the cell and the number of cells under it.  `south`, `east`, `north`
+    and `west` hold, by word index, the word index of the cell below, to
+    the right, above and to the left, or -1 for a missing one.
     """
 
-    __slots__ = ("outer", "inner", "size", "bounds", "fill", "left", "above", "below")
+    __slots__ = ("outer", "inner", "size", "bounds", "fill", "below", "south", "east", "north", "west")
 
     def __init__(self, shape: Sequence[int], inner: Sequence[int] = ()):
         outer = check_partition(shape) if shape else ()
@@ -228,17 +229,17 @@ class ReadingLayout:
         n = ends[-1]
         cells = [(r, c) for r in range(1, len(outer) + 1) for c in range(part(inner_p, r) + 1, part(outer, r) + 1)]
         index = {(r, c): bounds[r - 1][0] + c - part(inner_p, r) - 1 for r, c in cells}
-        fill = [index[cell] for cell in cells]
-        left = [index.get((r, c - 1), n) for r, c in cells]
-        above = [index.get((r - 1, c), n) for r, c in cells]
         self.outer = outer
         self.inner = inner_p
         self.size = n
         self.bounds = tuple(bounds)
-        self.fill = tuple(fill)
-        self.left = tuple(left)
-        self.above = tuple(above)
+        self.fill = tuple(index[cell] for cell in cells)
         self.below = tuple(sum(length >= c for length in outer[r:]) for r, c in cells)
+        by_index = sorted(cells, key=index.__getitem__)
+        self.south = tuple(index.get((r + 1, c), -1) for r, c in by_index)
+        self.east = tuple(index.get((r, c + 1), -1) for r, c in by_index)
+        self.north = tuple(index.get((r - 1, c), -1) for r, c in by_index)
+        self.west = tuple(index.get((r, c - 1), -1) for r, c in by_index)
 
     def rows(self, word: Sequence[int]) -> list[Sequence[int]]:
         """The rows, top row first, of the tableau whose reading word is `word`."""
@@ -249,8 +250,8 @@ class ReadingLayout:
         tableau of the shape with entries in [1, ceiling]: rows weakly
         increase and columns strictly increase."""
         n = self.size
-        weak_rows = pairwise_test(le, [(j, i) for i, j in zip(self.fill, self.left) if j < n])
-        strict_columns = pairwise_test(lt, [(a, i) for i, a in zip(self.fill, self.above) if a < n])
+        weak_rows = pairwise_test(le, [(j, i) for i, j in enumerate(self.west) if j >= 0])
+        strict_columns = pairwise_test(lt, [(a, i) for i, a in enumerate(self.north) if a >= 0])
 
         def test(word: Sequence[int]) -> bool:
             if len(word) != n:
@@ -280,8 +281,10 @@ def ssyt_words(layout: ReadingLayout, ceiling: int) -> Iterator[tuple[int, ...]]
     caps = [ceiling - below for below in layout.below]
     if min(caps) < 1:  # a column longer than the ceiling
         return
-    fill, left, above = layout.fill, layout.left, layout.above
-    values = [0] * (n + 1)  # a missing neighbour's index is n, whose value stays 0
+    fill = layout.fill
+    left = [layout.west[j] for j in fill]  # by cell in row-major order
+    above = [layout.north[j] for j in fill]
+    values = [0] * (n + 1)  # a missing neighbour's index, -1, reads the last value, which stays 0
     i, v = 0, 1  # the cell being filled, in row-major order, and the value to try in it
     while True:
         if v <= caps[i]:
@@ -315,25 +318,33 @@ def order_ideal_chains(size: int, covers: Iterable[tuple[int, int]], d: int) -> 
     on 1..size with covers (x, y), y covering x, as the labels of 1..size.
 
     Label j goes on a nonempty antichain of the minimal elements of what
-    remains.  The minimal elements of what remains are kept as a sorted
-    list, from the number of unplaced lower covers of each element, and
-    antichains are tried in increasing bitmask order over that list.  No
+    remains, tried in increasing bitmask order over their sorted list.  No
     branch is a dead end: each antichain leaves an element for every later
     label and takes every element whose longest chain upward needs all the
-    labels left.  A stack holds the search state of each label but the
-    last, which takes every element left.
+    labels left.  The last label takes every element left.
+
+    The search walks a state graph.  A state is the bitmask of the placed
+    elements and the next label; its edges, each an antichain and the
+    state after it, are found once, when the walk first enters the state.
+    A state's minimal elements come from its parent's: those left, and
+    the upper covers of the antichain whose lower covers are all placed.
+    The walk is a loop over a stack that holds the edges each state it
+    entered has left to try, and it writes each edge's label on its
+    antichain.
     """
     up: list[list[int]] = [[] for _ in range(size + 1)]
+    lower = [0] * (size + 1)  # the bitmask of each element's lower covers, bit x for x
     waiting = [0] * (size + 1)
     for x, y in covers:
         up[x].append(y)
+        lower[y] |= 1 << x
         waiting[y] += 1
-    ready = [x for x in range(1, size + 1) if not waiting[x]]
-    order, pending = ready[:], waiting[:]  # Kahn's topological order
-    for x in order:
+    roots = [x for x in range(1, size + 1) if not waiting[x]]
+    order = roots[:]
+    for x in order:  # Kahn's topological order
         for y in up[x]:
-            pending[y] -= 1
-            if not pending[y]:
+            waiting[y] -= 1
+            if not waiting[y]:
                 order.append(y)
     latest = [d] * (size + 1)  # the largest label each element can take
     for x in reversed(order):
@@ -343,56 +354,57 @@ def order_ideal_chains(size: int, covers: Iterable[tuple[int, int]], d: int) -> 
     if d < 1:
         yield ()  # the empty poset, with no labels
         return
-    labels = [0] * size
     antichains: dict[tuple[int, int, int], list[tuple[int, tuple[int, ...]]]] = {}
-    stack: list[list] = []  # per label but the last: [ready, elements left, antichains, next one, antichain held]
-    rest, remaining = ready, size  # the ready elements and the count left for the next label
-    while True:
-        label = len(stack) + 1
-        if label < d:
-            ready, n = sorted(rest), len(rest)
-            most = min(remaining - d + label, n)  # each later label needs an element
-            # with one element to place, an element that must take this label is the only one ready
-            forced = sum(1 << i for i, x in enumerate(ready) if latest[x] == label) if most > 1 else 0
-            picks = antichains.get((n, most, forced))
-            if picks is None:
-                picks = antichains[n, most, forced] = [
-                    (mask, tuple(i for i in range(n) if mask >> i & 1))
-                    for mask in range(1, 1 << n)
-                    if mask.bit_count() <= most and mask & forced == forced
-                ]
-            stack.append([ready, remaining, picks, 0, ()])
-        elif len(rest) == remaining > 0:  # the last label takes every element left
-            for x in rest:
-                labels[x - 1] = d
-            yield tuple(labels)
-        while stack:  # undo the antichain each label holds until one has another to try
-            top = stack[-1]
-            ready, remaining, picks, t, held = top
-            for x in held:
-                for y in up[x]:
-                    waiting[y] += 1
-            if t < len(picks):
-                break
-            stack.pop()
-        else:
-            return
-        mask, picked = picks[t]
-        if len(picked) == 1:
-            i = picked[0]
-            chosen, rest = ready[i : i + 1], ready[:i] + ready[i + 1 :]
-        else:
+    states: dict[tuple[int, int], list] = {}  # (placed, label) -> [placed, label, elements left, ready, edges]
+
+    def expand(state: list) -> list[tuple[list[int], list]]:
+        placed, label, remaining, ready, _ = state
+        n = len(ready)
+        most = min(remaining - d + label, n)  # each later label needs an element
+        # with one element to place, an element that must take this label is the only one ready
+        forced = sum(1 << i for i, x in enumerate(ready) if latest[x] == label) if most > 1 else 0
+        picks = antichains.get((n, most, forced))
+        if picks is None:
+            picks = antichains[n, most, forced] = [
+                (mask, tuple(i for i in range(n) if mask >> i & 1))
+                for mask in range(1, 1 << n)
+                if mask.bit_count() <= most and mask & forced == forced
+            ]
+        edges = []
+        for mask, picked in picks:
             chosen = [ready[i] for i in picked]
-            rest = [x for i, x in enumerate(ready) if not mask >> i & 1]
-        label = len(stack)
-        for x in chosen:
-            labels[x - 1] = label
-            for y in up[x]:
-                waiting[y] -= 1
-                if not waiting[y]:
-                    rest.append(y)
-        top[3], top[4] = t + 1, chosen
-        remaining -= len(chosen)
+            after = placed
+            for x in chosen:
+                after |= 1 << x
+            child = states.get((after, label + 1))
+            if child is None:
+                rest = [x for i, x in enumerate(ready) if not mask >> i & 1]
+                rest += {y for x in chosen for y in up[x] if not lower[y] & ~after}
+                child = states[after, label + 1] = [after, label + 1, remaining - len(chosen), sorted(rest), None]
+            edges.append((chosen, child))
+        state[4] = edges
+        return edges
+
+    labels = [0] * size
+    root = [0, 1, size, roots, None]
+    stack = [(iter([((), root)]), 0)]  # per state entered: its edges left to try, and its label
+    while stack:
+        edges, label = stack[-1]
+        for chosen, state in edges:
+            for x in chosen:
+                labels[x - 1] = label
+            if state[1] < d:
+                out = state[4]
+                if out is None:
+                    out = expand(state)
+                stack.append((iter(out), state[1]))
+                break
+            if len(state[3]) == state[2] > 0:  # the last label takes every element left
+                for x in state[3]:
+                    labels[x - 1] = d
+                yield tuple(labels)
+        else:
+            stack.pop()
 
 
 def enumerate_syt(shape: Sequence[int]) -> Iterator[Tableau]:

@@ -320,6 +320,45 @@ class TestConjugationIdentities:
             assert cur == t
 
 
+class TestNonSemistandardInput:
+    """The tableau steps slide on the reading word, which needs a
+    semistandard tableau; any other is refused with one error."""
+
+    CASES = [
+        # a row that decreases
+        T([[2, 1]], 3),
+        # a column that does not increase strictly
+        T([[1, 2], [2, 2]], 2),
+        # a 1 below the first row
+        T([[2], [1]], 2),
+        T([[1, 2], [1, 3]], 3),
+        # the entries <= 1 do not form a straight shape
+        T([[3], [1]], 3),
+        T([[2, 3], [1]], 3),
+    ]
+
+    @pytest.mark.parametrize("t", CASES, ids=repr)
+    @pytest.mark.parametrize("step", [promote, promote_inverse, evacuate], ids=lambda f: f.__name__)
+    def test_steps_refuse_it(self, t, step):
+        assert not validate(t, "semistandard")
+        with pytest.raises(PreconditionError, match="^not semistandard$"):
+            step(t)
+
+    @pytest.mark.parametrize("t", CASES, ids=repr)
+    def test_partial_promotion_refuses_it_at_every_ceiling(self, t):
+        for i in range(1, t.ceiling + 1):
+            with pytest.raises(PreconditionError, match="^not semistandard$"):
+                partial_promote(t, i)
+
+    def test_the_shape_and_the_ceiling_are_checked_too(self):
+        skew = T([[1], [2]], 2, (1,))
+        for step in (promote, promote_inverse, evacuate, lambda t: partial_promote(t, 1)):
+            with pytest.raises(PreconditionError, match="requires a straight shape"):
+                step(skew)
+        with pytest.raises(PreconditionError, match="ceiling 3 out of range"):
+            partial_promote(T([[1, 2]], 2), 3)
+
+
 class TestLargerRandomizedCases:
     def test_identities_hold_beyond_the_exhaustive_range(self):
         rng = random.Random(40)

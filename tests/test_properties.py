@@ -1,0 +1,97 @@
+"""Property tests on random instances beyond the fixed acceptance ranges.
+
+The SSYT step kernels slide on reading words and the order-ideal
+enumerator walks a memoized state graph.  Here random straight shapes,
+ceilings and tableaux check the kernels against the toggle sweeps, and
+random transitively reduced posets check that the enumerator yields the
+same labellings, in the same order, as the stack search kept in `util`.
+The runs are derandomized and small, so the suite stays reproducible.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from promotab.dynamics import (
+    evacuate,
+    evacuate_via_toggles,
+    partial_promote,
+    promote,
+    promote_inverse,
+    promote_inverse_via_toggles,
+    promote_via_toggles,
+    reading_word_step,
+    toggle,
+)
+from promotab.posets import FinitePoset
+from promotab.shapes import ReadingLayout, Tableau, conjugate, order_ideal_chains
+from util import order_ideal_chains_by_stack, sweep
+
+SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def straight_tableaux(draw) -> Tableau:
+    """A semistandard tableau of a random straight shape with at most 10
+    cells and a random ceiling, filled row by row with entries the column
+    below can still complete."""
+    rows = draw(st.lists(st.integers(1, 5), max_size=4).map(lambda parts: sorted(parts, reverse=True)))
+    shape = tuple(rows)
+    while sum(shape) > 10:
+        shape = shape[:-1]
+    heights = conjugate(shape)
+    k = draw(st.integers(max(heights, default=0), 7))
+    filled: list[list[int]] = []
+    for r, length in enumerate(shape):
+        row: list[int] = []
+        for c in range(length):
+            lo = max(row[c - 1] if c else 1, filled[r - 1][c] + 1 if r else 1)
+            row.append(draw(st.integers(lo, k - (heights[c] - r - 1))))
+        filled.append(row)
+    return Tableau(filled, k)
+
+
+@SETTINGS
+@given(straight_tableaux())
+def test_the_word_kernels_are_the_toggle_sweeps(t):
+    layout, word, k = ReadingLayout(t.outer), t.row_reading(), t.ceiling
+    forward, backward = promote_via_toggles(t), promote_inverse_via_toggles(t)
+    assert reading_word_step(layout, k, "promote")(word) == forward.row_reading()
+    assert reading_word_step(layout, k, "promote_inverse")(word) == backward.row_reading()
+    assert promote(t) == forward
+    assert promote_inverse(t) == backward
+    assert evacuate(t) == evacuate_via_toggles(t)
+    memo: dict = {}
+    for i in range(1, k + 1):
+        # the toggles below i move only the entries <= i
+        assert partial_promote(t, i) == sweep(toggle, t, i - 1, memo)
+
+
+@st.composite
+def reduced_posets(draw) -> tuple[int, list[tuple[int, int]]]:
+    """A random poset on 1..size, size <= 7, as its covers: random
+    relations along a random order of the elements, transitively
+    reduced."""
+    size = draw(st.integers(0, 7))
+    order = draw(st.permutations(range(1, size + 1)))
+    pairs = [(i, j) for j in range(size) for i in range(j)]
+    related = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    less = {pair for pair, r in zip(pairs, related) if r}
+    for j in range(size):  # close under transitivity, on positions in the order
+        for i in range(j - 1, -1, -1):
+            if any((i, m) in less and (m, j) in less for m in range(i + 1, j)):
+                less.add((i, j))
+    covers = [
+        (order[i], order[j])
+        for i, j in sorted(less)
+        if not any((i, m) in less and (m, j) in less for m in range(i + 1, j))
+    ]
+    return size, covers
+
+
+@SETTINGS
+@given(reduced_posets())
+def test_the_state_graph_walk_is_the_stack_search_in_order(poset):
+    size, covers = poset
+    FinitePoset(size, covers)  # acyclic and transitively reduced
+    for d in range(size + 2):
+        assert list(order_ideal_chains(size, covers, d)) == list(order_ideal_chains_by_stack(size, covers, d)), d

@@ -15,6 +15,7 @@ from promotab.shapes import (
     enumerate_ssyt,
     enumerate_syt,
     format_tableau,
+    order_ideal_chains,
     parse_tableau,
     reading_word,
     rotate_complement,
@@ -58,6 +59,35 @@ def entered_cells(layout: ReadingLayout, ceiling: int) -> tuple[int, list]:
     finally:
         sys.settrace(previous)
     return writes, words
+
+
+def walk_work(size: int, covers, d: int, cap: int) -> tuple[int, int, list]:
+    """The states :func:`order_ideal_chains` memoizes (the root and each
+    state it creates), the lines it runs in its module, counted by a line
+    tracer that fails once they pass `cap`, and the labellings it yields."""
+    lines, start = inspect.getsourcelines(order_ideal_chains)
+    create = start + next(i for i, line in enumerate(lines) if line.strip().startswith("child = states["))
+    created = ran = 0
+
+    def local(frame, event, _):
+        nonlocal created, ran
+        if event == "line":
+            ran += 1
+            created += frame.f_lineno == create
+            if ran > cap:
+                raise AssertionError(f"the walk ran more than {cap} lines")
+        return local
+
+    def trace(frame, event, _):
+        return local if frame.f_code.co_filename == order_ideal_chains.__code__.co_filename else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        found = list(order_ideal_chains(size, covers, d))
+    finally:
+        sys.settrace(previous)
+    return 1 + created, ran, found
 
 
 def T(rows, k, inner=()):
@@ -149,6 +179,15 @@ class TestEnumeration:
 
     def test_a_long_row_enumerates(self):
         assert len(list(enumerate_ssyt((1200,), 2))) == count_ssyt((1200,), 2) == 1201
+
+    def test_the_order_ideal_walk_does_linear_work_on_a_long_chain(self):
+        # one state per label, and each state's minimal elements come from its
+        # parent's: rescanning all 3,000 elements per state would run millions
+        # of lines, so the tracer fails long before that
+        size = 3000
+        states, ran, found = walk_work(size, [(x, x + 1) for x in range(1, size)], size, cap=100 * size)
+        assert found == [tuple(range(1, size + 1))]
+        assert states <= size + 1
 
     def test_syt_counts(self):
         assert len(list(enumerate_syt((2, 1)))) == 2

@@ -1,8 +1,9 @@
 """Every fast step map equals its one-step definition.
 
-`promote` and `evacuate` slide on plain rows, the toggle sweeps toggle plain rows,
-poset promotion toggles a label list and K-promotion switches a label
-list; each builds one validated object at the end.  Standard tableaux,
+`promote`, `promote_inverse`, `partial_promote` and `evacuate` slide on
+reading words, the toggle sweeps toggle plain rows, poset promotion
+toggles a label list and K-promotion switches a label list; each builds
+one validated object at the end.  Standard tableaux,
 linear extensions and increasing tableaux are enumerated by one kernel
 that keeps its minimal elements up to date instead of rescanning, and
 must yield the same lists in order as the rescanning enumerations.  These
@@ -27,6 +28,7 @@ from promotab.dynamics import (
     partial_promote,
     promote,
     promote_inverse,
+    promote_inverse_via_toggles,
     promote_via_toggles,
     toggle,
 )
@@ -78,7 +80,10 @@ def check_tableau_steps(t: Tableau, memo: dict) -> None:
     k = t.ceiling
     assert promote(t) == promote_by_rectify(t)
     assert promote_via_toggles(t) == sweep(toggle, t, k - 1, memo)
-    assert promote_inverse(t) == chain(toggle, t, descending(k), memo)
+    assert promote_inverse(t) == promote_inverse_via_toggles(t) == chain(toggle, t, descending(k), memo)
+    for i in range(1, k):
+        # the toggles below i move only the entries <= i
+        assert partial_promote(t, i) == sweep(toggle, t, i - 1, memo)
     evacuation = triangular_chain(toggle, t, k, memo)
     assert evacuate_via_toggles(t) == evacuation
     # the slide route to evacuation is independent of the toggle product

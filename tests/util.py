@@ -303,7 +303,9 @@ def unpruned_ssyt_words(layout: ReadingLayout, ceiling: int):
     if not n:
         yield ()
         return
-    fill, left, above = layout.fill, layout.left, layout.above
+    fill = layout.fill
+    left = [layout.west[j] for j in fill]
+    above = [layout.north[j] for j in fill]
     values = [0] * (n + 1)
     i, v = 0, 1
     while True:
@@ -320,3 +322,92 @@ def unpruned_ssyt_words(layout: ReadingLayout, ceiling: int):
             v = values[fill[i]] + 1
         else:
             return
+
+
+def order_ideal_chains_by_stack(size, covers, d):
+    """Order oracle of `promotab.shapes.order_ideal_chains`: the same
+    labellings in the same order, by a stack search that recomputes each
+    label's antichains along every branch instead of walking a state graph.
+
+    Every strictly order-preserving surjection onto 1..d from the poset
+    on 1..size with covers (x, y), y covering x, as the labels of 1..size.
+
+    Label j goes on a nonempty antichain of the minimal elements of what
+    remains.  The minimal elements of what remains are kept as a sorted
+    list, from the number of unplaced lower covers of each element, and
+    antichains are tried in increasing bitmask order over that list.  No
+    branch is a dead end: each antichain leaves an element for every later
+    label and takes every element whose longest chain upward needs all the
+    labels left.  A stack holds the search state of each label but the
+    last, which takes every element left.
+    """
+    up = [[] for _ in range(size + 1)]
+    waiting = [0] * (size + 1)
+    for x, y in covers:
+        up[x].append(y)
+        waiting[y] += 1
+    ready = [x for x in range(1, size + 1) if not waiting[x]]
+    order, pending = ready[:], waiting[:]  # Kahn's topological order
+    for x in order:
+        for y in up[x]:
+            pending[y] -= 1
+            if not pending[y]:
+                order.append(y)
+    latest = [d] * (size + 1)  # the largest label each element can take
+    for x in reversed(order):
+        latest[x] = min((latest[y] for y in up[x]), default=d + 1) - 1
+    if any(latest[x] < 1 for x in order):
+        return  # a chain longer than d
+    if d < 1:
+        yield ()  # the empty poset, with no labels
+        return
+    labels = [0] * size
+    antichains = {}
+    stack = []  # per label but the last: [ready, elements left, antichains, next one, antichain held]
+    rest, remaining = ready, size  # the ready elements and the count left for the next label
+    while True:
+        label = len(stack) + 1
+        if label < d:
+            ready, n = sorted(rest), len(rest)
+            most = min(remaining - d + label, n)  # each later label needs an element
+            # with one element to place, an element that must take this label is the only one ready
+            forced = sum(1 << i for i, x in enumerate(ready) if latest[x] == label) if most > 1 else 0
+            picks = antichains.get((n, most, forced))
+            if picks is None:
+                picks = antichains[n, most, forced] = [
+                    (mask, tuple(i for i in range(n) if mask >> i & 1))
+                    for mask in range(1, 1 << n)
+                    if mask.bit_count() <= most and mask & forced == forced
+                ]
+            stack.append([ready, remaining, picks, 0, ()])
+        elif len(rest) == remaining > 0:  # the last label takes every element left
+            for x in rest:
+                labels[x - 1] = d
+            yield tuple(labels)
+        while stack:  # undo the antichain each label holds until one has another to try
+            top = stack[-1]
+            ready, remaining, picks, t, held = top
+            for x in held:
+                for y in up[x]:
+                    waiting[y] += 1
+            if t < len(picks):
+                break
+            stack.pop()
+        else:
+            return
+        mask, picked = picks[t]
+        if len(picked) == 1:
+            i = picked[0]
+            chosen, rest = ready[i : i + 1], ready[:i] + ready[i + 1 :]
+        else:
+            chosen = [ready[i] for i in picked]
+            rest = [x for i, x in enumerate(ready) if not mask >> i & 1]
+        label = len(stack)
+        for x in chosen:
+            labels[x - 1] = label
+            for y in up[x]:
+                waiting[y] -= 1
+                if not waiting[y]:
+                    rest.append(y)
+        top[3], top[4] = t + 1, chosen
+        remaining -= len(chosen)
