@@ -16,6 +16,7 @@ from .dynamics import (
     promote_inverse_via_toggles,
     promote_via_toggles,
     promotion_period,
+    promotion_period_words,
     rectify,
     slide_toggle,
     toggle,

@@ -31,6 +31,7 @@ from .errors import PreconditionError
 from .shapes import Box, Partition, ReadingLayout, Tableau, part
 
 Picker = Callable[[list[Box]], Box]
+Slide = Callable[[Sequence[int]], tuple[int, ...]]
 X = TypeVar("X")
 
 
@@ -79,7 +80,8 @@ def _tableau_from_grid(grid: dict[Box, int], ceiling: int, inner: Partition) -> 
     for r in range(1, nrows + 1):
         cols = sorted(c for rr, c in grid if rr == r)
         off = part(inner, r)
-        assert cols == list(range(off + 1, off + len(cols) + 1)), "grid rows must be contiguous"
+        if cols != list(range(off + 1, off + len(cols) + 1)):
+            raise RuntimeError(f"row {r} of the grid has a gap; this indicates a bug in jdt_slide")
         rows.append(tuple(grid[(r, c)] for c in cols))
     return Tableau(rows, ceiling, inner)
 
@@ -131,7 +133,7 @@ def rectify(t: Tableau, pick: Picker | None = None) -> Tableau:
     return cur
 
 
-def _slide_out(layout: ReadingLayout, i: int, k: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+def _slide_out(layout: ReadingLayout, i: int, k: int) -> Slide:
     """Promotion of the entries <= i on the reading words of a straight
     layout with entries <= k, every larger entry frozen.
 
@@ -167,7 +169,7 @@ def _slide_out(layout: ReadingLayout, i: int, k: int) -> Callable[[Sequence[int]
     return step
 
 
-def _slide_in(layout: ReadingLayout, k: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+def _slide_in(layout: ReadingLayout, k: int) -> Slide:
     """Inverse promotion on the reading words of a straight layout with
     entries <= k: the reverse slides of :func:`_slide_out`.
 
@@ -201,12 +203,15 @@ def _slide_in(layout: ReadingLayout, k: int) -> Callable[[Sequence[int]], tuple[
 
 
 @lru_cache(maxsize=8)
-def _straight(outer: Partition, ceiling: int) -> tuple[ReadingLayout, Callable[[Sequence[int]], bool]]:
-    """The reading layout of a straight shape and its semistandard test
-    at `ceiling`.  Sweeps step many tableaux of one shape in a row, so a
-    few recent shapes are kept; more would only add memory."""
+def _straight(outer: Partition, ceiling: int) -> tuple[ReadingLayout, Callable[[Sequence[int]], bool], list[Slide]]:
+    """The reading layout of a straight shape, its semistandard test at
+    `ceiling`, and the stages of :func:`evacuate` on its words: the
+    promotions below i for i = ceiling .. 1, which `evacuate` fills in on
+    its first call, so the other steps never build them.  Sweeps step many
+    tableaux of one shape in a row, so a few recent shapes are kept; more
+    would only add memory."""
     layout = ReadingLayout(outer)
-    return layout, layout.semistandard_test(ceiling)
+    return layout, layout.semistandard_test(ceiling), []
 
 
 def _reading_word(t: Tableau, step: str) -> tuple[ReadingLayout, tuple[int, ...]]:
@@ -214,7 +219,7 @@ def _reading_word(t: Tableau, step: str) -> tuple[ReadingLayout, tuple[int, ...]
     semistandard."""
     if not t.is_straight:
         raise PreconditionError(f"{step} requires a straight shape")
-    layout, semistandard = _straight(t.outer, t.ceiling)
+    layout, semistandard, _ = _straight(t.outer, t.ceiling)
     word = t.row_reading()
     if not semistandard(word):
         raise PreconditionError("not semistandard")
@@ -386,8 +391,11 @@ def evacuate(t: Tableau) -> Tableau:
     """
     layout, word = _reading_word(t, "evacuation")
     k = t.ceiling
-    for i in range(k, 0, -1):
-        word = _slide_out(layout, i, k)(word)
+    stages = _straight(t.outer, k)[2]
+    if not stages:
+        stages.extend(_slide_out(layout, i, k) for i in range(k, 0, -1))
+    for stage in stages:
+        word = stage(word)
     return Tableau(layout.rows(word), k)
 
 
@@ -468,26 +476,46 @@ def cycle(start: X, step: Callable[[X], X]) -> Iterator[X]:
         seen.add(cur)
 
 
-def promotion_period(t: Tableau) -> list[Tableau]:
-    """t, P(t), ... over one full promotion period.
+def promotion_period_words(t: Tableau) -> tuple[ReadingLayout, list[tuple[int, ...]]]:
+    """The layout of t's shape and the reading words of t, P(t), ... over
+    one full promotion period.
 
     On a rectangle the order of promotion divides the ceiling k, so the
     period is k and the orbit is repeated to that length; on other
     straight shapes the period is the orbit itself.  Box-value multisets
-    are only evacuation-invariant over such full periods.
+    are only evacuation-invariant over such full periods.  The words are
+    stepped with the kernel of :func:`reading_word_step`, and each is
+    checked semistandard, as :func:`promote` checks its input.
     """
     if not t.is_straight:
         raise PreconditionError("promotion orbits require a straight shape")
-    elements = list(cycle(t, promote))
+    k = t.ceiling
+    layout, semistandard, _ = _straight(t.outer, k)
+    words = []
+    for word in cycle(t.row_reading(), reading_word_step(layout, k, "promote")):
+        if not semistandard(word):
+            raise PreconditionError("not semistandard")
+        words.append(word)
     if not t.is_rectangular:
-        return elements
-    repeats, rest = divmod(t.ceiling, len(elements))
+        return layout, words
+    repeats, rest = divmod(k, len(words))
     if rest:
         raise RuntimeError(
-            f"promotion orbit of size {len(elements)} does not divide the ceiling {t.ceiling}; "
+            f"promotion orbit of size {len(words)} does not divide the ceiling {k}; "
             "this indicates a bug in promote"
         )
-    return elements * repeats
+    return layout, words * repeats
+
+
+def promotion_period(t: Tableau) -> list[Tableau]:
+    """t, P(t), ... over one full promotion period, as in
+    :func:`promotion_period_words`, with one tableau per orbit element."""
+    layout, words = promotion_period_words(t)
+    built = {t.row_reading(): t}
+    for word in words:
+        if word not in built:
+            built[word] = Tableau(layout.rows(word), t.ceiling)
+    return [built[word] for word in words]
 
 
 def orbit(t: Tableau, operator: str = "promote") -> Orbit:

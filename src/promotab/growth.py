@@ -9,12 +9,13 @@ evacuation of the row it crosses.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
-from .dynamics import evacuate, promote, promotion_period
+from .dynamics import evacuate, promotion_period_words, reading_word_step
 from .errors import PreconditionError
-from .shapes import Box, Partition, Tableau, contains, enumerate_ssyt, part
+from .shapes import Box, Partition, ReadingLayout, Tableau, contains, enumerate_ssyt, part
 
 Multiset = tuple[int, ...]
 
@@ -56,11 +57,16 @@ def encode_chain(t: Tableau) -> ChainEncoding:
     """Encode a straight tableau as its multichain of subshapes."""
     if not t.is_straight:
         raise PreconditionError("chain encoding requires a straight shape")
-    diagrams = []
-    for j in range(t.ceiling + 1):
-        shape = tuple(sum(1 for v in row if v <= j) for row in t.rows)
-        diagrams.append(tuple(p for p in shape if p > 0))
-    return ChainEncoding(tuple(diagrams))
+    return _chain(t.rows, t.ceiling)
+
+
+def _chain(rows: Sequence[Sequence[int]], ceiling: int) -> ChainEncoding:
+    """:func:`encode_chain` of the straight tableau with these rows: part
+    r of diagram j counts the entries <= j of row r, and zero parts are
+    dropped."""
+    counts = [accumulate(map(row.count, range(ceiling + 1))) for row in rows]
+    columns = zip(*counts) if rows else [()] * (ceiling + 1)
+    return ChainEncoding(tuple(tuple(filter(None, column)) for column in columns))
 
 
 def decode_chain(chain: ChainEncoding) -> Tableau:
@@ -81,15 +87,27 @@ def decode_chain(chain: ChainEncoding) -> Tableau:
 
 
 def build_window(t: Tableau, height: int) -> GrowthWindow:
-    """Chain encodings of t, P(t), P^2(t), ... as the rows of a window."""
-    if height < t.ceiling + 1:
-        raise PreconditionError(f"window height {height} below ceiling+1 = {t.ceiling + 1}")
+    """Chain encodings of t, P(t), P^2(t), ... as the rows of a window.
+
+    The promotions are stepped on reading words, each checked
+    semistandard as :func:`promote` checks its input.
+    """
+    k = t.ceiling
+    if height < k + 1:
+        raise PreconditionError(f"window height {height} below ceiling+1 = {k + 1}")
+    if not t.is_straight:
+        raise PreconditionError("chain encoding requires a straight shape")
+    layout = ReadingLayout(t.outer)
+    semistandard = layout.semistandard_test(k)
+    step = reading_word_step(layout, k, "promote")
     rows = []
-    cur = t
+    word = t.row_reading()
     for _ in range(height):
-        rows.append(encode_chain(cur))
-        cur = promote(cur)
-    return GrowthWindow(tuple(rows), t.ceiling)
+        if not semistandard(word):
+            raise PreconditionError("not semistandard")
+        rows.append(_chain(layout.rows(word), k))
+        word = step(word)
+    return GrowthWindow(tuple(rows), k)
 
 
 def column_evacuation(w: GrowthWindow, row_index: int) -> Tableau:
@@ -114,7 +132,9 @@ def orbit_values(t: Tableau, box: Box) -> Multiset:
     r, c = box
     if not t.has_box(r, c):
         raise PreconditionError(f"box {box} is not in the shape")
-    return tuple(sorted(u.entry(r, c) for u in promotion_period(t)))
+    layout, words = promotion_period_words(t)
+    i = layout.bounds[r - 1][0] + c - 1  # the box's index in the reading word
+    return tuple(sorted(word[i] for word in words))
 
 
 @dataclass(frozen=True)
@@ -132,15 +152,26 @@ class DisInvarianceReport:
 
 
 def check_dis_invariance(shape, ceiling: int) -> DisInvarianceReport:
-    """Verify that every box's period multiset agrees for t and evacuate(t)."""
+    """Verify that every box's period multiset agrees for t and evacuate(t).
+
+    The periods are read as words: a box's multiset is the sorted column
+    of its word index over the period.  An evacuation of another shape
+    disagrees at every box.
+    """
     violations = []
     checked = 0
     for t in enumerate_ssyt(shape, ceiling):
         checked += 1
-        period_t = promotion_period(t)
-        period_e = promotion_period(evacuate(t))
-        for box in t.boxes():
-            if Counter(u.entry(*box) for u in period_t) != Counter(u.entry(*box) for u in period_e):
+        e = evacuate(t)
+        layout, period_t = promotion_period_words(t)
+        if e.outer != t.outer:
+            violations.extend((t, box) for box in t.boxes())
+            continue
+        _, period_e = promotion_period_words(e)
+        columns_t = [sorted(column) for column in zip(*period_t)]
+        columns_e = [sorted(column) for column in zip(*period_e)]
+        for box, i in zip(t.boxes(), layout.fill):
+            if columns_t[i] != columns_e[i]:
                 violations.append((t, box))
     return DisInvarianceReport(tuple(shape), ceiling, checked, tuple(violations))
 

@@ -11,8 +11,9 @@ values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .dynamics import evacuate, promotion_period
+from .dynamics import evacuate, promotion_period_words
 from .errors import PreconditionError
 from .shapes import Box, Tableau, enumerate_syt, validate
 
@@ -51,13 +52,12 @@ def promotion_path(t: Tableau) -> LabeledPath:
     """The slide path of promotion: start top-left, repeatedly step to the
     smaller of the boxes below and to the right, end bottom-right."""
     _require_standard_rectangle(t)
-    return _path(t)
+    return _path(t.rows)
 
 
-def _path(t: Tableau) -> LabeledPath:
-    """:func:`promotion_path` of a tableau already known to be a standard
-    rectangle."""
-    rows = t.rows
+def _path(rows: Sequence[Sequence[int]]) -> LabeledPath:
+    """:func:`promotion_path` of the tableau with these rows, already
+    known to be a standard rectangle."""
     m, n = len(rows), len(rows[0])
     r, c = 1, 1
     boxes = [(1, 1)]
@@ -65,7 +65,8 @@ def _path(t: Tableau) -> LabeledPath:
     while (r, c) != (m, n):
         below = rows[r][c - 1] if r < m else None
         right = rows[r - 1][c] if c < n else None
-        assert below != right, "standard tableaux have distinct entries"
+        if below == right:
+            raise RuntimeError(f"box ({r}, {c}) has equal neighbours; this indicates a bug in promote")
         if right is None or (below is not None and below < right):
             r += 1
         else:
@@ -91,7 +92,8 @@ def apply_promotion_path(t: Tableau, path: LabeledPath) -> Tableau:
 def _progression(t: Tableau) -> list[LabeledPath]:
     """The promotion paths of t, P(t), ..., P^(k-1)(t), for a standard
     rectangle t; promotion keeps it one."""
-    return [_path(x) for x in promotion_period(t)]
+    layout, words = promotion_period_words(t)
+    return [_path(layout.rows(word)) for word in words]
 
 
 def trajectory(t: Tableau) -> LabeledPath:
@@ -105,11 +107,15 @@ def trajectory(t: Tableau) -> LabeledPath:
     m, n = _require_standard_rectangle(t)
     marker: Box = (m, n)
     records: list[tuple[Box, int]] = []
-    for label, cur in zip(range(t.entry(m, n), 1, -1), promotion_period(t)):
-        path = _path(cur)
+    layout, words = promotion_period_words(t)
+    for label, word in zip(range(t.entry(m, n), 1, -1), words):
+        path = _path(layout.rows(word))
         if marker in path.boxes:
             idx = path.boxes.index(marker)
-            assert idx >= 1, "marker can only exit the top-left corner with label 1"
+            if not idx:
+                raise RuntimeError(
+                    f"marker left the top-left corner with label {label}; this indicates a bug in promote"
+                )
             records.append((marker, label))
             marker = path.boxes[idx - 1]
     if marker != (1, 1):
@@ -118,7 +124,10 @@ def trajectory(t: Tableau) -> LabeledPath:
         )
     records.append(((1, 1), 1))
     boxes, labels = zip(*records)
-    assert len(boxes) == m + n - 1
+    if len(boxes) != m + n - 1:
+        raise RuntimeError(
+            f"marker visited {len(boxes)} boxes, not {m + n - 1}; this indicates a bug in promote"
+        )
     return LabeledPath(tuple(boxes), tuple(labels))
 
 
@@ -175,7 +184,8 @@ def interval_decomposition(t: Tableau, box: Box) -> tuple[tuple[int, int], ...]:
         later = [(ot - time - 1) % k for ot in out_times]
         j = later.index(min(later))
         a = outs[j][1]
-        assert a <= b, "a value can only decrement while it sits in a box"
+        if a > b:
+            raise RuntimeError(f"box {box} let value {b} leave as {a}; this indicates a bug in promote")
         intervals.append((a, b))
     return tuple(sorted(intervals))
 

@@ -194,7 +194,8 @@ def ferrers_poset(shape: Sequence[int]) -> FinitePoset:
 
 def _attach_rotation(p: FinitePoset, kind: str) -> FinitePoset:
     emb = p.embedding
-    assert emb is not None
+    if emb is None:
+        raise RuntimeError(f"{p.name} has no diagram to rotate; this indicates a bug in build_cominuscule")
     boxes = set(emb.values())
     max_r = max(r for r, _ in boxes)
     max_c = max(c for _, c in boxes)

@@ -452,7 +452,8 @@ def count_ssyt(shape: Sequence[int], ceiling: int) -> int:
         total *= Fraction(ceiling + c - r, h)
         if total == 0:
             return 0
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise RuntimeError(f"hook content product {total} is not an integer; this indicates a bug in count_ssyt")
     return int(total)
 
 

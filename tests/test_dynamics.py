@@ -17,6 +17,7 @@ from promotab.dynamics import (
     promote_inverse,
     promote_via_toggles,
     promotion_period,
+    promotion_period_words,
     rectify,
     slide_toggle,
     toggle,
@@ -290,6 +291,10 @@ class TestPromotionPeriod:
         assert len(set(p)) == 2
         assert len(p) == 4 and p[0] == t and p[2] == p[0]
 
+    def test_the_empty_tableau_with_ceiling_zero_has_an_empty_period(self):
+        assert promotion_period(T([], 0)) == []
+        assert promotion_period(T([], 2)) == [T([], 2)] * 2
+
     def test_non_rectangle_period_is_the_orbit(self):
         p = promotion_period(T_MAIN)
         assert p == list(cycle(T_MAIN, promote))
@@ -300,11 +305,30 @@ class TestPromotionPeriod:
         with pytest.raises(PreconditionError, match="promotion orbits require a straight shape"):
             promotion_period(skew)
 
+    @pytest.mark.parametrize("period", [promotion_period, promotion_period_words], ids=lambda f: f.__name__)
+    def test_refuses_a_tableau_that_is_not_semistandard(self, period):
+        with pytest.raises(PreconditionError, match="^not semistandard$"):
+            period(T([[1, 2], [1, 3]], 3))
+
+    def test_every_period_word_is_checked_semistandard(self, monkeypatch):
+        # a kernel that steps (1, 2) to a decreasing row
+        def kernel(layout, k):
+            return lambda word: (2, 1) if word == (1, 2) else (1, 2)
+
+        monkeypatch.setitem(dynamics.OPERATORS, "promote", (dynamics.promote, kernel))
+        with pytest.raises(PreconditionError, match="^not semistandard$"):
+            promotion_period_words(T([[1, 2]], 2))
+
     def test_orbit_not_dividing_the_ceiling_is_a_bug(self, monkeypatch):
-        a, b = T([[1, 2]], 3), T([[1, 3]], 3)
-        monkeypatch.setattr(dynamics, "promote", lambda t: b if t == a else a)
+        # the period walks reading words with the registered promote kernel
+        a, b = (1, 2), (1, 3)
+
+        def swap(layout, k):
+            return lambda word: b if word == a else a
+
+        monkeypatch.setitem(dynamics.OPERATORS, "promote", (dynamics.promote, swap))
         with pytest.raises(RuntimeError, match="bug in promote"):
-            promotion_period(a)
+            promotion_period(T([[1, 2]], 3))
 
 
 class TestConjugationIdentities:

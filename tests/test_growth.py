@@ -96,6 +96,15 @@ class TestGrowthWindow:
         with pytest.raises(PreconditionError):
             build_window(T_23, 5)
 
+    @pytest.mark.parametrize(
+        "t, message",
+        [(T([[2, 1]], 3), "^not semistandard$"), (T([[2], [1]], 3, (1,)), "chain encoding requires a straight shape")],
+        ids=repr,
+    )
+    def test_refuses_what_promotion_refuses(self, t, message):
+        with pytest.raises(PreconditionError, match=message):
+            build_window(t, 4)
+
 
 class TestColumnEvacuation:
     def test_central_column_is_evacuation_of_top_row(self):
@@ -154,11 +163,31 @@ class TestDisInvariance:
     def test_single_column_trivial(self):
         assert check_dis_invariance((1,), 3).ok
 
+    def test_the_sweep_builds_two_tableaux_per_enumerated_tableau(self, monkeypatch):
+        # the enumerated tableau and its evacuation; the periods are read as words
+        built = []
+        init = Tableau.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tableau, "__init__", counted)
+        for shape, k in (((3, 3), 5), ((3, 2, 1), 4), ((4,), 3), ((2, 2, 2), 6)):
+            built.clear()
+            report = check_dis_invariance(shape, k)
+            assert report.ok and 0 < len(built) <= 2 * report.tableaux_checked, (shape, k)
+
     def test_broken_evacuation_is_reported(self, monkeypatch):
         least = Tableau([[1, 1], [2]], 3)
         monkeypatch.setattr(growth, "evacuate", lambda t: least)
         report = check_dis_invariance((2, 1), 3)
         assert not report.ok
+
+    def test_an_evacuation_of_another_shape_disagrees_at_every_box(self, monkeypatch):
+        monkeypatch.setattr(growth, "evacuate", lambda t: Tableau([[1, 2, 3]], 3))
+        report = check_dis_invariance((2, 1), 3)
+        assert len(report.violations) == 3 * report.tableaux_checked
 
 
 class TestPathToggles:

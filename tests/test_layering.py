@@ -4,7 +4,8 @@ combinatorial module imports only the layers below it.  Every module
 also uses each name it imports, so deleted code leaves no stale imports
 behind, and no module reaches into another's `_`-prefixed helpers.  No
 function calls itself, so no input is too deep for the interpreter's
-recursion limit."""
+recursion limit.  No module checks an invariant with `assert`, which
+`python -O` strips: a broken invariant raises an explicit error."""
 
 import ast
 from pathlib import Path
@@ -90,6 +91,12 @@ def self_calls(path: Path) -> set[str]:
                 if isinstance(node, ast.Call) and ast.unparse(node.func) in (fn.name, f"self.{fn.name}"):
                     found.add(fn.name)
     return found
+
+
+def assert_lines(path: Path) -> list[int]:
+    """Lines of the file's `assert` statements, nested ones included."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
 
 
 def import_graph() -> dict[str, set[str]]:
@@ -195,3 +202,23 @@ def test_self_call_guard_sees_nested_and_method_recursion(tmp_path):
         "    return len(xs) + depth(len(xs))\n"
     )
     assert self_calls(probe) == {"depth", "fill", "size"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.stem)
+def test_no_module_asserts(path):
+    assert not assert_lines(path)
+
+
+def test_assert_guard_sees_nested_asserts(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def f(xs):\n"
+        "    if xs:\n"
+        "        assert xs[0] > 0, 'positive'\n"
+        "    return [x for x in xs if x]\n"
+        "class Box:\n"
+        "    def check(self):\n"
+        "        assert self\n"
+        "        raise RuntimeError('assert')\n"
+    )
+    assert assert_lines(probe) == [3, 7]

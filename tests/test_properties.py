@@ -1,10 +1,12 @@
 """Property tests on random instances beyond the fixed acceptance ranges.
 
-The SSYT step kernels slide on reading words and the order-ideal
-enumerator walks a memoized state graph.  Here random straight shapes,
-ceilings and tableaux check the kernels against the toggle sweeps, and
-random transitively reduced posets check that the enumerator yields the
-same labellings, in the same order, as the stack search kept in `util`.
+The SSYT step kernels slide on reading words, promotion periods are
+walked on reading words, and the order-ideal enumerator walks a memoized
+state graph.  Here random straight shapes, ceilings and tableaux check
+the kernels against the toggle sweeps and the word periods against the
+tableau orbits, and random transitively reduced posets check that the
+enumerator yields the same labellings, in the same order, as the stack
+search kept in `util`.
 The runs are derandomized and small, so the suite stays reproducible.
 """
 
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promotab.dynamics import (
+    cycle,
     evacuate,
     evacuate_via_toggles,
     partial_promote,
@@ -19,6 +22,7 @@ from promotab.dynamics import (
     promote_inverse,
     promote_inverse_via_toggles,
     promote_via_toggles,
+    promotion_period_words,
     reading_word_step,
     toggle,
 )
@@ -64,6 +68,15 @@ def test_the_word_kernels_are_the_toggle_sweeps(t):
     for i in range(1, k + 1):
         # the toggles below i move only the entries <= i
         assert partial_promote(t, i) == sweep(toggle, t, i - 1, memo)
+
+
+@SETTINGS
+@given(straight_tableaux())
+def test_the_word_period_is_the_tableau_orbit_repeated_to_the_ceiling(t):
+    orbit = [u.row_reading() for u in cycle(t, promote)]
+    layout, words = promotion_period_words(t)
+    assert layout.outer == t.outer
+    assert words == (orbit * (t.ceiling // len(orbit)) if t.is_rectangular else orbit)
 
 
 @st.composite

@@ -11,6 +11,10 @@ tests compare them with the chains of public one-step definitions and the
 rescanning enumerations kept in `util`, over the acceptance ranges and on
 degenerate inputs.
 
+The growth and paths sweeps read promotion periods as reading words;
+their reports, box multisets, flows and trajectories must be those of the
+object sweeps kept in `util`, which walk each period tableau by tableau.
+
 The homomesy systems enumerate and step key tuples instead of objects.
 Their keys must be the public enumerations' entries tuples, in order,
 their steps the public steps, and their tuple-level key tests the checks
@@ -21,6 +25,8 @@ from itertools import islice, product
 
 import pytest
 
+import promotab.growth as growth
+import promotab.paths as paths
 from promotab.dynamics import (
     dual_evacuate,
     evacuate,
@@ -33,8 +39,10 @@ from promotab.dynamics import (
     toggle,
 )
 from promotab.errors import BudgetExceededError, PreconditionError
+from promotab.growth import check_dis_invariance, orbit_values
 from promotab.homomesy import _entries, inc_system, partition_orbits, ssyt_system, syt_poset_system
 from promotab.ktableaux import IncreasingTableau, enumerate_increasing, k_promote, k_promote_inverse
+from promotab.paths import flow_tables, trajectory
 from promotab.posets import (
     FinitePoset,
     LinearExtension,
@@ -49,6 +57,7 @@ from promotab.posets import (
 from promotab.shapes import ReadingLayout, Tableau, enumerate_ssyt, enumerate_syt, order_ideal_chains, validate
 from util import (
     chain,
+    check_dis_invariance_by_objects,
     descending,
     dual_triangular,
     enumerate_increasing_by_rescan,
@@ -57,9 +66,12 @@ from util import (
     linear_extensions_by_rescan,
     partial_promote_by_definition,
     partitions_up_to,
+    period_values_by_objects,
+    progression_by_objects,
     promote_by_rectify,
     strict_order,
     sweep,
+    trajectory_by_objects,
     triangular_chain,
 )
 
@@ -299,3 +311,43 @@ def test_poset_enumeration_is_pulled_only_up_to_the_budget(monkeypatch):
     with pytest.raises(BudgetExceededError):
         partition_orbits(syt_poset_system(build_cominuscule("freudenthal")), budget=10)
     assert len(pulled) == 11
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_word_periods_give_the_object_dis_reports_and_box_multisets(k):
+    # the c07 range; orbit_values reads one box per tableau, in turn
+    for shape in partitions_up_to(7):
+        memo: dict = {}
+        assert check_dis_invariance(shape, k) == check_dis_invariance_by_objects(shape, k, memo)
+        for index, t in enumerate(enumerate_ssyt(shape, k)):
+            boxes = list(t.boxes())
+            box = boxes[index % len(boxes)]
+            assert orbit_values(t, box) == tuple(sorted(period_values_by_objects(t, memo)[box].elements()))
+
+
+def test_word_periods_see_the_violations_of_a_broken_evacuation(monkeypatch):
+    def broken(t):
+        return toggle(t, 1) if t.ceiling > 1 else t
+
+    monkeypatch.setattr(growth, "evacuate", broken)
+    seen = 0
+    for shape in partitions_up_to(5):
+        for k in range(1, 5):
+            report = check_dis_invariance(shape, k)
+            assert report == check_dis_invariance_by_objects(shape, k, {}, broken)
+            seen += len(report.violations)
+    assert seen
+
+
+def test_word_periods_give_the_object_paths_flows_and_trajectories(monkeypatch):
+    # the c08 range
+    for m in range(1, 13):
+        for n in range(1, 12 // m + 1):
+            memo: dict = {}
+            words = {t: (paths._progression(t), flow_tables(t), trajectory(t)) for t in enumerate_syt((n,) * m)}
+            with monkeypatch.context() as patched:  # flow_tables of the object progression
+                patched.setattr(paths, "_progression", lambda t: progression_by_objects(t, memo))
+                for t, (progression, flows, tau) in words.items():
+                    assert progression == progression_by_objects(t, memo)
+                    assert flows == flow_tables(t)
+                    assert tau == trajectory_by_objects(t, memo)

@@ -1,13 +1,16 @@
 """Shared helpers and independent brute-force oracles for the test suite."""
 
 import random
+from collections import Counter
 from itertools import permutations, product
 
-from promotab.dynamics import promote, rectify
+from promotab.dynamics import cycle, evacuate, promote, rectify
 from promotab.errors import ParseError, PreconditionError
+from promotab.growth import DisInvarianceReport
 from promotab.ktableaux import BULLET, IncreasingTableau, switch
 from promotab.posets import FinitePoset, LinearExtension
-from promotab.shapes import ReadingLayout, Tableau
+from promotab.paths import LabeledPath, promotion_path
+from promotab.shapes import ReadingLayout, Tableau, enumerate_ssyt
 
 
 def partitions_of(n: int):
@@ -180,6 +183,84 @@ def partial_promote_by_definition(t: Tableau, i: int) -> Tableau:
     promoted = promote(Tableau(sub_rows, i)).rows
     promoted += ((),) * (len(t.rows) - len(promoted))
     return Tableau([base + row[len(base):] for base, row in zip(promoted, t.rows)], t.ceiling)
+
+
+# -- promotion periods as tableaux -------------------------------------------
+#
+# The growth and paths sweeps read promotion periods as reading words.
+# Here are the same sweeps on objects: each period is walked with
+# `promote` from tableau to tableau, and each box is read with
+# `Tableau.entry`.  A memo keeps each tableau's promotion, promotion path
+# and period multisets, so a sweep over a shape promotes each tableau once.
+
+
+def promotion_period_by_objects(t: Tableau, memo: dict) -> list[Tableau]:
+    """t, P(t), ... over one full promotion period: the ceiling on
+    rectangles, the orbit elsewhere."""
+
+    def step(x):
+        if ("promote", x) not in memo:
+            memo["promote", x] = promote(x)
+        return memo["promote", x]
+
+    elements = list(cycle(t, step))
+    if not t.is_rectangular:
+        return elements
+    repeats, rest = divmod(t.ceiling, len(elements))
+    assert not rest, "the orbit of a rectangle divides the ceiling"
+    return elements * repeats
+
+
+def period_values_by_objects(t: Tableau, memo: dict) -> dict:
+    """Each box of t, to the Counter of its values over t's period.
+
+    The period of a promotion of t is a rotation of t's, so every tableau
+    of the orbit gets the same Counters.
+    """
+    if ("values", t) not in memo:
+        period = promotion_period_by_objects(t, memo)
+        values = {box: Counter(u.entry(*box) for u in period) for box in t.boxes()}
+        memo.update((("values", u), values) for u in period)
+    return memo["values", t]
+
+
+def check_dis_invariance_by_objects(shape, ceiling: int, memo: dict, evacuation=evacuate) -> DisInvarianceReport:
+    """Oracle of `promotab.growth.check_dis_invariance`, with `evacuation`
+    in place of `evacuate`."""
+    violations = []
+    checked = 0
+    for t in enumerate_ssyt(shape, ceiling):
+        checked += 1
+        values_t = period_values_by_objects(t, memo)
+        values_e = period_values_by_objects(evacuation(t), memo)
+        for box in t.boxes():
+            if values_t[box] != values_e[box]:
+                violations.append((t, box))
+    return DisInvarianceReport(tuple(shape), ceiling, checked, tuple(violations))
+
+
+def progression_by_objects(t: Tableau, memo: dict) -> list[LabeledPath]:
+    """Oracle of `promotab.paths._progression`: the promotion paths of
+    the period of a standard rectangle."""
+    period = promotion_period_by_objects(t, memo)
+    for x in period:
+        if ("path", x) not in memo:
+            memo["path", x] = promotion_path(x)
+    return [memo["path", x] for x in period]
+
+
+def trajectory_by_objects(t: Tableau, memo: dict) -> LabeledPath:
+    """Oracle of `promotab.paths.trajectory`: the marker at the lower
+    right box, moved back along each path of the progression it is on."""
+    m, n = len(t.rows), len(t.rows[0])
+    marker, records = (m, n), []
+    for label, path in zip(range(t.entry(m, n), 1, -1), progression_by_objects(t, memo)):
+        if marker in path.boxes:
+            records.append((marker, label))
+            marker = path.boxes[path.boxes.index(marker) - 1]
+    records.append(((1, 1), 1))
+    boxes, labels = zip(*records)
+    return LabeledPath(boxes, labels)
 
 
 def k_promote_by_switches(t: IncreasingTableau) -> IncreasingTableau:
