@@ -1,0 +1,8 @@
+"""``python -m promotab``: the ``promotab`` command line tool."""
+
+import sys
+
+from . import cli
+
+if __name__ == "__main__":
+    sys.exit(cli.main())

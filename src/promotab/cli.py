@@ -243,6 +243,12 @@ def _statistics_for(args, system_kind, domain) -> list[homomesy.CellStatistic]:
     return [homomesy.CellStatistic(support=support, name=f"cells:{sorted(boxes)}")]
 
 
+def _promote_only(args, system_kind: str) -> None:
+    """Refuse an --operator that a system without -k cannot run."""
+    if args.operator != "promote":
+        raise ParseError(f"--operator {args.operator} needs an ssyt system (-k); {system_kind} systems run promote only")
+
+
 def _cmd_homomesy(args) -> int:
     if args.budget is None:
         raise ParseError("homomesy needs an explicit --budget N")
@@ -251,6 +257,7 @@ def _cmd_homomesy(args) -> int:
     if args.ceiling is not None and args.q is not None:
         raise ParseError("pass either -k or -q, not both")
     if args.q is not None:
+        _promote_only(args, "inc")
         if args.shape:
             m, n = _parse_shape(args.shape)
             poset = posets.build_cominuscule("rectangle", m, n)
@@ -272,6 +279,7 @@ def _cmd_homomesy(args) -> int:
         rectangle = (len(shape), shape[0]) if len(set(shape)) == 1 else None
         stats = _statistics_for(args, "ssyt", rectangle)
     elif args.family or args.partition:
+        _promote_only(args, "syt_poset")
         shape = _parse_partition(args.partition) if args.partition else None
         poset = _parse_family(args.family) if args.family else posets.ferrers_poset(shape)
         system = homomesy.syt_poset_system(poset, count=None if shape is None else shapes.count_syt(shape))

@@ -214,6 +214,14 @@ def _straight(outer: Partition, ceiling: int) -> tuple[ReadingLayout, Callable[[
     return layout, layout.semistandard_test(ceiling), []
 
 
+def straight_layout(outer: Partition, ceiling: int) -> tuple[ReadingLayout, Callable[[Sequence[int]], bool]]:
+    """The reading layout of a straight shape and its semistandard test at
+    `ceiling`: the entry that the steps on tableaux keep for a few recent
+    shapes, so a sweep over one shape builds them once."""
+    layout, semistandard, _ = _straight(outer, ceiling)
+    return layout, semistandard
+
+
 def _reading_word(t: Tableau, step: str) -> tuple[ReadingLayout, tuple[int, ...]]:
     """The layout and reading word of t, which `step` needs straight and
     semistandard."""

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .dynamics import evacuate, promotion_period_words, reading_word_step
+from .dynamics import evacuate, promotion_period_words, reading_word_step, straight_layout
 from .errors import PreconditionError
-from .shapes import Box, Partition, ReadingLayout, Tableau, contains, enumerate_ssyt, part
+from .shapes import Box, Partition, Tableau, contains, enumerate_ssyt, part
 
 Multiset = tuple[int, ...]
 
@@ -97,8 +97,7 @@ def build_window(t: Tableau, height: int) -> GrowthWindow:
         raise PreconditionError(f"window height {height} below ceiling+1 = {k + 1}")
     if not t.is_straight:
         raise PreconditionError("chain encoding requires a straight shape")
-    layout = ReadingLayout(t.outer)
-    semistandard = layout.semistandard_test(k)
+    layout, semistandard = straight_layout(t.outer, k)
     step = reading_word_step(layout, k, "promote")
     rows = []
     word = t.row_reading()

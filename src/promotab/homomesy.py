@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .dynamics import cycle, reading_word_step
 from .errors import BudgetExceededError, PreconditionError
-from .ktableaux import IncreasingTableau, increasing_labels, k_promote_labels
+from .ktableaux import IncreasingTableau, increasing_labels, k_promote_step
 from .posets import FinitePoset, LinearExtension, linear_extension_labels, poset_promote_labels, rotate
 from .shapes import ReadingLayout, Tableau, count_ssyt, part, ssyt_words
 
@@ -145,7 +145,7 @@ def inc_system(p: FinitePoset, q: int) -> System:
     return System(
         description=f"inc({label};q={q})",
         enumerate=lambda: increasing_labels(p, q),
-        step=lambda labels: k_promote_labels(p, labels),
+        step=k_promote_step(p, p.size - q),
         admits=p.labelling_test(p.size - q),
         element=lambda labels: IncreasingTableau(p, labels),
     )

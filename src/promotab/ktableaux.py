@@ -8,20 +8,27 @@ by bullets, bubbles the bullets upward with the simultaneous `switch`
 operators, then decrements and refills.  Intermediate switch states carry
 bullets, encoded as label 0.
 
-:func:`switch` is the one-step definition.  K-promotion and its inverse
-switch a plain label list, reading only the covers ahead of each bullet
-(indexed from 0), and build one :class:`IncreasingTableau`, their result;
-the tests check both against the chain of :func:`switch` calls.
-:func:`increasing_labels` and :func:`k_promote_labels` are the
-enumeration and the K-promotion on label tuples alone, which homomesy
-systems walk.
+:func:`switch` is the one-step definition.  K-promotion runs as one
+event-driven bullet slide on label tuples: the labels are decremented,
+the 1s become bullets, and each round jumps to the least label next to a
+bullet, which every bullet beside it takes while those cells become
+bullets, so the switches that move nothing are never visited.  Inverse
+K-promotion is the same slide on the dual poset, conjugated by the
+complement v -> d + 1 - v.  :func:`k_promote_step` and
+:func:`k_promote_inverse_step` build them once per poset and d;
+:func:`k_promote`, :func:`k_promote_inverse`, :func:`k_evacuate` and the
+orbit walks below step label tuples and build an
+:class:`IncreasingTableau` only for their result.  The tests check both
+against the chain of :func:`switch` calls.  :func:`increasing_labels` is
+the enumeration on label tuples alone, which homomesy systems walk with
+:func:`k_promote_step`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .dynamics import cycle
 from .errors import PreconditionError
@@ -84,95 +91,136 @@ def switch(state: Sequence[int], a: int, b: int, poset: FinitePoset) -> tuple[in
         raise PreconditionError("switch needs two distinct labels")
     state_t = tuple(state)
     out = list(state_t)
-    other = {a: b, b: a}
     for x, v in enumerate(state_t):
-        if v in other and any(state_t[y] == other[v] for y in poset.above[x] + poset.below[x]):
-            out[x] = other[v]
+        if v == a:
+            w = b
+        elif v == b:
+            w = a
+        else:
+            continue
+        for y in poset.above[x] + poset.below[x]:
+            if state_t[y] == w:
+                out[x] = w
+                break
     return tuple(out)
 
 
-def _switch_bullets(labels: list[int], order: Iterable[int], ahead: Sequence[Sequence[int]]) -> None:
-    """Apply ``switch(., i, BULLET)`` to `labels` in place, for each i in
-    `order` in turn.  The bullets start on the least labels and `order`
-    ascends with `ahead` the poset's `above`, or they start on the
-    greatest labels and `order` descends with `ahead` its `below`.
+def _bullet_slide(ahead: Sequence[Sequence[int]], d: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """K-promotion on the label tuples of increasing tableaux with labels
+    1..d, read through `ahead` (a poset's `above`, or its `below` for the
+    dual poset): the chain of ``switch(., i, BULLET)`` for i = 2..d
+    without visiting the i that move nothing.
 
-    A switch moves only elements next to a bullet, so each one reads the
-    neighbours of the current bullets: those labelled i become bullets and
-    the bullets next to them become i.  If no bullet touches an i, the
-    switch changes nothing.  Labels strictly increase along covers, so
-    every neighbour of a bullet that holds a label still to come lies
-    ahead of it, and only those are read.
+    Every label is decremented and the 1s become bullets.  Then, while
+    some bullet has anything ahead of it, let m be the least label ahead
+    of any bullet: every bullet with an m ahead takes the label m, and
+    those m-cells become bullets.  The bullets stay an antichain, so a
+    bullet never lies ahead of another, and none is read until the end,
+    when each takes the label d.  One bullet, the usual case on a poset
+    with a unique minimum, has a short path that reads only its own
+    neighbours.
     """
-    bullets = [x for x, v in enumerate(labels) if v == BULLET]
-    for i in order:
-        stay, back, hit = [], [], []
+
+    def step(labels: Sequence[int]) -> tuple[int, ...]:
+        lab = [v - 1 for v in labels]
+        bullets = [labels.index(1)] if labels.count(1) == 1 else [x for x, v in enumerate(labels) if v == 1]
+        while True:
+            if len(bullets) == 1:
+                x = bullets[0]
+                m = d
+                for y in ahead[x]:
+                    v = lab[y]
+                    if v < m:
+                        m, bullets = v, [y]
+                    elif v == m:
+                        bullets.append(y)
+                if m == d:
+                    break
+                lab[x] = m
+                continue
+            m = d
+            for x in bullets:
+                for y in ahead[x]:
+                    if lab[y] < m:
+                        m = lab[y]
+            if m == d:
+                break
+            moved = []
+            for x in bullets:
+                hit = False
+                for y in ahead[x]:
+                    if lab[y] == m:
+                        hit = True
+                        if y not in moved:  # an m next to two bullets
+                            moved.append(y)
+                if hit:
+                    lab[x] = m
+                else:
+                    moved.append(x)
+            bullets = moved
         for x in bullets:
-            found = len(hit)
-            for y in ahead[x]:
-                if labels[y] == i:
-                    hit.append(y)
-            if len(hit) > found:
-                back.append(x)
-            else:
-                stay.append(x)
-        if not back:
-            continue
-        for y in hit:
-            if labels[y] == i:  # an i next to two bullets is hit twice
-                labels[y] = BULLET
-                stay.append(y)
-        for x in back:
-            labels[x] = i
-        bullets = stay
+            lab[x] = d
+        return tuple(lab)
+
+    return step
 
 
-def k_promote_labels(p: FinitePoset, labels: Sequence[int]) -> tuple[int, ...]:
-    """K-promotion on the labels of an increasing tableau of p: bulletize
-    the 1s, switch the bullets up through 2..d, then decrement every label
-    and turn bullets into d."""
-    d = max(labels, default=0)
-    state = [BULLET if v == 1 else v for v in labels]
-    _switch_bullets(state, range(2, d + 1), p.above)
-    return tuple([d if v == BULLET else v - 1 for v in state])
+def k_promote_step(p: FinitePoset, d: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """K-promotion on the label tuples of the increasing tableaux of p with
+    labels 1..d: bulletize the 1s, switch the bullets up through 2..d, then
+    decrement every label and turn bullets into d.  No object is built and
+    the labels are not checked."""
+    return _bullet_slide(p.above, d)
+
+
+def k_promote_inverse_step(p: FinitePoset, d: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """Inverse K-promotion on label tuples, as :func:`k_promote_step`: the
+    complement c(v) = d + 1 - v takes the increasing tableaux of p to
+    those of the dual poset, and inverse K-promotion is c, then
+    K-promotion on the dual poset, then c."""
+    slide = _bullet_slide(p.below, d)
+    top = d + 1
+
+    def step(labels: Sequence[int]) -> tuple[int, ...]:
+        return tuple([top - v for v in slide([top - v for v in labels])])
+
+    return step
 
 
 def k_promote(t: IncreasingTableau) -> IncreasingTableau:
-    """K-promotion: :func:`k_promote_labels`."""
-    return IncreasingTableau(t.poset, k_promote_labels(t.poset, t.labels))
+    """K-promotion: :func:`k_promote_step`."""
+    return IncreasingTableau(t.poset, k_promote_step(t.poset, t.d)(t.labels))
 
 
 def k_promote_inverse(t: IncreasingTableau) -> IncreasingTableau:
-    """Inverse K-promotion: bulletize the d's, increment, switch the
-    bullets back down, then turn bullets into 1."""
-    d = t.d
-    state = [BULLET if v == d else v + 1 for v in t.labels]
-    _switch_bullets(state, range(d, 1, -1), t.poset.below)
-    return IncreasingTableau(t.poset, [1 if v == BULLET else v for v in state])
+    """Inverse K-promotion: :func:`k_promote_inverse_step`."""
+    return IncreasingTableau(t.poset, k_promote_inverse_step(t.poset, t.d)(t.labels))
 
 
 def k_evacuate(t: IncreasingTableau) -> IncreasingTableau:
     """K-evacuation, decoded from the chain of order ideals whose j-th
-    member is the (entries <= j) ideal of the (d-j)-th K-promotion."""
-    d = t.d
-    powers = [t]
-    for _ in range(d):
-        powers.append(k_promote(powers[-1]))
-    labels = [0] * t.poset.size
+    member is the (entries <= j) ideal of the (d-j)-th K-promotion; the
+    powers are stepped on label tuples."""
+    p, d = t.poset, t.d
+    step = k_promote_step(p, d)
+    powers = [t.labels]
+    for _ in range(d - 1):
+        powers.append(step(powers[-1]))
+    labels = [0] * p.size
     prev: set[int] = set()
     for j in range(1, d + 1):
-        ideal = {x for x in t.poset.elements() if powers[d - j].label(x) <= j}
+        ideal = {x for x, v in enumerate(powers[d - j]) if v <= j}
         grew = ideal - prev
         if not prev <= ideal or not grew:
             raise RuntimeError(
                 "K-evacuation chain failed to decode; this indicates a bug in k_promote"
             )
         for x in grew:
-            labels[x - 1] = j
+            labels[x] = j
         prev = ideal
-    if len(prev) != t.poset.size:
+    if len(prev) != p.size:
         raise RuntimeError("K-evacuation chain did not exhaust the poset")
-    return IncreasingTableau(t.poset, labels)
+    return IncreasingTableau(p, labels)
 
 
 def increasing_labels(p: FinitePoset, q: int) -> Iterator[tuple[int, ...]]:
@@ -261,12 +309,13 @@ def k_orbit_order_check(n: int, q: int) -> KOrbitOrderReport:
         raise PreconditionError("n must be positive")
     p = build_cominuscule("rectangle", 2, n)
     bound = 2 * n - q
+    step = k_promote_step(p, bound)
     sizes = set()
     count = 0
     failures = 0
-    for t in enumerate_increasing(p, q):
+    for labels in increasing_labels(p, q):
         count += 1
-        size = sum(1 for _ in cycle(t, k_promote))
+        size = sum(1 for _ in cycle(labels, step))
         if bound % size:
             failures += 1
             continue
@@ -301,11 +350,12 @@ def three_by_four_counterexample() -> CounterexampleReport:
     elems = [p.element_at(b) for b in support_boxes]
     if {rot[e] for e in elems} != set(elems):
         raise RuntimeError("support is expected to be rotate-fixed")
+    step = k_promote_step(p, t.d)
 
     def orbit_stats(start: IncreasingTableau) -> tuple[int, Fraction]:
-        elements = list(cycle(start, k_promote))
-        total = sum(sum(x.label(e) for e in elems) for x in elements)
-        return len(elements), Fraction(total, len(elements))
+        orbit = list(cycle(start.labels, step))
+        total = sum(labels[e - 1] for labels in orbit for e in elems)
+        return len(orbit), Fraction(total, len(orbit))
 
     size_t, avg_t = orbit_stats(t)
     size_u, avg_u = orbit_stats(u)

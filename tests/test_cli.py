@@ -1,6 +1,10 @@
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -337,6 +341,30 @@ class TestHomomesy:
         code, out, err = run(capsys, "homomesy", *"--shape 2x2 -k 3 --cells 1,1;2,2;1,1 --budget 100".split())
         assert (code, out, err) == (2, "", "parse error: --cells names box (1, 1) more than once\n")
 
+    @pytest.mark.parametrize(
+        "args, kind",
+        [
+            ("--shape 2x3 -q 1", "inc"),
+            ("--family cayley -q 2", "inc"),
+            ("--family cayley", "syt_poset"),
+            ("--partition 3,2", "syt_poset"),
+        ],
+    )
+    def test_poset_systems_refuse_operators_other_than_promote(self, monkeypatch, capsys, args, kind):
+        def refuse(*_):
+            raise AssertionError("walked a system whose operator is refused")
+
+        monkeypatch.setattr("promotab.homomesy.partition_orbits", refuse)
+        argv = [*args.split(), "--operator", "promote-inverse", "--cells", "1,1", "--budget", "1000"]
+        code, out, err = run(capsys, "homomesy", *argv)
+        message = f"--operator promote-inverse needs an ssyt system (-k); {kind} systems run promote only"
+        assert (code, out, err) == (2, "", f"parse error: {message}\n")
+
+    @pytest.mark.parametrize("args", ["--shape 2x3 -q 1", "--family cayley", "--partition 3,2"])
+    def test_poset_systems_accept_an_explicit_promote(self, capsys, args):
+        argv = [*args.split(), "--cells", "1,1", "--budget", "1000"]
+        assert run(capsys, "homomesy", *argv, "--operator", "promote") == run(capsys, "homomesy", *argv)
+
     def test_threads_flag(self, capsys):
         code, out, _ = run(
             capsys,
@@ -451,3 +479,12 @@ def test_malformed_input_is_refused_in_one_line(capsys, verb, case):
     code, out, err = run(capsys, verb, "--text", MALFORMED_INPUT[case], *INPUT_VERBS[verb])
     assert code in (2, 3) and out == ""
     assert err.endswith("\n") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("cells", ["1,1", "1,1;2,2"])
+def test_python_dash_m_runs_the_command_line_tool(capsys, cells):
+    argv = ["homomesy", "--shape", "2x2", "-k", "4", "--cells", cells, "--budget", "1000"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "promotab", *argv], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)

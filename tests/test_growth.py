@@ -1,7 +1,9 @@
 import random
+from itertools import islice
 
 import pytest
 
+import promotab.dynamics as dynamics
 import promotab.growth as growth
 from promotab.dynamics import evacuate, promote, toggle
 from promotab.errors import PreconditionError
@@ -18,7 +20,7 @@ from promotab.growth import (
     path_tableau,
     render_window,
 )
-from promotab.shapes import Tableau, enumerate_ssyt
+from promotab.shapes import ReadingLayout, Tableau, enumerate_ssyt
 from util import partitions_up_to
 
 T_23 = Tableau([[1, 2, 3], [3, 4, 4]], 5)
@@ -91,6 +93,21 @@ class TestGrowthWindow:
                         assert decode_chain(enc) == cur
                         cur = promote(cur)
                     assert column_evacuation(w, 0) == evacuate(t)
+
+    def test_two_windows_on_one_shape_build_the_layout_once(self, monkeypatch):
+        # the windows share the per-shape layout and test of the steps on tableaux
+        first, second = islice(enumerate_ssyt((3, 3, 2), 5), 2)
+        built = []
+        init = ReadingLayout.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ReadingLayout, "__init__", counted)
+        dynamics._straight.cache_clear()
+        assert build_window(first, 6) != build_window(second, 6)
+        assert len(built) == 1
 
     def test_height_must_cover_one_period(self):
         with pytest.raises(PreconditionError):

@@ -6,7 +6,8 @@ state graph.  Here random straight shapes, ceilings and tableaux check
 the kernels against the toggle sweeps and the word periods against the
 tableau orbits, and random transitively reduced posets check that the
 enumerator yields the same labellings, in the same order, as the stack
-search kept in `util`.
+search kept in `util`, and that the K-promotion bullet slide and its
+inverse are the `switch` chains kept there.
 The runs are derandomized and small, so the suite stays reproducible.
 """
 
@@ -26,9 +27,10 @@ from promotab.dynamics import (
     reading_word_step,
     toggle,
 )
+from promotab.ktableaux import IncreasingTableau, increasing_labels, k_promote_inverse_step, k_promote_step
 from promotab.posets import FinitePoset
 from promotab.shapes import ReadingLayout, Tableau, conjugate, order_ideal_chains
-from util import order_ideal_chains_by_stack, sweep
+from util import k_promote_by_switches, k_promote_inverse_by_switches, order_ideal_chains_by_stack, sweep
 
 SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
@@ -108,3 +110,18 @@ def test_the_state_graph_walk_is_the_stack_search_in_order(poset):
     FinitePoset(size, covers)  # acyclic and transitively reduced
     for d in range(size + 2):
         assert list(order_ideal_chains(size, covers, d)) == list(order_ideal_chains_by_stack(size, covers, d)), d
+
+
+@SETTINGS
+@given(reduced_posets())
+def test_the_bullet_slides_are_the_switch_chains(poset):
+    size, covers = poset
+    p = FinitePoset(size, covers)
+    for q in range(size + 1):
+        forward, backward = k_promote_step(p, size - q), k_promote_inverse_step(p, size - q)
+        for labels in increasing_labels(p, q):
+            t = IncreasingTableau(p, labels)
+            image = forward(labels)
+            assert image == k_promote_by_switches(t).labels
+            assert backward(labels) == k_promote_inverse_by_switches(t).labels
+            assert backward(image) == labels
