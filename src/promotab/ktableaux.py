@@ -91,17 +91,10 @@ def switch(state: Sequence[int], a: int, b: int, poset: FinitePoset) -> tuple[in
         raise PreconditionError("switch needs two distinct labels")
     state_t = tuple(state)
     out = list(state_t)
+    other = {a: b, b: a}
     for x, v in enumerate(state_t):
-        if v == a:
-            w = b
-        elif v == b:
-            w = a
-        else:
-            continue
-        for y in poset.above[x] + poset.below[x]:
-            if state_t[y] == w:
-                out[x] = w
-                break
+        if v in other and any(state_t[y] == other[v] for y in poset.above[x] + poset.below[x]):
+            out[x] = other[v]
     return tuple(out)
 
 
@@ -116,28 +109,13 @@ def _bullet_slide(ahead: Sequence[Sequence[int]], d: int) -> Callable[[Sequence[
     of any bullet: every bullet with an m ahead takes the label m, and
     those m-cells become bullets.  The bullets stay an antichain, so a
     bullet never lies ahead of another, and none is read until the end,
-    when each takes the label d.  One bullet, the usual case on a poset
-    with a unique minimum, has a short path that reads only its own
-    neighbours.
+    when each takes the label d.
     """
 
     def step(labels: Sequence[int]) -> tuple[int, ...]:
         lab = [v - 1 for v in labels]
-        bullets = [labels.index(1)] if labels.count(1) == 1 else [x for x, v in enumerate(labels) if v == 1]
+        bullets = [x for x, v in enumerate(labels) if v == 1]
         while True:
-            if len(bullets) == 1:
-                x = bullets[0]
-                m = d
-                for y in ahead[x]:
-                    v = lab[y]
-                    if v < m:
-                        m, bullets = v, [y]
-                    elif v == m:
-                        bullets.append(y)
-                if m == d:
-                    break
-                lab[x] = m
-                continue
             m = d
             for x in bullets:
                 for y in ahead[x]:
