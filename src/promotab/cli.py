@@ -221,26 +221,21 @@ def _cmd_paths(args) -> int:
     return 0
 
 
-def _statistics_for(args, system_kind, domain) -> list[homomesy.CellStatistic]:
-    """The statistics to check; `domain` is None on a non-rectangular ssyt shape."""
+def _statistics_for(args, system, no_rotation_message: str) -> list[homomesy.CellStatistic]:
+    """The statistics to check: the --cells boxes, or with --symmetric-all
+    every support fixed by the system's rotate involution."""
     if args.symmetric_all and args.cells:
         raise ParseError("pass either --cells or --symmetric-all, not both")
     if args.symmetric_all:
-        if domain is None:
-            raise ParseError("--symmetric-all on ssyt systems needs a rectangular shape")
-        if system_kind == "syt_poset" and domain.rotation is None:
-            raise ParseError("--symmetric-all on linear extensions needs a --family poset; --partition has no rotation")
-        return list(homomesy.symmetric_subsets(domain))
+        if system.rotate is None:
+            raise ParseError(no_rotation_message)
+        return list(homomesy.symmetric_subsets(system))
     if args.cells is None:
         raise ParseError("homomesy needs --cells r1,c1;r2,c2 or --symmetric-all")
     boxes = _parse_cells(args.cells)
     if len(set(boxes)) < len(boxes):
         raise ParseError(f"--cells names box {next(b for b in boxes if boxes.count(b) > 1)} more than once")
-    if system_kind == "ssyt":
-        support = frozenset(boxes)
-    else:
-        support = frozenset(domain.element_at(b) for b in boxes)
-    return [homomesy.CellStatistic(support=support, name=f"cells:{sorted(boxes)}")]
+    return [homomesy.CellStatistic(support=frozenset(boxes), name=f"cells:{sorted(boxes)}")]
 
 
 def _promote_only(args, system_kind: str) -> None:
@@ -266,7 +261,7 @@ def _cmd_homomesy(args) -> int:
         else:
             raise ParseError("inc systems need --shape MxN or --family NAME")
         system = homomesy.inc_system(poset, args.q)
-        stats = _statistics_for(args, "inc", poset)
+        stats = _statistics_for(args, system, "--symmetric-all on increasing tableaux needs a poset with a rotation")
     elif args.ceiling is not None:
         if args.partition:
             shape = _parse_partition(args.partition)
@@ -276,21 +271,22 @@ def _cmd_homomesy(args) -> int:
         else:
             raise ParseError("ssyt systems need --partition a,b,c or --shape MxN")
         system = homomesy.ssyt_system(shape, args.ceiling, args.operator.replace("-", "_"))
-        rectangle = (len(shape), shape[0]) if len(set(shape)) == 1 else None
-        stats = _statistics_for(args, "ssyt", rectangle)
+        stats = _statistics_for(args, system, "--symmetric-all on ssyt systems needs a rectangular shape")
     elif args.family or args.partition:
         _promote_only(args, "syt_poset")
         shape = _parse_partition(args.partition) if args.partition else None
         poset = _parse_family(args.family) if args.family else posets.ferrers_poset(shape)
         system = homomesy.syt_poset_system(poset, count=None if shape is None else shapes.count_syt(shape))
-        stats = _statistics_for(args, "syt_poset", poset)
+        stats = _statistics_for(
+            args, system, "--symmetric-all on linear extensions needs a --family poset; --partition has no rotation"
+        )
     else:
         raise ParseError("homomesy needs a system: (-k with --partition/--shape), (-q ...), or --family")
 
     partition = homomesy.partition_orbits(system, budget=args.budget)
     if len(stats) * len(partition.orbits) > args.budget:
         sizes = f"{len(stats)} statistics x {len(partition.orbits)} orbits = {len(stats) * len(partition.orbits)}"
-        raise BudgetExceededError(f"{partition.system}: {sizes} report rows exceed the budget {args.budget}")
+        raise BudgetExceededError(f"{system.description}: {sizes} report rows exceed the budget {args.budget}")
     reports = [homomesy.verdict(partition, stat) for stat in stats]
     if args.format == "json":
         print(homomesy.reports_to_json(reports))

@@ -1,15 +1,16 @@
 """Cell-sum statistics, exact orbit averages, and homomesy verdicts.
 
 A dynamical system here is any finite set with an invertible step map.
-A :class:`System` enumerates and steps flat keys: an element's entries
-tuple (a tableau's reading word, a poset object's labels).
+A :class:`System` enumerates and steps flat keys, an element's entries
+tuple (a tableau's reading word, a poset object's labels), and knows its
+layout: the key index of each box or element, and the rotate involution.
 :func:`partition_orbits` enumerates it under an explicit element budget,
 checks every key with the system's tuple-level test, and walks each orbit
 once on keys, keeping the orbit's size, its canonical element (the one
 validated object it builds per orbit) and the total of every entry over
 the orbit, laid out like the key.  Cell sums are linear, so
 :func:`verdict` reads any statistic's exact orbit averages from those
-totals; the verdict is `homomesic` exactly when every orbit average
+totals through that layout; the verdict is `homomesic` exactly when every orbit average
 equals the first.  Orbits are ordered by their least key, so every report
 is deterministic.  :func:`cell_sum` and :func:`orbit_average` stay the
 definitions on objects that the tests check the totals against.
@@ -41,40 +42,23 @@ class CellStatistic:
     name: str
 
 
-def _entries(obj) -> tuple[int, ...]:
-    """The entries of obj as one flat tuple: a tableau's in reading order
-    (bottom row first), a labelled poset object's labels."""
-    if isinstance(obj, Tableau):
-        return obj.row_reading()
-    if isinstance(obj, (LinearExtension, IncreasingTableau)):
-        return obj.labels
-    raise PreconditionError(f"unsupported object for cell_sum: {type(obj).__name__}")
-
-
-def _position(obj, item) -> int:
-    """The index in :func:`_entries` of a support item, rejecting items
-    obj lacks: a box of a tableau, or an element (or its box) of a poset."""
-    if isinstance(obj, Tableau):
-        r, c = item
-        if not obj.has_box(r, c):
-            raise PreconditionError(f"box ({r}, {c}) is not present in the tableau")
-        return sum(map(len, obj.rows[r:])) + c - part(obj.inner, r) - 1
-    poset = obj.poset
-    if isinstance(item, tuple):
-        item = poset.element_at(item)
-    if not 1 <= item <= poset.size:
-        raise PreconditionError(f"element {item} outside the poset")
-    return item - 1
-
-
 def cell_sum(obj, support) -> int:
     """Sum of the entries of a tableau (by box) or of a labelled poset
     object (by element id, or by box when the poset is grid-embedded).
 
     Each support item counts once, so an element and its box both count.
     """
-    entries = _entries(obj)
-    return sum(entries[_position(obj, item)] for item in support)
+    if isinstance(obj, Tableau):
+        return sum(obj.entry(*box) for box in support)
+    if not isinstance(obj, (LinearExtension, IncreasingTableau)):
+        raise PreconditionError(f"unsupported object for cell_sum: {type(obj).__name__}")
+    total = 0
+    for item in support:
+        x = obj.poset.element_at(item) if isinstance(item, tuple) else item
+        if not 1 <= x <= obj.poset.size:
+            raise PreconditionError(f"element {x} outside the poset")
+        total += obj.label(x)
+    return total
 
 
 def orbit_average(elements: Iterable, statistic: CellStatistic) -> Fraction:
@@ -92,16 +76,18 @@ Key = tuple[int, ...]
 
 @dataclass(frozen=True)
 class System:
-    """A finite invertible dynamical system on flat keys, described for
-    reports.
+    """A finite invertible dynamical system on flat keys, with the layout
+    of its cells, described for reports.
 
-    An element's key is its entries tuple (see :func:`cell_sum`): a
-    tableau's reading word or a poset labelling's labels.  `enumerate`
-    yields every element's key and `step` maps a key to the next one.
-    `admits` tests a key against the conditions the element's constructor
-    checks, and `element` builds that validated object.  `count`, when
-    known, is the exact number of elements, so a budget can be refused
-    before anything is enumerated.
+    An element's key is its entries tuple: a tableau's reading word or a
+    poset labelling's labels.  `enumerate` yields every key, `step` maps a
+    key to the next one, `admits` tests a key against the conditions of
+    the element's constructor, `element` builds that object and
+    `representative` what reports print for it.  `position` is the key
+    index of a support item (a box, or a poset element or its box), and
+    refuses items the elements lack; `rotate` is the rotate involution on
+    the items, if any.  `count`, when known, is the exact number of
+    elements, so a budget can be refused before enumerating.
     """
 
     description: str
@@ -109,21 +95,46 @@ class System:
     step: Callable[[Key], Key]
     admits: Callable[[Key], bool]
     element: Callable[[Key], object]
+    representative: Callable[[Key], tuple]
+    position: Callable[[object], int]
+    rotate: dict | None
     count: int | None = None
 
 
 def ssyt_system(shape, ceiling: int, operator: str = "promote") -> System:
     """Semistandard tableaux of a straight shape under (inverse) promotion."""
     layout = ReadingLayout(shape)
+    index = {(r, c): a + c - 1 for r, (a, b) in enumerate(layout.bounds, start=1) for c in range(1, b - a + 1)}
+
+    def position(box) -> int:
+        if box not in index:
+            raise PreconditionError(f"box {box} is not present in the tableau")
+        return index[box]
+
+    m, n = len(layout.outer), part(layout.outer, 1)
     return System(
         description=f"ssyt(shape={','.join(map(str, layout.outer))};k={ceiling};op={operator})",
         enumerate=lambda: ssyt_words(layout, ceiling),
         step=reading_word_step(layout, ceiling, operator),
         admits=layout.semistandard_test(ceiling),
         element=lambda word: Tableau(layout.rows(word), ceiling),
+        representative=lambda word: tuple(layout.rows(word)),
+        position=position,
+        rotate={(r, c): (m + 1 - r, n + 1 - c) for r, c in index} if len(set(layout.outer)) == 1 else None,
         # a negative ceiling is left for the enumeration to reject
         count=count_ssyt(layout.outer, ceiling) if ceiling >= 0 else None,
     )
+
+
+def _poset_layout(p: FinitePoset) -> dict:
+    """The layout fields of a system whose keys are labels of p's elements."""
+    def position(item) -> int:
+        x = p.element_at(item) if isinstance(item, tuple) else item
+        if not 1 <= x <= p.size:
+            raise PreconditionError(f"element {x} outside the poset")
+        return x - 1
+
+    return dict(representative=lambda labels: labels, position=position, rotate=rotate(p) if p.rotation else None)
 
 
 def syt_poset_system(p: FinitePoset, count: int | None = None) -> System:
@@ -136,6 +147,7 @@ def syt_poset_system(p: FinitePoset, count: int | None = None) -> System:
         admits=p.labelling_test(p.size),
         element=lambda labels: LinearExtension(p, labels),
         count=count,
+        **_poset_layout(p),
     )
 
 
@@ -148,6 +160,7 @@ def inc_system(p: FinitePoset, q: int) -> System:
         step=k_promote_step(p, p.size - q),
         admits=p.labelling_test(p.size - q),
         element=lambda labels: IncreasingTableau(p, labels),
+        **_poset_layout(p),
     )
 
 
@@ -170,7 +183,7 @@ class OrbitTotals:
 class OrbitPartition:
     """A system split into orbits, ordered by canonical representative."""
 
-    system: str
+    system: System
     orbits: tuple[OrbitTotals, ...]
 
 
@@ -218,10 +231,9 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
             raise PreconditionError(f"{system.description}: {exc}") from exc
         lead = min(orb)
         totals = tuple(map(sum, zip(*orb)))
-        obj = system.element(lead)
-        rep = obj.rows if isinstance(obj, Tableau) else obj.labels
-        orbits[lead] = OrbitTotals(size=len(orb), lead=obj, totals=totals, representative=rep)
-    return OrbitPartition(system=system.description, orbits=tuple(orbits[k] for k in sorted(orbits)))
+        rep = system.representative(lead)
+        orbits[lead] = OrbitTotals(size=len(orb), lead=system.element(lead), totals=totals, representative=rep)
+    return OrbitPartition(system=system, orbits=tuple(orbits[k] for k in sorted(orbits)))
 
 
 # -- verdicts ------------------------------------------------------------------
@@ -254,15 +266,15 @@ class HomomesyReport:
 def verdict(partition: OrbitPartition, statistic: CellStatistic) -> HomomesyReport:
     """Compare the exact orbit averages of one statistic over a partition.
 
-    All elements of a system share one shape or one poset, and
-    :func:`partition_orbits` lays out every orbit's totals like its lead's
-    entries, so the support is resolved to entry positions once, against
-    the first lead (an empty partition never checks it).  Each average is
-    the sum of those positions' orbit totals over the orbit size, which
-    equals the mean of :func:`cell_sum` over the orbit; a position named
-    twice, by an element and by its box, counts twice there too.
+    :func:`partition_orbits` lays out every orbit's totals like its keys,
+    so the support is resolved to key positions once, through the
+    system's `position` (an empty partition never checks it).  Each
+    average is the sum of those positions' orbit totals over the orbit
+    size, which equals the mean of :func:`cell_sum` over the orbit; a
+    position named twice, by an element and by its box, counts twice
+    there too.
     """
-    positions = [_position(o.lead, item) for o in partition.orbits[:1] for item in statistic.support]
+    positions = [partition.system.position(item) for _ in partition.orbits[:1] for item in statistic.support]
     summaries = [
         OrbitSummary(
             size=o.size,
@@ -279,7 +291,7 @@ def verdict(partition: OrbitPartition, statistic: CellStatistic) -> HomomesyRepo
             witness = (summaries[0], summary)
             break
     return HomomesyReport(
-        system=partition.system,
+        system=partition.system.description,
         statistic=statistic.name,
         orbits=tuple(summaries),
         verdict=outcome,
@@ -290,31 +302,25 @@ def verdict(partition: OrbitPartition, statistic: CellStatistic) -> HomomesyRepo
 # -- symmetric supports --------------------------------------------------------
 
 
-def symmetric_subsets(shape_or_poset) -> Iterator[CellStatistic]:
-    """All statistics whose support is fixed by the rotate involution.
+def symmetric_subsets(system: System) -> Iterator[CellStatistic]:
+    """All statistics whose support is fixed by the system's rotate
+    involution: 180-degree rotation of a rectangle's boxes, or a
+    cominuscule poset's rotate map on its elements.
 
-    For an (m, n) pair this is 180-degree rotation on the rectangle's
-    boxes; for a cominuscule poset it is its rotate map.  Yields each of
-    the 2^(number of rotate orbits) subsets exactly once, smallest first.
+    Yields each of the 2^(number of rotate classes) subsets exactly once,
+    smallest first, the classes ordered by their least item.
     """
-    if isinstance(shape_or_poset, FinitePoset):
-        rot = rotate(shape_or_poset)
-        points = list(shape_or_poset.elements())
-        mapping = rot
-        tag = "elements"
-    else:
-        m, n = shape_or_poset
-        points = [(r, c) for r in range(1, m + 1) for c in range(1, n + 1)]
-        mapping = {(r, c): (m + 1 - r, n + 1 - c) for r, c in points}
-        tag = "cells"
+    rot = system.rotate
+    if rot is None:
+        raise PreconditionError(f"{system.description} has no rotate involution")
+    tag = "cells" if any(isinstance(x, tuple) for x in rot) else "elements"
     classes: list[tuple] = []
     seen = set()
-    for x in points:
-        if x in seen:
-            continue
-        cls = {x, mapping[x]}
-        seen |= cls
-        classes.append(tuple(sorted(cls)))
+    for x in sorted(rot):
+        if x not in seen:
+            cls = tuple(sorted({x, rot[x]}))
+            seen.update(cls)
+            classes.append(cls)
     for mask in range(1 << len(classes)):
         support = frozenset(x for i, cls in enumerate(classes) if mask >> i & 1 for x in cls)
         yield CellStatistic(support=support, name=f"{tag}:{sorted(support)}")

@@ -99,10 +99,6 @@ class FinitePoset:
             raise PreconditionError(f"element {x} outside the poset")
         return tuple(y + 1 for y in self.below[x - 1])
 
-    def minimal_of(self, subset) -> list[int]:
-        subset = set(subset)
-        return sorted(x for x in subset if not any(d in subset for d in self.lower_covers(x)))
-
     def labelling_test(self, d: int) -> Callable[[Sequence[int]], bool]:
         """The test whether labels, one per element (element x's at index
         x - 1), strictly increase along every cover and take exactly the

@@ -185,8 +185,9 @@ def test_c03_rectangular_homomesy_sweep():
         for k in range(1, kmax + 1):
             cases.append((m, n, k))
     for m, n, k in cases:
-        partition = partition_orbits(ssyt_system(rect(m, n), k), budget=10_000)
-        for statistic in symmetric_subsets((m, n)):
+        system = ssyt_system(rect(m, n), k)
+        partition = partition_orbits(system, budget=10_000)
+        for statistic in symmetric_subsets(system):
             report = verdict(partition, statistic)
             assert report.homomesic, (m, n, k, statistic.name)
             expected = Fraction((k + 1) * len(statistic.support), 2)
@@ -306,8 +307,9 @@ def test_c09_poset_promotion_homomesy():
     for p in sweep_posets:
         for t in linear_extensions(p):
             assert poset_evacuate(t) == rotate_reverse(t)
-        partition = partition_orbits(syt_poset_system(p), budget=10_000)
-        for statistic in symmetric_subsets(p):
+        system = syt_poset_system(p)
+        partition = partition_orbits(system, budget=10_000)
+        for statistic in symmetric_subsets(system):
             report = verdict(partition, statistic)
             assert report.homomesic, (p.name, statistic.name)
     for name in ("cayley", "freudenthal"):
@@ -326,14 +328,13 @@ def test_c10_two_row_k_promotion_homomesy():
             assert report.ok, (n, q)
             for t in enumerate_increasing(p, q):
                 assert k_evacuate(k_evacuate(t)) == t
-            partition = partition_orbits(inc_system(p, q), budget=10_000)
-            for statistic in symmetric_subsets((2, n)):
-                support = frozenset(p.element_at(b) for b in statistic.support)
-                named = CellStatistic(support=support, name=statistic.name)
-                report = verdict(partition, named)
+            system = inc_system(p, q)
+            partition = partition_orbits(system, budget=10_000)
+            for statistic in symmetric_subsets(system):
+                report = verdict(partition, statistic)
                 assert report.homomesic, (n, q, statistic.name)
                 if report.orbits:
-                    expected = Fraction((2 * n - q + 1) * len(support), 2)
+                    expected = Fraction((2 * n - q + 1) * len(statistic.support), 2)
                     assert report.common_average == expected, (n, q, statistic.name)
         for tab in enumerate_syt(rect(2, n)):
             assert increasing_to_grid(k_promote(increasing_from_grid(tab))) == promote(tab)

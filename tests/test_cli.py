@@ -220,6 +220,19 @@ class TestHomomesy:
             ),
             # an empty system is vacuously homomesic, and its support is never checked
             ("--shape 2x2 -k 0 --cells 5,5 --budget 100", 0, ""),
+            # so is an empty poset system: propeller(4) has no increasing tableau with 4 labels
+            ("--family propeller:4 -q 2 --cells 9,9 --budget 100", 0, ""),
+            # every system checks the budget before the support
+            (
+                "--shape 3x3 -k 6 --cells 4,4 --budget 5",
+                4,
+                "budget exhausted: ssyt(shape=3,3,3;k=6;op=promote) exceeds the element budget 5\n",
+            ),
+            (
+                "--family cayley --cells 9,9 --budget 10",
+                4,
+                "budget exhausted: syt_poset(cayley) exceeds the element budget 10\n",
+            ),
         ],
     )
     def test_error_paths(self, capsys, args, code, err):

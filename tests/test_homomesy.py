@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from promotab.errors import BudgetExceededError, PreconditionError
 from promotab.growth import orbit_values
 from promotab.homomesy import (
     CellStatistic,
-    _entries,
     cell_sum,
     fraction_str,
     inc_system,
@@ -21,8 +21,9 @@ from promotab.homomesy import (
     verdict,
 )
 from promotab.ktableaux import IncreasingTableau, increasing_from_grid
-from promotab.posets import LinearExtension, build_cominuscule, linear_extensions
+from promotab.posets import LinearExtension, build_cominuscule, ferrers_poset, linear_extensions
 from promotab.shapes import Tableau, count_ssyt, enumerate_ssyt
+from util import key_of
 
 
 def stat(*boxes):
@@ -89,8 +90,9 @@ def test_unknown_operator_is_rejected(build):
 
 class TestVerify:
     def test_rectangular_symmetric_supports_are_homomesic(self):
-        partition = partition_orbits(ssyt_system((2, 2), 4), budget=100)
-        for statistic in symmetric_subsets((2, 2)):
+        system = ssyt_system((2, 2), 4)
+        partition = partition_orbits(system, budget=100)
+        for statistic in symmetric_subsets(system):
             report = verdict(partition, statistic)
             assert report.homomesic
             assert report.common_average == Fraction(5 * len(statistic.support), 2)
@@ -138,7 +140,7 @@ class TestVerify:
 
 
 def _orbit_from(system, lead, size):
-    keys = [_entries(lead)]
+    keys = [key_of(lead)]
     for _ in range(size - 1):
         keys.append(system.step(keys[-1]))
     assert system.step(keys[-1]) == keys[0]
@@ -146,17 +148,18 @@ def _orbit_from(system, lead, size):
 
 
 def _ssyt_3x3():
-    return ssyt_system((3, 3, 3), 6), list(symmetric_subsets((3, 3))), count_ssyt((3, 3, 3), 6)
+    system = ssyt_system((3, 3, 3), 6)
+    return system, list(symmetric_subsets(system)), count_ssyt((3, 3, 3), 6)
 
 
 def _inc_3x4():
-    p = build_cominuscule("rectangle", 3, 4)
-    return inc_system(p, 3), list(symmetric_subsets(p)), 882
+    system = inc_system(build_cominuscule("rectangle", 3, 4), 3)
+    return system, list(symmetric_subsets(system)), 882
 
 
 def _cayley():
-    p = build_cominuscule("cayley")
-    return syt_poset_system(p), list(symmetric_subsets(p)), 78
+    system = syt_poset_system(build_cominuscule("cayley"))
+    return system, list(symmetric_subsets(system)), 78
 
 
 def _partition_331():
@@ -177,11 +180,20 @@ def _shifted_staircase_boxes():
     return syt_poset_system(p), [CellStatistic(support, "boxes")], sum(1 for _ in linear_extensions(p))
 
 
+PARTITION_SYSTEMS = [_ssyt_3x3, _inc_3x4, _cayley, _cayley_mixed, _partition_331, _shifted_staircase_boxes]
+
+
+def _items(element):
+    """Every support item an element accepts: its boxes, or its poset's
+    elements and their boxes."""
+    if isinstance(element, Tableau):
+        return list(element.boxes())
+    p = element.poset
+    return [*p.elements(), *(p.embedding or {}).values()]
+
+
 class TestPartition:
-    @pytest.mark.parametrize(
-        "build",
-        [_ssyt_3x3, _inc_3x4, _cayley, _cayley_mixed, _partition_331, _shifted_staircase_boxes],
-    )
+    @pytest.mark.parametrize("build", PARTITION_SYSTEMS)
     def test_totals_match_definition(self, build):
         system, statistics, size = build()
         partition = partition_orbits(system, budget=100_000)
@@ -192,6 +204,16 @@ class TestPartition:
             assert [o.average for o in report.orbits] == [
                 orbit_average(elements, statistic) for elements in orbits
             ]
+
+    @pytest.mark.parametrize("build", PARTITION_SYSTEMS)
+    def test_positions_match_definition(self, build):
+        system = build()[0]
+        keys = list(system.enumerate())
+        # the first keys and a spread of later ones, whose entries differ more
+        for key in keys[:3] + keys[:: max(1, len(keys) // 20)]:
+            element = system.element(key)
+            for item in _items(element):
+                assert key[system.position(item)] == cell_sum(element, {item}), (key, item)
 
     @pytest.mark.parametrize(
         "enumerate, step",
@@ -253,24 +275,91 @@ class TestPartition:
 
 class TestSymmetricSubsets:
     def test_two_by_two_has_four(self):
-        assert len(list(symmetric_subsets((2, 2)))) == 4
+        assert len(list(symmetric_subsets(ssyt_system((2, 2), 3)))) == 4
 
     def test_three_by_three_has_thirty_two(self):
-        assert len(list(symmetric_subsets((3, 3)))) == 32
+        assert len(list(symmetric_subsets(ssyt_system((3, 3, 3), 3)))) == 32
 
     def test_one_by_one_has_two(self):
-        subsets = list(symmetric_subsets((1, 1)))
+        subsets = list(symmetric_subsets(ssyt_system((1,), 3)))
         assert len(subsets) == 2
         assert frozenset() in {s.support for s in subsets}
 
     def test_poset_variant(self):
         p = build_cominuscule("propeller", 3)
-        assert len(list(symmetric_subsets(p))) == 4
+        assert len(list(symmetric_subsets(syt_poset_system(p)))) == 4
 
     def test_supports_are_fixed_by_rotation(self):
-        for s in symmetric_subsets((2, 3)):
+        for s in symmetric_subsets(ssyt_system((3, 3), 4)):
             rotated = {(3 - r, 4 - c) for r, c in s.support}
             assert rotated == set(s.support)
+
+    @pytest.mark.parametrize(
+        "system, names",
+        [
+            (
+                ssyt_system((3, 3), 4),
+                [
+                    "cells:[]",
+                    "cells:[(1, 1), (2, 3)]",
+                    "cells:[(1, 2), (2, 2)]",
+                    "cells:[(1, 1), (1, 2), (2, 2), (2, 3)]",
+                    "cells:[(1, 3), (2, 1)]",
+                    "cells:[(1, 1), (1, 3), (2, 1), (2, 3)]",
+                    "cells:[(1, 2), (1, 3), (2, 1), (2, 2)]",
+                    "cells:[(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]",
+                ],
+            ),
+            (
+                ssyt_system((2, 2, 2), 4),
+                [
+                    "cells:[]",
+                    "cells:[(1, 1), (3, 2)]",
+                    "cells:[(1, 2), (3, 1)]",
+                    "cells:[(1, 1), (1, 2), (3, 1), (3, 2)]",
+                    "cells:[(2, 1), (2, 2)]",
+                    "cells:[(1, 1), (2, 1), (2, 2), (3, 2)]",
+                    "cells:[(1, 2), (2, 1), (2, 2), (3, 1)]",
+                    "cells:[(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]",
+                ],
+            ),
+            (
+                # the two center elements, 3 and 4, are fixed classes
+                syt_poset_system(build_cominuscule("propeller", 4)),
+                [
+                    "elements:[]",
+                    "elements:[1, 6]",
+                    "elements:[2, 5]",
+                    "elements:[1, 2, 5, 6]",
+                    "elements:[3]",
+                    "elements:[1, 3, 6]",
+                    "elements:[2, 3, 5]",
+                    "elements:[1, 2, 3, 5, 6]",
+                    "elements:[4]",
+                    "elements:[1, 4, 6]",
+                    "elements:[2, 4, 5]",
+                    "elements:[1, 2, 4, 5, 6]",
+                    "elements:[3, 4]",
+                    "elements:[1, 3, 4, 6]",
+                    "elements:[2, 3, 4, 5]",
+                    "elements:[1, 2, 3, 4, 5, 6]",
+                ],
+            ),
+        ],
+        ids=["2x3", "3x2", "propeller4"],
+    )
+    def test_statistics_come_in_order_of_their_least_items(self, system, names):
+        assert [s.name for s in symmetric_subsets(system)] == names
+
+    @pytest.mark.parametrize(
+        "system",
+        [ssyt_system((3, 2), 4), syt_poset_system(ferrers_poset((2, 2)))],
+        ids=["ssyt-non-rectangle", "ferrers-poset"],
+    )
+    def test_a_system_without_rotate_is_refused(self, system):
+        assert system.rotate is None
+        with pytest.raises(PreconditionError, match=rf"^{re.escape(system.description)} has no rotate involution$"):
+            list(symmetric_subsets(system))
 
 
 class TestComplementIdentity:

@@ -5,9 +5,12 @@ also uses each name it imports, so deleted code leaves no stale imports
 behind, and no module reaches into another's `_`-prefixed helpers.  No
 function calls itself, so no input is too deep for the interpreter's
 recursion limit.  No module checks an invariant with `assert`, which
-`python -O` strips: a broken invariant raises an explicit error."""
+`python -O` strips: a broken invariant raises an explicit error.  Homomesy
+reads cell layouts from its systems: only `cell_sum`, the definition on
+objects, asks which element class it was given."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -97,6 +100,21 @@ def assert_lines(path: Path) -> list[int]:
     """Lines of the file's `assert` statements, nested ones included."""
     tree = ast.parse(path.read_text(), filename=str(path))
     return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+ELEMENT_CLASSES = {"Tableau", "LinearExtension", "IncreasingTableau"}
+
+
+def element_type_checks(path: Path) -> set[str]:
+    """Top-level definitions of the file (`<module>` for other statements)
+    that call `isinstance` against an element class, nested calls included."""
+    found = set()
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance" and len(node.args) == 2:
+                if set(re.findall(r"\w+", ast.unparse(node.args[1]))) & ELEMENT_CLASSES:
+                    found.add(getattr(top, "name", "<module>"))
+    return found
 
 
 def import_graph() -> dict[str, set[str]]:
@@ -222,3 +240,27 @@ def test_assert_guard_sees_nested_asserts(tmp_path):
         "        raise RuntimeError('assert')\n"
     )
     assert assert_lines(probe) == [3, 7]
+
+
+def test_homomesy_asks_the_element_class_only_in_cell_sum():
+    assert element_type_checks(SRC / "homomesy.py") <= {"cell_sum"}
+
+
+def test_element_type_guard_sees_nested_and_qualified_checks(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import shapes\n"
+        "def cell_sum(obj):\n"
+        "    return isinstance(obj, Tableau)\n"
+        "def position(obj, item):\n"
+        "    def inner():\n"
+        "        return isinstance(obj, (LinearExtension, IncreasingTableau))\n"
+        "    return isinstance(item, tuple) or inner()\n"
+        "class Report:\n"
+        "    def rows(self, obj):\n"
+        "        return isinstance(obj, shapes.Tableau)\n"
+        "def plain(obj):\n"
+        "    return isinstance(obj, (int, tuple))\n"
+        "CHECK = isinstance(None, Tableau)\n"
+    )
+    assert element_type_checks(probe) == {"cell_sum", "position", "Report", "<module>"}

@@ -92,8 +92,9 @@ def test_output_equals_the_definition_and_the_pin(argv, monkeypatch):
 
 @pytest.mark.parametrize("count", [0, 1, 2, 3])
 def test_the_writer_equals_the_definition_on_any_number_of_reports(count):
-    partition = homomesy.partition_orbits(homomesy.ssyt_system((2, 2), 3), budget=100)
-    stats = list(homomesy.symmetric_subsets((2, 2)))[:count]
+    system = homomesy.ssyt_system((2, 2), 3)
+    partition = homomesy.partition_orbits(system, budget=100)
+    stats = list(homomesy.symmetric_subsets(system))[:count]
     reports = [homomesy.verdict(partition, s) for s in stats]
     payload = [homomesy.report_to_jsonable(r) for r in reports]
     expected = json.dumps(payload[0] if count == 1 else payload, sort_keys=True, indent=2)

@@ -40,7 +40,7 @@ from promotab.dynamics import (
 )
 from promotab.errors import BudgetExceededError, PreconditionError
 from promotab.growth import check_dis_invariance, orbit_values
-from promotab.homomesy import _entries, inc_system, partition_orbits, ssyt_system, syt_poset_system
+from promotab.homomesy import inc_system, partition_orbits, ssyt_system, syt_poset_system
 from promotab.ktableaux import IncreasingTableau, enumerate_increasing, k_promote, k_promote_inverse
 from promotab.paths import flow_tables, trajectory
 from promotab.posets import (
@@ -63,6 +63,7 @@ from util import (
     enumerate_increasing_by_rescan,
     k_promote_by_switches,
     k_promote_inverse_by_switches,
+    key_of,
     linear_extensions_by_rescan,
     partial_promote_by_definition,
     partitions_up_to,
@@ -243,11 +244,11 @@ def check_keyed_system(system, elements, step) -> None:
     """The system's keys are its public enumeration's entries tuples, in
     order; each builds its element, and steps to its element's step."""
     keys = list(system.enumerate())
-    assert keys == [_entries(x) for x in elements]
+    assert keys == [key_of(x) for x in elements]
     for key, x in zip(keys, elements):
         assert system.admits(key)
         assert system.element(key) == x
-        assert system.step(key) == _entries(step(x))
+        assert system.step(key) == key_of(step(x))
 
 
 @pytest.mark.parametrize("operator", ["promote", "promote_inverse"])

@@ -38,6 +38,12 @@ def rectangles_up_to(area: int):
             yield m, n
 
 
+def key_of(obj) -> tuple[int, ...]:
+    """A homomesy system's key for an element: a tableau's reading word
+    (bottom row first), a labelled poset object's labels."""
+    return obj.row_reading() if isinstance(obj, Tableau) else obj.labels
+
+
 def random_ssyt(shape, ceiling, rng):
     """A random (not uniform) semistandard filling, built row-major.
 
@@ -281,9 +287,15 @@ def k_promote_inverse_by_switches(t: IncreasingTableau) -> IncreasingTableau:
     return IncreasingTableau(t.poset, tuple(1 if v == BULLET else v for v in state))
 
 
+def minimal_of(p: FinitePoset, subset) -> list[int]:
+    """The minimal elements of a subset of p's elements, in increasing order."""
+    subset = set(subset)
+    return sorted(x for x in subset if not any(d in subset for d in p.lower_covers(x)))
+
+
 def enumerate_increasing_by_rescan(p: FinitePoset, q: int):
     """Increasing tableaux of deficiency q, finding the minimal elements of
-    the unplaced set afresh at every step with ``FinitePoset.minimal_of``."""
+    the unplaced set afresh at every step with :func:`minimal_of`."""
     d = p.size - q
     if p.size == 0:
         if q == 0:
@@ -302,7 +314,7 @@ def enumerate_increasing_by_rescan(p: FinitePoset, q: int):
             if remaining == 0:
                 yield IncreasingTableau(p, labels)
             return
-        ready = p.minimal_of(x for x in p.elements() if x not in placed)
+        ready = minimal_of(p, (x for x in p.elements() if x not in placed))
         for mask in range(1, 1 << len(ready)):
             chosen = [ready[i] for i in range(len(ready)) if mask >> i & 1]
             for x in chosen:
