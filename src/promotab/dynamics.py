@@ -465,23 +465,30 @@ def reading_word_step(layout: ReadingLayout, ceiling: int, operator: str) -> Cal
     return kernel(layout, ceiling)
 
 
-def cycle(start: X, step: Callable[[X], X]) -> Iterator[X]:
+def cycle(start: X, step: Callable[[X], X], unvisited: set | None = None) -> Iterator[X]:
     """Yield start, step(start), ... and stop just before start returns.
 
     If some other element returns first, step is not injective on the
     orbit and :class:`PreconditionError` is raised, so on a finite set the
-    walk always ends.
+    walk always ends.  Given `unvisited`, a set holding start, the walk
+    removes each element from it as it yields it, and an element not in
+    it (one outside the set, or visited by this walk or an earlier one)
+    raises instead: the step map is then not a bijection on the set.
     """
-    seen = {start}
+    # an element is fresh while it is in the set to consume, or not yet in the set of those seen
+    consume = unvisited is not None
+    marks = unvisited if consume else set()
+    mark = marks.remove if consume else marks.add
+    broken = "not a bijection on the enumerated elements" if consume else "not injective: the walk revisited an element"
     cur = start
     while True:
+        if (cur in marks) is not consume:
+            raise PreconditionError(f"the step map is {broken}")
+        mark(cur)
         yield cur
         cur = step(cur)
         if cur == start:
             return
-        if cur in seen:
-            raise PreconditionError("the step map is not injective: the walk revisited an element")
-        seen.add(cur)
 
 
 def promotion_period_words(t: Tableau) -> tuple[ReadingLayout, list[tuple[int, ...]]]:

@@ -6,18 +6,18 @@ tuple (a tableau's reading word, a poset object's labels), and knows its
 layout: the key index of each box or element, and the rotate involution.
 :func:`partition_orbits` enumerates it under an explicit element budget,
 checks every key with the system's tuple-level test, and walks each orbit
-once on keys, keeping the orbit's size, its canonical element (the one
-validated object it builds per orbit) and the total of every entry over
-the orbit, laid out like the key.  Cell sums are linear, so
-:func:`verdict` reads any statistic's exact orbit averages from those
-totals through that layout; the verdict is `homomesic` exactly when every orbit average
-equals the first.  Orbits are ordered by their least key, so every report
-is deterministic.  :func:`cell_sum` and :func:`orbit_average` stay the
-definitions on objects that the tests check the totals against.
+once on keys, keeping the orbit's size, what reports print for its
+canonical element (the one of its least key) and the total of every
+entry over the orbit, laid out like the key; no element object is built.
+Cell sums are linear, so :func:`verdict` reads any statistic's exact
+orbit averages from those totals through that layout; the verdict is
+`homomesic` exactly when every orbit average equals the first.  Orbits
+are ordered by their least key, so every report is deterministic.
+:func:`cell_sum` and :func:`orbit_average` stay the definitions on
+objects that the tests check the totals against.
 
 :func:`reports_to_json` writes reports from per-orbit fragments encoded
-once per partition, byte-identical to the ``indent=2`` JSON of
-:func:`report_to_jsonable`, which stays as the definition.
+once per partition.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import islice
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .dynamics import cycle, reading_word_step
 from .errors import BudgetExceededError, PreconditionError
@@ -82,19 +84,18 @@ class System:
     An element's key is its entries tuple: a tableau's reading word or a
     poset labelling's labels.  `enumerate` yields every key, `step` maps a
     key to the next one, `admits` tests a key against the conditions of
-    the element's constructor, `element` builds that object and
-    `representative` what reports print for it.  `position` is the key
-    index of a support item (a box, or a poset element or its box), and
-    refuses items the elements lack; `rotate` is the rotate involution on
-    the items, if any.  `count`, when known, is the exact number of
-    elements, so a budget can be refused before enumerating.
+    the element's constructor, and `representative` is what reports print
+    for it.  `position` is the key index of a support item (a box, or a
+    poset element or its box), and refuses items the elements lack;
+    `rotate` is the rotate involution on the items, if any.  `count`, when
+    known, is the exact number of elements, so a budget can be refused
+    before enumerating.
     """
 
     description: str
     enumerate: Callable[[], Iterable[Key]]
     step: Callable[[Key], Key]
     admits: Callable[[Key], bool]
-    element: Callable[[Key], object]
     representative: Callable[[Key], tuple]
     position: Callable[[object], int]
     rotate: dict | None
@@ -117,7 +118,6 @@ def ssyt_system(shape, ceiling: int, operator: str = "promote") -> System:
         enumerate=lambda: ssyt_words(layout, ceiling),
         step=reading_word_step(layout, ceiling, operator),
         admits=layout.semistandard_test(ceiling),
-        element=lambda word: Tableau(layout.rows(word), ceiling),
         representative=lambda word: tuple(layout.rows(word)),
         position=position,
         rotate={(r, c): (m + 1 - r, n + 1 - c) for r, c in index} if len(set(layout.outer)) == 1 else None,
@@ -145,7 +145,6 @@ def syt_poset_system(p: FinitePoset, count: int | None = None) -> System:
         enumerate=lambda: linear_extension_labels(p),
         step=lambda labels: poset_promote_labels(p, labels),
         admits=p.labelling_test(p.size),
-        element=lambda labels: LinearExtension(p, labels),
         count=count,
         **_poset_layout(p),
     )
@@ -159,7 +158,6 @@ def inc_system(p: FinitePoset, q: int) -> System:
         enumerate=lambda: increasing_labels(p, q),
         step=k_promote_step(p, p.size - q),
         admits=p.labelling_test(p.size - q),
-        element=lambda labels: IncreasingTableau(p, labels),
         **_poset_layout(p),
     )
 
@@ -169,12 +167,12 @@ def inc_system(p: FinitePoset, q: int) -> System:
 
 @dataclass(frozen=True)
 class OrbitTotals:
-    """One orbit: its size, its canonical element (the element of its least
-    key), the total over the orbit of each of `lead`'s entries, and the
-    lead's rows or labels, which every report on the partition shares."""
+    """One orbit: its size, the total over the orbit of each entry of its
+    keys, laid out like a key, and the rows or labels of its canonical
+    element (the one of its least key), which every report on the
+    partition shares."""
 
     size: int
-    lead: object
     totals: tuple[int, ...]
     representative: tuple
 
@@ -192,55 +190,47 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
 
     `budget` caps the number of enumerated elements; exceeding it raises
     :class:`BudgetExceededError` rather than returning a partial answer,
-    before enumerating when the system knows its exact count.  Every
-    enumerated key must pass `system.admits`.  Each walk is a
-    :func:`~promotab.dynamics.cycle` that may only visit enumerated keys
-    that no walk has visited yet, so it ends within the element count.
+    before enumerating when the system knows its exact count, and never
+    enumerating past the first key over it.  Every enumerated key must
+    pass `system.admits`.  Each walk is a :func:`~promotab.dynamics.cycle`
+    that consumes one set of the enumerated keys, so it may only visit
+    keys that no walk has visited yet and ends within the element count.
     An enumeration that yields a key the system does not admit or repeats
     one, or a step map that leaves the enumerated set or is not a
     bijection on it, raises :class:`PreconditionError` naming the system.
-    The only objects built are the orbit leads, one per orbit.
+    No element object is built: reports print `system.representative`.
     """
     if budget < 1:
         raise PreconditionError(f"budget must be positive: {budget}")
     over_budget = f"{system.description} exceeds the element budget {budget}"
     if system.count is not None and system.count > budget:
         raise BudgetExceededError(over_budget)
-    keys = []
-    for key in system.enumerate():
-        if not system.admits(key):
-            raise PreconditionError(f"{system.description}: the enumeration yields {key}, which is not an element")
-        keys.append(key)
-        if len(keys) > budget:
-            raise BudgetExceededError(over_budget)
+    keys = list(islice(system.enumerate(), budget + 1))
+    if not all(map(system.admits, keys)):
+        key = next(key for key in keys if not system.admits(key))
+        raise PreconditionError(f"{system.description}: the enumeration yields {key}, which is not an element")
+    if len(keys) > budget:
+        raise BudgetExceededError(over_budget)
     unvisited = set(keys)
     if len(unvisited) != len(keys):
         raise PreconditionError(f"{system.description}: the enumeration repeats an element")
     orbits: dict[Key, OrbitTotals] = {}
     for start in keys:
-        if start not in unvisited:
-            continue
-        orb = []
-        try:
-            for key in cycle(start, system.step):
-                if key not in unvisited:
-                    raise PreconditionError("the step map is not a bijection on the enumerated elements")
-                unvisited.remove(key)
-                orb.append(key)
-        except PreconditionError as exc:
-            raise PreconditionError(f"{system.description}: {exc}") from exc
-        lead = min(orb)
-        totals = tuple(map(sum, zip(*orb)))
-        rep = system.representative(lead)
-        orbits[lead] = OrbitTotals(size=len(orb), lead=system.element(lead), totals=totals, representative=rep)
+        if start in unvisited:
+            try:
+                orb = list(cycle(start, system.step, unvisited))
+            except PreconditionError as exc:
+                raise PreconditionError(f"{system.description}: {exc}") from exc
+            lead = min(orb)
+            totals = tuple(map(sum, zip(*orb)))
+            orbits[lead] = OrbitTotals(size=len(orb), totals=totals, representative=system.representative(lead))
     return OrbitPartition(system=system, orbits=tuple(orbits[k] for k in sorted(orbits)))
 
 
 # -- verdicts ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitSummary:
+class OrbitSummary(NamedTuple):
     size: int
     average: Fraction
     representative: tuple
@@ -272,23 +262,29 @@ def verdict(partition: OrbitPartition, statistic: CellStatistic) -> HomomesyRepo
     average is the sum of those positions' orbit totals over the orbit
     size, which equals the mean of :func:`cell_sum` over the orbit; a
     position named twice, by an element and by its box, counts twice
-    there too.
+    there too.  Averages are compared by cross-multiplying the integer
+    sums and sizes, and each distinct (sum, size) pair becomes one
+    :class:`Fraction`, which the summaries that have it share.
     """
-    positions = [partition.system.position(item) for _ in partition.orbits[:1] for item in statistic.support]
+    orbits = partition.orbits
+    positions = [partition.system.position(item) for _ in orbits[:1] for item in statistic.support]
+    if len(positions) > 1:
+        pick = itemgetter(*positions)
+    else:  # a slice reads one position or none as a tuple too
+        pick = itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
+    sums = [sum(pick(o.totals)) for o in orbits]
+    sizes = [o.size for o in orbits]
+    averages = {pair: Fraction(*pair) for pair in set(zip(sums, sizes))}
     summaries = [
-        OrbitSummary(
-            size=o.size,
-            average=Fraction(sum(o.totals[i] for i in positions), o.size),
-            representative=o.representative,
-        )
-        for o in partition.orbits
+        OrbitSummary(size=n, average=averages[s, n], representative=o.representative)
+        for s, n, o in zip(sums, sizes, orbits)
     ]
     outcome = "homomesic"
     witness = None
-    for summary in summaries[1:]:
-        if summary.average != summaries[0].average:
+    for j in range(1, len(orbits)):
+        if sums[j] * sizes[0] != sums[0] * sizes[j]:
             outcome = "violated"
-            witness = (summaries[0], summary)
+            witness = (summaries[0], summaries[j])
             break
     return HomomesyReport(
         system=partition.system.description,
@@ -331,21 +327,6 @@ def fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def report_to_jsonable(report: HomomesyReport) -> dict:
-    def entry(o: OrbitSummary) -> dict:
-        return {"size": o.size, "average": fraction_str(o.average), "representative": o.representative}
-
-    out = {
-        "system": report.system,
-        "statistic": report.statistic,
-        "orbits": [entry(o) for o in report.orbits],
-        "verdict": report.verdict,
-    }
-    if report.witness is not None:
-        out["witness"] = [entry(o) for o in report.witness]
-    return out
-
-
 def _json_list(items: Iterable, indent: str) -> str:
     """``json.dumps(indent=2)`` of a list whose items encode as
     ``str(item)``, with its closing bracket at `indent`."""
@@ -356,17 +337,23 @@ def _json_list(items: Iterable, indent: str) -> str:
 
 def reports_to_json(reports: Sequence[HomomesyReport]) -> str:
     """One report as a JSON object, any other number as a list, in the
-    bytes of ``json.dumps(payload, sort_keys=True, indent=2)`` over
-    :func:`report_to_jsonable`.  An orbit's entry after its average (its
-    representative, encoded from its int tuples, and its size) is one
-    fragment per representative object, which all its reports share."""
+    bytes of ``json.dumps(payload, sort_keys=True, indent=2)`` where a
+    payload maps each report field to its value, orbits to dicts of their
+    fields and averages to :func:`fraction_str`, and omits a null witness.
+    An orbit's entry after its average (its representative, encoded from
+    its int tuples, and its size) is one fragment per representative
+    object, which all its reports share; each shared average is encoded once."""
     pad = "  " if len(reports) != 1 else ""  # the reports' braces
     key, entry, field = pad + "  ", pad + "    ", pad + "      "  # report keys, orbit braces, orbit keys
     fragments: dict[tuple[int, int], str] = {}
+    averages: dict[int, str] = {}  # by the id of a Fraction that a verdict's summaries share
 
     def orbit_list(summaries) -> str:
         items = []
         for o in summaries:
+            average = averages.get(id(o.average))
+            if average is None:
+                average = averages[id(o.average)] = fraction_str(o.average)
             tail = fragments.get((id(o.representative), o.size))
             if tail is None:
                 rep = o.representative
@@ -374,7 +361,7 @@ def reports_to_json(reports: Sequence[HomomesyReport]) -> str:
                     rep = [_json_list(row, field + "  ") for row in rep]
                 tail = f'",\n{field}"representative": {_json_list(rep, field)},\n{field}"size": {o.size}\n{entry}}}'
                 fragments[id(o.representative), o.size] = tail
-            items.append(f'{{\n{field}"average": "{fraction_str(o.average)}{tail}')
+            items.append(f'{{\n{field}"average": "{average}{tail}')
         return _json_list(items, key)
 
     docs = []

@@ -245,20 +245,22 @@ class ReadingLayout:
         """The rows, top row first, of the tableau whose reading word is `word`."""
         return [word[a:b] for a, b in self.bounds]
 
-    def semistandard_test(self, ceiling: int) -> Callable[[Sequence[int]], bool]:
+    def semistandard_test(self, ceiling: int) -> Callable[[tuple[int, ...]], bool]:
         """The test whether a word is the reading word of a semistandard
         tableau of the shape with entries in [1, ceiling]: rows weakly
-        increase and columns strictly increase."""
+        increase and columns strictly increase, on tuple words.  Given those,
+        only the cells with no neighbour left and above (compared with a
+        0 appended to the word) and right and below (with ceiling + 1)
+        need their range checked."""
         n = self.size
         weak_rows = pairwise_test(le, [(j, i) for i, j in enumerate(self.west) if j >= 0])
-        strict_columns = pairwise_test(lt, [(a, i) for i, a in enumerate(self.north) if a >= 0])
+        lowest = [(n, i) for i in range(n) if self.west[i] < 0 and self.north[i] < 0]
+        highest = [(i, n + 1) for i in range(n) if self.east[i] < 0 and self.south[i] < 0]
+        strict_columns = pairwise_test(lt, [(a, i) for i, a in enumerate(self.north) if a >= 0] + lowest + highest)
+        bounds = (0, ceiling + 1)
 
-        def test(word: Sequence[int]) -> bool:
-            if len(word) != n:
-                return False
-            if word and not 1 <= min(word) <= max(word) <= ceiling:
-                return False
-            return weak_rows(word) and strict_columns(word)
+        def test(word: tuple[int, ...]) -> bool:
+            return len(word) == n and weak_rows(word) and strict_columns(word + bounds)
 
         return test
 

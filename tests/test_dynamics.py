@@ -283,6 +283,32 @@ class TestCycle:
         with pytest.raises(PreconditionError, match="not injective"):
             list(cycle(T([[1]], 3), lambda t: T([[2]], 3)))
 
+    def test_the_walk_consumes_exactly_its_orbit_from_the_set(self):
+        unvisited = set(range(10))
+        assert list(cycle(2, lambda x: (x + 3) % 9, unvisited)) == [2, 5, 8]
+        assert unvisited == {0, 1, 3, 4, 6, 7, 9}
+        assert list(cycle(9, lambda x: x, unvisited)) == [9]
+        assert unvisited == {0, 1, 3, 4, 6, 7}
+
+    @pytest.mark.parametrize(
+        "unvisited, start, step",
+        [
+            ({0, 1, 2}, 0, lambda x: x + 1),  # leaves the set at 3
+            ({0, 1, 2}, 0, lambda x: min(x + 1, 2)),  # returns to 2, which this walk consumed
+            ({1, 2}, 1, lambda x: 0),  # reaches 0, which an earlier walk consumed
+            ({0, 1, 2}, 5, lambda x: x),  # starts outside the set
+        ],
+        ids=["leaves", "revisits", "reaches-visited", "starts-outside"],
+    )
+    def test_a_step_outside_the_set_is_not_a_bijection(self, unvisited, start, step):
+        with pytest.raises(PreconditionError, match="^the step map is not a bijection on the enumerated elements$"):
+            list(cycle(start, step, unvisited))
+
+    def test_the_walk_without_a_set_still_finds_a_revisit(self):
+        with pytest.raises(PreconditionError, match="^the step map is not injective: the walk revisited an element$"):
+            list(cycle(0, lambda x: min(x + 1, 2)))
+        assert list(cycle(0, lambda x: (x + 1) % 3)) == [0, 1, 2]
+
 
 class TestPromotionPeriod:
     def test_rectangle_repeats_a_short_orbit_to_the_ceiling(self):

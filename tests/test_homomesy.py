@@ -23,7 +23,7 @@ from promotab.homomesy import (
 from promotab.ktableaux import IncreasingTableau, increasing_from_grid
 from promotab.posets import LinearExtension, build_cominuscule, ferrers_poset, linear_extensions
 from promotab.shapes import Tableau, count_ssyt, enumerate_ssyt
-from util import key_of
+from util import element_of
 
 
 def stat(*boxes):
@@ -139,48 +139,64 @@ class TestVerify:
         assert report.homomesic and report.common_average == 7
 
 
-def _orbit_from(system, lead, size):
-    keys = [key_of(lead)]
-    for _ in range(size - 1):
-        keys.append(system.step(keys[-1]))
-    assert system.step(keys[-1]) == keys[0]
-    return [system.element(key) for key in keys]
+# Each build returns a system, statistics on it, its size, and the
+# constructor and ceiling or poset that rebuild its elements from keys.
 
 
 def _ssyt_3x3():
     system = ssyt_system((3, 3, 3), 6)
-    return system, list(symmetric_subsets(system)), count_ssyt((3, 3, 3), 6)
+    return system, list(symmetric_subsets(system)), count_ssyt((3, 3, 3), 6), (Tableau, 6)
 
 
 def _inc_3x4():
-    system = inc_system(build_cominuscule("rectangle", 3, 4), 3)
-    return system, list(symmetric_subsets(system)), 882
+    p = build_cominuscule("rectangle", 3, 4)
+    system = inc_system(p, 3)
+    return system, list(symmetric_subsets(system)), 882, (IncreasingTableau, p)
 
 
 def _cayley():
-    system = syt_poset_system(build_cominuscule("cayley"))
-    return system, list(symmetric_subsets(system)), 78
+    p = build_cominuscule("cayley")
+    system = syt_poset_system(p)
+    return system, list(symmetric_subsets(system)), 78, (LinearExtension, p)
 
 
 def _partition_331():
     support = frozenset({(1, 1), (3, 1), (2, 3)})
-    return ssyt_system((3, 3, 1), 4), [CellStatistic(support, "cells")], count_ssyt((3, 3, 1), 4)
+    return ssyt_system((3, 3, 1), 4), [CellStatistic(support, "cells")], count_ssyt((3, 3, 1), 4), (Tableau, 4)
 
 
 def _cayley_mixed():
     # element 1 and its box (1, 1) name one position, which counts twice
     p = build_cominuscule("cayley")
     support = frozenset({1, (1, 1), (2, 3)})
-    return syt_poset_system(p), [CellStatistic(support, "mixed")], 78
+    return syt_poset_system(p), [CellStatistic(support, "mixed")], 78, (LinearExtension, p)
 
 
 def _shifted_staircase_boxes():
     p = build_cominuscule("shifted_staircase", 4)
     support = frozenset({(1, 1), (2, 3), (4, 4)})
-    return syt_poset_system(p), [CellStatistic(support, "boxes")], sum(1 for _ in linear_extensions(p))
+    size = sum(1 for _ in linear_extensions(p))
+    return syt_poset_system(p), [CellStatistic(support, "boxes")], size, (LinearExtension, p)
 
 
 PARTITION_SYSTEMS = [_ssyt_3x3, _inc_3x4, _cayley, _cayley_mixed, _partition_331, _shifted_staircase_boxes]
+
+
+def _orbits_by_definition(system, size, spec):
+    """The system's orbits, found by stepping each enumerated key until
+    it returns, ordered by their least key: each as that key and the
+    objects of its keys, rebuilt with their validating constructor."""
+    orbits, seen = [], set()
+    for key in system.enumerate():
+        if key not in seen:
+            walk = [key]
+            while (image := system.step(walk[-1])) != key:
+                walk.append(image)
+                assert len(walk) <= size
+            seen.update(walk)
+            orbits.append(walk)
+    orbits.sort(key=min)
+    return [(min(walk), [element_of(system, key, *spec) for key in walk]) for walk in orbits]
 
 
 def _items(element):
@@ -195,23 +211,44 @@ def _items(element):
 class TestPartition:
     @pytest.mark.parametrize("build", PARTITION_SYSTEMS)
     def test_totals_match_definition(self, build):
-        system, statistics, size = build()
+        system, statistics, size, spec = build()
         partition = partition_orbits(system, budget=100_000)
         assert sum(o.size for o in partition.orbits) == size
-        orbits = [_orbit_from(system, o.lead, o.size) for o in partition.orbits]
+        orbits = _orbits_by_definition(system, size, spec)
+        assert [(o.size, o.representative) for o in partition.orbits] == [
+            (len(elements), system.representative(lead)) for lead, elements in orbits
+        ]
         for statistic in statistics:
             report = verdict(partition, statistic)
             assert [o.average for o in report.orbits] == [
-                orbit_average(elements, statistic) for elements in orbits
+                orbit_average(elements, statistic) for _, elements in orbits
             ]
 
     @pytest.mark.parametrize("build", PARTITION_SYSTEMS)
+    def test_verdicts_match_definition(self, build):
+        system, statistics, size, spec = build()
+        partition = partition_orbits(system, budget=100_000)
+        orbits = _orbits_by_definition(system, size, spec)
+        outcomes = set()
+        for statistic in statistics:
+            report = verdict(partition, statistic)
+            averages = [orbit_average(elements, statistic) for _, elements in orbits]
+            first_other = next((j for j, a in enumerate(averages) if a != averages[0]), None)
+            assert report.verdict == ("homomesic" if first_other is None else "violated")
+            assert report.witness == (None if first_other is None else (report.orbits[0], report.orbits[first_other]))
+            outcomes.add(report.verdict)
+        # symmetric supports are homomesic but for the paper's counterexample on
+        # inc(3x4), and the two asymmetric supports are not
+        mixed = {_inc_3x4: {"homomesic", "violated"}, _cayley_mixed: {"violated"}, _partition_331: {"violated"}}
+        assert outcomes == mixed.get(build, {"homomesic"})
+
+    @pytest.mark.parametrize("build", PARTITION_SYSTEMS)
     def test_positions_match_definition(self, build):
-        system = build()[0]
+        system, _, _, spec = build()
         keys = list(system.enumerate())
         # the first keys and a spread of later ones, whose entries differ more
         for key in keys[:3] + keys[:: max(1, len(keys) // 20)]:
-            element = system.element(key)
+            element = element_of(system, key, *spec)
             for item in _items(element):
                 assert key[system.position(item)] == cell_sum(element, {item}), (key, item)
 
@@ -246,7 +283,7 @@ class TestPartition:
         ],
         ids=["ssyt", "ssyt-inverse", "linear-extensions", "increasing"],
     )
-    def test_the_walk_builds_one_object_per_orbit(self, monkeypatch, build):
+    def test_the_walk_builds_no_validated_object(self, monkeypatch, build):
         system = build()
         built = []
         for cls in (Tableau, LinearExtension, IncreasingTableau):
@@ -257,8 +294,19 @@ class TestPartition:
 
             monkeypatch.setattr(cls, "__init__", counted)
         partition = partition_orbits(system, budget=100_000)
-        assert len(built) == len(partition.orbits) < sum(o.size for o in partition.orbits)
-        assert built == [type(o.lead) for o in partition.orbits]
+        assert len(partition.orbits) > 1
+        assert built == []
+
+    def test_an_empty_partition_is_vacuously_homomesic_and_never_reads_its_support(self):
+        def refuse(item):
+            raise AssertionError(f"support item {item} was resolved")
+
+        system = replace(ssyt_system((2, 2), 0), position=refuse)
+        partition = partition_orbits(system, budget=10)
+        assert partition.orbits == ()
+        for statistic in [stat(), stat((1, 1)), stat((1, 1), (5, 5))]:
+            report = verdict(partition, statistic)
+            assert (report.verdict, report.orbits, report.witness, report.common_average) == ("homomesic", (), None, None)
 
     def test_support_is_validated_only_when_an_orbit_exists(self):
         bad = stat((5, 5))

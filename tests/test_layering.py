@@ -7,7 +7,8 @@ function calls itself, so no input is too deep for the interpreter's
 recursion limit.  No module checks an invariant with `assert`, which
 `python -O` strips: a broken invariant raises an explicit error.  Homomesy
 reads cell layouts from its systems: only `cell_sum`, the definition on
-objects, asks which element class it was given."""
+objects, asks which element class it was given, and no other part of it
+names an element class, so its orbit walk builds no element object."""
 
 import ast
 import re
@@ -114,6 +115,21 @@ def element_type_checks(path: Path) -> set[str]:
             if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance" and len(node.args) == 2:
                 if set(re.findall(r"\w+", ast.unparse(node.args[1]))) & ELEMENT_CLASSES:
                     found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+def element_class_uses(path: Path) -> set[str]:
+    """Top-level definitions of the file (`<module>` for other statements,
+    imports aside) that name an element class, as a bare or qualified
+    name: to call its constructor, or to test against it."""
+    found = set()
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(top, (ast.Import, ast.ImportFrom)):
+            continue
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name in ELEMENT_CLASSES:
+                found.add(getattr(top, "name", "<module>"))
     return found
 
 
@@ -264,3 +280,28 @@ def test_element_type_guard_sees_nested_and_qualified_checks(tmp_path):
         "CHECK = isinstance(None, Tableau)\n"
     )
     assert element_type_checks(probe) == {"cell_sum", "position", "Report", "<module>"}
+
+
+def test_homomesy_builds_no_element_object():
+    # only the definition on objects names the element classes, so the
+    # orbit walk and the verdicts cannot build one per orbit
+    assert element_class_uses(SRC / "homomesy.py") <= {"cell_sum"}
+
+
+def test_element_class_guard_sees_constructors_and_qualified_names(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .shapes import Tableau\n"
+        "from . import posets\n"
+        "def cell_sum(obj):\n"
+        "    return isinstance(obj, Tableau)\n"
+        "def system(p):\n"
+        "    return dict(element=lambda labels: posets.LinearExtension(p, labels))\n"
+        "class Orbit:\n"
+        "    def lead(self, key):\n"
+        "        return IncreasingTableau(self.p, key)\n"
+        "def plain(rows):\n"
+        "    return tuple(rows)\n"
+        "KINDS = (Tableau,)\n"
+    )
+    assert element_class_uses(probe) == {"cell_sum", "system", "Orbit", "<module>"}

@@ -11,7 +11,7 @@ inverse are the `switch` chains kept there (on posets of width at most 3).
 The runs are derandomized and small, so the suite stays reproducible.
 """
 
-from itertools import combinations
+from itertools import combinations, islice
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -31,7 +31,8 @@ from promotab.dynamics import (
 )
 from promotab.ktableaux import IncreasingTableau, increasing_labels, k_promote_inverse_step, k_promote_step
 from promotab.posets import FinitePoset
-from promotab.shapes import ReadingLayout, Tableau, conjugate, order_ideal_chains
+from promotab.errors import PreconditionError
+from promotab.shapes import ReadingLayout, Tableau, conjugate, order_ideal_chains, ssyt_words, validate
 from util import k_promote_by_switches, k_promote_inverse_by_switches, order_ideal_chains_by_stack, sweep
 
 SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -81,6 +82,44 @@ def test_the_word_period_is_the_tableau_orbit_repeated_to_the_ceiling(t):
     layout, words = promotion_period_words(t)
     assert layout.outer == t.outer
     assert words == (orbit * (t.ceiling // len(orbit)) if t.is_rectangular else orbit)
+
+
+@st.composite
+def shapes_and_words(draw) -> tuple[ReadingLayout, int, tuple[int, ...]]:
+    """A straight or skew shape with at most 10 cells, a ceiling, and a
+    word: a semistandard one, often with one letter changed to anything
+    from 0 to ceiling + 1, or with a letter added or dropped."""
+    outer = sorted(draw(st.lists(st.integers(1, 5), max_size=4)), reverse=True)
+    while sum(outer) > 10:
+        outer.pop()
+    inner = []
+    for length in outer:
+        inner.append(draw(st.integers(0, min(length, inner[-1] if inner else length))))
+    layout = ReadingLayout(outer, [r for r in inner if r])
+    k = draw(st.integers(0, 6))
+    words = list(islice(ssyt_words(layout, k), 300)) or [(1,) * layout.size]
+    word = list(draw(st.sampled_from(words)))
+    change = draw(st.sampled_from(["none", "letter", "letter", "add", "drop"]))
+    if change == "letter" and word:
+        word[draw(st.integers(0, len(word) - 1))] = draw(st.integers(0, k + 1))
+    elif change == "add":
+        word.insert(draw(st.integers(0, len(word))), draw(st.integers(0, k + 1)))
+    elif change == "drop" and word:
+        word.pop(draw(st.integers(0, len(word) - 1)))
+    return layout, k, tuple(word)
+
+
+@SETTINGS
+@given(shapes_and_words())
+def test_the_semistandard_word_test_agrees_with_the_tableau_constructor(case):
+    # the SSYT systems admit a key by this test
+    layout, k, word = case
+    try:
+        t = Tableau(layout.rows(word), k, layout.inner)
+    except PreconditionError:
+        t = None
+    expected = t is not None and t.row_reading() == word and t.outer == layout.outer and validate(t, "semistandard")
+    assert layout.semistandard_test(k)(word) == expected
 
 
 @st.composite

@@ -2,11 +2,11 @@
 output against pins.
 
 `reports_to_json` must write the bytes of ``json.dumps(payload,
-sort_keys=True, indent=2)`` over `report_to_jsonable`.  Each argv below is
-run in both formats; the JSON is compared with that definition over the
-reports the CLI built, the ascii with the line format below, and both,
-with their exit codes and stderr, with the digests in
-``report_pins.json``.  Rewrite the pins only for a deliberate change of
+sort_keys=True, indent=2)`` over `report_to_jsonable`, its definition in
+`util`.  Each argv below is run in both formats; the JSON is compared with
+that definition over the reports the CLI built, the ascii with the line
+format below, and both, with their exit codes and stderr, with the
+digests in ``report_pins.json``.  Rewrite the pins only for a deliberate change of
 output: ``PYTHONPATH=src python tests/test_report_json.py --pin``.
 """
 
@@ -21,6 +21,7 @@ import pytest
 
 from promotab import homomesy
 from promotab.cli import main
+from util import report_to_jsonable
 
 PINS = Path(__file__).resolve().parent / "report_pins.json"
 BUDGET = "100000"
@@ -82,7 +83,7 @@ def test_output_equals_the_definition_and_the_pin(argv, monkeypatch):
         code, out, err = run(argv, fmt)
         assert (code, err) == (1 if any(r.verdict == "violated" for r in reports) else 0, "")
         if fmt == "json":
-            payload = [homomesy.report_to_jsonable(r) for r in reports]
+            payload = [report_to_jsonable(r) for r in reports]
             assert out == json.dumps(payload[0] if len(payload) == 1 else payload, sort_keys=True, indent=2) + "\n"
         else:
             assert out == "".join(f"{line}\n" for r in reports for line in ascii_lines(r))
@@ -96,7 +97,7 @@ def test_the_writer_equals_the_definition_on_any_number_of_reports(count):
     partition = homomesy.partition_orbits(system, budget=100)
     stats = list(homomesy.symmetric_subsets(system))[:count]
     reports = [homomesy.verdict(partition, s) for s in stats]
-    payload = [homomesy.report_to_jsonable(r) for r in reports]
+    payload = [report_to_jsonable(r) for r in reports]
     expected = json.dumps(payload[0] if count == 1 else payload, sort_keys=True, indent=2)
     assert homomesy.reports_to_json(reports) == expected
 
@@ -104,7 +105,7 @@ def test_the_writer_equals_the_definition_on_any_number_of_reports(count):
 def test_strings_are_escaped_as_json_dumps_escapes_them():
     partition = homomesy.partition_orbits(homomesy.ssyt_system((1,), 2), budget=10)
     report = homomesy.verdict(partition, homomesy.CellStatistic(frozenset({(1, 1)}), 'a "quoted" \\ name é\n'))
-    expected = json.dumps(homomesy.report_to_jsonable(report), sort_keys=True, indent=2)
+    expected = json.dumps(report_to_jsonable(report), sort_keys=True, indent=2)
     assert homomesy.reports_to_json([report]) == expected
 
 

@@ -60,6 +60,7 @@ from util import (
     check_dis_invariance_by_objects,
     descending,
     dual_triangular,
+    element_of,
     enumerate_increasing_by_rescan,
     k_promote_by_switches,
     k_promote_inverse_by_switches,
@@ -247,7 +248,7 @@ def check_keyed_system(system, elements, step) -> None:
     assert keys == [key_of(x) for x in elements]
     for key, x in zip(keys, elements):
         assert system.admits(key)
-        assert system.element(key) == x
+        assert element_of(system, key, type(x), x.ceiling if isinstance(x, Tableau) else x.poset) == x
         assert system.step(key) == key_of(step(x))
 
 

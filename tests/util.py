@@ -7,6 +7,7 @@ from itertools import permutations, product
 from promotab.dynamics import cycle, evacuate, promote, rectify
 from promotab.errors import ParseError, PreconditionError
 from promotab.growth import DisInvarianceReport
+from promotab.homomesy import HomomesyReport, OrbitSummary, fraction_str
 from promotab.ktableaux import BULLET, IncreasingTableau, switch
 from promotab.posets import FinitePoset, LinearExtension
 from promotab.paths import LabeledPath, promotion_path
@@ -42,6 +43,34 @@ def key_of(obj) -> tuple[int, ...]:
     """A homomesy system's key for an element: a tableau's reading word
     (bottom row first), a labelled poset object's labels."""
     return obj.row_reading() if isinstance(obj, Tableau) else obj.labels
+
+
+def element_of(system, key, kind, over):
+    """The object that one of a homomesy system's keys stands for, built
+    with the validating constructor `kind`: a `Tableau` of the key's rows
+    with ceiling `over`, or a `LinearExtension` or `IncreasingTableau` of
+    the poset `over` labelled by the key."""
+    if kind is Tableau:
+        return Tableau(system.representative(key), over)
+    return kind(over, key)
+
+
+def report_to_jsonable(report: HomomesyReport) -> dict:
+    """Definition: the payload whose ``json.dumps(sort_keys=True,
+    indent=2)`` `homomesy.reports_to_json` writes for one report."""
+
+    def entry(o: OrbitSummary) -> dict:
+        return {"size": o.size, "average": fraction_str(o.average), "representative": o.representative}
+
+    out = {
+        "system": report.system,
+        "statistic": report.statistic,
+        "orbits": [entry(o) for o in report.orbits],
+        "verdict": report.verdict,
+    }
+    if report.witness is not None:
+        out["witness"] = [entry(o) for o in report.witness]
+    return out
 
 
 def random_ssyt(shape, ceiling, rng):
