@@ -152,6 +152,8 @@ def _cmd_growth(args) -> int:
     if not t.is_straight:
         raise PreconditionError("growth windows require a straight shape")
     height = args.height if args.height is not None else t.ceiling + 1
+    if height > growth.MAX_WINDOW_HEIGHT:
+        raise BudgetExceededError(f"window height {height} exceeds the limit of {growth.MAX_WINDOW_HEIGHT} rows")
     window = growth.build_window(t, height)
     tracked = None
     if args.cells:
@@ -200,9 +202,8 @@ def _cmd_paths(args) -> int:
     }
     if args.cells:
         flows = []
-        for box in _parse_cells(args.cells):
-            fm = paths.flow_multisets(t, box)
-            intervals = paths.interval_decomposition(t, box)
+        boxes = _parse_cells(args.cells)
+        for box, (fm, intervals) in zip(boxes, paths.box_flows(t, boxes)):
             lines.append(
                 f"box ({box[0]},{box[1]}): inn={{{','.join(map(str, fm.inn))}}}"
                 f" out={{{','.join(map(str, fm.out))}}}"
@@ -391,7 +392,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("growth", help="growth window of chain encodings")
     _add_io_arguments(sub)
-    sub.add_argument("--height", type=int, default=None)
+    sub.add_argument(
+        "--height",
+        type=int,
+        default=None,
+        help=f"rows of the window (default ceiling+1, at most {growth.MAX_WINDOW_HEIGHT})",
+    )
     sub.add_argument("--cells", help="single tracked box 'r,c' to shade")
 
     sub = subs.add_parser("dis", help="multiset of one box's values over a period")

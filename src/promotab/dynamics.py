@@ -5,11 +5,12 @@ Promotion and its inverse are implemented twice on purpose (slides and
 toggle sweeps) so the two routes can be checked against each other.
 
 :func:`jdt_slide`/:func:`rectify` and :func:`toggle` are the one-step
-definitions.  Two slide kernels work on the reading word of a straight
-shape, through the shape's table of neighbours: one slides the holes of
-the 1s out (promotion, and partial promotion below a ceiling), the other
-slides the holes of the entries equal to the ceiling back in (inverse
-promotion).
+definitions.  Three slide kernels work on the reading word of a straight
+shape, through the shape's table of neighbours (:func:`straight_layout`):
+one slides the holes of the 1s out (promotion, and partial promotion
+below a ceiling), one slides out the holes of the 1s, then the 2s, and so
+on up to the ceiling, in one pass (evacuation), and one slides the holes
+of the entries equal to the ceiling back in (inverse promotion).
 :func:`promote`, :func:`promote_inverse`, :func:`partial_promote` and
 :func:`evacuate` check that a tableau is semistandard, run a kernel on its
 reading word and build one :class:`Tableau`, their result.  Each operator
@@ -33,6 +34,7 @@ from .shapes import Box, Partition, ReadingLayout, Tableau, part
 Picker = Callable[[list[Box]], Box]
 Slide = Callable[[Sequence[int]], tuple[int, ...]]
 X = TypeVar("X")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -203,23 +205,13 @@ def _slide_in(layout: ReadingLayout, k: int) -> Slide:
 
 
 @lru_cache(maxsize=8)
-def _straight(outer: Partition, ceiling: int) -> tuple[ReadingLayout, Callable[[Sequence[int]], bool], list[Slide]]:
-    """The reading layout of a straight shape, its semistandard test at
-    `ceiling`, and the stages of :func:`evacuate` on its words: the
-    promotions below i for i = ceiling .. 1, which `evacuate` fills in on
-    its first call, so the other steps never build them.  Sweeps step many
-    tableaux of one shape in a row, so a few recent shapes are kept; more
-    would only add memory."""
-    layout = ReadingLayout(outer)
-    return layout, layout.semistandard_test(ceiling), []
-
-
 def straight_layout(outer: Partition, ceiling: int) -> tuple[ReadingLayout, Callable[[Sequence[int]], bool]]:
     """The reading layout of a straight shape and its semistandard test at
-    `ceiling`: the entry that the steps on tableaux keep for a few recent
-    shapes, so a sweep over one shape builds them once."""
-    layout, semistandard, _ = _straight(outer, ceiling)
-    return layout, semistandard
+    `ceiling`.  Sweeps step many tableaux of one shape in a row, so a few
+    recent shapes are kept, which the steps on tableaux and growth windows
+    share; more would only add memory."""
+    layout = ReadingLayout(outer)
+    return layout, layout.semistandard_test(ceiling)
 
 
 def _reading_word(t: Tableau, step: str) -> tuple[ReadingLayout, tuple[int, ...]]:
@@ -227,7 +219,7 @@ def _reading_word(t: Tableau, step: str) -> tuple[ReadingLayout, tuple[int, ...]
     semistandard."""
     if not t.is_straight:
         raise PreconditionError(f"{step} requires a straight shape")
-    layout, semistandard, _ = _straight(t.outer, t.ceiling)
+    layout, semistandard = straight_layout(t.outer, t.ceiling)
     word = t.row_reading()
     if not semistandard(word):
         raise PreconditionError("not semistandard")
@@ -391,20 +383,50 @@ def partial_promote(t: Tableau, i: int) -> Tableau:
     return Tableau(layout.rows(_slide_out(layout, i, t.ceiling)(word)), t.ceiling)
 
 
+def _evacuation(layout: ReadingLayout, word: Sequence[int], k: int) -> tuple[int, ...]:
+    """Evacuation of a reading word of a straight layout with entries <= k,
+    in one pass: the k stages of :func:`evacuate`, with no relabelling.
+
+    Stage s slides out the holes of the s's, by the rule of
+    :func:`_slide_out`.  The other entries keep their values, so s is the
+    least entry left, and every cell where a hole stopped, frozen, holds
+    k + 1 and counts as absent; the stages in :func:`evacuate`'s terms
+    instead decrement the unfrozen entries once per stage, which keeps
+    every comparison.  The evacuation holds k + 1 - s at each cell where a
+    hole of stage s stopped, and every cell is one such.
+    """
+    south, east = layout.south, layout.east
+    top = layout.size - part(layout.outer, 1)  # the top row's first index
+    absent = k + 1
+    w = [*word, absent]  # a missing neighbour's index, -1, reads this absent cell
+    out = list(word)
+    for v in range(1, absent):
+        for h in range(top + w.count(v) - 1, top - 1, -1):
+            while True:
+                s, e = south[h], east[h]
+                below, right = w[s], w[e]
+                if below <= right:
+                    if below > k:
+                        break
+                    w[h], h = below, s
+                elif right > k:
+                    break
+                else:
+                    w[h], h = right, e
+            w[h] = absent
+            out[h] = absent - v
+    return tuple(out)
+
+
 def evacuate(t: Tableau) -> Tableau:
     """Evacuation via iterated frozen promotions.
 
     Stage j freezes the top j-1 values of the previous stage and promotes
-    the remaining portion with the reduced ceiling.
+    the remaining portion with the reduced ceiling; the stages run as one
+    pass on the reading word.
     """
     layout, word = _reading_word(t, "evacuation")
-    k = t.ceiling
-    stages = _straight(t.outer, k)[2]
-    if not stages:
-        stages.extend(_slide_out(layout, i, k) for i in range(k, 0, -1))
-    for stage in stages:
-        word = stage(word)
-    return Tableau(layout.rows(word), k)
+    return Tableau(layout.rows(_evacuation(layout, word, t.ceiling)), t.ceiling)
 
 
 def evacuate_via_toggles(t: Tableau) -> Tableau:
@@ -505,7 +527,7 @@ def promotion_period_words(t: Tableau) -> tuple[ReadingLayout, list[tuple[int, .
     if not t.is_straight:
         raise PreconditionError("promotion orbits require a straight shape")
     k = t.ceiling
-    layout, semistandard, _ = _straight(t.outer, k)
+    layout, semistandard = straight_layout(t.outer, k)
     words = []
     for word in cycle(t.row_reading(), reading_word_step(layout, k, "promote")):
         if not semistandard(word):
@@ -520,6 +542,30 @@ def promotion_period_words(t: Tableau) -> tuple[ReadingLayout, list[tuple[int, .
             "this indicates a bug in promote"
         )
     return layout, words * repeats
+
+
+def orbit_memo(period: Callable[[Tableau], tuple[Sequence[tuple[int, ...]], R]]) -> Callable[[Tableau], R]:
+    """`period` read once per promotion orbit.
+
+    `period(t)` walks t's promotion period (with
+    :func:`promotion_period_words`) and returns its reading words and a
+    result that depends on the orbit alone.  The returned function keeps
+    that result for every word of the period, under t's shape and ceiling,
+    so a later tableau of the orbit gets it without a walk; a kept word
+    was checked semistandard when its period was walked.  The memo lives
+    as long as the returned function, so a sweep makes one per call.
+    """
+    memos: dict[tuple[Partition, int], dict[tuple[int, ...], R]] = {}
+
+    def of(t: Tableau) -> R:
+        memo = memos.setdefault((t.outer, t.ceiling), {})
+        word = t.row_reading()
+        if word not in memo:
+            words, result = period(t)
+            memo.update(dict.fromkeys(words, result))
+        return memo[word]
+
+    return of
 
 
 def promotion_period(t: Tableau) -> list[Tableau]:

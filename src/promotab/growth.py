@@ -13,11 +13,16 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .dynamics import evacuate, promotion_period_words, reading_word_step, straight_layout
+from .dynamics import evacuate, orbit_memo, promotion_period_words, reading_word_step, straight_layout
 from .errors import PreconditionError
 from .shapes import Box, Partition, Tableau, contains, enumerate_ssyt, part
 
 Multiset = tuple[int, ...]
+
+# The most rows the command line builds a window with.  Its text rendering
+# shifts each row one column right, so the text grows with the square of
+# the height.
+MAX_WINDOW_HEIGHT = 1000
 
 
 @dataclass(frozen=True)
@@ -150,27 +155,36 @@ class DisInvarianceReport:
         return not self.violations
 
 
+def _period_columns(t: Tableau) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The reading words of t's promotion period, and each box's period
+    multiset, in the order of ``t.boxes()``: the sorted column of the box's
+    word index over the period."""
+    layout, words = promotion_period_words(t)
+    columns = [sorted(column) for column in zip(*words)]
+    return words, [columns[i] for i in layout.fill]
+
+
 def check_dis_invariance(shape, ceiling: int) -> DisInvarianceReport:
     """Verify that every box's period multiset agrees for t and evacuate(t).
 
-    The periods are read as words: a box's multiset is the sorted column
-    of its word index over the period.  An evacuation of another shape
-    disagrees at every box.
+    The periods are read as words, and each orbit's multisets are read
+    once: every tableau of an orbit, and every evacuation that lands in
+    it, shares them.  An evacuation of another shape disagrees at every
+    box.
     """
     violations = []
     checked = 0
+    multisets = orbit_memo(_period_columns)
     for t in enumerate_ssyt(shape, ceiling):
         checked += 1
         e = evacuate(t)
-        layout, period_t = promotion_period_words(t)
+        columns_t = multisets(t)
         if e.outer != t.outer:
             violations.extend((t, box) for box in t.boxes())
             continue
-        _, period_e = promotion_period_words(e)
-        columns_t = [sorted(column) for column in zip(*period_t)]
-        columns_e = [sorted(column) for column in zip(*period_e)]
-        for box, i in zip(t.boxes(), layout.fill):
-            if columns_t[i] != columns_e[i]:
+        columns_e = multisets(e)
+        for box, column_t, column_e in zip(t.boxes(), columns_t, columns_e):
+            if column_t != column_e:
                 violations.append((t, box))
     return DisInvarianceReport(tuple(shape), ceiling, checked, tuple(violations))
 
@@ -243,6 +257,7 @@ __all__ = [
     "ChainEncoding",
     "GrowthWindow",
     "DisInvarianceReport",
+    "MAX_WINDOW_HEIGHT",
     "encode_chain",
     "decode_chain",
     "build_window",

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dynamics import evacuate, promotion_period_words
+from .dynamics import evacuate, orbit_memo, promotion_period_words
 from .errors import PreconditionError
-from .shapes import Box, Tableau, enumerate_syt, validate
+from .shapes import Box, ReadingLayout, Tableau, enumerate_syt, validate
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,11 @@ def apply_promotion_path(t: Tableau, path: LabeledPath) -> Tableau:
 def _progression(t: Tableau) -> list[LabeledPath]:
     """The promotion paths of t, P(t), ..., P^(k-1)(t), for a standard
     rectangle t; promotion keeps it one."""
-    layout, words = promotion_period_words(t)
+    return _paths(*promotion_period_words(t))
+
+
+def _paths(layout: ReadingLayout, words: Sequence[tuple[int, ...]]) -> list[LabeledPath]:
+    """The promotion path of each reading word of a standard rectangle."""
     return [_path(layout.rows(word)) for word in words]
 
 
@@ -131,12 +135,15 @@ def trajectory(t: Tableau) -> LabeledPath:
     return LabeledPath(tuple(boxes), tuple(labels))
 
 
-def _flow_events(t: Tableau) -> dict[Box, tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
-    """Per box: ((time, arriving value), ...), ((time, leaving value), ...)."""
-    m, n = _require_standard_rectangle(t)
+Events = dict[Box, tuple[list[tuple[int, int]], list[tuple[int, int]]]]
+
+
+def _flow_events(t: Tableau, progression: Sequence[LabeledPath]) -> Events:
+    """Per box of a standard rectangle t, from the promotion paths of its
+    period: ((time, arriving value), ...), ((time, leaving value), ...)."""
     k = t.size
-    events: dict[Box, tuple[list, list]] = {box: ([], []) for box in t.boxes()}
-    for time, path in enumerate(_progression(t)):
+    events: Events = {box: ([], []) for box in t.boxes()}
+    for time, path in enumerate(progression):
         for i, box in enumerate(path.boxes):
             ins, outs = events[box]
             outs.append((time, path.labels[i]))
@@ -147,37 +154,36 @@ def _flow_events(t: Tableau) -> dict[Box, tuple[list[tuple[int, int]], list[tupl
     return events
 
 
+def _events(t: Tableau) -> Events:
+    """:func:`_flow_events` of t's period, t a standard rectangle."""
+    _require_standard_rectangle(t)
+    return _flow_events(t, _progression(t))
+
+
+def _multisets(box: Box, ins: list[tuple[int, int]], outs: list[tuple[int, int]]) -> FlowMultisets:
+    return FlowMultisets(box=box, inn=tuple(sorted(v for _, v in ins)), out=tuple(sorted(v for _, v in outs)))
+
+
+def _tables(events: Events) -> dict[Box, FlowMultisets]:
+    return {box: _multisets(box, ins, outs) for box, (ins, outs) in events.items()}
+
+
 def flow_tables(t: Tableau) -> dict[Box, FlowMultisets]:
     """The inn/out multisets of every box, from one orbit pass."""
-    return {
-        box: FlowMultisets(
-            box=box,
-            inn=tuple(sorted(v for _, v in ins)),
-            out=tuple(sorted(v for _, v in outs)),
-        )
-        for box, (ins, outs) in _flow_events(t).items()
-    }
+    return _tables(_events(t))
 
 
 def flow_multisets(t: Tableau, box: Box) -> FlowMultisets:
     """The inn/out multisets of one box over a full period."""
-    if not t.has_box(*box):
-        raise PreconditionError(f"box {box} is not in the shape")
-    return flow_tables(t)[box]
+    return box_flows(t, (box,))[0][0]
 
 
-def interval_decomposition(t: Tableau, box: Box) -> tuple[tuple[int, int], ...]:
-    """Partition the box's period values into intervals [a, b].
+Intervals = tuple[tuple[int, int], ...]
 
-    Each arriving value b sits in the box decrementing until it leaves
-    with some value a, contributing the interval [a, b]; arrivals pair
-    with the cyclically next departure.  The interval tops are the inn
-    multiset and the bottoms the out multiset.
-    """
-    if not t.has_box(*box):
-        raise PreconditionError(f"box {box} is not in the shape")
-    k = t.size
-    ins, outs = _flow_events(t)[box]
+
+def _intervals(box: Box, ins: list[tuple[int, int]], outs: list[tuple[int, int]], k: int) -> Intervals:
+    """:func:`interval_decomposition` of a box from its flow events over
+    a period of length k."""
     intervals = []
     out_times = [time for time, _ in outs]
     for time, b in ins:
@@ -188,6 +194,27 @@ def interval_decomposition(t: Tableau, box: Box) -> tuple[tuple[int, int], ...]:
             raise RuntimeError(f"box {box} let value {b} leave as {a}; this indicates a bug in promote")
         intervals.append((a, b))
     return tuple(sorted(intervals))
+
+
+def interval_decomposition(t: Tableau, box: Box) -> Intervals:
+    """Partition the box's period values into intervals [a, b].
+
+    Each arriving value b sits in the box decrementing until it leaves
+    with some value a, contributing the interval [a, b]; arrivals pair
+    with the cyclically next departure.  The interval tops are the inn
+    multiset and the bottoms the out multiset.
+    """
+    return box_flows(t, (box,))[0][1]
+
+
+def box_flows(t: Tableau, boxes: Sequence[Box]) -> list[tuple[FlowMultisets, Intervals]]:
+    """:func:`flow_multisets` and :func:`interval_decomposition` of each
+    box, in order, from one walk of t's period."""
+    for box in boxes:
+        if not t.has_box(*box):
+            raise PreconditionError(f"box {box} is not in the shape")
+    events = _events(t)
+    return [(_multisets(box, *events[box]), _intervals(box, *events[box], t.size)) for box in boxes]
 
 
 @dataclass(frozen=True)
@@ -204,14 +231,27 @@ class FlowInvarianceReport:
         return not self.violations
 
 
+def _period_flows(t: Tableau) -> tuple[list[tuple[int, ...]], dict[Box, FlowMultisets]]:
+    """The reading words of t's promotion period and :func:`flow_tables`
+    of t, from one walk."""
+    _require_standard_rectangle(t)
+    layout, words = promotion_period_words(t)
+    return words, _tables(_flow_events(t, _paths(layout, words)))
+
+
 def check_flow_invariance(m: int, n: int) -> FlowInvarianceReport:
-    """Verify inn/out multisets agree for t and evacuate(t), all boxes."""
+    """Verify inn/out multisets agree for t and evacuate(t), all boxes.
+
+    Each orbit's flow tables are read once: every tableau of an orbit, and
+    every evacuation that lands in it, shares them.
+    """
     violations = []
     checked = 0
+    tables = orbit_memo(_period_flows)
     for t in enumerate_syt((n,) * m):
         checked += 1
-        flows_t = flow_tables(t)
-        flows_e = flow_tables(evacuate(t))
+        flows_t = tables(t)
+        flows_e = tables(evacuate(t))
         for box in flows_t:
             if flows_t[box] != flows_e[box]:
                 violations.append((t, box))

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from promotab import homomesy
+from promotab import growth, homomesy, paths
 from promotab.cli import main
+from promotab.dynamics import promotion_period_words
 
 T_MAIN_TEXT = "k=6\n1 1 2 3\n3 3 4 4\n5 5\n"
 T_INC_TEXT = "k=5\n1 3\n2 4\n4 5\n"
@@ -99,6 +100,20 @@ class TestGrowthAndDis:
         assert (code, out) == (3, "")
         assert err == "precondition violated: box (5, 5) is not in the shape\n"
 
+    def test_a_window_over_the_row_limit_is_refused_before_any_row(self, monkeypatch, capsys):
+        def refuse(*_):
+            raise AssertionError("built a window over the row limit")
+
+        monkeypatch.setattr(growth, "build_window", refuse)
+        code, out, err = run(capsys, "growth", "--height", "1000000000", "--text", "k=2\n1\n2\n")
+        assert (code, out) == (4, "")
+        assert err == "budget exhausted: window height 1000000000 exceeds the limit of 1000 rows\n"
+
+    def test_a_window_at_the_row_limit_is_built(self, capsys):
+        height = str(growth.MAX_WINDOW_HEIGHT)
+        code, out, _ = run(capsys, "growth", "--height", height, "--format", "json", "--text", "k=2\n1\n2\n")
+        assert code == 0 and len(json.loads(out)["rows"]) == growth.MAX_WINDOW_HEIGHT
+
     def test_dis_requires_cells(self, capsys):
         code, _, err = run(capsys, "dis", "--text", "k=5\n1 2 3\n3 4 4\n")
         assert code == 2
@@ -113,6 +128,24 @@ class TestPaths:
         assert "trajectory: (3,3)[9] (2,3)[7] (1,3)[4] (1,2)[2] (1,1)[1]" in out
         assert "inn={5,6,6} out={3,4,4}" in out
         assert "intervals=[3,6] [4,5] [4,6]" in out
+
+    def test_the_flows_of_every_box_come_from_one_period_walk(self, monkeypatch, capsys):
+        # one walk for the trajectory, one for the flows of all boxes
+        walks = []
+
+        def counted(t):
+            walks.append(t)
+            return promotion_period_words(t)
+
+        monkeypatch.setattr(paths, "promotion_period_words", counted)
+        code, out, _ = run(capsys, "paths", "--text", "k=9\n1 2 5\n3 4 7\n6 8 9\n", "--cells", "1,1;1,2;2,1")
+        assert code == 0 and len(walks) <= 2
+        assert out.splitlines()[2:] == [
+            "box (1,1): inn={1,1,1,1,1,1,1,1,1} out={1,1,1,1,1,1,1,1,1}"
+            " intervals=[1,1] [1,1] [1,1] [1,1] [1,1] [1,1] [1,1] [1,1] [1,1]",
+            "box (1,2): inn={2,3,3,3,3} out={2,2,2,2,2} intervals=[2,2] [2,3] [2,3] [2,3] [2,3]",
+            "box (2,1): inn={3,3,3,4} out={2,2,2,2} intervals=[2,3] [2,3] [2,3] [2,4]",
+        ]
 
 
 class TestKOps:

@@ -12,6 +12,7 @@ from promotab.dynamics import (
     inner_corners,
     jdt_slide,
     orbit,
+    orbit_memo,
     partial_promote,
     promote,
     promote_inverse,
@@ -355,6 +356,34 @@ class TestPromotionPeriod:
         monkeypatch.setitem(dynamics.OPERATORS, "promote", (dynamics.promote, swap))
         with pytest.raises(RuntimeError, match="bug in promote"):
             promotion_period(T([[1, 2]], 3))
+
+
+class TestOrbitMemo:
+    @staticmethod
+    def sorted_period(walks):
+        def period(t):
+            walks.append(t)
+            _, words = promotion_period_words(t)
+            return words, sorted(words)
+
+        return period
+
+    def test_each_orbit_is_walked_once(self):
+        walks = []
+        of = orbit_memo(self.sorted_period(walks))
+        tableaux = list(enumerate_ssyt((3, 3), 4))  # orbits that share a content
+        for t in tableaux:
+            assert of(t) == sorted(promotion_period_words(t)[1])
+        assert len(walks) == len({orbit(t).representative for t in tableaux})
+
+    def test_a_word_is_kept_under_its_shape_and_ceiling(self):
+        walks = []
+        of = orbit_memo(self.sorted_period(walks))
+        of(T([[1, 2], [3]], 3))  # reading word (3, 1, 2)
+        assert of(T([[1, 2], [3]], 4)) == sorted(promotion_period_words(T([[1, 2], [3]], 4))[1])
+        with pytest.raises(PreconditionError, match="^not semistandard$"):
+            of(T([[3, 1, 2]], 3))
+        assert len(walks) == 3
 
 
 class TestConjugationIdentities:

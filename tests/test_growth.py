@@ -5,7 +5,7 @@ import pytest
 
 import promotab.dynamics as dynamics
 import promotab.growth as growth
-from promotab.dynamics import evacuate, promote, toggle
+from promotab.dynamics import evacuate, orbit, promote, promotion_period_words, toggle
 from promotab.errors import PreconditionError
 from promotab.growth import (
     ChainEncoding,
@@ -105,7 +105,7 @@ class TestGrowthWindow:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(ReadingLayout, "__init__", counted)
-        dynamics._straight.cache_clear()
+        dynamics.straight_layout.cache_clear()
         assert build_window(first, 6) != build_window(second, 6)
         assert len(built) == 1
 
@@ -194,6 +194,22 @@ class TestDisInvariance:
             built.clear()
             report = check_dis_invariance(shape, k)
             assert report.ok and 0 < len(built) <= 2 * report.tableaux_checked, (shape, k)
+
+    def test_the_sweep_walks_each_promotion_orbit_once(self, monkeypatch):
+        # at most one period walk per orbit, and a fresh memo for every call
+        walks = []
+
+        def counted(t):
+            walks.append(t)
+            return promotion_period_words(t)
+
+        monkeypatch.setattr(growth, "promotion_period_words", counted)
+        for shape, k in (((3, 3), 5), ((3, 2, 1), 4), ((4,), 3), ((2, 2, 2), 6)):
+            orbits = len({orbit(t).representative for t in enumerate_ssyt(shape, k)})
+            for _ in range(2):
+                walks.clear()
+                assert check_dis_invariance(shape, k).ok
+                assert 0 < len(walks) <= orbits, (shape, k)
 
     def test_broken_evacuation_is_reported(self, monkeypatch):
         least = Tableau([[1, 1], [2]], 3)

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 import promotab.paths as paths
-from promotab.dynamics import evacuate, promote, promote_inverse
+from promotab.dynamics import evacuate, orbit, promote, promote_inverse, promotion_period_words
 from promotab.errors import PreconditionError
 from promotab.growth import orbit_values
 from promotab.paths import (
@@ -158,6 +158,22 @@ class TestFlowInvariance:
     def test_single_row(self):
         report = check_flow_invariance(1, 4)
         assert report.ok and report.tableaux_checked == 1
+
+    def test_the_sweep_walks_each_promotion_orbit_once(self, monkeypatch):
+        # at most one period walk per orbit, and a fresh memo for every call
+        walks = []
+
+        def counted(t):
+            walks.append(t)
+            return promotion_period_words(t)
+
+        monkeypatch.setattr(paths, "promotion_period_words", counted)
+        for m, n in ((2, 3), (3, 3), (1, 4), (2, 4), (3, 4)):
+            orbits = len({orbit(t).representative for t in enumerate_syt((n,) * m)})
+            for _ in range(2):
+                walks.clear()
+                assert check_flow_invariance(m, n).ok
+                assert 0 < len(walks) <= orbits, (m, n)
 
     def test_broken_evacuation_is_reported(self, monkeypatch):
         least = T([[1, 2, 3], [4, 5, 6]], 6)

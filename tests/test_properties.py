@@ -1,16 +1,19 @@
 """Property tests on random instances beyond the fixed acceptance ranges.
 
-The SSYT step kernels slide on reading words, promotion periods are
-walked on reading words, and the order-ideal enumerator walks a memoized
-state graph.  Here random straight shapes, ceilings and tableaux check
-the kernels against the toggle sweeps and the word periods against the
-tableau orbits, and random transitively reduced posets check that the
-enumerator yields the same labellings, in the same order, as the stack
-search kept in `util`, and that the K-promotion bullet slide and its
-inverse are the `switch` chains kept there (on posets of width at most 3).
-The runs are derandomized and small, so the suite stays reproducible.
+The SSYT step kernels slide on reading words (evacuation is also checked
+against the chain of partial promotions that defines it), promotion
+periods are walked on reading words, and the order-ideal enumerator
+walks a memoized state graph.  Here random straight shapes, ceilings and
+tableaux check the kernels against the toggle sweeps and the word
+periods against the tableau orbits, and random transitively reduced
+posets check that the enumerator yields the same labellings, in the
+same order, as the stack search kept in `util`, and that the K-promotion
+bullet slide and its inverse are the `switch` chains kept there (on
+posets of width at most 3).  The runs are derandomized and small, so the
+suite stays reproducible.
 """
 
+from functools import reduce
 from itertools import combinations, islice
 
 from hypothesis import assume, given, settings
@@ -33,7 +36,13 @@ from promotab.ktableaux import IncreasingTableau, increasing_labels, k_promote_i
 from promotab.posets import FinitePoset
 from promotab.errors import PreconditionError
 from promotab.shapes import ReadingLayout, Tableau, conjugate, order_ideal_chains, ssyt_words, validate
-from util import k_promote_by_switches, k_promote_inverse_by_switches, order_ideal_chains_by_stack, sweep
+from util import (
+    k_promote_by_switches,
+    k_promote_inverse_by_switches,
+    order_ideal_chains_by_stack,
+    partial_promote_by_definition,
+    sweep,
+)
 
 SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
@@ -69,6 +78,8 @@ def test_the_word_kernels_are_the_toggle_sweeps(t):
     assert promote(t) == forward
     assert promote_inverse(t) == backward
     assert evacuate(t) == evacuate_via_toggles(t)
+    # the paper's staged definition: promote below k, then below k - 1, ..., then below 1
+    assert evacuate(t) == reduce(partial_promote_by_definition, range(k, 0, -1), t)
     memo: dict = {}
     for i in range(1, k + 1):
         # the toggles below i move only the entries <= i
