@@ -103,10 +103,13 @@ class FinitePoset:
         """The test whether labels, one per element (element x's at index
         x - 1), strictly increase along every cover and take exactly the
         values 1..d: what :class:`LinearExtension` (d = size) and an
-        increasing tableau with d labels check, on a plain tuple."""
+        increasing tableau with d labels check, on a plain tuple.  The
+        covers are tested by a :func:`~promotab.shapes.pairwise_test`,
+        generated once, on the test's first call."""
         size, values = self.size, frozenset(range(1, d + 1))
         increasing = pairwise_test(lt, [(x - 1, y - 1) for x, y in sorted(self.covers)])
-        return lambda labels: len(labels) == size and set(labels) == values and increasing(labels)
+        # one set per call: values.issubset(labels) would build it from the tuple too, and more slowly
+        return lambda labels: len(labels) == size and increasing(labels) and set(labels) == values
 
     def element_at(self, box: Box) -> int:
         if box not in self._box_of:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import factorial
-from operator import itemgetter, le, lt
+from operator import le, lt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError, PreconditionError
@@ -191,15 +191,35 @@ def validate(t: Tableau, kind: str) -> bool:
 # -- enumeration ---------------------------------------------------------
 
 
+# the comparisons a generated test can make, as they are written in its source
+_COMPARISONS = {lt: "<", le: "<="}
+
+
 def pairwise_test(op: Callable[[int, int], bool], pairs: Sequence[tuple[int, int]]) -> Callable[[Sequence[int]], bool]:
     """The test whether ``op(s[i], s[j])`` holds for every (i, j) in
-    `pairs`, on a sequence s: two item getters read the pairs' sides."""
-    if not pairs:
-        return lambda s: True
-    # the first pair is read twice, so each getter returns a tuple even for one pair
-    firsts = itemgetter(pairs[0][0], *(i for i, _ in pairs))
-    seconds = itemgetter(pairs[0][1], *(j for _, j in pairs))
-    return lambda s: all(map(op, firsts(s), seconds(s)))
+    `pairs`, on a sequence s, for `op` :func:`operator.lt` or
+    :func:`operator.le`; any other `op` raises.
+
+    The test is one generated function of straight-line comparisons,
+    ``lambda s: s[i0] < s[j0] and s[i1] < s[j1] and ...``, whose source is
+    built from the pairs' ``int`` indices.  It is generated once, on its
+    first call: a system builds its key test before its budget is checked,
+    so a refused system compiles nothing.
+    """
+    symbol = _COMPARISONS.get(op)
+    if symbol is None:
+        raise PreconditionError(f"no generated comparison for {op!r}; expected operator.lt or operator.le")
+    pairs = tuple(pairs)
+    compiled = None
+
+    def test(s: Sequence[int]) -> bool:
+        nonlocal compiled
+        if compiled is None:
+            terms = " and ".join(f"s[{int(i)}] {symbol} s[{int(j)}]" for i, j in pairs)
+            compiled = eval(compile(f"lambda s: {terms or 'True'}", "<pairwise_test>", "eval"), {})
+        return compiled(s)
+
+    return test
 
 
 class ReadingLayout:
@@ -251,7 +271,9 @@ class ReadingLayout:
         increase and columns strictly increase, on tuple words.  Given those,
         only the cells with no neighbour left and above (compared with a
         0 appended to the word) and right and below (with ceiling + 1)
-        need their range checked."""
+        need their range checked.  The row and column comparisons are two
+        :func:`pairwise_test` functions, each generated once, on the test's
+        first call."""
         n = self.size
         weak_rows = pairwise_test(le, [(j, i) for i, j in enumerate(self.west) if j >= 0])
         lowest = [(n, i) for i in range(n) if self.west[i] < 0 and self.north[i] < 0]

@@ -4,11 +4,12 @@ import os
 import shlex
 import subprocess
 import sys
+from operator import lt
 from pathlib import Path
 
 import pytest
 
-from promotab import growth, homomesy, paths
+from promotab import growth, homomesy, paths, shapes
 from promotab.cli import main
 from promotab.dynamics import promotion_period_words
 
@@ -296,6 +297,27 @@ class TestHomomesy:
         monkeypatch.undo()
         code, out, _ = run(capsys, "homomesy", *"--partition 4,4,4 --cells 1,1 --budget 462".split())
         assert code == 0 and out.endswith("verdict: homomesic\n")
+
+    @pytest.mark.parametrize(
+        "args, system",
+        [
+            ("--shape 150x150 -k 300", f"ssyt(shape={','.join(['150'] * 150)};k=300;op=promote)"),
+            (f"--partition {','.join(['200'] * 10)}", f"syt_poset(ferrers({', '.join(['200'] * 10)}))"),
+        ],
+        ids=["shape", "partition"],
+    )
+    def test_a_refused_system_compiles_no_key_test(self, monkeypatch, capsys, args, system):
+        # a system builds its key test before the budget refuses it, so the test must compile lazily
+        def refuse(*_):
+            raise AssertionError("compiled a key test for a system over the budget")
+
+        monkeypatch.setattr(shapes, "compile", refuse, raising=False)
+        monkeypatch.setattr(shapes, "eval", refuse, raising=False)
+        code, out, err = run(capsys, "homomesy", *args.split(), "--cells", "1,1", "--budget", "10")
+        assert (code, out) == (4, "")
+        assert err == f"budget exhausted: {system} exceeds the element budget 10\n"
+        with pytest.raises(AssertionError, match="compiled a key test"):  # the patched generator is the one in use
+            shapes.pairwise_test(lt, [(0, 1)])((1, 2))
 
     def test_only_partition_posets_carry_a_count(self, monkeypatch, capsys):
         counts = []

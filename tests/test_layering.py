@@ -8,7 +8,9 @@ recursion limit.  No module checks an invariant with `assert`, which
 `python -O` strips: a broken invariant raises an explicit error.  Homomesy
 reads cell layouts from its systems: only `cell_sum`, the definition on
 objects, asks which element class it was given, and no other part of it
-names an element class, so its orbit walk builds no element object."""
+names an element class, so its orbit walk builds no element object.  Only
+`shapes.pairwise_test` generates code: no other function calls `eval`,
+`exec` or `compile`."""
 
 import ast
 import re
@@ -130,6 +132,25 @@ def element_class_uses(path: Path) -> set[str]:
             name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
             if name in ELEMENT_CLASSES:
                 found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+CODE_GENERATORS = {"eval", "exec", "compile"}
+
+
+def code_generation_calls(path: Path) -> set[str]:
+    """Top-level definitions of the file (`<module>` for other statements)
+    that call `eval`, `exec` or `compile`, nested calls included, by bare
+    name or as an attribute of anything (`builtins.eval`, and also
+    `re.compile`, which the guard would flag as well)."""
+    found = set()
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+                if name in CODE_GENERATORS:
+                    found.add(getattr(top, "name", "<module>"))
     return found
 
 
@@ -305,3 +326,28 @@ def test_element_class_guard_sees_constructors_and_qualified_names(tmp_path):
         "KINDS = (Tableau,)\n"
     )
     assert element_class_uses(probe) == {"cell_sum", "system", "Orbit", "<module>"}
+
+
+def test_only_pairwise_test_generates_code():
+    calls = {(path.stem, name) for path in SRC.rglob("*.py") for name in code_generation_calls(path)}
+    assert calls <= {("shapes", "pairwise_test")}
+
+
+def test_code_generation_guard_sees_nested_and_attribute_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import builtins\n"
+        "def pairwise_test(source):\n"
+        "    def test(s):\n"
+        "        return eval(compile(source, '<probe>', 'eval'))(s)\n"
+        "    return test\n"
+        "class Layout:\n"
+        "    def run(self, source):\n"
+        "        builtins.exec(source)\n"
+        "def evaluate(node):\n"
+        "    return node.eval\n"
+        "def plain(x):\n"
+        "    return evaluate(x)\n"
+        "TABLE = [eval('1')]\n"
+    )
+    assert code_generation_calls(probe) == {"pairwise_test", "Layout", "<module>"}

@@ -9,13 +9,17 @@ periods against the tableau orbits, and random transitively reduced
 posets check that the enumerator yields the same labellings, in the
 same order, as the stack search kept in `util`, and that the K-promotion
 bullet slide and its inverse are the `switch` chains kept there (on
-posets of width at most 3).  The runs are derandomized and small, so the
-suite stays reproducible.
+posets of width at most 3).  The generated pairwise tests behind both key
+tests are checked against the item-getter definition kept in `util`, and
+the poset labelling test against the validating constructors.  The runs
+are derandomized and small, so the suite stays reproducible.
 """
 
 from functools import reduce
-from itertools import combinations, islice
+from itertools import combinations, islice, product
+from operator import eq, ge, gt, le, lt, ne
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -33,18 +37,22 @@ from promotab.dynamics import (
     toggle,
 )
 from promotab.ktableaux import IncreasingTableau, increasing_labels, k_promote_inverse_step, k_promote_step
-from promotab.posets import FinitePoset
+from promotab.posets import FinitePoset, LinearExtension
 from promotab.errors import PreconditionError
-from promotab.shapes import ReadingLayout, Tableau, conjugate, order_ideal_chains, ssyt_words, validate
+from promotab.shapes import ReadingLayout, Tableau, conjugate, order_ideal_chains, pairwise_test, ssyt_words, validate
 from util import (
     k_promote_by_switches,
     k_promote_inverse_by_switches,
     order_ideal_chains_by_stack,
+    pairwise_test_by_getters,
     partial_promote_by_definition,
     sweep,
 )
 
 SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+# for the tests of the key tests, whose edge cases are also checked exhaustively
+# (pairwise) or by the step oracles (labellings), so the file stays under 5 s
+FEWER = settings(SETTINGS, max_examples=80)
 
 
 @st.composite
@@ -134,6 +142,46 @@ def test_the_semistandard_word_test_agrees_with_the_tableau_constructor(case):
 
 
 @st.composite
+def pairs_and_sequences(draw) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
+    """Index pairs into sequences of one length n from 1 to 8, and one to
+    three such sequences with entries from 0 to 3, so that equal entries
+    occur: no pairs, one or several, often with a pair repeated and often
+    reading the last index."""
+    n = draw(st.integers(1, 8))
+    pairs = [divmod(v, n) for v in draw(st.lists(st.integers(0, n * n - 1), max_size=6))]
+    if pairs and draw(st.booleans()):
+        pairs.insert(draw(st.integers(0, len(pairs))), pairs[-1])
+    if draw(st.booleans()):
+        pairs.append((draw(st.integers(0, n - 1)), n - 1))
+    entries = draw(st.lists(st.integers(0, 3), min_size=n, max_size=3 * n))
+    return pairs, [tuple(entries[a : a + n]) for a in range(0, len(entries) - n + 1, n)]
+
+
+@FEWER
+@given(pairs_and_sequences(), st.sampled_from([lt, le]))
+def test_the_generated_pairwise_test_is_the_definition(case, op):
+    pairs, sequences = case
+    test, definition = pairwise_test(op, pairs), pairwise_test_by_getters(op, pairs)
+    for s in sequences:  # the first call generates the test, the later ones reuse it
+        assert test(s) == definition(s) == all(op(s[i], s[j]) for i, j in pairs)
+
+
+@pytest.mark.parametrize("op", [lt, le])
+@pytest.mark.parametrize("pairs", [[], [(3, 0)], [(0, 1), (0, 1)], [(1, 3), (2, 3), (1, 3)], [(3, 3)]], ids=repr)
+def test_the_generated_pairwise_test_on_every_short_sequence(op, pairs):
+    test, definition = pairwise_test(op, pairs), pairwise_test_by_getters(op, pairs)
+    for s in product(range(3), repeat=4):
+        assert test(s) == definition(s) == all(op(s[i], s[j]) for i, j in pairs), s
+
+
+@pytest.mark.parametrize("op", [gt, ge, eq, ne, lambda a, b: a < b], ids=["gt", "ge", "eq", "ne", "lambda"])
+def test_pairwise_test_refuses_a_comparison_it_cannot_generate(op):
+    for pairs in ([], [(0, 1)]):
+        with pytest.raises(PreconditionError):
+            pairwise_test(op, pairs)
+
+
+@st.composite
 def reduced_posets(draw) -> tuple[int, list[tuple[int, int]]]:
     """A random poset on 1..size, size <= 7, as its covers: random
     relations along a random order of the elements, transitively
@@ -162,6 +210,45 @@ def test_the_state_graph_walk_is_the_stack_search_in_order(poset):
     FinitePoset(size, covers)  # acyclic and transitively reduced
     for d in range(size + 2):
         assert list(order_ideal_chains(size, covers, d)) == list(order_ideal_chains_by_stack(size, covers, d)), d
+
+
+@st.composite
+def posets_and_labellings(draw) -> tuple[FinitePoset, tuple[int, ...]]:
+    """A random poset and labels: the labels of an increasing tableau
+    with d labels, for a random d up to the size plus one, often with one
+    label changed to anything from 0 to d + 1, or with a label added or
+    dropped."""
+    size, covers = draw(reduced_posets())
+    d = draw(st.integers(0, size + 1))
+    labellings = list(islice(order_ideal_chains(size, covers, d), 300)) or [(1,) * size]
+    labels = list(draw(st.sampled_from(labellings)))
+    change = draw(st.sampled_from(["none", "label", "label", "add", "drop"]))
+    if change == "label" and labels:
+        labels[draw(st.integers(0, len(labels) - 1))] = draw(st.integers(0, d + 1))
+    elif change == "add":
+        labels.insert(draw(st.integers(0, len(labels))), draw(st.integers(0, d + 1)))
+    elif change == "drop" and labels:
+        labels.pop(draw(st.integers(0, len(labels) - 1)))
+    return FinitePoset(size, covers), tuple(labels)
+
+
+def builds(cls, p: FinitePoset, labels) -> object | None:
+    """The object of the validating constructor `cls`, or None if it refuses the labels."""
+    try:
+        return cls(p, labels)
+    except PreconditionError:
+        return None
+
+
+@FEWER
+@given(posets_and_labellings())
+def test_the_labelling_test_agrees_with_the_constructors(case):
+    # the --family, --partition and -q systems admit a key by this test
+    p, labels = case
+    t = builds(IncreasingTableau, p, labels)
+    ds = range(p.size + 2)
+    assert [p.labelling_test(d)(labels) for d in ds] == [t is not None and t.d == d for d in ds]
+    assert p.labelling_test(p.size)(labels) == (builds(LinearExtension, p, labels) is not None)
 
 
 def width(size: int, covers) -> int:

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from itertools import permutations, product
+from operator import itemgetter
 
 from promotab.dynamics import cycle, evacuate, promote, rectify
 from promotab.errors import ParseError, PreconditionError
@@ -533,3 +534,16 @@ def order_ideal_chains_by_stack(size, covers, d):
                     rest.append(y)
         top[3], top[4] = t + 1, chosen
         remaining -= len(chosen)
+
+
+def pairwise_test_by_getters(op, pairs):
+    """Definition of `promotab.shapes.pairwise_test`: the test whether
+    ``op(s[i], s[j])`` holds for every (i, j) in `pairs`, on a sequence s,
+    with two item getters reading the pairs' sides, as
+    ``all(op(s[i], s[j]) for i, j in pairs)`` does one pair at a time."""
+    if not pairs:
+        return lambda s: True
+    # the first pair is read twice, so each getter returns a tuple even for one pair
+    firsts = itemgetter(pairs[0][0], *(i for i, _ in pairs))
+    seconds = itemgetter(pairs[0][1], *(j for _, j in pairs))
+    return lambda s: all(map(op, firsts(s), seconds(s)))
