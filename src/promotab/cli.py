@@ -275,9 +275,8 @@ def _cmd_homomesy(args) -> int:
         stats = _statistics_for(args, system, "--symmetric-all on ssyt systems needs a rectangular shape")
     elif args.family or args.partition:
         _promote_only(args, "syt_poset")
-        shape = _parse_partition(args.partition) if args.partition else None
-        poset = _parse_family(args.family) if args.family else posets.ferrers_poset(shape)
-        system = homomesy.syt_poset_system(poset, count=None if shape is None else shapes.count_syt(shape))
+        poset = _parse_family(args.family) if args.family else posets.ferrers_poset(_parse_partition(args.partition))
+        system = homomesy.syt_poset_system(poset)
         stats = _statistics_for(
             args, system, "--symmetric-all on linear extensions needs a --family poset; --partition has no rotation"
         )

@@ -33,7 +33,7 @@ from .dynamics import cycle, reading_word_step
 from .errors import BudgetExceededError, PreconditionError
 from .ktableaux import IncreasingTableau, increasing_labels, k_promote_step
 from .posets import FinitePoset, LinearExtension, linear_extension_labels, poset_promote_labels, rotate
-from .shapes import ReadingLayout, Tableau, count_ssyt, part, ssyt_words
+from .shapes import ReadingLayout, Tableau, count_order_ideal_chains, count_ssyt, part, ssyt_words
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,9 @@ class System:
     the element's constructor, and `representative` is what reports print
     for it.  `position` is the key index of a support item (a box, or a
     poset element or its box), and refuses items the elements lack;
-    `rotate` is the rotate involution on the items, if any.  `count`, when
-    known, is the exact number of elements, so a budget can be refused
-    before enumerating.
+    `rotate` is the rotate involution on the items, if any.  `count(cap)`
+    is the number of elements when that is at most cap, and otherwise any
+    number over cap, so a budget is refused before any key is enumerated.
     """
 
     description: str
@@ -99,7 +99,7 @@ class System:
     representative: Callable[[Key], tuple]
     position: Callable[[object], int]
     rotate: dict | None
-    count: int | None = None
+    count: Callable[[int], int]
 
 
 def ssyt_system(shape, ceiling: int, operator: str = "promote") -> System:
@@ -121,8 +121,7 @@ def ssyt_system(shape, ceiling: int, operator: str = "promote") -> System:
         representative=lambda word: tuple(layout.rows(word)),
         position=position,
         rotate={(r, c): (m + 1 - r, n + 1 - c) for r, c in index} if len(set(layout.outer)) == 1 else None,
-        # a negative ceiling is left for the enumeration to reject
-        count=count_ssyt(layout.outer, ceiling) if ceiling >= 0 else None,
+        count=lambda cap: count_ssyt(layout.outer, ceiling),
     )
 
 
@@ -137,15 +136,15 @@ def _poset_layout(p: FinitePoset) -> dict:
     return dict(representative=lambda labels: labels, position=position, rotate=rotate(p) if p.rotation else None)
 
 
-def syt_poset_system(p: FinitePoset, count: int | None = None) -> System:
-    """Linear extensions of a poset under promotion; `count` is their exact number, if known."""
+def syt_poset_system(p: FinitePoset) -> System:
+    """Linear extensions of a poset under promotion, counted on the enumerator's state graph."""
     label = p.name or f"poset{p.size}"
     return System(
         description=f"syt_poset({label})",
         enumerate=lambda: linear_extension_labels(p),
         step=lambda labels: poset_promote_labels(p, labels),
         admits=p.labelling_test(p.size),
-        count=count,
+        count=lambda cap: count_order_ideal_chains(p.size, p.covers, p.size, cap),
         **_poset_layout(p),
     )
 
@@ -158,6 +157,7 @@ def inc_system(p: FinitePoset, q: int) -> System:
         enumerate=lambda: increasing_labels(p, q),
         step=k_promote_step(p, p.size - q),
         admits=p.labelling_test(p.size - q),
+        count=lambda cap: count_order_ideal_chains(p.size, p.covers, p.size - q, cap),
         **_poset_layout(p),
     )
 
@@ -188,29 +188,28 @@ class OrbitPartition:
 def partition_orbits(system: System, budget: int) -> OrbitPartition:
     """Enumerate the system and walk each of its orbits once, on keys.
 
-    `budget` caps the number of enumerated elements; exceeding it raises
-    :class:`BudgetExceededError` rather than returning a partial answer,
-    before enumerating when the system knows its exact count, and never
-    enumerating past the first key over it.  Every enumerated key must
-    pass `system.admits`.  Each walk is a :func:`~promotab.dynamics.cycle`
-    that consumes one set of the enumerated keys, so it may only visit
-    keys that no walk has visited yet and ends within the element count.
-    An enumeration that yields a key the system does not admit or repeats
-    one, or a step map that leaves the enumerated set or is not a
-    bijection on it, raises :class:`PreconditionError` naming the system.
+    `budget` caps the number of elements: a system whose `count` exceeds
+    it raises :class:`BudgetExceededError` before any key is enumerated,
+    and every enumerated key must pass `system.admits`.  Each walk is a
+    :func:`~promotab.dynamics.cycle` that consumes one set of the
+    enumerated keys, so it may only visit keys that no walk has visited
+    yet and ends within the element count.  An enumeration that yields a
+    key the system does not admit, repeats one or yields other than
+    `count` keys, or a step map that leaves the enumerated set or is not
+    a bijection on it, raises :class:`PreconditionError` naming the system.
     No element object is built: reports print `system.representative`.
     """
     if budget < 1:
         raise PreconditionError(f"budget must be positive: {budget}")
-    over_budget = f"{system.description} exceeds the element budget {budget}"
-    if system.count is not None and system.count > budget:
-        raise BudgetExceededError(over_budget)
-    keys = list(islice(system.enumerate(), budget + 1))
+    count = system.count(budget)
+    if count > budget:
+        raise BudgetExceededError(f"{system.description} exceeds the element budget {budget}")
+    keys = list(islice(system.enumerate(), count + 1))
     if not all(map(system.admits, keys)):
         key = next(key for key in keys if not system.admits(key))
         raise PreconditionError(f"{system.description}: the enumeration yields {key}, which is not an element")
-    if len(keys) > budget:
-        raise BudgetExceededError(over_budget)
+    if len(keys) != count:
+        raise PreconditionError(f"{system.description}: the enumeration does not yield its {count} elements")
     unvisited = set(keys)
     if len(unvisited) != len(keys):
         raise PreconditionError(f"{system.description}: the enumeration repeats an element")

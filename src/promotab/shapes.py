@@ -8,6 +8,8 @@ partition.
 :func:`order_ideal_chains` is the one enumerator of labellings that grow
 one order ideal per label: standard tableaux here, linear extensions in
 `posets` and increasing tableaux in `ktableaux` are thin wrappers over it.
+:func:`count_order_ideal_chains` counts the paths through its state graph,
+up to a cap, so a poset system knows its size before it enumerates.
 :func:`ssyt_words` is the one SSYT enumerator: it yields reading words,
 laid out by a :class:`ReadingLayout`, and :func:`enumerate_ssyt` wraps
 each in a tableau.  Both enumerators are loops over explicit state, not
@@ -337,24 +339,18 @@ def enumerate_ssyt(shape: Sequence[int], ceiling: int, inner: Sequence[int] = ()
         yield Tableau(layout.rows(word), ceiling, layout.inner)
 
 
-def order_ideal_chains(size: int, covers: Iterable[tuple[int, int]], d: int) -> Iterator[tuple[int, ...]]:
-    """Every strictly order-preserving surjection onto 1..d from the poset
-    on 1..size with covers (x, y), y covering x, as the labels of 1..size.
+def _chain_graph(size: int, covers: Iterable[tuple[int, int]], d: int) -> tuple[list, Callable[[list], list]] | None:
+    """The root of the state graph of the labellings onto 1..d of the
+    poset on 1..size with covers (x, y), y covering x, and the function
+    that finds a state's edges; or None when there is no labelling.
 
-    Label j goes on a nonempty antichain of the minimal elements of what
-    remains, tried in increasing bitmask order over their sorted list.  No
-    branch is a dead end: each antichain leaves an element for every later
-    label and takes every element whose longest chain upward needs all the
-    labels left.  The last label takes every element left.
-
-    The search walks a state graph.  A state is the bitmask of the placed
-    elements and the next label; its edges, each an antichain and the
-    state after it, are found once, when the walk first enters the state.
-    A state's minimal elements come from its parent's: those left, and
-    the upper covers of the antichain whose lower covers are all placed.
-    The walk is a loop over a stack that holds the edges each state it
-    entered has left to try, and it writes each edge's label on its
-    antichain.
+    A state is the bitmask of the placed elements and the next label.  Its
+    edges, each an antichain of its minimal elements and the state after
+    it, come in increasing bitmask order over their sorted list.  No state
+    is a dead end: each antichain leaves an element for every later label
+    and takes every element whose longest chain upward needs all the
+    labels left.  A state's minimal elements are its parent's that are
+    left and the antichain's upper covers whose lower covers are placed.
     """
     up: list[list[int]] = [[] for _ in range(size + 1)]
     lower = [0] * (size + 1)  # the bitmask of each element's lower covers, bit x for x
@@ -373,11 +369,8 @@ def order_ideal_chains(size: int, covers: Iterable[tuple[int, int]], d: int) -> 
     latest = [d] * (size + 1)  # the largest label each element can take
     for x in reversed(order):
         latest[x] = min((latest[y] for y in up[x]), default=d + 1) - 1
-    if any(latest[x] < 1 for x in order):
-        return  # a chain longer than d
-    if d < 1:
-        yield ()  # the empty poset, with no labels
-        return
+    if d > size or any(latest[x] < 1 for x in order):
+        return None
     antichains: dict[tuple[int, int, int], list[tuple[int, tuple[int, ...]]]] = {}
     states: dict[tuple[int, int], list] = {}  # (placed, label) -> [placed, label, elements left, ready, edges]
 
@@ -409,8 +402,26 @@ def order_ideal_chains(size: int, covers: Iterable[tuple[int, int]], d: int) -> 
         state[4] = edges
         return edges
 
+    return [0, 1, size, roots, None], expand
+
+
+def order_ideal_chains(size: int, covers: Iterable[tuple[int, int]], d: int) -> Iterator[tuple[int, ...]]:
+    """Every strictly order-preserving surjection onto 1..d from the poset
+    on 1..size with covers (x, y), y covering x, as the labels of 1..size.
+
+    The search walks the :func:`_chain_graph`, expanding each state when it
+    first enters it, in a loop over a stack that holds the edges each
+    state it entered has left to try.  Each edge's label goes on its
+    antichain, and the last label takes every element left.
+    """
+    graph = _chain_graph(size, covers, d)
+    if graph is None:
+        return
+    if d < 1:
+        yield ()  # the empty poset, with no labels
+        return
+    root, expand = graph
     labels = [0] * size
-    root = [0, 1, size, roots, None]
     stack = [(iter([((), root)]), 0)]  # per state entered: its edges left to try, and its label
     while stack:
         edges, label = stack[-1]
@@ -429,6 +440,31 @@ def order_ideal_chains(size: int, covers: Iterable[tuple[int, int]], d: int) -> 
                 yield tuple(labels)
         else:
             stack.pop()
+
+
+def count_order_ideal_chains(size: int, covers: Iterable[tuple[int, int]], d: int, cap: int) -> int:
+    """The number of labellings :func:`order_ideal_chains` yields if it is
+    at most `cap`, and otherwise a number over `cap`, building none.
+
+    It counts, label by label, the paths into each state of the
+    :func:`_chain_graph`, and stops once a label's paths outnumber `cap`:
+    no state is a dead end, so each path extends to labellings of its own.
+    """
+    graph = _chain_graph(size, covers, d)
+    if graph is None:
+        return 0
+    root, expand = graph
+    total, level = 1, [(root, 1)]
+    for _ in range(1, d):  # the last label takes every element left
+        total, paths = 0, {}  # the next label's states and the paths into each, by placed elements
+        for state, n in level:
+            for _, child in expand(state):
+                paths.setdefault(child[0], [child, 0])[1] += n
+                total += n
+                if total > cap:
+                    return cap + 1
+        level = paths.values()
+    return total
 
 
 def enumerate_syt(shape: Sequence[int]) -> Iterator[Tableau]:

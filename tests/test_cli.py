@@ -267,6 +267,29 @@ class TestHomomesy:
                 4,
                 "budget exhausted: syt_poset(cayley) exceeds the element budget 10\n",
             ),
+            # a statistic is asked for before a q out of range is checked
+            (
+                "--shape 3x3 -q 99 --budget 100",
+                2,
+                "parse error: homomesy needs --cells r1,c1;r2,c2 or --symmetric-all\n",
+            ),
+            # a q out of range counts no element, and its enumeration refuses it
+            (
+                "--shape 3x3 -q 99 --cells 1,1 --budget 100",
+                3,
+                "precondition violated: deficiency 99 out of range [0, 9]\n",
+            ),
+            (
+                "--shape 3x3 -q -1 --cells 1,1 --budget 100",
+                3,
+                "precondition violated: deficiency -1 out of range [0, 9]\n",
+            ),
+            # the count refuses a negative ceiling as the enumeration does
+            (
+                "--shape 2x2 -k -1 --cells 1,1 --budget 100",
+                3,
+                "precondition violated: ceiling must be nonnegative: -1\n",
+            ),
         ],
     )
     def test_error_paths(self, capsys, args, code, err):
@@ -286,6 +309,27 @@ class TestHomomesy:
         assert (code, out) == (4, "")
         assert err == "budget exhausted: ssyt(shape=3,3,3;k=8;op=promote) exceeds the element budget 14111\n"
 
+    # the systems of every kind that a count refuses before any key is enumerated
+    REFUSED = [
+        ("--shape 150x150 -k 300", 10, f"ssyt(shape={','.join(['150'] * 150)};k=300;op=promote)"),
+        (f"--partition {','.join(['200'] * 10)}", 10, f"syt_poset(ferrers({', '.join(['200'] * 10)}))"),
+        ("--family rectangle:12x12", 2_000_000, "syt_poset(rectangle(12x12))"),
+        ("--shape 6x6 -q 3", 2_000_000, "inc(rectangle(6x6);q=3)"),
+        ("--family rectangle:30x30 -q 5", 10, "inc(rectangle(30x30);q=5)"),
+    ]
+    REFUSED_IDS = ["shape", "partition", "family", "inc", "inc-family"]
+
+    @pytest.mark.parametrize("args, budget, system", REFUSED, ids=REFUSED_IDS)
+    def test_every_system_kind_is_refused_before_enumerating(self, monkeypatch, capsys, args, budget, system):
+        def refuse(*_):
+            raise AssertionError("enumerated a system over the budget")
+
+        for name in ("ssyt_words", "linear_extension_labels", "increasing_labels"):
+            monkeypatch.setattr(homomesy, name, refuse)
+        code, out, err = run(capsys, "homomesy", *args.split(), "--cells", "1,1", "--budget", str(budget))
+        assert (code, out) == (4, "")
+        assert err == f"budget exhausted: {system} exceeds the element budget {budget}\n"
+
     def test_a_partition_poset_is_refused_before_enumerating(self, monkeypatch, capsys):
         def refuse(*_):
             raise AssertionError("enumerated a system known to exceed the budget")
@@ -298,40 +342,40 @@ class TestHomomesy:
         code, out, _ = run(capsys, "homomesy", *"--partition 4,4,4 --cells 1,1 --budget 462".split())
         assert code == 0 and out.endswith("verdict: homomesic\n")
 
-    @pytest.mark.parametrize(
-        "args, system",
-        [
-            ("--shape 150x150 -k 300", f"ssyt(shape={','.join(['150'] * 150)};k=300;op=promote)"),
-            (f"--partition {','.join(['200'] * 10)}", f"syt_poset(ferrers({', '.join(['200'] * 10)}))"),
-        ],
-        ids=["shape", "partition"],
-    )
-    def test_a_refused_system_compiles_no_key_test(self, monkeypatch, capsys, args, system):
+    @pytest.mark.parametrize("args, budget, system", REFUSED, ids=REFUSED_IDS)
+    def test_a_refused_system_compiles_no_key_test(self, monkeypatch, capsys, args, budget, system):
         # a system builds its key test before the budget refuses it, so the test must compile lazily
         def refuse(*_):
             raise AssertionError("compiled a key test for a system over the budget")
 
         monkeypatch.setattr(shapes, "compile", refuse, raising=False)
         monkeypatch.setattr(shapes, "eval", refuse, raising=False)
-        code, out, err = run(capsys, "homomesy", *args.split(), "--cells", "1,1", "--budget", "10")
+        code, out, err = run(capsys, "homomesy", *args.split(), "--cells", "1,1", "--budget", str(budget))
         assert (code, out) == (4, "")
-        assert err == f"budget exhausted: {system} exceeds the element budget 10\n"
+        assert err == f"budget exhausted: {system} exceeds the element budget {budget}\n"
         with pytest.raises(AssertionError, match="compiled a key test"):  # the patched generator is the one in use
             shapes.pairwise_test(lt, [(0, 1)])((1, 2))
 
-    def test_only_partition_posets_carry_a_count(self, monkeypatch, capsys):
-        counts = []
-        build = homomesy.syt_poset_system
+    def test_every_system_counts_its_enumerated_size(self, monkeypatch, capsys):
+        systems = []
+        partition = homomesy.partition_orbits
 
-        def recorded(poset, count=None):
-            counts.append(count)
-            return build(poset, count)
+        def recorded(system, budget):
+            systems.append(system)
+            return partition(system, budget)
 
-        monkeypatch.setattr(homomesy, "syt_poset_system", recorded)
-        for args in ("--family cayley", "--family rectangle:2x3", "--partition 3,3", "--partition 3,2,1"):
+        monkeypatch.setattr(homomesy, "partition_orbits", recorded)
+        kinds = ("--shape 2x3 -k 4", "--partition 3,2,1 -k 3", "--partition 3,3", "--partition 3,2,1")
+        kinds += ("--family cayley", "--family rectangle:2x3", "--shape 3x3 -q 2", "--family propeller:4 -q 1")
+        for args in kinds:
             code, _, _ = run(capsys, "homomesy", *args.split(), "--cells", "1,1", "--budget", "1000")
-            assert code == 0
-        assert counts == [None, None, 5, 16]
+            assert code in (0, 1)
+        assert len(systems) == len(kinds)
+        for system in systems:
+            size = len(list(system.enumerate()))
+            # the exact size up to any cap it fits under, and over every cap it exceeds
+            assert [system.count(cap) for cap in (size, size + 1, 10**9)] == [size] * 3, system.description
+            assert all(system.count(cap) > cap for cap in range(size)), system.description
 
     def test_symmetric_all_checks_the_shape_before_building_statistics(self, monkeypatch, capsys):
         def refuse(_):

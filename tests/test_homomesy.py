@@ -124,13 +124,22 @@ class TestVerify:
             raise AssertionError("enumerated a system known to exceed the budget")
 
         base = ssyt_system((2, 2), 4)
-        assert base.count == 20
+        assert base.count(19) == base.count(20) == 20
         system = replace(base, enumerate=refuse)
         with pytest.raises(PreconditionError, match="budget must be positive"):
             partition_orbits(system, budget=0)
         with pytest.raises(BudgetExceededError, match="exceeds the element budget 19"):
             partition_orbits(system, budget=19)
         assert sum(o.size for o in partition_orbits(base, budget=20).orbits) == 20
+
+    @pytest.mark.parametrize("kind", ["ssyt", "inc"])
+    @pytest.mark.parametrize("off", [-1, 1])
+    def test_an_enumeration_that_misses_its_count_is_refused(self, kind, off):
+        base = ssyt_system((2, 2), 4) if kind == "ssyt" else inc_system(build_cominuscule("rectangle", 3, 4), 3)
+        size = len(list(base.enumerate()))
+        system = replace(base, count=lambda cap: size + off)
+        with pytest.raises(PreconditionError, match=re.escape(f"{base.description}: the enumeration does not yield")):
+            partition_orbits(system, budget=size + 1)
 
     def test_poset_system(self):
         p = build_cominuscule("shifted_staircase", 3)

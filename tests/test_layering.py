@@ -10,7 +10,9 @@ reads cell layouts from its systems: only `cell_sum`, the definition on
 objects, asks which element class it was given, and no other part of it
 names an element class, so its orbit walk builds no element object.  Only
 `shapes.pairwise_test` generates code: no other function calls `eval`,
-`exec` or `compile`."""
+`exec` or `compile`.  Every system counts its own elements: the CLI names
+no counting function, and `partition_orbits` refuses a budget in one
+place."""
 
 import ast
 import re
@@ -152,6 +154,28 @@ def code_generation_calls(path: Path) -> set[str]:
                 if name in CODE_GENERATORS:
                     found.add(getattr(top, "name", "<module>"))
     return found
+
+
+def names_used(path: Path) -> set[str]:
+    """Every name the file imports or reads, bare or as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def budget_raises(path: Path, function: str) -> int:
+    """The `raise BudgetExceededError` statements of the file's top-level
+    `function`, nested ones included, by bare or qualified name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    top = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function)
+    raised = [ast.unparse(node.exc).split("(", 1)[0] for node in ast.walk(top) if isinstance(node, ast.Raise) and node.exc]
+    return sum(name.rsplit(".", 1)[-1] == "BudgetExceededError" for name in raised)
 
 
 def import_graph() -> dict[str, set[str]]:
@@ -351,3 +375,37 @@ def test_code_generation_guard_sees_nested_and_attribute_calls(tmp_path):
         "TABLE = [eval('1')]\n"
     )
     assert code_generation_calls(probe) == {"pairwise_test", "Layout", "<module>"}
+
+
+COUNTERS = {"count_syt", "count_ssyt"}
+
+
+def test_the_cli_counts_no_system():
+    # each system carries its own count, which partition_orbits checks
+    assert not names_used(SRC / "cli.py") & COUNTERS
+
+
+def test_partition_orbits_refuses_a_budget_in_one_place():
+    assert budget_raises(SRC / "homomesy.py", "partition_orbits") == 1
+
+
+def test_count_and_budget_guards_see_aliases_attributes_and_nested_raises(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .shapes import count_ssyt as size_of\n"
+        "from . import errors, shapes\n"
+        "def system(shape):\n"
+        "    return shapes.count_syt(shape)\n"
+        "def partition_orbits(system, budget):\n"
+        "    if system.count(budget) > budget:\n"
+        "        raise BudgetExceededError('over the budget')\n"
+        "    for key in system.enumerate():\n"
+        "        if key is None:\n"
+        "            raise errors.BudgetExceededError\n"
+        "    raise PreconditionError('another error')\n"
+        "def other():\n"
+        "    raise BudgetExceededError('elsewhere')\n"
+    )
+    assert names_used(probe) & COUNTERS == COUNTERS
+    assert budget_raises(probe, "partition_orbits") == 2
+    assert budget_raises(probe, "other") == 1

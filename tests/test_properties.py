@@ -7,7 +7,9 @@ walks a memoized state graph.  Here random straight shapes, ceilings and
 tableaux check the kernels against the toggle sweeps and the word
 periods against the tableau orbits, and random transitively reduced
 posets check that the enumerator yields the same labellings, in the
-same order, as the stack search kept in `util`, and that the K-promotion
+same order, as the stack search kept in `util`, that the count of the
+graph's paths is their number up to any cap (and the hook-length formula
+on Ferrers posets), and that the K-promotion
 bullet slide and its inverse are the `switch` chains kept there (on
 posets of width at most 3).  The generated pairwise tests behind both key
 tests are checked against the item-getter definition kept in `util`, and
@@ -37,15 +39,26 @@ from promotab.dynamics import (
     toggle,
 )
 from promotab.ktableaux import IncreasingTableau, increasing_labels, k_promote_inverse_step, k_promote_step
-from promotab.posets import FinitePoset, LinearExtension
+from promotab.posets import FinitePoset, LinearExtension, ferrers_poset
 from promotab.errors import PreconditionError
-from promotab.shapes import ReadingLayout, Tableau, conjugate, order_ideal_chains, pairwise_test, ssyt_words, validate
+from promotab.shapes import (
+    ReadingLayout,
+    Tableau,
+    conjugate,
+    count_order_ideal_chains,
+    count_syt,
+    order_ideal_chains,
+    pairwise_test,
+    ssyt_words,
+    validate,
+)
 from util import (
     k_promote_by_switches,
     k_promote_inverse_by_switches,
     order_ideal_chains_by_stack,
     pairwise_test_by_getters,
     partial_promote_by_definition,
+    partitions_up_to,
     sweep,
 )
 
@@ -206,10 +219,25 @@ def reduced_posets(draw) -> tuple[int, list[tuple[int, int]]]:
 @SETTINGS
 @given(reduced_posets())
 def test_the_state_graph_walk_is_the_stack_search_in_order(poset):
+    # the count of the graph's paths, which every poset system's budget is
+    # checked against, is the walk's length up to any cap; it is checked on
+    # the walk enumerated here, so the file stays under 5 s
     size, covers = poset
     FinitePoset(size, covers)  # acyclic and transitively reduced
     for d in range(size + 2):
-        assert list(order_ideal_chains(size, covers, d)) == list(order_ideal_chains_by_stack(size, covers, d)), d
+        walk = list(order_ideal_chains(size, covers, d))
+        assert walk == list(order_ideal_chains_by_stack(size, covers, d)), d
+        n = len(walk)
+        for cap in (0, 1, n - 1, n, 10**9):
+            count = count_order_ideal_chains(size, covers, d, cap)
+            assert count == n if n <= cap else count > cap, (d, cap, count, n)
+
+
+def test_the_count_of_a_ferrers_poset_is_the_hook_length_formula():
+    for shape in partitions_up_to(8):
+        p, n = ferrers_poset(shape), count_syt(shape)
+        assert count_order_ideal_chains(p.size, p.covers, p.size, n) == n, shape
+        assert count_order_ideal_chains(p.size, p.covers, p.size, n - 1) > n - 1, shape
 
 
 @st.composite

@@ -9,7 +9,9 @@ from promotab.shapes import (
     ReadingLayout,
     Tableau,
     Word,
+    _chain_graph,
     complement_reverse,
+    count_order_ideal_chains,
     count_ssyt,
     count_syt,
     enumerate_ssyt,
@@ -61,11 +63,13 @@ def entered_cells(layout: ReadingLayout, ceiling: int) -> tuple[int, list]:
     return writes, words
 
 
-def walk_work(size: int, covers, d: int, cap: int) -> tuple[int, int, list]:
-    """The states :func:`order_ideal_chains` memoizes (the root and each
-    state it creates), the lines it runs in its module, counted by a line
-    tracer that fails once they pass `cap`, and the labellings it yields."""
-    lines, start = inspect.getsourcelines(order_ideal_chains)
+def walk_work(size: int, covers, d: int, cap: int, run=None) -> tuple[int, int, object]:
+    """The states of the order-ideal state graph (the root and each state
+    its shared :func:`_chain_graph` creates), the lines run in its module,
+    counted by a line tracer that fails once they pass `cap`, and what
+    `run` returns: by default the labellings :func:`order_ideal_chains`
+    yields."""
+    lines, start = inspect.getsourcelines(_chain_graph)
     create = start + next(i for i, line in enumerate(lines) if line.strip().startswith("child = states["))
     created = ran = 0
 
@@ -84,7 +88,7 @@ def walk_work(size: int, covers, d: int, cap: int) -> tuple[int, int, list]:
     previous = sys.gettrace()
     sys.settrace(trace)
     try:
-        found = list(order_ideal_chains(size, covers, d))
+        found = run(size, covers, d) if run else list(order_ideal_chains(size, covers, d))
     finally:
         sys.settrace(previous)
     return 1 + created, ran, found
@@ -188,6 +192,18 @@ class TestEnumeration:
         states, ran, found = walk_work(size, [(x, x + 1) for x in range(1, size)], size, cap=100 * size)
         assert found == [tuple(range(1, size + 1))]
         assert states <= size + 1
+
+    def test_the_count_stops_at_the_first_label_whose_paths_pass_the_cap(self):
+        # the ordinal sum of 1,000 two-element antichains: two states per
+        # label, and 2^j paths after j antichains; a count that ran every
+        # label, or capped the states, would run far past the tracer's cap
+        pairs = 1000
+        size = 2 * pairs
+        covers = [(2 * i + a, 2 * i + 2 + b) for i in range(pairs - 1) for a in (1, 2) for b in (1, 2)]
+        states, ran, count = walk_work(size, covers, size, cap=100_000, run=lambda *a: count_order_ideal_chains(*a, 10))
+        assert count > 10
+        assert states <= 20
+        assert count_order_ideal_chains(size, covers, size, 2**pairs) == 2**pairs  # each antichain in either order
 
     def test_syt_counts(self):
         assert len(list(enumerate_syt((2, 1)))) == 2
