@@ -15,7 +15,6 @@ from .dynamics import (
     promote_inverse,
     promote_inverse_via_toggles,
     promote_via_toggles,
-    promotion_period,
     promotion_period_words,
     rectify,
     slide_toggle,

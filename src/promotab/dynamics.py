@@ -13,13 +13,14 @@ on up to the ceiling, in one pass (evacuation), and one slides the holes
 of the entries equal to the ceiling back in (inverse promotion).
 :func:`promote`, :func:`promote_inverse`, :func:`partial_promote` and
 :func:`evacuate` check that a tableau is semistandard, run a kernel on its
-reading word and build one :class:`Tableau`, their result.  Each operator
-in :data:`OPERATORS` has one kernel, which its step on tableaux and
-:func:`reading_word_step`, its step on reading words (the keys that
-homomesy systems walk), share.  The toggle sweeps
-(:func:`promote_via_toggles`, :func:`promote_inverse_via_toggles`,
-:func:`evacuate_via_toggles`) toggle plain rows; the tests check every
-kernel against them and against the chains of one-step definitions.
+reading word and build one :class:`Tableau`, their result.
+:data:`OPERATORS` holds the kernels that orbits step with
+:func:`reading_word_step` on reading words (the keys homomesy systems
+walk); :func:`orbit` and :func:`promotion_period_words` walk a tableau's
+orbit in one place.  The toggle sweeps (:func:`promote_via_toggles`,
+:func:`promote_inverse_via_toggles`, :func:`evacuate_via_toggles`) toggle
+plain rows; the tests check every kernel against them and against the
+chains of one-step definitions.
 """
 
 from __future__ import annotations
@@ -204,14 +205,12 @@ def _slide_in(layout: ReadingLayout, k: int) -> Slide:
     return step
 
 
-@lru_cache(maxsize=8)
-def straight_layout(outer: Partition, ceiling: int) -> tuple[ReadingLayout, Callable[[Sequence[int]], bool]]:
-    """The reading layout of a straight shape and its semistandard test at
-    `ceiling`.  Sweeps step many tableaux of one shape in a row, so a few
-    recent shapes are kept, which the steps on tableaux and growth windows
-    share; more would only add memory."""
-    layout = ReadingLayout(outer)
-    return layout, layout.semistandard_test(ceiling)
+@lru_cache(maxsize=64)
+def straight_layout(outer: Partition) -> ReadingLayout:
+    """The reading layout of a straight shape, with the key tests that every
+    ceiling shares.  Steps, orbit walks, growth windows and SSYT systems
+    share one per shape; 64 hold every shape of the identity sweeps."""
+    return ReadingLayout(outer)
 
 
 def _reading_word(t: Tableau, step: str) -> tuple[ReadingLayout, tuple[int, ...]]:
@@ -219,9 +218,9 @@ def _reading_word(t: Tableau, step: str) -> tuple[ReadingLayout, tuple[int, ...]
     semistandard."""
     if not t.is_straight:
         raise PreconditionError(f"{step} requires a straight shape")
-    layout, semistandard = straight_layout(t.outer, t.ceiling)
+    layout = straight_layout(t.outer)
     word = t.row_reading()
-    if not semistandard(word):
+    if not layout.semistandard_test(t.ceiling)(word):
         raise PreconditionError("not semistandard")
     return layout, word
 
@@ -453,26 +452,11 @@ def dual_evacuate_via_complement(t: Tableau) -> Tableau:
     return rotate_complement(evacuate(rotate_complement(t)))
 
 
-# Each operator's step on tableaux, and its kernel on the reading words of
-# a layout at a ceiling, which the step on tableaux and
-# :func:`reading_word_step` share.
-OPERATORS: dict[str, tuple[Callable[[Tableau], Tableau], Callable]] = {
-    "promote": (promote, lambda layout, k: _slide_out(layout, k, k)),
-    "promote_inverse": (promote_inverse, _slide_in),
+# Each operator's kernel: its step on the reading words of a straight layout at a ceiling.
+OPERATORS: dict[str, Callable[[ReadingLayout, int], Slide]] = {
+    "promote": lambda layout, k: _slide_out(layout, k, k),
+    "promote_inverse": _slide_in,
 }
-
-
-def _registered(name: str) -> tuple[Callable[[Tableau], Tableau], Callable]:
-    """The pair registered in :data:`OPERATORS` under `name`."""
-    try:
-        return OPERATORS[name]
-    except KeyError:
-        raise PreconditionError(f"unknown operator {name!r}")
-
-
-def lookup_operator(name: str) -> Callable[[Tableau], Tableau]:
-    """The step map on tableaux registered under `name`."""
-    return _registered(name)[0]
 
 
 def reading_word_step(layout: ReadingLayout, ceiling: int, operator: str) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
@@ -481,7 +465,9 @@ def reading_word_step(layout: ReadingLayout, ceiling: int, operator: str) -> Cal
     the tableau that the step on tableaux gives.  No tableau is built and
     the word is not checked.
     """
-    kernel = _registered(operator)[1]
+    kernel = OPERATORS.get(operator)
+    if kernel is None:
+        raise PreconditionError(f"unknown operator {operator!r}")
     if layout.inner:
         raise PreconditionError("promotion requires a straight shape")
     return kernel(layout, ceiling)
@@ -513,6 +499,23 @@ def cycle(start: X, step: Callable[[X], X], unvisited: set | None = None) -> Ite
             return
 
 
+def _orbit_words(t: Tableau, operator: str, skew: str) -> tuple[ReadingLayout, list[tuple[int, ...]]]:
+    """The layout of t's shape and the reading words of t's orbit under
+    `operator`, from t's own, each checked semistandard as the steps on
+    tableaux check their input; a skew t raises `skew`."""
+    if not t.is_straight:
+        raise PreconditionError(skew)
+    k = t.ceiling
+    layout = straight_layout(t.outer)
+    semistandard = layout.semistandard_test(k)
+    words = []
+    for word in cycle(t.row_reading(), reading_word_step(layout, k, operator)):
+        if not semistandard(word):
+            raise PreconditionError("not semistandard")
+        words.append(word)
+    return layout, words
+
+
 def promotion_period_words(t: Tableau) -> tuple[ReadingLayout, list[tuple[int, ...]]]:
     """The layout of t's shape and the reading words of t, P(t), ... over
     one full promotion period.
@@ -520,19 +523,10 @@ def promotion_period_words(t: Tableau) -> tuple[ReadingLayout, list[tuple[int, .
     On a rectangle the order of promotion divides the ceiling k, so the
     period is k and the orbit is repeated to that length; on other
     straight shapes the period is the orbit itself.  Box-value multisets
-    are only evacuation-invariant over such full periods.  The words are
-    stepped with the kernel of :func:`reading_word_step`, and each is
-    checked semistandard, as :func:`promote` checks its input.
+    are only evacuation-invariant over such full periods.
     """
-    if not t.is_straight:
-        raise PreconditionError("promotion orbits require a straight shape")
+    layout, words = _orbit_words(t, "promote", "promotion orbits require a straight shape")
     k = t.ceiling
-    layout, semistandard = straight_layout(t.outer, k)
-    words = []
-    for word in cycle(t.row_reading(), reading_word_step(layout, k, "promote")):
-        if not semistandard(word):
-            raise PreconditionError("not semistandard")
-        words.append(word)
     if not t.is_rectangular:
         return layout, words
     repeats, rest = divmod(k, len(words))
@@ -568,20 +562,10 @@ def orbit_memo(period: Callable[[Tableau], tuple[Sequence[tuple[int, ...]], R]])
     return of
 
 
-def promotion_period(t: Tableau) -> list[Tableau]:
-    """t, P(t), ... over one full promotion period, as in
-    :func:`promotion_period_words`, with one tableau per orbit element."""
-    layout, words = promotion_period_words(t)
-    built = {t.row_reading(): t}
-    for word in words:
-        if word not in built:
-            built[word] = Tableau(layout.rows(word), t.ceiling)
-    return [built[word] for word in words]
-
-
 def orbit(t: Tableau, operator: str = "promote") -> Orbit:
-    """The cycle of `t` under an invertible operator, canonically rotated."""
-    elements = list(cycle(t, lookup_operator(operator)))
-    lead = min(range(len(elements)), key=lambda i: elements[i].row_reading())
-    rotated = tuple(elements[lead:] + elements[:lead])
+    """The cycle of `t` under an operator of :data:`OPERATORS`, canonically
+    rotated, with one tableau per orbit element."""
+    layout, words = _orbit_words(t, operator, "promotion requires a straight shape")
+    lead = words.index(min(words))
+    rotated = tuple(Tableau(layout.rows(word), t.ceiling) for word in words[lead:] + words[:lead])
     return Orbit(representative=rotated[0], elements=rotated, period=len(rotated))

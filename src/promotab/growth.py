@@ -102,7 +102,8 @@ def build_window(t: Tableau, height: int) -> GrowthWindow:
         raise PreconditionError(f"window height {height} below ceiling+1 = {k + 1}")
     if not t.is_straight:
         raise PreconditionError("chain encoding requires a straight shape")
-    layout, semistandard = straight_layout(t.outer, k)
+    layout = straight_layout(t.outer)
+    semistandard = layout.semistandard_test(k)
     step = reading_word_step(layout, k, "promote")
     rows = []
     word = t.row_reading()

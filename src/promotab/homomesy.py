@@ -29,11 +29,11 @@ from itertools import islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .dynamics import cycle, reading_word_step
+from .dynamics import cycle, reading_word_step, straight_layout
 from .errors import BudgetExceededError, PreconditionError
 from .ktableaux import IncreasingTableau, increasing_labels, k_promote_step
 from .posets import FinitePoset, LinearExtension, linear_extension_labels, poset_promote_labels, rotate
-from .shapes import ReadingLayout, Tableau, count_order_ideal_chains, count_ssyt, part, ssyt_words
+from .shapes import Tableau, check_partition, count_order_ideal_chains, count_ssyt, part, ssyt_words
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class System:
 
 def ssyt_system(shape, ceiling: int, operator: str = "promote") -> System:
     """Semistandard tableaux of a straight shape under (inverse) promotion."""
-    layout = ReadingLayout(shape)
+    layout = straight_layout(check_partition(shape))
     index = {(r, c): a + c - 1 for r, (a, b) in enumerate(layout.bounds, start=1) for c in range(1, b - a + 1)}
 
     def position(box) -> int:
@@ -150,13 +150,14 @@ def syt_poset_system(p: FinitePoset) -> System:
 
 
 def inc_system(p: FinitePoset, q: int) -> System:
-    """Increasing tableaux of fixed deficiency under K-promotion."""
+    """Increasing tableaux of fixed deficiency under K-promotion.  A q out of
+    range builds no key test (of |P| - q labels): its enumeration raises."""
     label = p.name or f"poset{p.size}"
     return System(
         description=f"inc({label};q={q})",
         enumerate=lambda: increasing_labels(p, q),
         step=k_promote_step(p, p.size - q),
-        admits=p.labelling_test(p.size - q),
+        admits=p.labelling_test(p.size - q) if 0 <= q <= p.size else lambda labels: False,
         count=lambda cap: count_order_ideal_chains(p.size, p.covers, p.size - q, cap),
         **_poset_layout(p),
     )

@@ -236,9 +236,14 @@ class ReadingLayout:
     the cell and the number of cells under it.  `south`, `east`, `north`
     and `west` hold, by word index, the word index of the cell below, to
     the right, above and to the left, or -1 for a missing one.
+    `weak_rows` and `strict_columns` are the row and column comparisons
+    that every ceiling's :meth:`semistandard_test` shares.
     """
 
-    __slots__ = ("outer", "inner", "size", "bounds", "fill", "below", "south", "east", "north", "west")
+    __slots__ = (
+        "outer", "inner", "size", "bounds", "fill", "below",
+        "south", "east", "north", "west", "weak_rows", "strict_columns",
+    )
 
     def __init__(self, shape: Sequence[int], inner: Sequence[int] = ()):
         outer = check_partition(shape) if shape else ()
@@ -256,12 +261,18 @@ class ReadingLayout:
         self.size = n
         self.bounds = tuple(bounds)
         self.fill = tuple(index[cell] for cell in cells)
-        self.below = tuple(sum(length >= c for length in outer[r:]) for r, c in cells)
+        heights = conjugate(outer)
+        self.below = tuple(heights[c - 1] - r for r, c in cells)
         by_index = sorted(cells, key=index.__getitem__)
-        self.south = tuple(index.get((r + 1, c), -1) for r, c in by_index)
-        self.east = tuple(index.get((r, c + 1), -1) for r, c in by_index)
-        self.north = tuple(index.get((r - 1, c), -1) for r, c in by_index)
-        self.west = tuple(index.get((r, c - 1), -1) for r, c in by_index)
+        self.south = south = tuple(index.get((r + 1, c), -1) for r, c in by_index)
+        self.east = east = tuple(index.get((r, c + 1), -1) for r, c in by_index)
+        self.north = north = tuple(index.get((r - 1, c), -1) for r, c in by_index)
+        self.west = west = tuple(index.get((r, c - 1), -1) for r, c in by_index)
+        # the word is tested with (0, ceiling + 1) appended, at indices n and n + 1
+        lowest = [(n, i) for i in range(n) if west[i] < 0 and north[i] < 0]
+        highest = [(i, n + 1) for i in range(n) if east[i] < 0 and south[i] < 0]
+        self.weak_rows = pairwise_test(le, [(j, i) for i, j in enumerate(west) if j >= 0])
+        self.strict_columns = pairwise_test(lt, [(a, i) for i, a in enumerate(north) if a >= 0] + lowest + highest)
 
     def rows(self, word: Sequence[int]) -> list[Sequence[int]]:
         """The rows, top row first, of the tableau whose reading word is `word`."""
@@ -273,14 +284,10 @@ class ReadingLayout:
         increase and columns strictly increase, on tuple words.  Given those,
         only the cells with no neighbour left and above (compared with a
         0 appended to the word) and right and below (with ceiling + 1)
-        need their range checked.  The row and column comparisons are two
-        :func:`pairwise_test` functions, each generated once, on the test's
-        first call."""
-        n = self.size
-        weak_rows = pairwise_test(le, [(j, i) for i, j in enumerate(self.west) if j >= 0])
-        lowest = [(n, i) for i in range(n) if self.west[i] < 0 and self.north[i] < 0]
-        highest = [(i, n + 1) for i in range(n) if self.east[i] < 0 and self.south[i] < 0]
-        strict_columns = pairwise_test(lt, [(a, i) for i, a in enumerate(self.north) if a >= 0] + lowest + highest)
+        need their range checked.  The test closes over the layout's
+        `weak_rows` and `strict_columns`, built once per layout and each
+        generated on its first call."""
+        n, weak_rows, strict_columns = self.size, self.weak_rows, self.strict_columns
         bounds = (0, ceiling + 1)
 
         def test(word: tuple[int, ...]) -> bool:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from promotab import growth, homomesy, paths, shapes
+from promotab import growth, homomesy, paths, posets, shapes
 from promotab.cli import main
 from promotab.dynamics import promotion_period_words
 
@@ -355,6 +355,22 @@ class TestHomomesy:
         assert err == f"budget exhausted: {system} exceeds the element budget {budget}\n"
         with pytest.raises(AssertionError, match="compiled a key test"):  # the patched generator is the one in use
             shapes.pairwise_test(lt, [(0, 1)])((1, 2))
+
+    def test_a_q_out_of_range_builds_no_key_test(self, monkeypatch, capsys):
+        # the key test of d = |P| - q labels would hold every label 1..d
+        built = []
+        labelling_test = posets.FinitePoset.labelling_test
+
+        def recorded(poset, d):
+            built.append(d)
+            return labelling_test(poset, d) if 0 <= d <= poset.size else lambda labels: False
+
+        monkeypatch.setattr(posets.FinitePoset, "labelling_test", recorded)
+        code, out, err = run(capsys, "homomesy", *"--shape 3x3 -q -1000000000 --cells 1,1 --budget 100".split())
+        assert (code, out, err) == (3, "", "precondition violated: deficiency -1000000000 out of range [0, 9]\n")
+        assert built == []
+        code, _, _ = run(capsys, "homomesy", *"--shape 3x3 -q 3 --cells 1,1 --budget 1000".split())
+        assert code == 0 and built == [6]
 
     def test_every_system_counts_its_enumerated_size(self, monkeypatch, capsys):
         systems = []

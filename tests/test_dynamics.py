@@ -4,6 +4,7 @@ import pytest
 
 import promotab.dynamics as dynamics
 from promotab.dynamics import (
+    Orbit,
     cycle,
     dual_evacuate,
     dual_evacuate_via_complement,
@@ -17,7 +18,6 @@ from promotab.dynamics import (
     promote,
     promote_inverse,
     promote_via_toggles,
-    promotion_period,
     promotion_period_words,
     rectify,
     slide_toggle,
@@ -25,7 +25,7 @@ from promotab.dynamics import (
 )
 from promotab.errors import PreconditionError
 from promotab.shapes import Tableau, enumerate_ssyt, rotate_complement, validate
-from util import partitions_up_to, random_ssyt
+from util import partitions_up_to, random_ssyt, recorded_compiles
 
 T_MAIN = Tableau([[1, 1, 2, 3], [3, 3, 4, 4], [5, 5]], 6)
 
@@ -272,6 +272,36 @@ class TestOrbit:
         orb = orbit(T([[1]], 4), "promote_inverse")
         assert orb.period == 4
 
+    @pytest.mark.parametrize("operator, step", [("promote", promote), ("promote_inverse", promote_inverse)])
+    def test_the_word_walk_is_the_object_walk_rotated_to_its_least_word(self, operator, step):
+        for shape in partitions_up_to(5):
+            for k in range(1, 5):
+                for t in enumerate_ssyt(shape, k):
+                    elements = list(cycle(t, step))
+                    words = [x.row_reading() for x in elements]
+                    lead = words.index(min(words))
+                    rotated = tuple(elements[lead:] + elements[:lead])
+                    assert orbit(t, operator) == Orbit(rotated[0], rotated, len(rotated))
+
+    def test_rejects_skew_shape(self):
+        with pytest.raises(PreconditionError, match="^promotion requires a straight shape$"):
+            orbit(T([[2], [1]], 3, (1,)))
+
+
+def test_a_second_ceiling_on_a_shape_compiles_no_key_test(monkeypatch):
+    # the key tests depend on the shape alone: the ceiling enters through the bounds appended to the word
+    compiled = recorded_compiles(monkeypatch)
+    dynamics.straight_layout.cache_clear()
+    t = next(enumerate_ssyt((4, 2, 1), 5))
+    promote(t)
+    assert len(compiled) == 2  # the row test and the column test
+    for k in range(5, 9):
+        t = next(enumerate_ssyt((4, 2, 1), k))
+        promote(evacuate(partial_promote(t, 2)))
+        orbit(t, "promote_inverse")
+        promotion_period_words(t)
+    assert len(compiled) == 2
+
 
 class TestCycle:
     def test_promotion_cycle_closes(self):
@@ -314,35 +344,35 @@ class TestCycle:
 class TestPromotionPeriod:
     def test_rectangle_repeats_a_short_orbit_to_the_ceiling(self):
         t = T([[1, 2], [3, 4]], 4)
-        p = promotion_period(t)
+        _, p = promotion_period_words(t)
         assert len(set(p)) == 2
-        assert len(p) == 4 and p[0] == t and p[2] == p[0]
+        assert len(p) == 4 and p[0] == t.row_reading() and p[2] == p[0]
 
     def test_the_empty_tableau_with_ceiling_zero_has_an_empty_period(self):
-        assert promotion_period(T([], 0)) == []
-        assert promotion_period(T([], 2)) == [T([], 2)] * 2
+        assert promotion_period_words(T([], 0))[1] == []
+        assert promotion_period_words(T([], 2))[1] == [()] * 2
 
     def test_non_rectangle_period_is_the_orbit(self):
-        p = promotion_period(T_MAIN)
-        assert p == list(cycle(T_MAIN, promote))
+        _, p = promotion_period_words(T_MAIN)
+        assert p == [t.row_reading() for t in cycle(T_MAIN, promote)]
         assert len(p) == 12
 
     def test_rejects_skew_shape(self):
         skew = T([[2], [1]], 3, (1,))
         with pytest.raises(PreconditionError, match="promotion orbits require a straight shape"):
-            promotion_period(skew)
+            promotion_period_words(skew)
 
-    @pytest.mark.parametrize("period", [promotion_period, promotion_period_words], ids=lambda f: f.__name__)
-    def test_refuses_a_tableau_that_is_not_semistandard(self, period):
+    @pytest.mark.parametrize("walk", [orbit, promotion_period_words], ids=lambda f: f.__name__)
+    def test_refuses_a_tableau_that_is_not_semistandard(self, walk):
         with pytest.raises(PreconditionError, match="^not semistandard$"):
-            period(T([[1, 2], [1, 3]], 3))
+            walk(T([[1, 2], [1, 3]], 3))
 
     def test_every_period_word_is_checked_semistandard(self, monkeypatch):
         # a kernel that steps (1, 2) to a decreasing row
         def kernel(layout, k):
             return lambda word: (2, 1) if word == (1, 2) else (1, 2)
 
-        monkeypatch.setitem(dynamics.OPERATORS, "promote", (dynamics.promote, kernel))
+        monkeypatch.setitem(dynamics.OPERATORS, "promote", kernel)
         with pytest.raises(PreconditionError, match="^not semistandard$"):
             promotion_period_words(T([[1, 2]], 2))
 
@@ -353,9 +383,9 @@ class TestPromotionPeriod:
         def swap(layout, k):
             return lambda word: b if word == a else a
 
-        monkeypatch.setitem(dynamics.OPERATORS, "promote", (dynamics.promote, swap))
+        monkeypatch.setitem(dynamics.OPERATORS, "promote", swap)
         with pytest.raises(RuntimeError, match="bug in promote"):
-            promotion_period(T([[1, 2]], 3))
+            promotion_period_words(T([[1, 2]], 3))
 
 
 class TestOrbitMemo:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from promotab import dynamics
 from promotab.dynamics import orbit
 from promotab.errors import BudgetExceededError, PreconditionError
 from promotab.growth import orbit_values
@@ -23,7 +24,7 @@ from promotab.homomesy import (
 from promotab.ktableaux import IncreasingTableau, increasing_from_grid
 from promotab.posets import LinearExtension, build_cominuscule, ferrers_poset, linear_extensions
 from promotab.shapes import Tableau, count_ssyt, enumerate_ssyt
-from util import element_of
+from util import element_of, recorded_compiles
 
 
 def stat(*boxes):
@@ -439,3 +440,14 @@ class TestJson:
         report = verdict(partition_orbits(ssyt_system((2, 2), 3), budget=100), stat((1, 1), (2, 2)))
         assert reports_to_json([report]) == reports_to_json([report])
         assert '"verdict"' in reports_to_json([report])
+
+
+def test_two_systems_on_one_shape_compile_no_further_key_test(monkeypatch):
+    # the systems share the shape's layout, and with it its row and column tests
+    compiled = recorded_compiles(monkeypatch)
+    dynamics.straight_layout.cache_clear()
+    partition_orbits(ssyt_system((3, 2), 4), budget=1000)
+    assert len(compiled) == 2
+    partition_orbits(ssyt_system((3, 2), 4), budget=1000)
+    partition_orbits(ssyt_system([3, 2], 5, "promote_inverse"), budget=1000)
+    assert len(compiled) == 2

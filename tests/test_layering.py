@@ -12,7 +12,8 @@ names an element class, so its orbit walk builds no element object.  Only
 `shapes.pairwise_test` generates code: no other function calls `eval`,
 `exec` or `compile`.  Every system counts its own elements: the CLI names
 no counting function, and `partition_orbits` refuses a budget in one
-place."""
+place.  The one cache is `dynamics.straight_layout`, keyed by the shape
+alone, so the key tests it holds are compiled once per shape."""
 
 import ast
 import re
@@ -409,3 +410,53 @@ def test_count_and_budget_guards_see_aliases_attributes_and_nested_raises(tmp_pa
     assert names_used(probe) & COUNTERS == COUNTERS
     assert budget_raises(probe, "partition_orbits") == 2
     assert budget_raises(probe, "other") == 1
+
+
+CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
+ONE_CACHE = [("dynamics", "straight_layout", ("outer",))]
+
+
+def cached_functions(root: Path) -> list[tuple[str, str, tuple[str, ...]]]:
+    """The functions, at any depth, of the files under `root` that a cache
+    decorator wraps (bare, called or qualified, as `functools.lru_cache(8)`),
+    each with its module and its parameter names."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+                if name in CACHE_DECORATORS:
+                    a = node.args
+                    params = [*a.posonlyargs, *a.args, *filter(None, [a.vararg]), *a.kwonlyargs, *filter(None, [a.kwarg])]
+                    found.append((path.stem, node.name, tuple(p.arg for p in params)))
+    return found
+
+
+def test_the_one_cache_is_keyed_by_the_shape_alone():
+    assert cached_functions(SRC) == ONE_CACHE
+
+
+def test_cache_guard_sees_a_second_cache_and_a_second_parameter(tmp_path):
+    probe = tmp_path / "dynamics.py"
+    probe.write_text("from functools import lru_cache\n@lru_cache(maxsize=64)\ndef straight_layout(outer):\n    pass\n")
+    assert cached_functions(tmp_path) == ONE_CACHE
+    probe.write_text("import functools\n@functools.lru_cache(maxsize=8)\ndef straight_layout(outer, ceiling):\n    pass\n")
+    assert cached_functions(tmp_path) == [("dynamics", "straight_layout", ("outer", "ceiling"))] != ONE_CACHE
+    probe.write_text(
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=64)\n"
+        "def straight_layout(outer):\n"
+        "    pass\n"
+        "@lru_cache\n"
+        "def count(shape):\n"
+        "    pass\n"
+        "class Layout:\n"
+        "    @cache\n"
+        "    def test(self, *pairs, **options):\n"
+        "        pass\n"
+    )
+    second = [("dynamics", "count", ("shape",)), ("dynamics", "test", ("self", "pairs", "options"))]
+    assert cached_functions(tmp_path) == ONE_CACHE + second

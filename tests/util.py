@@ -5,6 +5,7 @@ from collections import Counter
 from itertools import permutations, product
 from operator import itemgetter
 
+from promotab import shapes
 from promotab.dynamics import cycle, evacuate, promote, rectify
 from promotab.errors import ParseError, PreconditionError
 from promotab.growth import DisInvarianceReport
@@ -547,3 +548,17 @@ def pairwise_test_by_getters(op, pairs):
     firsts = itemgetter(pairs[0][0], *(i for i, _ in pairs))
     seconds = itemgetter(pairs[0][1], *(j for _, j in pairs))
     return lambda s: all(map(op, firsts(s), seconds(s)))
+
+
+def recorded_compiles(monkeypatch) -> list:
+    """The arguments of every `compile` call that generates a key test
+    from now on, recorded by wrapping the one that
+    :func:`promotab.shapes.pairwise_test` calls."""
+    compiled = []
+
+    def recorded(*args):
+        compiled.append(args)
+        return compile(*args)
+
+    monkeypatch.setattr(shapes, "compile", recorded, raising=False)
+    return compiled
