@@ -9,9 +9,18 @@ checks every key with the system's tuple-level test, and walks each orbit
 once on keys, keeping the orbit's size, what reports print for its
 canonical element (the one of its least key) and the total of every
 entry over the orbit, laid out like the key; no element object is built.
-Cell sums are linear, so :func:`verdict` reads any statistic's exact
-orbit averages from those totals through that layout; the verdict is
-`homomesic` exactly when every orbit average equals the first.  Orbits
+A system with a rotate involution rho, an order-reversing involution of
+its cells, walks only half of its orbits: the mirror
+mu(key)[i] = c - key[rho(i)], with c the largest entry plus one, maps
+elements to elements and conjugates promotion to its inverse
+(mu . step . mu = step^-1; on SSYT rectangles mu is evacuation), so the
+image mu(O) of a walked orbit O is an orbit of the same size whose
+totals are |O| c - totals_O[rho(i)].  Each derived orbit is checked: it
+must consist of |O| keys no walk has visited, and one step must take
+mu(x_1) to mu(x_0); an orbit whose image was visited must be its own
+image.  Cell sums are linear, so :func:`verdict` reads any statistic's
+exact orbit averages from those totals through that layout; the verdict
+is `homomesic` exactly when every orbit average equals the first.  Orbits
 are ordered by their least key, so every report is deterministic.
 :func:`cell_sum` and :func:`orbit_average` stay the definitions on
 objects that the tests check the totals against.
@@ -87,9 +96,12 @@ class System:
     the element's constructor, and `representative` is what reports print
     for it.  `position` is the key index of a support item (a box, or a
     poset element or its box), and refuses items the elements lack;
-    `rotate` is the rotate involution on the items, if any.  `count(cap)`
-    is the number of elements when that is at most cap, and otherwise any
-    number over cap, so a budget is refused before any key is enumerated.
+    `rotate` is the rotate involution on the items, if any, and
+    `complement` the constant c of the mirror mu(key)[i] = c - key[rho(i)],
+    rho being the rotate on key positions: the largest entry plus one, so
+    that mu conjugates `step` to its inverse.  `count(cap)` is the number
+    of elements when that is at most cap, and otherwise any number over
+    cap, so a budget is refused before any key is enumerated.
     """
 
     description: str
@@ -99,6 +111,7 @@ class System:
     representative: Callable[[Key], tuple]
     position: Callable[[object], int]
     rotate: dict | None
+    complement: int
     count: Callable[[int], int]
 
 
@@ -121,6 +134,7 @@ def ssyt_system(shape, ceiling: int, operator: str = "promote") -> System:
         representative=lambda word: tuple(layout.rows(word)),
         position=position,
         rotate={(r, c): (m + 1 - r, n + 1 - c) for r, c in index} if len(set(layout.outer)) == 1 else None,
+        complement=ceiling + 1,
         count=lambda cap: count_ssyt(layout.outer, ceiling),
     )
 
@@ -144,6 +158,7 @@ def syt_poset_system(p: FinitePoset) -> System:
         enumerate=lambda: linear_extension_labels(p),
         step=lambda labels: poset_promote_labels(p, labels),
         admits=p.labelling_test(p.size),
+        complement=p.size + 1,
         count=lambda cap: count_order_ideal_chains(p.size, p.covers, p.size, cap),
         **_poset_layout(p),
     )
@@ -158,6 +173,7 @@ def inc_system(p: FinitePoset, q: int) -> System:
         enumerate=lambda: increasing_labels(p, q),
         step=k_promote_step(p, p.size - q),
         admits=p.labelling_test(p.size - q) if 0 <= q <= p.size else lambda labels: False,
+        complement=p.size - q + 1,
         count=lambda cap: count_order_ideal_chains(p.size, p.covers, p.size - q, cap),
         **_poset_layout(p),
     )
@@ -199,6 +215,16 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
     `count` keys, or a step map that leaves the enumerated set or is not
     a bijection on it, raises :class:`PreconditionError` naming the system.
     No element object is built: reports print `system.representative`.
+
+    A system with a `rotate` walks each orbit O or its mirror mu(O), never
+    both: mu(key)[i] = c - key[rho(i)], for c its `complement` and rho its
+    rotate on key positions, which is derived once through `position`,
+    and only when there is a key.  After walking O it derives mu(O): if
+    mu(O) is unvisited, it must consume exactly |O| unvisited keys and
+    the step of mu(x_1) must be mu(x_0), since mu . step . mu = step^-1;
+    otherwise mu(O) must be O itself.  A mirror that fails either check, or a rotate
+    that does not permute the key positions, raises
+    :class:`PreconditionError` naming the system.
     """
     if budget < 1:
         raise PreconditionError(f"budget must be positive: {budget}")
@@ -214,6 +240,10 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
     unvisited = set(keys)
     if len(unvisited) != len(keys):
         raise PreconditionError(f"{system.description}: the enumeration repeats an element")
+    # pick(key)[i] is key[rho(i)], so the mirror of a key is c - pick(key)
+    pick = _rotate_positions(system, len(keys[0])) if keys and system.rotate is not None else None
+    c = system.complement
+    unmirrored = f"{system.description}: the rotate complement maps an orbit onto no orbit"
     orbits: dict[Key, OrbitTotals] = {}
     for start in keys:
         if start in unvisited:
@@ -221,10 +251,42 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
                 orb = list(cycle(start, system.step, unvisited))
             except PreconditionError as exc:
                 raise PreconditionError(f"{system.description}: {exc}") from exc
+            size = len(orb)
             lead = min(orb)
             totals = tuple(map(sum, zip(*orb)))
-            orbits[lead] = OrbitTotals(size=len(orb), totals=totals, representative=system.representative(lead))
+            orbits[lead] = OrbitTotals(size=size, totals=totals, representative=system.representative(lead))
+            if pick is None:
+                continue
+            image = [tuple([c - v for v in pick(key)]) for key in orb]
+            if image[0] in unvisited:
+                before = len(unvisited)
+                unvisited.difference_update(image)
+                # image[j] is mu(x_j), and mu conjugates the step to its inverse
+                if before - len(unvisited) != size or system.step(image[1 % size]) != image[0]:
+                    raise PreconditionError(unmirrored)
+                lead = min(image)
+                totals = tuple([size * c - t for t in pick(totals)])
+                orbits[lead] = OrbitTotals(size=size, totals=totals, representative=system.representative(lead))
+            elif set(image) != set(orb):  # an image already visited is the orbit itself
+                raise PreconditionError(unmirrored)
     return OrbitPartition(system=system, orbits=tuple(orbits[k] for k in sorted(orbits)))
+
+
+def _rotate_positions(system: System, length: int) -> Callable[[Key], tuple[int, ...]]:
+    """The getter of a key's entries at the rotate images of its positions:
+    entry i of what it returns is the key's entry at rho(i), where rho maps
+    the position of each support item to that of its rotate image.  A
+    rotate that does not permute the key's positions raises
+    :class:`PreconditionError` naming the system."""
+    try:
+        rho = {system.position(x): system.position(y) for x, y in system.rotate.items()}
+    except PreconditionError as exc:
+        raise PreconditionError(f"{system.description}: {exc}") from exc
+    if sorted(rho) != list(range(length)) or sorted(rho.values()) != list(range(length)):
+        raise PreconditionError(f"{system.description}: the rotate involution does not permute the key positions")
+    if length > 1:
+        return itemgetter(*(rho[i] for i in range(length)))
+    return itemgetter(slice(length))  # a slice reads one position or none as a tuple too
 
 
 # -- verdicts ------------------------------------------------------------------

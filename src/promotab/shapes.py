@@ -195,6 +195,8 @@ def validate(t: Tableau, kind: str) -> bool:
 
 # the comparisons a generated test can make, as they are written in its source
 _COMPARISONS = {lt: "<", le: "<="}
+# the most comparisons one generated function makes: compiling one takes memory in proportion to its source
+CHUNK = 2000
 
 
 def pairwise_test(op: Callable[[int, int], bool], pairs: Sequence[tuple[int, int]]) -> Callable[[Sequence[int]], bool]:
@@ -204,24 +206,33 @@ def pairwise_test(op: Callable[[int, int], bool], pairs: Sequence[tuple[int, int
 
     The test is one generated function of straight-line comparisons,
     ``lambda s: s[i0] < s[j0] and s[i1] < s[j1] and ...``, whose source is
-    built from the pairs' ``int`` indices.  It is generated once, on its
-    first call: a system builds its key test before its budget is checked,
-    so a refused system compiles nothing.
+    built from the pairs' ``int`` indices.  Over :data:`CHUNK` pairs it is
+    one such function per run of at most :data:`CHUNK` consecutive pairs,
+    joined by :func:`all`, so no single compile grows with the shape.
+    Each function is generated once, on its first call: a system builds
+    its key test before its budget is checked, so a refused system
+    compiles nothing.
     """
     symbol = _COMPARISONS.get(op)
     if symbol is None:
         raise PreconditionError(f"no generated comparison for {op!r}; expected operator.lt or operator.le")
     pairs = tuple(pairs)
-    compiled = None
 
-    def test(s: Sequence[int]) -> bool:
-        nonlocal compiled
-        if compiled is None:
-            terms = " and ".join(f"s[{int(i)}] {symbol} s[{int(j)}]" for i, j in pairs)
-            compiled = eval(compile(f"lambda s: {terms or 'True'}", "<pairwise_test>", "eval"), {})
-        return compiled(s)
+    def generated(chunk: tuple[tuple[int, int], ...]) -> Callable[[Sequence[int]], bool]:
+        compiled = None
 
-    return test
+        def test(s: Sequence[int]) -> bool:
+            nonlocal compiled
+            if compiled is None:
+                terms = " and ".join(f"s[{int(i)}] {symbol} s[{int(j)}]" for i, j in chunk)
+                compiled = eval(compile(f"lambda s: {terms or 'True'}", "<pairwise_test>", "eval"), {})
+            return compiled(s)
+
+        return test
+
+    # no pairs make one chunk too, which generates `lambda s: True`
+    tests = [generated(pairs[a : a + CHUNK]) for a in range(0, len(pairs) or 1, CHUNK)]
+    return tests[0] if len(tests) == 1 else lambda s: all(test(s) for test in tests)
 
 
 class ReadingLayout:

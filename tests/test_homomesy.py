@@ -1,11 +1,12 @@
 import re
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from promotab import dynamics
-from promotab.dynamics import orbit
+from promotab.dynamics import evacuate, orbit
 from promotab.errors import BudgetExceededError, PreconditionError
 from promotab.growth import orbit_values
 from promotab.homomesy import (
@@ -22,7 +23,7 @@ from promotab.homomesy import (
     verdict,
 )
 from promotab.ktableaux import IncreasingTableau, increasing_from_grid
-from promotab.posets import LinearExtension, build_cominuscule, ferrers_poset, linear_extensions
+from promotab.posets import LinearExtension, build_cominuscule, ferrers_poset, linear_extensions, rotate, rotate_reverse
 from promotab.shapes import Tableau, count_ssyt, enumerate_ssyt
 from util import element_of, recorded_compiles
 
@@ -192,11 +193,10 @@ def _shifted_staircase_boxes():
 PARTITION_SYSTEMS = [_ssyt_3x3, _inc_3x4, _cayley, _cayley_mixed, _partition_331, _shifted_staircase_boxes]
 
 
-def _orbits_by_definition(system, size, spec):
+def _walks(system, size):
     """The system's orbits, found by stepping each enumerated key until
-    it returns, ordered by their least key: each as that key and the
-    objects of its keys, rebuilt with their validating constructor."""
-    orbits, seen = [], set()
+    it returns, as lists of keys ordered by their least key."""
+    walks, seen = [], set()
     for key in system.enumerate():
         if key not in seen:
             walk = [key]
@@ -204,9 +204,15 @@ def _orbits_by_definition(system, size, spec):
                 walk.append(image)
                 assert len(walk) <= size
             seen.update(walk)
-            orbits.append(walk)
-    orbits.sort(key=min)
-    return [(min(walk), [element_of(system, key, *spec) for key in walk]) for walk in orbits]
+            walks.append(walk)
+    walks.sort(key=min)
+    return walks
+
+
+def _orbits_by_definition(system, size, spec):
+    """The system's orbits by :func:`_walks`: each as its least key and
+    the objects of its keys, rebuilt with their validating constructor."""
+    return [(min(walk), [element_of(system, key, *spec) for key in walk]) for walk in _walks(system, size)]
 
 
 def _items(element):
@@ -429,6 +435,143 @@ class TestComplementIdentity:
                 vals = orbit_values(t, (r, c))
                 comp = tuple(sorted(k + 1 - v for v in orbit_values(t, star)))
                 assert vals == comp
+
+
+# Each build returns a system and its rotate complement on keys, computed
+# on objects: evacuation on SSYT rectangles, rotate_reverse on linear
+# extensions, and the labels d + 1 - label(rotate(x)) on increasing tableaux
+# with d labels.
+
+
+def _ssyt_mirror(shape, k, operator="promote"):
+    system = ssyt_system(shape, k, operator)
+    return system, lambda key: evacuate(element_of(system, key, Tableau, k)).row_reading()
+
+
+def _poset_mirror(p):
+    return syt_poset_system(p), lambda key: rotate_reverse(LinearExtension(p, key)).labels
+
+
+def _inc_mirror(p, q):
+    rot, d = rotate(p), p.size - q
+
+    def mirror(key):
+        t = IncreasingTableau(p, key)
+        return IncreasingTableau(p, [d + 1 - t.label(rot[x]) for x in p.elements()]).labels
+
+    return inc_system(p, q), mirror
+
+
+# the systems that the acceptance sweeps c03, c09 and c10 partition, and the
+# four of the benchmark's one-stat-large workload
+MIRROR_SYSTEMS = {
+    "c03": lambda: [
+        _ssyt_mirror((n,) * m, k) for m, n, top in ((2, 2, 5), (2, 3, 5), (3, 3, 4)) for k in range(1, top + 1)
+    ],
+    "c09": lambda: [
+        _poset_mirror(p)
+        for p in [
+            *(build_cominuscule("shifted_staircase", n) for n in (1, 2, 3)),
+            *(build_cominuscule("propeller", n) for n in (3, 4)),
+            *(build_cominuscule("rectangle", m, n) for m in range(1, 11) for n in range(1, 11) if m * n <= 10),
+        ]
+    ],
+    "c10": lambda: [_inc_mirror(build_cominuscule("rectangle", 2, n), q) for n in range(1, 6) for q in range(2 * n)],
+    "one-stat-large": lambda: [
+        _ssyt_mirror((3, 3, 3), 8),
+        _ssyt_mirror((3, 3, 3), 8, "promote_inverse"),
+        _poset_mirror(build_cominuscule("freudenthal")),
+        _inc_mirror(build_cominuscule("rectangle", 3, 5), 3),
+    ],
+}
+SELF_MIRRORED = {"one-stat-large": [60, 60, 0, 40]}
+
+
+class TestMirror:
+    @pytest.mark.parametrize("group", MIRROR_SYSTEMS)
+    def test_the_mirrored_partition_is_the_walked_one(self, group):
+        self_mirrored = []
+        for system, mirror in MIRROR_SYSTEMS[group]():
+            calls = []
+
+            def step(key, step=system.step):
+                calls.append(key)
+                return step(key)
+
+            partition = partition_orbits(replace(system, step=step), budget=100_000)
+            assert system.rotate is not None
+            assert partition.orbits == partition_orbits(replace(system, rotate=None), budget=100_000).orbits
+            walks = _walks(system, 100_000)
+            orbit_of = {key: i for i, walk in enumerate(walks) for key in walk}
+            selfs = [walk for i, walk in enumerate(walks) if orbit_of[mirror(walk[0])] == i]
+            self_mirrored.append(len(selfs))
+            # each other orbit pairs with its mirror: one of the two is walked,
+            # the other is derived and checked by one step
+            walked = (len(orbit_of) + sum(map(len, selfs))) // 2
+            assert len(calls) == walked + (len(walks) - len(selfs)) // 2, system.description
+        assert self_mirrored == SELF_MIRRORED.get(group, self_mirrored)
+
+    @staticmethod
+    def _three_cycle(base):
+        """The first three keys of `base` stepped in a 3-cycle and every
+        other key fixed: a bijection whose orbit of three the rotate
+        complement maps onto three fixed keys, which form no orbit.  On a
+        rectangle's reading words the rotate reverses the word."""
+        first = list(islice(base.enumerate(), 3))
+        mirrors = {tuple(base.complement - v for v in reversed(key)) for key in first}
+        assert len(mirrors) == 3 and not mirrors & set(first)
+        following = dict(zip(first, first[1:] + first[:1]))
+        return lambda key: following.get(key, key)
+
+    @staticmethod
+    def _half_image(base):
+        """With the complement one less, the mirror takes the keys with no
+        entry k among themselves and a key with an entry k to no key.  The
+        first key a and a key b with an entry k, stepped in a 2-cycle, and
+        enumerated first, then every key with no entry k, fixed: the mirror
+        of b steps to that of a, so one step checks out, yet the image of
+        the orbit {a, b} holds one key, not two."""
+        keys = list(base.enumerate())
+        k = base.complement - 1
+        a, b = keys[0], next(key for key in keys if k in key)
+        mirror = {key: tuple(k - v for v in reversed(key)) for key in (a, b)}
+        rest = [key for key in keys if k not in key and key != a]
+        assert mirror[a] in rest and mirror[b] not in keys
+        following = {a: b, b: a, mirror[b]: mirror[a]}
+        return {
+            "complement": k,
+            "enumerate": lambda: [a, b, *rest],
+            "count": lambda cap: len(rest) + 2,
+            "step": lambda key: following.get(key, key),
+        }
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            # entries complemented to c + 1 - v, past the ceiling
+            lambda base: {"complement": base.complement + 1},
+            # the complement without the turn: not semistandard
+            lambda base: {"rotate": {box: box for box in base.rotate}},
+            # a turn of the first row alone, which leaves the other positions unpaired
+            lambda base: {"rotate": {(1, 1): (1, 3), (1, 3): (1, 1)}},
+            lambda base: {"step": TestMirror._three_cycle(base)},
+            lambda base: TestMirror._half_image(base),
+        ],
+        ids=["complement", "no-turn", "part-of-the-turn", "three-cycle", "half-image"],
+    )
+    def test_a_mirror_that_maps_an_orbit_onto_no_orbit_fails_loudly(self, change):
+        base = ssyt_system((3, 3), 4)
+        system = replace(base, description="broken", **change(base))
+        with pytest.raises(PreconditionError, match="^broken: the rotate"):
+            partition_orbits(system, budget=1000)
+
+    def test_a_refused_system_resolves_no_position(self):
+        def refuse(item):
+            raise AssertionError(f"support item {item} was resolved")
+
+        system = replace(ssyt_system((2, 2), 4), position=refuse)
+        with pytest.raises(BudgetExceededError):
+            partition_orbits(system, budget=19)
 
 
 class TestJson:

@@ -13,7 +13,10 @@ names an element class, so its orbit walk builds no element object.  Only
 `exec` or `compile`.  Every system counts its own elements: the CLI names
 no counting function, and `partition_orbits` refuses a budget in one
 place.  The one cache is `dynamics.straight_layout`, keyed by the shape
-alone, so the key tests it holds are compiled once per shape."""
+alone, so the key tests it holds are compiled once per shape.  Homomesy
+walks orbits in one place, one `cycle` call in `partition_orbits`, whose
+only parameters are the system and the budget: no switch turns off the
+rotate-complement mirror, so no second walk hides behind one."""
 
 import ast
 import re
@@ -416,6 +419,12 @@ CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
 ONE_CACHE = [("dynamics", "straight_layout", ("outer",))]
 
 
+def parameter_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, ...]:
+    """The names of every parameter of the function `node` defines."""
+    a = node.args
+    return tuple(p.arg for p in [*a.posonlyargs, *a.args, *filter(None, [a.vararg]), *a.kwonlyargs, *filter(None, [a.kwarg])])
+
+
 def cached_functions(root: Path) -> list[tuple[str, str, tuple[str, ...]]]:
     """The functions, at any depth, of the files under `root` that a cache
     decorator wraps (bare, called or qualified, as `functools.lru_cache(8)`),
@@ -429,9 +438,7 @@ def cached_functions(root: Path) -> list[tuple[str, str, tuple[str, ...]]]:
                 target = decorator.func if isinstance(decorator, ast.Call) else decorator
                 name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
                 if name in CACHE_DECORATORS:
-                    a = node.args
-                    params = [*a.posonlyargs, *a.args, *filter(None, [a.vararg]), *a.kwonlyargs, *filter(None, [a.kwarg])]
-                    found.append((path.stem, node.name, tuple(p.arg for p in params)))
+                    found.append((path.stem, node.name, parameter_names(node)))
     return found
 
 
@@ -460,3 +467,47 @@ def test_cache_guard_sees_a_second_cache_and_a_second_parameter(tmp_path):
     )
     second = [("dynamics", "count", ("shape",)), ("dynamics", "test", ("self", "pairs", "options"))]
     assert cached_functions(tmp_path) == ONE_CACHE + second
+
+
+def cycle_calls(path: Path) -> list[str]:
+    """The top-level definition (`<module>` for other statements) of each
+    `cycle` call in the file, nested calls included, by bare name or as
+    an attribute (`dynamics.cycle`)."""
+    found = []
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+                if name == "cycle":
+                    found.append(getattr(top, "name", "<module>"))
+    return found
+
+
+def parameters(path: Path, function: str) -> tuple[str, ...]:
+    """The names of every parameter of the file's top-level `function`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return parameter_names(next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function))
+
+
+def test_homomesy_walks_orbits_in_one_place_with_no_switch():
+    assert cycle_calls(SRC / "homomesy.py") == ["partition_orbits"]
+    assert parameters(SRC / "homomesy.py", "partition_orbits") == ("system", "budget")
+
+
+def test_walk_guard_sees_a_second_cycle_call_and_an_added_parameter(tmp_path):
+    probe = tmp_path / "homomesy.py"
+    probe.write_text("def partition_orbits(system, budget):\n    return list(cycle(0, system.step))\n")
+    assert cycle_calls(probe) == ["partition_orbits"]
+    assert parameters(probe, "partition_orbits") == ("system", "budget")
+    probe.write_text(
+        "from . import dynamics\n"
+        "def partition_orbits(system, budget, *, mirror=True):\n"
+        "    if mirror:\n"
+        "        return list(cycle(0, system.step))\n"
+        "    return [list(dynamics.cycle(k, system.step)) for k in system.enumerate()]\n"
+        "def walk(system, **options):\n"
+        "    return cycle(0, system.step)\n"
+    )
+    assert cycle_calls(probe) == ["partition_orbits", "partition_orbits", "walk"]
+    assert parameters(probe, "partition_orbits") == ("system", "budget", "mirror")

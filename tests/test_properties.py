@@ -17,6 +17,7 @@ the poset labelling test against the validating constructors.  The runs
 are derandomized and small, so the suite stays reproducible.
 """
 
+from dataclasses import replace
 from functools import reduce
 from itertools import combinations, islice, product
 from operator import eq, ge, gt, le, lt, ne
@@ -38,6 +39,7 @@ from promotab.dynamics import (
     reading_word_step,
     toggle,
 )
+from promotab.homomesy import inc_system, partition_orbits, syt_poset_system
 from promotab.ktableaux import IncreasingTableau, increasing_labels, k_promote_inverse_step, k_promote_step
 from promotab.posets import FinitePoset, LinearExtension, ferrers_poset
 from promotab.errors import PreconditionError
@@ -195,11 +197,11 @@ def test_pairwise_test_refuses_a_comparison_it_cannot_generate(op):
 
 
 @st.composite
-def reduced_posets(draw) -> tuple[int, list[tuple[int, int]]]:
-    """A random poset on 1..size, size <= 7, as its covers: random
+def reduced_posets(draw, most: int = 7) -> tuple[int, list[tuple[int, int]]]:
+    """A random poset on 1..size, size <= most, as its covers: random
     relations along a random order of the elements, transitively
     reduced."""
-    size = draw(st.integers(0, 7))
+    size = draw(st.integers(0, most))
     order = draw(st.permutations(range(1, size + 1)))
     pairs = [(i, j) for j in range(size) for i in range(j)]
     related = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -311,3 +313,32 @@ def test_the_bullet_slides_are_the_switch_chains(poset):
             assert image == k_promote_by_switches(t).labels
             assert backward(labels) == k_promote_inverse_by_switches(t).labels
             assert backward(image) == labels
+
+
+@st.composite
+def self_dual_posets(draw) -> tuple[FinitePoset, int]:
+    """Q + Q* (Q below its dual) or the disjoint union of Q and Q*, for a
+    random poset Q on 1..n with n <= 3, its dual's elements numbered
+    n+1..2n, and a deficiency q from 0 to 2n - 1: the rotation swaps each
+    x of Q with its copy n + x, an order-reversing involution."""
+    n, covers = draw(reduced_posets(3))
+    dual = [(n + y, n + x) for x, y in covers]
+    glue = []
+    if draw(st.booleans()):  # the ordinal sum: each maximal element of Q is covered by each minimal one of Q*
+        tops = [x for x in range(1, n + 1) if all(a != x for a, _ in covers)]
+        glue = [(x, n + y) for x in tops for y in tops]
+    rotation = {x: n + x for x in range(1, n + 1)} | {n + x: x for x in range(1, n + 1)}
+    return FinitePoset(2 * n, covers + dual + glue, rotation=rotation), draw(st.integers(0, max(0, 2 * n - 1)))
+
+
+# 30 examples draw 27 distinct cases and every q from 0 to 5, so the file stays under 5 s
+@settings(SETTINGS, max_examples=30)
+@given(self_dual_posets())
+def test_the_mirrored_partition_is_the_walked_one(case):
+    # the partition derives each orbit's rotate complement instead of
+    # walking it; without a rotate it walks every orbit
+    p, q = case
+    for system in (syt_poset_system(p), inc_system(p, q)):
+        assert (system.rotate is None) == (p.size == 0)
+        oracle = replace(system, rotate=None)
+        assert partition_orbits(system, 10_000).orbits == partition_orbits(oracle, 10_000).orbits

@@ -1,11 +1,13 @@
 import inspect
 import sys
 from itertools import accumulate, product
+from operator import lt
 
 import pytest
 
 from promotab.errors import ParseError, PreconditionError
 from promotab.shapes import (
+    CHUNK,
     ReadingLayout,
     Tableau,
     Word,
@@ -18,6 +20,7 @@ from promotab.shapes import (
     enumerate_syt,
     format_tableau,
     order_ideal_chains,
+    pairwise_test,
     parse_tableau,
     part,
     reading_word,
@@ -26,7 +29,7 @@ from promotab.shapes import (
     ssyt_words,
     validate,
 )
-from util import partitions_up_to, unpruned_ssyt_words
+from util import pairwise_test_by_getters, partitions_up_to, recorded_compiles, unpruned_ssyt_words
 
 
 def skew_shapes_up_to(cells: int):
@@ -338,3 +341,25 @@ class TestTableauStructure:
 
     def test_enumerate_ssyt_with_ceiling_zero_and_empty_shape(self):
         assert list(enumerate_ssyt((), 0)) == [Tableau((), 0)]
+
+
+def test_a_large_shape_compiles_its_key_tests_in_bounded_chunks(monkeypatch):
+    compiled = recorded_compiles(monkeypatch)
+    layout = ReadingLayout((100,) * 100)
+    word = tuple(r for r in range(100, 0, -1) for _ in range(100))  # row r holds r, the bottom row read first
+    columns = [(a, i) for i, a in enumerate(layout.north) if a >= 0]
+    test, definition = pairwise_test(lt, columns), pairwise_test_by_getters(lt, columns)
+    # a column that is not strict in the first, the middle or the last chunk
+    broken = []
+    for a, i in (columns[0], columns[len(columns) // 2], columns[-1]):
+        s = list(word)
+        s[i] = s[a]
+        broken.append(tuple(s))
+    assert test(broken[0]) is definition(broken[0]) is False
+    assert len(compiled) == 1  # the later chunks are generated on their first call
+    for s in [word, *broken]:
+        assert test(s) == definition(s) == all(s[a] < s[i] for a, i in columns)
+    chunks = -(-len(columns) // CHUNK)
+    assert chunks > 1 and len(compiled) == chunks
+    assert layout.semistandard_test(100)(word)
+    assert all(source.count(" < ") + source.count(" <= ") <= CHUNK for source, *_ in compiled)
