@@ -13,14 +13,16 @@ on up to the ceiling, in one pass (evacuation), and one slides the holes
 of the entries equal to the ceiling back in (inverse promotion).
 :func:`promote`, :func:`promote_inverse`, :func:`partial_promote` and
 :func:`evacuate` check that a tableau is semistandard, run a kernel on its
-reading word and build one :class:`Tableau`, their result.
+reading word and build one :class:`Tableau`, their result, straight
+from the kernel's word (``Tableau._of_word``).
 :data:`OPERATORS` holds the kernels that orbits step with
 :func:`reading_word_step` on reading words (the keys homomesy systems
 walk); :func:`orbit` and :func:`promotion_period_words` walk a tableau's
 orbit in one place.  The toggle sweeps (:func:`promote_via_toggles`,
 :func:`promote_inverse_via_toggles`, :func:`evacuate_via_toggles`) toggle
-plain rows; the tests check every kernel against them and against the
-chains of one-step definitions.
+plain rows and build their result with the rows constructor, so the
+tests check every kernel, and the word constructor, against them and
+against the chains of one-step definitions.
 """
 
 from __future__ import annotations
@@ -220,7 +222,7 @@ def _reading_word(t: Tableau, step: str) -> tuple[ReadingLayout, tuple[int, ...]
         raise PreconditionError(f"{step} requires a straight shape")
     layout = straight_layout(t.outer)
     word = t.row_reading()
-    if not layout.semistandard_test(t.ceiling)(word):
+    if not layout.is_semistandard(word, t.ceiling):
         raise PreconditionError("not semistandard")
     return layout, word
 
@@ -232,7 +234,7 @@ def promote(t: Tableau) -> Tableau:
     """
     layout, word = _reading_word(t, "promotion")
     k = t.ceiling
-    return Tableau(layout.rows(_slide_out(layout, k, k)(word)), k)
+    return Tableau._of_word(layout, _slide_out(layout, k, k)(word), k)
 
 
 def _toggle_rows(rows: Sequence[Sequence[int]], offsets: Sequence[int], i: int) -> list[Sequence[int]]:
@@ -306,7 +308,7 @@ def promote_via_toggles(t: Tableau) -> Tableau:
 def promote_inverse(t: Tableau) -> Tableau:
     """Inverse promotion, as the reverse slides of :func:`promote`."""
     layout, word = _reading_word(t, "promotion")
-    return Tableau(layout.rows(_slide_in(layout, t.ceiling)(word)), t.ceiling)
+    return Tableau._of_word(layout, _slide_in(layout, t.ceiling)(word), t.ceiling)
 
 
 def promote_inverse_via_toggles(t: Tableau) -> Tableau:
@@ -379,7 +381,7 @@ def partial_promote(t: Tableau, i: int) -> Tableau:
     layout, word = _reading_word(t, "partial promotion")
     if not 1 <= i <= t.ceiling:
         raise PreconditionError(f"partial promotion ceiling {i} out of range [1, {t.ceiling}]")
-    return Tableau(layout.rows(_slide_out(layout, i, t.ceiling)(word)), t.ceiling)
+    return Tableau._of_word(layout, _slide_out(layout, i, t.ceiling)(word), t.ceiling)
 
 
 def _evacuation(layout: ReadingLayout, word: Sequence[int], k: int) -> tuple[int, ...]:
@@ -425,7 +427,7 @@ def evacuate(t: Tableau) -> Tableau:
     pass on the reading word.
     """
     layout, word = _reading_word(t, "evacuation")
-    return Tableau(layout.rows(_evacuation(layout, word, t.ceiling)), t.ceiling)
+    return Tableau._of_word(layout, _evacuation(layout, word, t.ceiling), t.ceiling)
 
 
 def evacuate_via_toggles(t: Tableau) -> Tableau:
@@ -567,5 +569,5 @@ def orbit(t: Tableau, operator: str = "promote") -> Orbit:
     rotated, with one tableau per orbit element."""
     layout, words = _orbit_words(t, operator, "promotion requires a straight shape")
     lead = words.index(min(words))
-    rotated = tuple(Tableau(layout.rows(word), t.ceiling) for word in words[lead:] + words[:lead])
+    rotated = tuple(Tableau._of_word(layout, word, t.ceiling) for word in words[lead:] + words[:lead])
     return Orbit(representative=rotated[0], elements=rotated, period=len(rotated))

@@ -19,8 +19,8 @@ recursions.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, chain
 from math import factorial
 from operator import le, lt
@@ -64,10 +64,12 @@ class Tableau:
     Row r stores the entries of columns inner[r]+1 .. outer[r] densely;
     the cells of the inner shape are absent.  Entries are integers in
     [1, ceiling].  Semistandardness is *not* enforced at construction;
-    use :func:`validate`.
+    use :func:`validate`.  :meth:`_of_word` builds the same tableau from
+    a reading word and a layout of its shape, which the steps on reading
+    words already hold; either way the reading word is kept once read.
     """
 
-    __slots__ = ("rows", "inner", "outer", "ceiling", "_hash")
+    __slots__ = ("rows", "inner", "outer", "ceiling", "_hash", "_word")
 
     def __init__(self, rows: Sequence[Sequence[int]], ceiling: int, inner: Sequence[int] = ()):
         inner_p: Partition = check_partition(inner) if inner else ()
@@ -91,6 +93,31 @@ class Tableau:
         self.outer = outer
         self.ceiling = ceiling
         self._hash = hash((rows_t, inner_p, ceiling))
+        self._word = None
+
+    @classmethod
+    def _of_word(cls, layout: ReadingLayout, word: tuple[int, ...], ceiling: int) -> Tableau:
+        """The tableau of the layout's shape whose reading word is `word`,
+        a tuple of ints: ``Tableau(layout.rows(word), ceiling, layout.inner)``
+        without re-deriving the checked shape.  It raises on every input
+        the rows constructor refuses: a word whose length is not the
+        layout's size, an entry out of [1, ceiling], a negative ceiling."""
+        ceiling = int(ceiling)
+        if ceiling < 0:
+            raise PreconditionError(f"ceiling must be nonnegative: {ceiling}")
+        if len(word) != layout.size:
+            raise PreconditionError(f"a word of length {len(word)} does not fill a shape of {layout.size} cells")
+        if word and not 1 <= min(word) <= max(word) <= ceiling:
+            v = next(v for v in word if not 1 <= v <= ceiling)
+            raise PreconditionError(f"entry {v} out of range [1, {ceiling}]")
+        self = object.__new__(cls)
+        self.rows = rows = tuple([word[a:b] for a, b in layout.bounds])
+        self.inner = layout.inner
+        self.outer = layout.outer
+        self.ceiling = ceiling
+        self._hash = hash((rows, layout.inner, ceiling))
+        self._word = word
+        return self
 
     # -- basic structure -------------------------------------------------
 
@@ -134,10 +161,10 @@ class Tableau:
 
     def row_reading(self) -> tuple[int, ...]:
         """Reading word letters: rows bottom to top, each left to right."""
-        out: list[int] = []
-        for row in reversed(self.rows):
-            out.extend(row)
-        return tuple(out)
+        word = self._word
+        if word is None:
+            word = self._word = tuple(chain.from_iterable(reversed(self.rows)))
+        return word
 
     # -- dunder ----------------------------------------------------------
 
@@ -241,14 +268,15 @@ class ReadingLayout:
 
     The reading word is the flat key of a tableau of the shape.
     :meth:`rows` cuts a word into a tableau's rows (top row first), and
-    :meth:`semistandard_test` tests words without building a tableau.
+    :meth:`is_semistandard` and :meth:`semistandard_test` test words
+    without building a tableau.
     `bounds` holds each row's slice of the word, top row first; `fill`
     and `below` hold, for the cells in row-major order, the word index of
     the cell and the number of cells under it.  `south`, `east`, `north`
     and `west` hold, by word index, the word index of the cell below, to
     the right, above and to the left, or -1 for a missing one.
     `weak_rows` and `strict_columns` are the row and column comparisons
-    that every ceiling's :meth:`semistandard_test` shares.
+    that every ceiling's test shares.
     """
 
     __slots__ = (
@@ -289,15 +317,20 @@ class ReadingLayout:
         """The rows, top row first, of the tableau whose reading word is `word`."""
         return [word[a:b] for a, b in self.bounds]
 
-    def semistandard_test(self, ceiling: int) -> Callable[[tuple[int, ...]], bool]:
-        """The test whether a word is the reading word of a semistandard
+    def is_semistandard(self, word: tuple[int, ...], ceiling: int) -> bool:
+        """Whether a tuple word is the reading word of a semistandard
         tableau of the shape with entries in [1, ceiling]: rows weakly
-        increase and columns strictly increase, on tuple words.  Given those,
-        only the cells with no neighbour left and above (compared with a
-        0 appended to the word) and right and below (with ceiling + 1)
-        need their range checked.  The test closes over the layout's
-        `weak_rows` and `strict_columns`, built once per layout and each
-        generated on its first call."""
+        increase and columns strictly increase.  Given those, only the
+        cells with no neighbour left and above (compared with a 0 appended
+        to the word) and right and below (with ceiling + 1) need their
+        range checked.  The comparisons are the layout's `weak_rows` and
+        `strict_columns`, built once per layout and each generated on its
+        first call."""
+        return len(word) == self.size and self.weak_rows(word) and self.strict_columns(word + (0, ceiling + 1))
+
+    def semistandard_test(self, ceiling: int) -> Callable[[tuple[int, ...]], bool]:
+        """:meth:`is_semistandard` at one ceiling, as a function of the
+        word alone, for the many words of a system or an orbit walk."""
         n, weak_rows, strict_columns = self.size, self.weak_rows, self.strict_columns
         bounds = (0, ceiling + 1)
 
@@ -354,7 +387,7 @@ def enumerate_ssyt(shape: Sequence[int], ceiling: int, inner: Sequence[int] = ()
     """
     layout = ReadingLayout(shape, inner)
     for word in ssyt_words(layout, ceiling):
-        yield Tableau(layout.rows(word), ceiling, layout.inner)
+        yield Tableau._of_word(layout, word, ceiling)
 
 
 def _chain_graph(size: int, covers: Iterable[tuple[int, int]], d: int) -> tuple[list, Callable[[list], list]] | None:
@@ -509,30 +542,44 @@ def hook_lengths(shape: Sequence[int]) -> dict[Box, int]:
     }
 
 
+def _product_tree(factors: Iterable[int]) -> int:
+    """The product of integer factors, multiplied pairwise as a balanced
+    tree, so that each multiplication takes operands of like size."""
+    level = list(factors)
+    while len(level) > 1:
+        paired = [a * b for a, b in zip(level[::2], level[1::2])]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return level[0] if level else 1
+
+
 def count_syt(shape: Sequence[int]) -> int:
     """Number of standard tableaux, by the hook length formula."""
     outer = check_partition(shape) if shape else ()
-    n = sum(outer)
-    denom = 1
-    for h in hook_lengths(outer).values():
-        denom *= h
-    return factorial(n) // denom
+    return factorial(sum(outer)) // _product_tree(hook_lengths(outer).values())
 
 
 def count_ssyt(shape: Sequence[int], ceiling: int) -> int:
-    """Number of semistandard tableaux with entries <= ceiling (hook content formula)."""
+    """Number of semistandard tableaux with entries <= ceiling (hook content
+    formula): the product of the contents ceiling + c - r over the product
+    of the hooks.  A content equal to a hook cancels it; the rest of each
+    are multiplied by :func:`_product_tree` and divided once."""
     outer = check_partition(shape) if shape else ()
     if ceiling < 0:
         raise PreconditionError(f"ceiling must be nonnegative: {ceiling}")
-    total = Fraction(1)
     hooks = hook_lengths(outer)
-    for (r, c), h in hooks.items():
-        total *= Fraction(ceiling + c - r, h)
-        if total == 0:
-            return 0
-    if total.denominator != 1:
-        raise RuntimeError(f"hook content product {total} is not an integer; this indicates a bug in count_ssyt")
-    return int(total)
+    contents = Counter(ceiling + c - r for r, c in hooks)
+    if contents[0]:
+        return 0
+    lengths = Counter(hooks.values())
+    common = contents & lengths
+    contents -= common
+    lengths -= common
+    count, rest = divmod(_product_tree(contents.elements()), _product_tree(lengths.elements()))
+    if rest:
+        raise RuntimeError("hook content product is not an integer; this indicates a bug in count_ssyt")
+    return count
 
 
 # -- rotation and words ----------------------------------------------------

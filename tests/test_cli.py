@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from operator import lt
 from pathlib import Path
 
@@ -609,10 +610,28 @@ def test_malformed_input_is_refused_in_one_line(capsys, verb, case):
     assert err.endswith("\n") and err.count("\n") == 1, err
 
 
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """`python -m promotab` with argv, in a new process, on this checkout's library."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "promotab", *argv], capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize("cells", ["1,1", "1,1;2,2"])
 def test_python_dash_m_runs_the_command_line_tool(capsys, cells):
     argv = ["homomesy", "--shape", "2x2", "-k", "4", "--cells", cells, "--budget", "1000"]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "promotab", *argv], capture_output=True, text=True, env=env)
+    done = run_module(*argv)
     assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+
+
+def test_a_count_of_a_hundred_thousand_bits_is_refused_in_bounded_time():
+    # the hook content products of 90,000 cells, cancelled and multiplied as
+    # balanced trees, take about 0.2 s; a running product of fractions took 3 s
+    started = time.perf_counter()
+    done = run_module("homomesy", "--shape", "300x300", "-k", "600", "--cells", "1,1", "--budget", "10")
+    elapsed = time.perf_counter() - started
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr.startswith("budget exhausted: ssyt(shape=300,300,")
+    assert done.stderr.endswith(";k=600;op=promote) exceeds the element budget 10\n")
+    assert done.stderr.count("\n") == 1
+    assert elapsed < 2.5

@@ -181,15 +181,21 @@ class TestDisInvariance:
         assert check_dis_invariance((1,), 3).ok
 
     def test_the_sweep_builds_two_tableaux_per_enumerated_tableau(self, monkeypatch):
-        # the enumerated tableau and its evacuation; the periods are read as words
+        # the enumerated tableau and its evacuation; the periods are read as words.
+        # Both are built from reading words, so both constructors are counted.
         built = []
-        init = Tableau.__init__
+        init, of_word = Tableau.__init__, Tableau._of_word
 
         def counted(self, *args, **kwargs):
             built.append(self)
             init(self, *args, **kwargs)
 
+        def counted_of_word(cls, *args):
+            built.append(of_word(*args))
+            return built[-1]
+
         monkeypatch.setattr(Tableau, "__init__", counted)
+        monkeypatch.setattr(Tableau, "_of_word", classmethod(counted_of_word))
         for shape, k in (((3, 3), 5), ((3, 2, 1), 4), ((4,), 3), ((2, 2, 2), 6)):
             built.clear()
             report = check_dis_invariance(shape, k)

@@ -16,7 +16,11 @@ place.  The one cache is `dynamics.straight_layout`, keyed by the shape
 alone, so the key tests it holds are compiled once per shape.  Homomesy
 walks orbits in one place, one `cycle` call in `partition_orbits`, whose
 only parameters are the system and the budget: no switch turns off the
-rotate-complement mirror, so no second walk hides behind one."""
+rotate-complement mirror, so no second walk hides behind one.  No function
+rebuilds a tableau from a layout's cut of a reading word, as
+`Tableau(layout.rows(word), ...)`: results made from reading words go
+through `Tableau._of_word`, so no step drifts back onto the rows
+constructor."""
 
 import ast
 import re
@@ -511,3 +515,49 @@ def test_walk_guard_sees_a_second_cycle_call_and_an_added_parameter(tmp_path):
     )
     assert cycle_calls(probe) == ["partition_orbits", "partition_orbits", "walk"]
     assert parameters(probe, "partition_orbits") == ("system", "budget", "mirror")
+
+
+def rows_rebuilds(path: Path) -> list[str]:
+    """The top-level definition (`<module>` for other statements) of each
+    `Tableau` construction in the file, nested ones included, by bare name
+    or as an attribute (`shapes.Tableau`), whose rows, positional or by
+    keyword, are a `.rows(...)` call: a layout's cut of a reading word."""
+    found = []
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            rows = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "rows"]
+            if name == "Tableau" and any(
+                isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute) and arg.func.attr == "rows" for arg in rows
+            ):
+                found.append(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_no_function_rebuilds_a_tableau_from_the_rows_of_a_word():
+    assert {(path.stem, name) for path in SRC.rglob("*.py") for name in rows_rebuilds(path)} == set()
+
+
+def test_rows_rebuild_guard_sees_nested_qualified_and_keyword_constructions(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import shapes\n"
+        "def promote(t):\n"
+        "    return Tableau(layout.rows(step(word)), t.ceiling)\n"
+        "def orbit(words, k):\n"
+        "    return tuple(shapes.Tableau(LAYOUT.rows(w), k, ()) for w in words)\n"
+        "class Walk:\n"
+        "    def element(self, word):\n"
+        "        return Tableau(ceiling=self.k, rows=self.layout.rows(word))\n"
+        "def fast(t, word):\n"
+        "    return Tableau._of_word(layout, word, t.ceiling)\n"
+        "def oracle(t):\n"
+        "    return Tableau(t.rows, t.ceiling, t.inner)\n"
+        "def cut(word):\n"
+        "    return chain_of(layout.rows(word), 3)\n"
+        "FIRST = Tableau(LAYOUT.rows(WORD), 3)\n"
+    )
+    assert rows_rebuilds(probe) == ["promote", "orbit", "Walk", "<module>"]

@@ -13,13 +13,17 @@ on Ferrers posets), and that the K-promotion
 bullet slide and its inverse are the `switch` chains kept there (on
 posets of width at most 3).  The generated pairwise tests behind both key
 tests are checked against the item-getter definition kept in `util`, and
-the poset labelling test against the validating constructors.  The runs
-are derandomized and small, so the suite stays reproducible.
+the poset labelling test against the validating constructors.  On
+random straight and skew shapes, the tableau built from a reading word
+is the one the rows constructor builds, and the SSYT and SYT enumerations
+are the brute-force filters of every filling, as many as the hook
+formulas count.  The runs are derandomized and small, so the suite stays
+reproducible.
 """
 
 from dataclasses import replace
 from functools import reduce
-from itertools import combinations, islice, product
+from itertools import accumulate, combinations, islice, permutations, product
 from operator import eq, ge, gt, le, lt, ne
 
 import pytest
@@ -48,7 +52,10 @@ from promotab.shapes import (
     Tableau,
     conjugate,
     count_order_ideal_chains,
+    count_ssyt,
     count_syt,
+    enumerate_ssyt,
+    enumerate_syt,
     order_ideal_chains,
     pairwise_test,
     ssyt_words,
@@ -119,17 +126,23 @@ def test_the_word_period_is_the_tableau_orbit_repeated_to_the_ceiling(t):
 
 
 @st.composite
-def shapes_and_words(draw) -> tuple[ReadingLayout, int, tuple[int, ...]]:
-    """A straight or skew shape with at most 10 cells, a ceiling, and a
-    word: a semistandard one, often with one letter changed to anything
-    from 0 to ceiling + 1, or with a letter added or dropped."""
+def skew_layouts(draw, cells: int = 10) -> ReadingLayout:
+    """The layout of a straight or skew shape with at most `cells` cells."""
     outer = sorted(draw(st.lists(st.integers(1, 5), max_size=4)), reverse=True)
-    while sum(outer) > 10:
+    while sum(outer) > cells:
         outer.pop()
     inner = []
     for length in outer:
         inner.append(draw(st.integers(0, min(length, inner[-1] if inner else length))))
-    layout = ReadingLayout(outer, [r for r in inner if r])
+    return ReadingLayout(outer, [r for r in inner if r])
+
+
+@st.composite
+def shapes_and_words(draw) -> tuple[ReadingLayout, int, tuple[int, ...]]:
+    """A straight or skew shape with at most 10 cells, a ceiling, and a
+    word: a semistandard one, often with one letter changed to anything
+    from 0 to ceiling + 1, or with a letter added or dropped."""
+    layout = draw(skew_layouts())
     k = draw(st.integers(0, 6))
     words = list(islice(ssyt_words(layout, k), 300)) or [(1,) * layout.size]
     word = list(draw(st.sampled_from(words)))
@@ -146,14 +159,65 @@ def shapes_and_words(draw) -> tuple[ReadingLayout, int, tuple[int, ...]]:
 @SETTINGS
 @given(shapes_and_words())
 def test_the_semistandard_word_test_agrees_with_the_tableau_constructor(case):
-    # the SSYT systems admit a key by this test
+    # the SSYT systems admit a key by this test, and the steps on tableaux check their input by it
     layout, k, word = case
     try:
         t = Tableau(layout.rows(word), k, layout.inner)
     except PreconditionError:
         t = None
     expected = t is not None and t.row_reading() == word and t.outer == layout.outer and validate(t, "semistandard")
-    assert layout.semistandard_test(k)(word) == expected
+    assert layout.semistandard_test(k)(word) == layout.is_semistandard(word, k) == expected
+
+
+@SETTINGS
+@given(shapes_and_words())
+def test_the_word_constructor_is_the_rows_constructor(case):
+    # the steps on tableaux and enumerate_ssyt build their results by it
+    layout, k, word = case
+    if len(word) != layout.size or not all(1 <= v <= k for v in word):
+        with pytest.raises(PreconditionError):
+            Tableau._of_word(layout, word, k)
+        return
+    t, expected = Tableau._of_word(layout, word, k), Tableau(layout.rows(word), k, layout.inner)
+    assert (t.rows, t.outer, t.inner, t.ceiling) == (expected.rows, expected.outer, expected.inner, expected.ceiling)
+    assert hash(t) == hash(expected) and t == expected
+    assert t.row_reading() is word and expected.row_reading() == word  # the word is kept, not read again
+
+
+@st.composite
+def small_layouts_and_ceilings(draw) -> tuple[ReadingLayout, int]:
+    """A straight or skew shape with at most 6 cells and a ceiling, with
+    at most 729 fillings of its cells."""
+    layout = draw(skew_layouts(cells=6))
+    return layout, draw(st.integers(0, 4 if layout.size <= 4 else 3))
+
+
+@FEWER
+@given(small_layouts_and_ceilings())
+def test_the_ssyt_enumeration_is_the_filter_of_every_filling(case):
+    layout, k = case
+    starts = list(accumulate([b - a for a, b in layout.bounds], initial=0))  # by row, top row first
+    fillings = (
+        Tableau([values[a:b] for a, b in zip(starts, starts[1:])], k, layout.inner)
+        for values in product(range(1, k + 1), repeat=layout.size)
+    )
+    expected = [t for t in fillings if validate(t, "semistandard")]  # in row-major lexicographic order
+    assert list(enumerate_ssyt(layout.outer, k, layout.inner)) == expected
+    assert list(ssyt_words(layout, k)) == [t.row_reading() for t in expected]
+    if not layout.inner:
+        assert len(expected) == count_ssyt(layout.outer, k)
+
+
+@FEWER
+@given(skew_layouts(cells=6).map(lambda layout: layout.outer))
+def test_the_syt_enumeration_is_the_filter_of_every_permutation(shape):
+    starts = list(accumulate(shape, initial=0))
+    n = starts[-1]
+    fillings = (Tableau([labels[a:b] for a, b in zip(starts, starts[1:])], n) for labels in permutations(range(1, n + 1)))
+    expected = {t for t in fillings if validate(t, "standard")}
+    found = list(enumerate_syt(shape))
+    assert len(found) == len(expected) == count_syt(shape)
+    assert set(found) == expected
 
 
 @st.composite

@@ -19,6 +19,7 @@ from promotab.shapes import (
     enumerate_ssyt,
     enumerate_syt,
     format_tableau,
+    hook_lengths,
     order_ideal_chains,
     pairwise_test,
     parse_tableau,
@@ -29,7 +30,7 @@ from promotab.shapes import (
     ssyt_words,
     validate,
 )
-from util import pairwise_test_by_getters, partitions_up_to, recorded_compiles, unpruned_ssyt_words
+from util import count_ssyt_by_fractions, pairwise_test_by_getters, partitions_up_to, recorded_compiles, unpruned_ssyt_words
 
 
 def skew_shapes_up_to(cells: int):
@@ -228,6 +229,25 @@ class TestEnumeration:
             assert len(set(found)) == len(found) == count_syt(shape)
 
 
+class TestCounts:
+    def test_the_hook_content_count_is_the_fraction_product(self):
+        for shape in ((), *partitions_up_to(8), (9, 7, 7, 3, 1), (12, 12, 12), (40,) * 40):
+            for k in (*range(10), 60):
+                assert count_ssyt(shape, k) == count_ssyt_by_fractions(shape, k), (shape, k)
+
+    def test_no_element_and_a_negative_ceiling(self):
+        assert count_ssyt((3, 3, 3), 2) == count_ssyt((1,), 0) == 0
+        assert count_ssyt((), 0) == 1
+        with pytest.raises(PreconditionError, match="ceiling must be nonnegative: -1"):
+            count_ssyt((2,), -1)
+
+    def test_a_remainder_is_a_bug(self, monkeypatch):
+        # a hook that divides no content product
+        monkeypatch.setattr("promotab.shapes.hook_lengths", lambda shape: {**hook_lengths(shape), (1, 1): 7919})
+        with pytest.raises(RuntimeError, match="not an integer; this indicates a bug in count_ssyt"):
+            count_ssyt((2, 2), 4)
+
+
 class TestRotateComplement:
     def test_rejects_non_rectangular(self):
         with pytest.raises(PreconditionError):
@@ -341,6 +361,11 @@ class TestTableauStructure:
 
     def test_enumerate_ssyt_with_ceiling_zero_and_empty_shape(self):
         assert list(enumerate_ssyt((), 0)) == [Tableau((), 0)]
+
+    def test_both_constructors_refuse_a_negative_ceiling(self):
+        for build in (lambda: Tableau((), -1), lambda: Tableau._of_word(ReadingLayout(()), (), -1)):
+            with pytest.raises(PreconditionError, match="ceiling must be nonnegative: -1"):
+                build()
 
 
 def test_a_large_shape_compiles_its_key_tests_in_bounded_chunks(monkeypatch):

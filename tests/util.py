@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations, product
 from operator import itemgetter
 
@@ -99,6 +100,19 @@ def random_ssyt(shape, ceiling, rng):
             row.append(rng.randint(lo, hi))
         rows.append(row)
     return Tableau(rows, ceiling)
+
+
+def count_ssyt_by_fractions(shape, ceiling: int) -> int:
+    """Oracle of `promotab.shapes.count_ssyt`: the hook content formula as
+    a running product of the fractions (ceiling + c - r) / h, one per cell."""
+    total = Fraction(1)
+    for (r, c), h in shapes.hook_lengths(shape).items():
+        total *= Fraction(ceiling + c - r, h)
+        if total == 0:
+            return 0
+    if total.denominator != 1:
+        raise RuntimeError(f"hook content product {total} is not an integer")
+    return int(total)
 
 
 def brute_linear_extension_count(p: FinitePoset) -> int:
