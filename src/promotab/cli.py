@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, Iterable
 
 from . import dynamics, growth, homomesy, ktableaux, paths, posets, shapes
 from .errors import BudgetExceededError, ParseError, PreconditionError
@@ -222,21 +223,23 @@ def _cmd_paths(args) -> int:
     return 0
 
 
-def _statistics_for(args, system, no_rotation_message: str) -> list[homomesy.CellStatistic]:
-    """The statistics to check: the --cells boxes, or with --symmetric-all
-    every support fixed by the system's rotate involution."""
+def _statistics_for(args, system, no_rotation_message: str) -> tuple[int, Callable[[], Iterable]]:
+    """How many statistics to check, and how to build them: the --cells
+    boxes, or with --symmetric-all every support fixed by the system's
+    rotate involution, counted without building any."""
     if args.symmetric_all and args.cells:
         raise ParseError("pass either --cells or --symmetric-all, not both")
     if args.symmetric_all:
         if system.rotate is None:
             raise ParseError(no_rotation_message)
-        return list(homomesy.symmetric_subsets(system))
+        return homomesy.count_symmetric_subsets(system), lambda: homomesy.symmetric_subsets(system)
     if args.cells is None:
         raise ParseError("homomesy needs --cells r1,c1;r2,c2 or --symmetric-all")
     boxes = _parse_cells(args.cells)
     if len(set(boxes)) < len(boxes):
         raise ParseError(f"--cells names box {next(b for b in boxes if boxes.count(b) > 1)} more than once")
-    return [homomesy.CellStatistic(support=frozenset(boxes), name=f"cells:{sorted(boxes)}")]
+    statistic = homomesy.CellStatistic(support=frozenset(boxes), name=f"cells:{sorted(boxes)}")
+    return 1, lambda: [statistic]
 
 
 def _promote_only(args, system_kind: str) -> None:
@@ -262,7 +265,9 @@ def _cmd_homomesy(args) -> int:
         else:
             raise ParseError("inc systems need --shape MxN or --family NAME")
         system = homomesy.inc_system(poset, args.q)
-        stats = _statistics_for(args, system, "--symmetric-all on increasing tableaux needs a poset with a rotation")
+        count, statistics = _statistics_for(
+            args, system, "--symmetric-all on increasing tableaux needs a poset with a rotation"
+        )
     elif args.ceiling is not None:
         if args.partition:
             shape = _parse_partition(args.partition)
@@ -272,36 +277,48 @@ def _cmd_homomesy(args) -> int:
         else:
             raise ParseError("ssyt systems need --partition a,b,c or --shape MxN")
         system = homomesy.ssyt_system(shape, args.ceiling, args.operator.replace("-", "_"))
-        stats = _statistics_for(args, system, "--symmetric-all on ssyt systems needs a rectangular shape")
+        count, statistics = _statistics_for(args, system, "--symmetric-all on ssyt systems needs a rectangular shape")
     elif args.family or args.partition:
         _promote_only(args, "syt_poset")
         poset = _parse_family(args.family) if args.family else posets.ferrers_poset(_parse_partition(args.partition))
         system = homomesy.syt_poset_system(poset)
-        stats = _statistics_for(
+        count, statistics = _statistics_for(
             args, system, "--symmetric-all on linear extensions needs a --family poset; --partition has no rotation"
         )
     else:
         raise ParseError("homomesy needs a system: (-k with --partition/--shape), (-q ...), or --family")
 
     partition = homomesy.partition_orbits(system, budget=args.budget)
-    if len(stats) * len(partition.orbits) > args.budget:
-        sizes = f"{len(stats)} statistics x {len(partition.orbits)} orbits = {len(stats) * len(partition.orbits)}"
-        raise BudgetExceededError(f"{system.description}: {sizes} report rows exceed the budget {args.budget}")
-    reports = [homomesy.verdict(partition, stat) for stat in stats]
+    orbits = len(partition.orbits)
+    # every statistic is at least one report row, even on an empty system
+    if count * max(orbits, 1) > args.budget:
+        if not orbits:
+            rows = f"{count} statistics exceed the budget {args.budget}; each is at least one report row"
+        else:
+            rows = f"{count} statistics x {orbits} orbits = {count * orbits} report rows exceed the budget {args.budget}"
+        raise BudgetExceededError(f"{system.description}: {rows}")
+    reports = [homomesy.verdict(partition, stat) for stat in statistics()]
     if args.format == "json":
         print(homomesy.reports_to_json(reports))
     else:
-        frac = homomesy.fraction_str
-        lines = []
-        for r in reports:
-            lines += [f"system: {r.system}", f"statistic: {r.statistic}"]
-            lines += [f"  orbit size={o.size} average={frac(o.average)}" for o in r.orbits]
-            lines.append(f"verdict: {r.verdict}")
-            if r.witness:
-                a, b = r.witness
-                lines.append(f"witness: {frac(a.average)} != {frac(b.average)}")
-        sys.stdout.write("".join(f"{line}\n" for line in lines))
+        sys.stdout.write(_homomesy_text(reports))
     return 1 if any(r.verdict == "violated" for r in reports) else 0
+
+
+def _homomesy_text(reports: list[homomesy.HomomesyReport]) -> str:
+    """The text format of homomesy reports, written from their integer
+    orbit sums: each (sum, size) pair's average is written once."""
+    averages = homomesy.AverageTexts()
+    lines = []
+    for r in reports:
+        sums, sizes = r.sums, r.partition.sizes
+        lines += [f"system: {r.system}", f"statistic: {r.statistic}"]
+        lines += [f"  orbit size={n} average={averages[s, n]}" for s, n in zip(sums, sizes)]
+        lines.append(f"verdict: {r.verdict}")
+        if r.mismatch is not None:
+            j = r.mismatch
+            lines.append(f"witness: {averages[sums[0], sizes[0]]} != {averages[sums[j], sizes[j]]}")
+    return "".join(f"{line}\n" for line in lines)
 
 
 def _cmd_counterexample(args) -> int:

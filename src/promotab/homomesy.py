@@ -18,24 +18,31 @@ image mu(O) of a walked orbit O is an orbit of the same size whose
 totals are |O| c - totals_O[rho(i)].  Each derived orbit is checked: it
 must consist of |O| keys no walk has visited, and one step must take
 mu(x_1) to mu(x_0); an orbit whose image was visited must be its own
-image.  Cell sums are linear, so :func:`verdict` reads any statistic's
-exact orbit averages from those totals through that layout; the verdict
-is `homomesic` exactly when every orbit average equals the first.  Orbits
-are ordered by their least key, so every report is deterministic.
+image.  A partition also holds its totals by key position, one column
+of every orbit's total per position.  Cell sums are linear in the
+support, so :func:`verdict` reads a statistic's orbit sums as the sum of
+its positions' columns, resolved through the system's layout, and keeps
+them as integers; the verdict is `homomesic` exactly when every orbit
+average, compared by cross-multiplying, equals the first.  Orbits are
+ordered by their least key, so every report is deterministic.
 :func:`cell_sum` and :func:`orbit_average` stay the definitions on
-objects that the tests check the totals against.
+objects that the tests check the totals against, through the
+:class:`OrbitSummary` views a report builds when they are read.
 
-:func:`reports_to_json` writes reports from per-orbit fragments encoded
-once per partition.
+:func:`reports_to_json` and the command line's text format write reports
+from those integers: each (sum, size) pair's average text is computed
+once per write (:class:`AverageTexts`), and each orbit's representative
+and size once per partition in a write.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
-from operator import itemgetter
+from itertools import islice, repeat
+from math import gcd
+from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .dynamics import cycle, reading_word_step, straight_layout
@@ -196,10 +203,20 @@ class OrbitTotals:
 
 @dataclass(frozen=True)
 class OrbitPartition:
-    """A system split into orbits, ordered by canonical representative."""
+    """A system split into orbits, ordered by canonical representative.
+
+    `sizes` and `columns` are set once from the orbits: `sizes[i]` is the
+    size of orbit i, and `columns[p][i]` its total at key position p, so
+    every statistic's orbit sums are sums of these columns."""
 
     system: System
     orbits: tuple[OrbitTotals, ...]
+    sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sizes", tuple(o.size for o in self.orbits))
+        object.__setattr__(self, "columns", tuple(zip(*(o.totals for o in self.orbits))))
 
 
 def partition_orbits(system: System, budget: int) -> OrbitPartition:
@@ -300,64 +317,100 @@ class OrbitSummary(NamedTuple):
 
 @dataclass(frozen=True)
 class HomomesyReport:
+    """One statistic's verdict over an orbit partition, kept as integers:
+    `sums[i]` is the statistic's total over orbit i of `partition`, whose
+    size is `partition.sizes[i]`, and `mismatch` is the first orbit whose
+    average differs from orbit 0's, or None.  `orbits` and `witness` are
+    :class:`OrbitSummary` views built from them when read.  Reports
+    compare by their fields other than the partition."""
+
     system: str
     statistic: str
-    orbits: tuple[OrbitSummary, ...]
     verdict: str
-    witness: tuple[OrbitSummary, OrbitSummary] | None
+    sums: tuple[int, ...]
+    mismatch: int | None
+    partition: OrbitPartition = field(repr=False, compare=False)
 
     @property
     def homomesic(self) -> bool:
         return self.verdict == "homomesic"
 
+    def _summary(self, i: int) -> OrbitSummary:
+        orbit = self.partition.orbits[i]
+        average = Fraction(self.sums[i], orbit.size)
+        return OrbitSummary(size=orbit.size, average=average, representative=orbit.representative)
+
+    @property
+    def orbits(self) -> tuple[OrbitSummary, ...]:
+        return tuple(map(self._summary, range(len(self.sums))))
+
+    @property
+    def witness(self) -> tuple[OrbitSummary, OrbitSummary] | None:
+        return None if self.mismatch is None else (self._summary(0), self._summary(self.mismatch))
+
     @property
     def common_average(self) -> Fraction | None:
-        return self.orbits[0].average if self.homomesic and self.orbits else None
+        return Fraction(self.sums[0], self.partition.sizes[0]) if self.homomesic and self.sums else None
 
 
 def verdict(partition: OrbitPartition, statistic: CellStatistic) -> HomomesyReport:
     """Compare the exact orbit averages of one statistic over a partition.
 
-    :func:`partition_orbits` lays out every orbit's totals like its keys,
-    so the support is resolved to key positions once, through the
-    system's `position` (an empty partition never checks it).  Each
-    average is the sum of those positions' orbit totals over the orbit
-    size, which equals the mean of :func:`cell_sum` over the orbit; a
-    position named twice, by an element and by its box, counts twice
-    there too.  Averages are compared by cross-multiplying the integer
-    sums and sizes, and each distinct (sum, size) pair becomes one
-    :class:`Fraction`, which the summaries that have it share.
+    Cell sums are linear in the support, so the statistic's orbit sums
+    are the element-wise sum of the partition's `columns` at the
+    support's key positions, which the system's `position` resolves (an
+    empty partition never checks them).  Each sum over its orbit's size
+    is the mean of :func:`cell_sum` over the orbit; a position named
+    twice, by an element and by its box, counts twice there too.  Averages
+    are compared by cross-multiplying the integer sums and sizes, and the
+    report keeps the sums: no :class:`Fraction` is built.
     """
-    orbits = partition.orbits
-    positions = [partition.system.position(item) for _ in orbits[:1] for item in statistic.support]
-    if len(positions) > 1:
-        pick = itemgetter(*positions)
-    else:  # a slice reads one position or none as a tuple too
-        pick = itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
-    sums = [sum(pick(o.totals)) for o in orbits]
-    sizes = [o.size for o in orbits]
-    averages = {pair: Fraction(*pair) for pair in set(zip(sums, sizes))}
-    summaries = [
-        OrbitSummary(size=n, average=averages[s, n], representative=o.representative)
-        for s, n, o in zip(sums, sizes, orbits)
-    ]
-    outcome = "homomesic"
-    witness = None
-    for j in range(1, len(orbits)):
-        if sums[j] * sizes[0] != sums[0] * sizes[j]:
-            outcome = "violated"
-            witness = (summaries[0], summaries[j])
-            break
+    sizes = partition.sizes
+    if sizes:
+        picked = [partition.columns[partition.system.position(item)] for item in statistic.support]
+        sums = tuple(map(sum, zip(*picked))) if picked else (0,) * len(sizes)
+    else:
+        sums = ()
+    mismatch = None
+    if sums:
+        # sums[j] / sizes[j] == sums[0] / sizes[0] for every j, cross-multiplied
+        crossed = list(map(mul, sums, repeat(sizes[0])))
+        scaled = list(map(mul, sizes, repeat(sums[0])))
+        if crossed != scaled:
+            mismatch = next(j for j, (a, b) in enumerate(zip(crossed, scaled)) if a != b)
     return HomomesyReport(
         system=partition.system.description,
         statistic=statistic.name,
-        orbits=tuple(summaries),
-        verdict=outcome,
-        witness=witness,
+        verdict="homomesic" if mismatch is None else "violated",
+        sums=sums,
+        mismatch=mismatch,
+        partition=partition,
     )
 
 
 # -- symmetric supports --------------------------------------------------------
+
+
+def _rotate_classes(system: System) -> list[tuple]:
+    """The orbits of the system's rotate involution on its items, each
+    sorted, ordered by their least item."""
+    rot = system.rotate
+    if rot is None:
+        raise PreconditionError(f"{system.description} has no rotate involution")
+    classes: list[tuple] = []
+    seen = set()
+    for x in sorted(rot):
+        if x not in seen:
+            cls = tuple(sorted({x, rot[x]}))
+            seen.update(cls)
+            classes.append(cls)
+    return classes
+
+
+def count_symmetric_subsets(system: System) -> int:
+    """The number of statistics :func:`symmetric_subsets` yields,
+    2^(number of rotate classes), without building any."""
+    return 1 << len(_rotate_classes(system))
 
 
 def symmetric_subsets(system: System) -> Iterator[CellStatistic]:
@@ -368,17 +421,8 @@ def symmetric_subsets(system: System) -> Iterator[CellStatistic]:
     Yields each of the 2^(number of rotate classes) subsets exactly once,
     smallest first, the classes ordered by their least item.
     """
-    rot = system.rotate
-    if rot is None:
-        raise PreconditionError(f"{system.description} has no rotate involution")
-    tag = "cells" if any(isinstance(x, tuple) for x in rot) else "elements"
-    classes: list[tuple] = []
-    seen = set()
-    for x in sorted(rot):
-        if x not in seen:
-            cls = tuple(sorted({x, rot[x]}))
-            seen.update(cls)
-            classes.append(cls)
+    classes = _rotate_classes(system)
+    tag = "cells" if any(isinstance(x, tuple) for x in system.rotate) else "elements"
     for mask in range(1 << len(classes)):
         support = frozenset(x for i, cls in enumerate(classes) if mask >> i & 1 for x in cls)
         yield CellStatistic(support=support, name=f"{tag}:{sorted(support)}")
@@ -397,40 +441,60 @@ def _json_list(items: Iterable, indent: str) -> str:
     return f"[\n{inner}{body}\n{indent}]" if body else "[]"
 
 
+class AverageTexts(dict):
+    """The text of each orbit average looked up by its (sum, size) pair:
+    the reduced fraction sum/size as :func:`fraction_str` writes it,
+    computed on the first lookup of the pair and read from the dict after.
+    The JSON and text reports each fill one per write."""
+
+    def __missing__(self, pair: tuple[int, int]) -> str:
+        total, size = pair
+        g = gcd(total, size)
+        text = self[pair] = f"{total // g}/{size // g}"
+        return text
+
+
 def reports_to_json(reports: Sequence[HomomesyReport]) -> str:
     """One report as a JSON object, any other number as a list, in the
     bytes of ``json.dumps(payload, sort_keys=True, indent=2)`` where a
     payload maps each report field to its value, orbits to dicts of their
     fields and averages to :func:`fraction_str`, and omits a null witness.
-    An orbit's entry after its average (its representative, encoded from
-    its int tuples, and its size) is one fragment per representative
-    object, which all its reports share; each shared average is encoded once."""
-    pad = "  " if len(reports) != 1 else ""  # the reports' braces
-    key, entry, field = pad + "  ", pad + "    ", pad + "      "  # report keys, orbit braces, orbit keys
-    fragments: dict[tuple[int, int], str] = {}
-    averages: dict[int, str] = {}  # by the id of a Fraction that a verdict's summaries share
 
-    def orbit_list(summaries) -> str:
-        items = []
-        for o in summaries:
-            average = averages.get(id(o.average))
-            if average is None:
-                average = averages[id(o.average)] = fraction_str(o.average)
-            tail = fragments.get((id(o.representative), o.size))
-            if tail is None:
-                rep = o.representative
-                if rep and not isinstance(rep[0], int):
-                    rep = [_json_list(row, field + "  ") for row in rep]
-                tail = f'",\n{field}"representative": {_json_list(rep, field)},\n{field}"size": {o.size}\n{entry}}}'
-                fragments[id(o.representative), o.size] = tail
-            items.append(f'{{\n{field}"average": "{average}{tail}')
-        return _json_list(items, key)
+    Each orbit entry is written from the report's integers: the text of
+    its (sum, size) pair, from one :class:`AverageTexts` for the whole
+    write, then its orbit's fragment (its representative, encoded from
+    its int tuples, and its size), built once per partition in the write
+    and shared by every report on it.  A witness repeats two entries of
+    the report's orbit list.  No summary or :class:`Fraction` is built."""
+    if not reports:
+        return "[]"
+    pad = "  " if len(reports) > 1 else ""  # the reports' braces
+    key, brace, item = pad + "  ", pad + "    ", pad + "      "  # report keys, orbit braces, orbit keys
+    head = f'{{\n{item}"average": "'  # what each orbit entry writes before its average
+    open_, sep, close = f"[\n{brace}{head}", f",\n{brace}{head}", f"\n{key}]"
+    average = AverageTexts().__getitem__
+    fragments: dict[int, list[str]] = {}  # by the id of a partition, which the reports keep alive
 
-    docs = []
-    for r in reports:
-        fields = [f'"orbits": {orbit_list(r.orbits)}']
-        fields += [f'"{name}": {json.dumps(getattr(r, name))}' for name in ("statistic", "system", "verdict")]
-        if r.witness is not None:
-            fields.append(f'"witness": {orbit_list(r.witness)}')
-        docs.append(f"{{\n{key}" + f",\n{key}".join(fields) + f"\n{pad}}}")
-    return _json_list(docs, "") if pad else docs[0]
+    def fragment(orbit: OrbitTotals) -> str:
+        rep = orbit.representative
+        if rep and not isinstance(rep[0], int):
+            rep = [_json_list(row, item + "  ") for row in rep]
+        return f'",\n{item}"representative": {_json_list(rep, item)},\n{item}"size": {orbit.size}\n{brace}}}'
+
+    out = ["[\n  "] if pad else []  # pieces of the text, joined once
+    for i, r in enumerate(reports):
+        tails = fragments.get(id(r.partition))
+        if tails is None:
+            tails = fragments[id(r.partition)] = list(map(fragment, r.partition.orbits))
+        # each orbit entry is its average's text and its orbit's fragment
+        entries = list(map(add, map(average, zip(r.sums, r.partition.sizes)), tails))
+        out += [",\n  {\n" if i else "{\n", key, '"orbits": ']
+        out += [open_, sep.join(entries), close] if entries else ["[]"]
+        for name in ("statistic", "system", "verdict"):
+            out.append(f',\n{key}"{name}": {json.dumps(getattr(r, name))}')
+        if r.mismatch is not None:
+            out.append(f',\n{key}"witness": {open_}{entries[0]}{sep}{entries[r.mismatch]}{close}')
+        out.append(f"\n{pad}}}")
+    if pad:
+        out.append("\n]")
+    return "".join(out)

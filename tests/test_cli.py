@@ -445,6 +445,32 @@ class TestHomomesy:
             " exceed the budget 1000\n"
         )
 
+    @pytest.mark.parametrize("m, statistics", [(6, 2**18), (7, 2**25)])
+    def test_symmetric_all_on_an_empty_system_is_counted_before_building_statistics(
+        self, monkeypatch, capsys, m, statistics
+    ):
+        # k = 1 fills no column of m > 1 boxes, so each statistic is one vacuous report row
+        def refuse(_):
+            raise AssertionError("statistics built before they were counted")
+
+        monkeypatch.setattr("promotab.homomesy.symmetric_subsets", refuse)
+        code, out, err = run(capsys, "homomesy", "--shape", f"{m}x{m}", "-k", "1", "--symmetric-all", "--budget", "10")
+        assert (code, out) == (4, "")
+        assert err == (
+            f"budget exhausted: ssyt(shape={','.join([str(m)] * m)};k=1;op=promote): {statistics} statistics"
+            " exceed the budget 10; each is at least one report row\n"
+        )
+
+    def test_symmetric_all_on_an_empty_system_within_the_budget_is_vacuous(self, capsys):
+        code, out, err = run(capsys, "homomesy", *"--shape 2x2 -k 0 --symmetric-all --budget 4".split())
+        assert (code, err, out.count("verdict: homomesic"), out.count("orbit size")) == (0, "", 4, 0)
+        code, out, err = run(capsys, "homomesy", *"--shape 2x2 -k 0 --symmetric-all --budget 3".split())
+        assert (code, out) == (4, "")
+        assert err == (
+            "budget exhausted: ssyt(shape=2,2;k=0;op=promote): 4 statistics exceed the budget 3;"
+            " each is at least one report row\n"
+        )
+
     @pytest.mark.parametrize(
         "args, err",
         [

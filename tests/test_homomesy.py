@@ -12,6 +12,7 @@ from promotab.growth import orbit_values
 from promotab.homomesy import (
     CellStatistic,
     cell_sum,
+    count_symmetric_subsets,
     fraction_str,
     inc_system,
     orbit_average,
@@ -25,7 +26,7 @@ from promotab.homomesy import (
 from promotab.ktableaux import IncreasingTableau, increasing_from_grid
 from promotab.posets import LinearExtension, build_cominuscule, ferrers_poset, linear_extensions, rotate, rotate_reverse
 from promotab.shapes import Tableau, count_ssyt, enumerate_ssyt
-from util import element_of, recorded_compiles
+from util import element_of, orbit_walks, recorded_compiles
 
 
 def stat(*boxes):
@@ -193,26 +194,10 @@ def _shifted_staircase_boxes():
 PARTITION_SYSTEMS = [_ssyt_3x3, _inc_3x4, _cayley, _cayley_mixed, _partition_331, _shifted_staircase_boxes]
 
 
-def _walks(system, size):
-    """The system's orbits, found by stepping each enumerated key until
-    it returns, as lists of keys ordered by their least key."""
-    walks, seen = [], set()
-    for key in system.enumerate():
-        if key not in seen:
-            walk = [key]
-            while (image := system.step(walk[-1])) != key:
-                walk.append(image)
-                assert len(walk) <= size
-            seen.update(walk)
-            walks.append(walk)
-    walks.sort(key=min)
-    return walks
-
-
 def _orbits_by_definition(system, size, spec):
-    """The system's orbits by :func:`_walks`: each as its least key and
+    """The system's orbits by :func:`util.orbit_walks`: each as its least key and
     the objects of its keys, rebuilt with their validating constructor."""
-    return [(min(walk), [element_of(system, key, *spec) for key in walk]) for walk in _walks(system, size)]
+    return [(min(walk), [element_of(system, key, *spec) for key in walk]) for walk in orbit_walks(system, size)]
 
 
 def _items(element):
@@ -352,6 +337,25 @@ class TestSymmetricSubsets:
     def test_poset_variant(self):
         p = build_cominuscule("propeller", 3)
         assert len(list(symmetric_subsets(syt_poset_system(p)))) == 4
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            ssyt_system((1,), 3),
+            ssyt_system((3, 3, 3), 0),
+            ssyt_system((4, 4), 2),
+            syt_poset_system(build_cominuscule("propeller", 4)),
+            syt_poset_system(build_cominuscule("shifted_staircase", 3)),
+            inc_system(build_cominuscule("cayley"), 2),
+        ],
+        ids=["1x1", "3x3-empty", "2x4", "propeller", "staircase", "cayley"],
+    )
+    def test_the_count_is_the_number_yielded(self, system):
+        assert count_symmetric_subsets(system) == len(list(symmetric_subsets(system)))
+
+    def test_a_system_without_rotate_is_not_counted(self):
+        with pytest.raises(PreconditionError, match="has no rotate involution"):
+            count_symmetric_subsets(ssyt_system((2, 1), 3))
 
     def test_supports_are_fixed_by_rotation(self):
         for s in symmetric_subsets(ssyt_system((3, 3), 4)):
@@ -501,7 +505,7 @@ class TestMirror:
             partition = partition_orbits(replace(system, step=step), budget=100_000)
             assert system.rotate is not None
             assert partition.orbits == partition_orbits(replace(system, rotate=None), budget=100_000).orbits
-            walks = _walks(system, 100_000)
+            walks = orbit_walks(system, 100_000)
             orbit_of = {key: i for i, walk in enumerate(walks) for key in walk}
             selfs = [walk for i, walk in enumerate(walks) if orbit_of[mirror(walk[0])] == i]
             self_mirrored.append(len(selfs))

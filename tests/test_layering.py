@@ -20,7 +20,9 @@ rotate-complement mirror, so no second walk hides behind one.  No function
 rebuilds a tableau from a layout's cut of a reading word, as
 `Tableau(layout.rows(word), ...)`: results made from reading words go
 through `Tableau._of_word`, so no step drifts back onto the rows
-constructor."""
+constructor.  The homomesy writers, `reports_to_json` and the CLI's text
+format, write from a report's integer sums: they build no `OrbitSummary`
+or `Fraction` and read no summary view, so no per-row object comes back."""
 
 import ast
 import re
@@ -561,3 +563,59 @@ def test_rows_rebuild_guard_sees_nested_qualified_and_keyword_constructions(tmp_
         "FIRST = Tableau(LAYOUT.rows(WORD), 3)\n"
     )
     assert rows_rebuilds(probe) == ["promote", "orbit", "Walk", "<module>"]
+
+
+SUMMARY_BUILDERS = {"OrbitSummary", "Fraction"}
+SUMMARY_VIEWS = {"orbits", "witness", "average", "common_average"}
+REPORT_WRITERS = [("homomesy", "reports_to_json"), ("cli", "_homomesy_text")]
+
+
+def summary_uses(path: Path, function: str) -> list[str]:
+    """What the file's top-level `function`, nested code included, does to
+    get a per-row summary object: each call of `OrbitSummary` or `Fraction`,
+    by bare or qualified name, and each read of a report's summary views
+    (`orbits` on anything but a partition, `witness`, `average`,
+    `common_average`), in source order."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    top = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function)
+    found = []
+    for node in ast.walk(top):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name in SUMMARY_BUILDERS:
+                found.append((node.lineno, node.col_offset, ast.unparse(func)))
+        elif isinstance(node, ast.Attribute) and node.attr in SUMMARY_VIEWS and isinstance(node.ctx, ast.Load):
+            if not (node.attr == "orbits" and ast.unparse(node.value).rsplit(".", 1)[-1] == "partition"):
+                found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [text for *_, text in sorted(found)]
+
+
+@pytest.mark.parametrize("module, function", REPORT_WRITERS, ids=lambda x: x)
+def test_the_report_writers_build_no_summary(module, function):
+    assert summary_uses(SRC / f"{module}.py", function) == []
+
+
+def test_summary_guard_sees_constructions_and_views(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import fractions\n"
+        "from . import homomesy\n"
+        "def reports_to_json(reports):\n"
+        "    rows = [homomesy.OrbitSummary(n, fractions.Fraction(s, n), ()) for s, n in reports[0].pairs]\n"
+        "    for r in reports:\n"
+        "        def entry(o):\n"
+        "            return str(o.average)\n"
+        "        rows += [entry(o) for o in r.orbits] + list(r.witness or ())\n"
+        "    return rows, reports[0].partition.orbits, [r.partition.orbits for r in reports]\n"
+        "def plain(report):\n"
+        "    return Fraction(1, 2), report.orbits\n"
+    )
+    assert summary_uses(probe, "reports_to_json") == [
+        "homomesy.OrbitSummary",
+        "fractions.Fraction",
+        "o.average",
+        "r.orbits",
+        "r.witness",
+    ]
+    assert summary_uses(probe, "plain") == ["Fraction", "report.orbits"]

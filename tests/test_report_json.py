@@ -8,6 +8,9 @@ that definition over the reports the CLI built, the ascii with the line
 format below, and both, with their exit codes and stderr, with the
 digests in ``report_pins.json``.  Rewrite the pins only for a deliberate change of
 output: ``PYTHONPATH=src python tests/test_report_json.py --pin``.
+Random writes of reports on several partitions are checked against the
+same two definitions, and the summaries the reports build from their
+integer sums against `orbit_average` on objects.
 """
 
 import contextlib
@@ -18,10 +21,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from promotab import homomesy
+from promotab import cli, homomesy
 from promotab.cli import main
-from util import report_to_jsonable
+from promotab.ktableaux import IncreasingTableau
+from promotab.posets import LinearExtension, build_cominuscule
+from promotab.shapes import Tableau
+from util import element_of, orbit_walks, report_to_jsonable
 
 PINS = Path(__file__).resolve().parent / "report_pins.json"
 BUDGET = "100000"
@@ -120,6 +128,115 @@ def test_json_reports_never_use_the_pure_python_indent_encoder(monkeypatch, caps
     out = capsys.readouterr().out
     assert code == 0
     assert len(json.loads(out)) == 256
+
+
+def _boxes(shape) -> list:
+    return [(r, c) for r, length in enumerate(shape, start=1) for c in range(1, length + 1)]
+
+
+def _items(poset) -> list:
+    """A poset's elements and their boxes, so that a support can name one
+    key position twice."""
+    return [*range(1, poset.size + 1), *sorted((poset.embedding or {}).values())]
+
+
+def _writer_systems() -> dict:
+    """Small partitions of every kind, two of them empty, each with the
+    support items its statistics draw from and its rotate-fixed supports,
+    whose orbit sums often coincide."""
+    rect = build_cominuscule("rectangle", 3, 3)
+    cayley = build_cominuscule("cayley")
+    propeller = build_cominuscule("propeller", 4)
+    systems = {
+        "ssyt": (homomesy.ssyt_system((3, 3), 3), _boxes((3, 3))),
+        "ssyt-inverse": (homomesy.ssyt_system((3, 2), 3, "promote_inverse"), _boxes((3, 2))),
+        "ssyt-empty": (homomesy.ssyt_system((3, 3), 0), _boxes((3, 3))),
+        "inc": (homomesy.inc_system(rect, 2), _items(rect)),
+        "inc-empty": (homomesy.inc_system(propeller, 2), _items(propeller)),
+        "syt-poset": (homomesy.syt_poset_system(cayley), _items(cayley)),
+    }
+    return {
+        name: (
+            homomesy.partition_orbits(system, budget=10_000),
+            items,
+            [s.support for s in homomesy.symmetric_subsets(system)] if system.rotate else [frozenset()],
+        )
+        for name, (system, items) in systems.items()
+    }
+
+
+WRITER_SYSTEMS = _writer_systems()
+
+
+@st.composite
+def report_lists(draw) -> list:
+    """Zero to four reports, on one partition or several, of random or
+    rotate-fixed supports, each possibly repeated."""
+    reports = []
+    for _ in range(draw(st.integers(0, 4))):
+        partition, items, symmetric = WRITER_SYSTEMS[draw(st.sampled_from(sorted(WRITER_SYSTEMS)))]
+        support = draw(st.one_of(st.frozensets(st.sampled_from(items), max_size=4), st.sampled_from(symmetric)))
+        name = draw(st.text(alphabet='ab"\\\né', max_size=4))
+        reports += [homomesy.verdict(partition, homomesy.CellStatistic(support, name))] * draw(st.integers(1, 2))
+    return reports
+
+
+def _report(system: str, *support) -> homomesy.HomomesyReport:
+    return homomesy.verdict(WRITER_SYSTEMS[system][0], homomesy.CellStatistic(frozenset(support), "s"))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(report_lists())
+# every orbit of the inc system has one pair on two rotate-fixed supports, and a witness on (1, 2)
+@example([_report("inc", 1, 9), _report("inc", (1, 2), (3, 2)), _report("inc", (1, 2))])
+# element 1 and its box, an empty support, an empty partition and a violated one
+@example([_report("syt-poset", 1, (1, 1)), _report("ssyt"), _report("ssyt-empty", (9, 9)), _report("ssyt", (1, 1))])
+@example([_report("inc-empty")])
+def test_random_writes_equal_the_definitions(reports):
+    payload = [report_to_jsonable(r) for r in reports]
+    expected = json.dumps(payload[0] if len(payload) == 1 else payload, sort_keys=True, indent=2)
+    assert homomesy.reports_to_json(reports) == expected
+    assert cli._homomesy_text(reports) == "".join(f"{line}\n" for r in reports for line in ascii_lines(r))
+
+
+def test_the_examples_cover_what_the_writer_shares():
+    shared = [_report("inc", 1, 9), _report("inc", (1, 2), (3, 2))]
+    assert len({(s, n) for r in shared for s, n in zip(r.sums, r.partition.sizes)}) == 1 < len(shared[0].sums)
+    assert _report("syt-poset", 1, (1, 1)).sums == tuple(2 * s for s in _report("syt-poset", 1).sums)
+    assert _report("ssyt-empty", (9, 9)).sums == () and _report("ssyt").sums == (0,) * len(_report("ssyt").sums)
+    assert _report("ssyt", (1, 1)).witness is not None and _report("inc", (1, 2)).witness is not None
+
+
+# one system of each kind, with the class and the ceiling or poset that rebuild its objects
+OBJECT_SYSTEMS = {
+    "ssyt": (Tableau, 3),
+    "inc": (IncreasingTableau, build_cominuscule("rectangle", 3, 3)),
+    "syt-poset": (LinearExtension, build_cominuscule("cayley")),
+}
+
+
+def _orbit_objects(partition, kind, over) -> list[list]:
+    """Each orbit's objects, walked by stepping keys and rebuilt by their
+    validating constructor, ordered by the orbit's least key."""
+    walks = orbit_walks(partition.system, sum(partition.sizes))
+    return [[element_of(partition.system, key, kind, over) for key in walk] for walk in walks]
+
+
+ORBIT_OBJECTS = {name: _orbit_objects(WRITER_SYSTEMS[name][0], *spec) for name, spec in OBJECT_SYSTEMS.items()}
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(OBJECT_SYSTEMS)), st.data())
+def test_summaries_equal_orbit_averages_on_objects(name, data):
+    partition, items, _ = WRITER_SYSTEMS[name]
+    statistic = homomesy.CellStatistic(data.draw(st.frozensets(st.sampled_from(items), max_size=4)), "s")
+    report = homomesy.verdict(partition, statistic)
+    averages = [homomesy.orbit_average(objects, statistic) for objects in ORBIT_OBJECTS[name]]
+    assert [o.average for o in report.orbits] == averages
+    assert [(o.size, o.representative) for o in report.orbits] == [(o.size, o.representative) for o in partition.orbits]
+    first_other = next((j for j, a in enumerate(averages) if a != averages[0]), None)
+    assert report.witness == (None if first_other is None else (report.orbits[0], report.orbits[first_other]))
+    assert report.common_average == (averages[0] if first_other is None else None)
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--pin"]:

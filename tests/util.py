@@ -58,6 +58,23 @@ def element_of(system, key, kind, over):
     return kind(over, key)
 
 
+def orbit_walks(system, size: int) -> list[list]:
+    """A homomesy system's orbits, found by stepping each enumerated key
+    until it returns (each walk at most `size` keys), as lists of keys
+    ordered by their least key."""
+    walks, seen = [], set()
+    for key in system.enumerate():
+        if key not in seen:
+            walk = [key]
+            while (image := system.step(walk[-1])) != key:
+                walk.append(image)
+                assert len(walk) <= size
+            seen.update(walk)
+            walks.append(walk)
+    walks.sort(key=min)
+    return walks
+
+
 def report_to_jsonable(report: HomomesyReport) -> dict:
     """Definition: the payload whose ``json.dumps(sort_keys=True,
     indent=2)`` `homomesy.reports_to_json` writes for one report."""
