@@ -289,7 +289,7 @@ def _cmd_homomesy(args) -> int:
         raise ParseError("homomesy needs a system: (-k with --partition/--shape), (-q ...), or --family")
 
     partition = homomesy.partition_orbits(system, budget=args.budget)
-    orbits = len(partition.orbits)
+    orbits = len(partition.sizes)
     # every statistic is at least one report row, even on an empty system
     if count * max(orbits, 1) > args.budget:
         if not orbits:

@@ -6,9 +6,9 @@ tuple (a tableau's reading word, a poset object's labels), and knows its
 layout: the key index of each box or element, and the rotate involution.
 :func:`partition_orbits` enumerates it under an explicit element budget,
 checks every key with the system's tuple-level test, and walks each orbit
-once on keys, keeping the orbit's size, what reports print for its
-canonical element (the one of its least key) and the total of every
-entry over the orbit, laid out like the key; no element object is built.
+once on keys, keeping the orbit's least key (its lead), its size and the
+total of every entry over the orbit, laid out like the key; no element
+object is built, and no representative until a report is written.
 A system with a rotate involution rho, an order-reversing involution of
 its cells, walks only half of its orbits: the mirror
 mu(key)[i] = c - key[rho(i)], with c the largest entry plus one, maps
@@ -18,21 +18,22 @@ image mu(O) of a walked orbit O is an orbit of the same size whose
 totals are |O| c - totals_O[rho(i)].  Each derived orbit is checked: it
 must consist of |O| keys no walk has visited, and one step must take
 mu(x_1) to mu(x_0); an orbit whose image was visited must be its own
-image.  A partition also holds its totals by key position, one column
-of every orbit's total per position.  Cell sums are linear in the
-support, so :func:`verdict` reads a statistic's orbit sums as the sum of
-its positions' columns, resolved through the system's layout, and keeps
-them as integers; the verdict is `homomesic` exactly when every orbit
-average, compared by cross-multiplying, equals the first.  Orbits are
-ordered by their least key, so every report is deterministic.
+image.  A partition is its orbits' leads and sizes and one column per
+key position of every orbit's total there, the orbits ordered by lead,
+so every report is deterministic.  Cell sums are linear in the support,
+so :func:`verdict` reads a statistic's orbit sums as the sum of its
+positions' columns, resolved through the system's layout, and keeps them
+as integers; the verdict is `homomesic` exactly when every orbit
+average, compared by cross-multiplying, equals the first.
 :func:`cell_sum` and :func:`orbit_average` stay the definitions on
 objects that the tests check the totals against, through the
 :class:`OrbitSummary` views a report builds when they are read.
 
 :func:`reports_to_json` and the command line's text format write reports
 from those integers: each (sum, size) pair's average text is computed
-once per write (:class:`AverageTexts`), and each orbit's representative
-and size once per partition in a write.
+once per write (:class:`AverageTexts`).  The JSON writer builds each
+orbit's representative from its lead, with its size, once per partition
+in a write; the text format prints none.
 """
 
 from __future__ import annotations
@@ -190,33 +191,17 @@ def inc_system(p: FinitePoset, q: int) -> System:
 
 
 @dataclass(frozen=True)
-class OrbitTotals:
-    """One orbit: its size, the total over the orbit of each entry of its
-    keys, laid out like a key, and the rows or labels of its canonical
-    element (the one of its least key), which every report on the
-    partition shares."""
-
-    size: int
-    totals: tuple[int, ...]
-    representative: tuple
-
-
-@dataclass(frozen=True)
 class OrbitPartition:
-    """A system split into orbits, ordered by canonical representative.
-
-    `sizes` and `columns` are set once from the orbits: `sizes[i]` is the
-    size of orbit i, and `columns[p][i]` its total at key position p, so
-    every statistic's orbit sums are sums of these columns."""
+    """A system split into orbits, ordered by least key: `leads[i]` is the
+    least key of orbit i, in increasing order, `sizes[i]` its size and
+    `columns[p][i]` its total at key position p, so every statistic's
+    orbit sums are sums of these columns.  Reports print an orbit as
+    `system.representative` of its lead."""
 
     system: System
-    orbits: tuple[OrbitTotals, ...]
-    sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(o.size for o in self.orbits))
-        object.__setattr__(self, "columns", tuple(zip(*(o.totals for o in self.orbits))))
+    leads: tuple[Key, ...]
+    sizes: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
 
 
 def partition_orbits(system: System, budget: int) -> OrbitPartition:
@@ -231,7 +216,8 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
     key the system does not admit, repeats one or yields other than
     `count` keys, or a step map that leaves the enumerated set or is not
     a bijection on it, raises :class:`PreconditionError` naming the system.
-    No element object is built: reports print `system.representative`.
+    No element object is built, nor any representative: reports print
+    `system.representative` of an orbit's lead when they are written.
 
     A system with a `rotate` walks each orbit O or its mirror mu(O), never
     both: mu(key)[i] = c - key[rho(i)], for c its `complement` and rho its
@@ -261,7 +247,7 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
     pick = _rotate_positions(system, len(keys[0])) if keys and system.rotate is not None else None
     c = system.complement
     unmirrored = f"{system.description}: the rotate complement maps an orbit onto no orbit"
-    orbits: dict[Key, OrbitTotals] = {}
+    orbits: dict[Key, tuple[int, tuple[int, ...]]] = {}  # each orbit's size and totals by its lead
     for start in keys:
         if start in unvisited:
             try:
@@ -269,9 +255,8 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
             except PreconditionError as exc:
                 raise PreconditionError(f"{system.description}: {exc}") from exc
             size = len(orb)
-            lead = min(orb)
             totals = tuple(map(sum, zip(*orb)))
-            orbits[lead] = OrbitTotals(size=size, totals=totals, representative=system.representative(lead))
+            orbits[min(orb)] = size, totals
             if pick is None:
                 continue
             image = [tuple([c - v for v in pick(key)]) for key in orb]
@@ -281,12 +266,12 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
                 # image[j] is mu(x_j), and mu conjugates the step to its inverse
                 if before - len(unvisited) != size or system.step(image[1 % size]) != image[0]:
                     raise PreconditionError(unmirrored)
-                lead = min(image)
-                totals = tuple([size * c - t for t in pick(totals)])
-                orbits[lead] = OrbitTotals(size=size, totals=totals, representative=system.representative(lead))
+                orbits[min(image)] = size, tuple([size * c - t for t in pick(totals)])
             elif set(image) != set(orb):  # an image already visited is the orbit itself
                 raise PreconditionError(unmirrored)
-    return OrbitPartition(system=system, orbits=tuple(orbits[k] for k in sorted(orbits)))
+    leads = tuple(sorted(orbits))
+    sizes, totals = zip(*map(orbits.__getitem__, leads)) if leads else ((), ())
+    return OrbitPartition(system=system, leads=leads, sizes=sizes, columns=tuple(zip(*totals)))
 
 
 def _rotate_positions(system: System, length: int) -> Callable[[Key], tuple[int, ...]]:
@@ -321,8 +306,9 @@ class HomomesyReport:
     `sums[i]` is the statistic's total over orbit i of `partition`, whose
     size is `partition.sizes[i]`, and `mismatch` is the first orbit whose
     average differs from orbit 0's, or None.  `orbits` and `witness` are
-    :class:`OrbitSummary` views built from them when read.  Reports
-    compare by their fields other than the partition."""
+    :class:`OrbitSummary` views built from them when read, each with the
+    representative of its orbit's lead.  Reports compare by their fields
+    other than the partition."""
 
     system: str
     statistic: str
@@ -336,9 +322,9 @@ class HomomesyReport:
         return self.verdict == "homomesic"
 
     def _summary(self, i: int) -> OrbitSummary:
-        orbit = self.partition.orbits[i]
-        average = Fraction(self.sums[i], orbit.size)
-        return OrbitSummary(size=orbit.size, average=average, representative=orbit.representative)
+        partition, size = self.partition, self.partition.sizes[i]
+        representative = partition.system.representative(partition.leads[i])
+        return OrbitSummary(size=size, average=Fraction(self.sums[i], size), representative=representative)
 
     @property
     def orbits(self) -> tuple[OrbitSummary, ...]:
@@ -462,10 +448,11 @@ def reports_to_json(reports: Sequence[HomomesyReport]) -> str:
 
     Each orbit entry is written from the report's integers: the text of
     its (sum, size) pair, from one :class:`AverageTexts` for the whole
-    write, then its orbit's fragment (its representative, encoded from
-    its int tuples, and its size), built once per partition in the write
-    and shared by every report on it.  A witness repeats two entries of
-    the report's orbit list.  No summary or :class:`Fraction` is built."""
+    write, then its orbit's fragment (the representative of its lead,
+    encoded from its int tuples, and its size), built once per partition
+    in the write and shared by every report on it.  A witness repeats two
+    entries of the report's orbit list.  No summary or :class:`Fraction`
+    is built."""
     if not reports:
         return "[]"
     pad = "  " if len(reports) > 1 else ""  # the reports' braces
@@ -475,17 +462,17 @@ def reports_to_json(reports: Sequence[HomomesyReport]) -> str:
     average = AverageTexts().__getitem__
     fragments: dict[int, list[str]] = {}  # by the id of a partition, which the reports keep alive
 
-    def fragment(orbit: OrbitTotals) -> str:
-        rep = orbit.representative
+    def fragment(rep: tuple, size: int) -> str:
         if rep and not isinstance(rep[0], int):
             rep = [_json_list(row, item + "  ") for row in rep]
-        return f'",\n{item}"representative": {_json_list(rep, item)},\n{item}"size": {orbit.size}\n{brace}}}'
+        return f'",\n{item}"representative": {_json_list(rep, item)},\n{item}"size": {size}\n{brace}}}'
 
     out = ["[\n  "] if pad else []  # pieces of the text, joined once
     for i, r in enumerate(reports):
         tails = fragments.get(id(r.partition))
         if tails is None:
-            tails = fragments[id(r.partition)] = list(map(fragment, r.partition.orbits))
+            p = r.partition
+            tails = fragments[id(p)] = list(map(fragment, map(p.system.representative, p.leads), p.sizes))
         # each orbit entry is its average's text and its orbit's fragment
         entries = list(map(add, map(average, zip(r.sums, r.partition.sizes)), tails))
         out += [",\n  {\n" if i else "{\n", key, '"orbits": ']

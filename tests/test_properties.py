@@ -404,5 +404,5 @@ def test_the_mirrored_partition_is_the_walked_one(case):
     p, q = case
     for system in (syt_poset_system(p), inc_system(p, q)):
         assert (system.rotate is None) == (p.size == 0)
-        oracle = replace(system, rotate=None)
-        assert partition_orbits(system, 10_000).orbits == partition_orbits(oracle, 10_000).orbits
+        partition, oracle = partition_orbits(system, 10_000), partition_orbits(replace(system, rotate=None), 10_000)
+        assert (partition.leads, partition.sizes, partition.columns) == (oracle.leads, oracle.sizes, oracle.columns)

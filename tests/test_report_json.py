@@ -10,7 +10,8 @@ digests in ``report_pins.json``.  Rewrite the pins only for a deliberate change 
 output: ``PYTHONPATH=src python tests/test_report_json.py --pin``.
 Random writes of reports on several partitions are checked against the
 same two definitions, and the summaries the reports build from their
-integer sums against `orbit_average` on objects.
+integer sums against `orbit_average` on objects.  Only the JSON writer
+builds orbit representatives, one per orbit of a partition.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ import hashlib
 import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -207,6 +209,29 @@ def test_the_examples_cover_what_the_writer_shares():
     assert _report("ssyt", (1, 1)).witness is not None and _report("inc", (1, 2)).witness is not None
 
 
+@pytest.mark.parametrize(
+    "system",
+    [homomesy.ssyt_system((3, 3), 3), homomesy.inc_system(build_cominuscule("rectangle", 3, 4), 3)],
+    ids=["ssyt", "inc-violated"],
+)
+def test_only_the_json_writer_builds_representatives_once_per_orbit(system):
+    calls = []
+
+    def representative(key, _representative=system.representative):
+        calls.append(key)
+        return _representative(key)
+
+    system = replace(system, representative=representative)
+    partition = homomesy.partition_orbits(system, budget=100_000)
+    assert calls == [] and len(partition.leads) > 1
+    reports = [homomesy.verdict(partition, statistic) for statistic in homomesy.symmetric_subsets(system)]
+    assert len(reports) > 1
+    cli._homomesy_text(reports)
+    assert calls == []
+    homomesy.reports_to_json(reports)
+    assert calls == list(partition.leads)
+
+
 # one system of each kind, with the class and the ceiling or poset that rebuild its objects
 OBJECT_SYSTEMS = {
     "ssyt": (Tableau, 3),
@@ -233,7 +258,8 @@ def test_summaries_equal_orbit_averages_on_objects(name, data):
     report = homomesy.verdict(partition, statistic)
     averages = [homomesy.orbit_average(objects, statistic) for objects in ORBIT_OBJECTS[name]]
     assert [o.average for o in report.orbits] == averages
-    assert [(o.size, o.representative) for o in report.orbits] == [(o.size, o.representative) for o in partition.orbits]
+    representatives = map(partition.system.representative, partition.leads)
+    assert [(o.size, o.representative) for o in report.orbits] == list(zip(partition.sizes, representatives))
     first_other = next((j for j, a in enumerate(averages) if a != averages[0]), None)
     assert report.witness == (None if first_other is None else (report.orbits[0], report.orbits[first_other]))
     assert report.common_average == (averages[0] if first_other is None else None)
