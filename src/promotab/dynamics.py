@@ -17,7 +17,9 @@ reading word and build one :class:`Tableau`, their result, straight
 from the kernel's word (``Tableau._of_word``).
 :data:`OPERATORS` holds the kernels that orbits step with
 :func:`reading_word_step` on reading words (the keys homomesy systems
-walk); :func:`orbit` and :func:`promotion_period_words` walk a tableau's
+walk), each packing its result word by a key packer: `tuple` for the
+steps on tableaux, `bytes` on an SSYT system whose ceiling is at most
+254.  :func:`orbit` and :func:`promotion_period_words` walk a tableau's
 orbit in one place.  The toggle sweeps (:func:`promote_via_toggles`,
 :func:`promote_inverse_via_toggles`, :func:`evacuate_via_toggles`) toggle
 plain rows and build their result with the rows constructor, so the
@@ -35,7 +37,7 @@ from .errors import PreconditionError
 from .shapes import Box, Partition, ReadingLayout, Tableau, part
 
 Picker = Callable[[list[Box]], Box]
-Slide = Callable[[Sequence[int]], tuple[int, ...]]
+Slide = Callable[[Sequence[int]], Sequence[int]]
 X = TypeVar("X")
 R = TypeVar("R")
 
@@ -138,9 +140,10 @@ def rectify(t: Tableau, pick: Picker | None = None) -> Tableau:
     return cur
 
 
-def _slide_out(layout: ReadingLayout, i: int, k: int) -> Slide:
+def _slide_out(layout: ReadingLayout, i: int, k: int, pack: type = tuple) -> Slide:
     """Promotion of the entries <= i on the reading words of a straight
-    layout with entries <= k, every larger entry frozen.
+    layout with entries <= k, every larger entry frozen, each result
+    packed by `pack` (a :func:`~promotab.shapes.key_packer`).
 
     The holes of the top row's 1s slide out one by one, rightmost first,
     by the rule of :func:`jdt_slide` (on equal values the hole moves
@@ -153,7 +156,7 @@ def _slide_out(layout: ReadingLayout, i: int, k: int) -> Slide:
     absent = k + 1
     relabel = (-1).__add__ if i == k else lambda v: v - 1 if v <= i else v if v < absent else i
 
-    def step(word: Sequence[int]) -> tuple[int, ...]:
+    def step(word: Sequence[int]) -> Sequence[int]:
         w = [*word, absent]  # a missing neighbour's index, -1, reads this absent cell
         for h in range(top + word.count(1) - 1, top - 1, -1):
             while True:
@@ -169,14 +172,15 @@ def _slide_out(layout: ReadingLayout, i: int, k: int) -> Slide:
                     w[h], h = right, e
             w[h] = absent
         w.pop()
-        return tuple(map(relabel, w))
+        return pack(map(relabel, w))
 
     return step
 
 
-def _slide_in(layout: ReadingLayout, k: int) -> Slide:
+def _slide_in(layout: ReadingLayout, k: int, pack: type = tuple) -> Slide:
     """Inverse promotion on the reading words of a straight layout with
-    entries <= k: the reverse slides of :func:`_slide_out`.
+    entries <= k: the reverse slides of :func:`_slide_out`, each result
+    packed by `pack`.
 
     The k's become holes and slide north-west one by one, leftmost first
     (their order in the reading word): a hole takes the larger of the
@@ -186,7 +190,7 @@ def _slide_in(layout: ReadingLayout, k: int) -> Slide:
     """
     north, west = layout.north, layout.west
 
-    def step(word: Sequence[int]) -> tuple[int, ...]:
+    def step(word: Sequence[int]) -> Sequence[int]:
         w = [*word, 0]  # a missing neighbour's index, -1, reads this absent cell
         j = -1
         for _ in range(word.count(k)):
@@ -202,7 +206,7 @@ def _slide_in(layout: ReadingLayout, k: int) -> Slide:
                     w[h], h = left, b
             w[h] = 0
         w.pop()
-        return tuple(map((1).__add__, w))
+        return pack(map((1).__add__, w))
 
     return step
 
@@ -454,25 +458,27 @@ def dual_evacuate_via_complement(t: Tableau) -> Tableau:
     return rotate_complement(evacuate(rotate_complement(t)))
 
 
-# Each operator's kernel: its step on the reading words of a straight layout at a ceiling.
-OPERATORS: dict[str, Callable[[ReadingLayout, int], Slide]] = {
-    "promote": lambda layout, k: _slide_out(layout, k, k),
+# Each operator's kernel: its step on the reading words of a straight layout at a
+# ceiling, packing each result word by a key packer.
+OPERATORS: dict[str, Callable[[ReadingLayout, int, type], Slide]] = {
+    "promote": lambda layout, k, pack: _slide_out(layout, k, k, pack),
     "promote_inverse": _slide_in,
 }
 
 
-def reading_word_step(layout: ReadingLayout, ceiling: int, operator: str) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+def reading_word_step(layout: ReadingLayout, ceiling: int, operator: str, pack: type = tuple) -> Slide:
     """The step map `operator` on reading words: a semistandard word of
     the straight layout, with entries <= ceiling, to the reading word of
-    the tableau that the step on tableaux gives.  No tableau is built and
-    the word is not checked.
+    the tableau that the step on tableaux gives, packed by `pack` (a
+    :func:`~promotab.shapes.key_packer`).  No tableau is built and the
+    word is not checked.
     """
     kernel = OPERATORS.get(operator)
     if kernel is None:
         raise PreconditionError(f"unknown operator {operator!r}")
     if layout.inner:
         raise PreconditionError("promotion requires a straight shape")
-    return kernel(layout, ceiling)
+    return kernel(layout, ceiling, pack)
 
 
 def cycle(start: X, step: Callable[[X], X], unvisited: set | None = None) -> Iterator[X]:

@@ -2,16 +2,24 @@
 
 A dynamical system here is any finite set with an invertible step map.
 A :class:`System` enumerates and steps flat keys, an element's entries
-tuple (a tableau's reading word, a poset object's labels), and knows its
+(a tableau's reading word, a poset object's labels), and knows its
 layout: the key index of each box or element, and the rotate involution.
+Each system picks its key type once, by :func:`~promotab.shapes.key_packer`:
+`bytes` when every entry and the bounds its key test appends fit in a
+byte (SSYT ceilings up to 254, posets of up to 255 elements), otherwise
+int tuples.  Its enumerator, its step kernel and its key test all work in
+that type, and equal-length `bytes` order and iterate like the tuples of
+their entries, so leads, orbit order and totals do not depend on it;
+representatives are int tuples either way.
 :func:`partition_orbits` enumerates it under an explicit element budget,
-checks every key with the system's tuple-level test, and walks each orbit
+checks every key with the system's key test, and walks each orbit
 once on keys, keeping the orbit's least key (its lead), its size and the
 total of every entry over the orbit, laid out like the key; no element
 object is built, and no representative until a report is written.
 A system with a rotate involution rho, an order-reversing involution of
 its cells, walks only half of its orbits: the mirror
-mu(key)[i] = c - key[rho(i)], with c the largest entry plus one, maps
+mu(key)[i] = c - key[rho(i)], with c the largest entry plus one (on
+`bytes` keys one `translate` through a table of c - v), maps
 elements to elements and conjugates promotion to its inverse
 (mu . step . mu = step^-1; on SSYT rectangles mu is evacuation), so the
 image mu(O) of a walked orbit O is an orbit of the same size whose
@@ -50,7 +58,7 @@ from .dynamics import cycle, reading_word_step, straight_layout
 from .errors import BudgetExceededError, PreconditionError
 from .ktableaux import IncreasingTableau, increasing_labels, k_promote_step
 from .posets import FinitePoset, LinearExtension, linear_extension_labels, poset_promote_labels, rotate
-from .shapes import Tableau, check_partition, count_order_ideal_chains, count_ssyt, part, ssyt_words
+from .shapes import Tableau, check_partition, count_order_ideal_chains, count_ssyt, key_packer, part, ssyt_words
 
 
 @dataclass(frozen=True)
@@ -90,7 +98,9 @@ def orbit_average(elements: Iterable, statistic: CellStatistic) -> Fraction:
 
 # -- systems -------------------------------------------------------------------
 
-Key = tuple[int, ...]
+# An element's entries, packed by its system's key packer: `bytes` when every
+# entry fits in a byte, else a tuple of ints (see shapes.key_packer).
+Key = bytes | tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -98,12 +108,15 @@ class System:
     """A finite invertible dynamical system on flat keys, with the layout
     of its cells, described for reports.
 
-    An element's key is its entries tuple: a tableau's reading word or a
-    poset labelling's labels.  `enumerate` yields every key, `step` maps a
-    key to the next one, `admits` tests a key against the conditions of
-    the element's constructor, and `representative` is what reports print
-    for it.  `position` is the key index of a support item (a box, or a
-    poset element or its box), and refuses items the elements lack;
+    An element's key is its entries, packed by the system's key packer
+    (`bytes` or `tuple`, see :func:`~promotab.shapes.key_packer`): a
+    tableau's reading word or a poset labelling's labels.  `enumerate`
+    yields every key, `step` maps a key to the next one, `admits` tests a
+    key against the conditions of the element's constructor and refuses a
+    key of another type, and `representative` is what reports print for
+    it, in int tuples whatever the key type.  `position` is the key index
+    of a support item (a box, or a poset element or its box), and refuses
+    items the elements lack;
     `rotate` is the rotate involution on the items, if any, and
     `complement` the constant c of the mirror mu(key)[i] = c - key[rho(i)],
     rho being the rotate on key positions: the largest entry plus one, so
@@ -134,12 +147,13 @@ def ssyt_system(shape, ceiling: int, operator: str = "promote") -> System:
         return index[box]
 
     m, n = len(layout.outer), part(layout.outer, 1)
+    pack = key_packer(ceiling + 1)  # the key test appends ceiling + 1
     return System(
         description=f"ssyt(shape={','.join(map(str, layout.outer))};k={ceiling};op={operator})",
-        enumerate=lambda: ssyt_words(layout, ceiling),
-        step=reading_word_step(layout, ceiling, operator),
-        admits=layout.semistandard_test(ceiling),
-        representative=lambda word: tuple(layout.rows(word)),
+        enumerate=lambda: ssyt_words(layout, ceiling, pack),
+        step=reading_word_step(layout, ceiling, operator, pack),
+        admits=layout.semistandard_test(ceiling, pack),
+        representative=lambda word: tuple(map(tuple, layout.rows(word))),
         position=position,
         rotate={(r, c): (m + 1 - r, n + 1 - c) for r, c in index} if len(set(layout.outer)) == 1 else None,
         complement=ceiling + 1,
@@ -155,17 +169,18 @@ def _poset_layout(p: FinitePoset) -> dict:
             raise PreconditionError(f"element {x} outside the poset")
         return x - 1
 
-    return dict(representative=lambda labels: labels, position=position, rotate=rotate(p) if p.rotation else None)
+    return dict(representative=tuple, position=position, rotate=rotate(p) if p.rotation else None)
 
 
 def syt_poset_system(p: FinitePoset) -> System:
     """Linear extensions of a poset under promotion, counted on the enumerator's state graph."""
     label = p.name or f"poset{p.size}"
+    pack = key_packer(p.size)
     return System(
         description=f"syt_poset({label})",
-        enumerate=lambda: linear_extension_labels(p),
-        step=lambda labels: poset_promote_labels(p, labels),
-        admits=p.labelling_test(p.size),
+        enumerate=lambda: linear_extension_labels(p, pack),
+        step=lambda labels: poset_promote_labels(p, labels, pack),
+        admits=p.labelling_test(p.size, pack),
         complement=p.size + 1,
         count=lambda cap: count_order_ideal_chains(p.size, p.covers, p.size, cap),
         **_poset_layout(p),
@@ -176,11 +191,12 @@ def inc_system(p: FinitePoset, q: int) -> System:
     """Increasing tableaux of fixed deficiency under K-promotion.  A q out of
     range builds no key test (of |P| - q labels): its enumeration raises."""
     label = p.name or f"poset{p.size}"
+    pack = key_packer(p.size)
     return System(
         description=f"inc({label};q={q})",
-        enumerate=lambda: increasing_labels(p, q),
-        step=k_promote_step(p, p.size - q),
-        admits=p.labelling_test(p.size - q) if 0 <= q <= p.size else lambda labels: False,
+        enumerate=lambda: increasing_labels(p, q, pack),
+        step=k_promote_step(p, p.size - q, pack),
+        admits=p.labelling_test(p.size - q, pack) if 0 <= q <= p.size else lambda labels: False,
         complement=p.size - q + 1,
         count=lambda cap: count_order_ideal_chains(p.size, p.covers, p.size - q, cap),
         **_poset_layout(p),
@@ -222,12 +238,14 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
     A system with a `rotate` walks each orbit O or its mirror mu(O), never
     both: mu(key)[i] = c - key[rho(i)], for c its `complement` and rho its
     rotate on key positions, which is derived once through `position`,
-    and only when there is a key.  After walking O it derives mu(O): if
-    mu(O) is unvisited, it must consume exactly |O| unvisited keys and
-    the step of mu(x_1) must be mu(x_0), since mu . step . mu = step^-1;
-    otherwise mu(O) must be O itself.  A mirror that fails either check, or a rotate
-    that does not permute the key positions, raises
-    :class:`PreconditionError` naming the system.
+    and only when there is a key.  On `bytes` keys mu is one `translate`
+    through a table of c - v, of the reversed key when rho reverses the
+    positions; on tuples it builds the tuple of c - v.  After walking O it
+    derives mu(O): if mu(O) is unvisited, it must consume exactly |O|
+    unvisited keys and the step of mu(x_1) must be mu(x_0), since
+    mu . step . mu = step^-1; otherwise mu(O) must be O itself.  A mirror
+    that fails either check, or a rotate that does not permute the key
+    positions, raises :class:`PreconditionError` naming the system.
     """
     if budget < 1:
         raise PreconditionError(f"budget must be positive: {budget}")
@@ -243,8 +261,8 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
     unvisited = set(keys)
     if len(unvisited) != len(keys):
         raise PreconditionError(f"{system.description}: the enumeration repeats an element")
-    # pick(key)[i] is key[rho(i)], so the mirror of a key is c - pick(key)
-    pick = _rotate_positions(system, len(keys[0])) if keys and system.rotate is not None else None
+    # pick(key)[i] is key[rho(i)], and mirror(key) is mu(key), c - pick(key)
+    pick, mirror = _mirror(system, keys[0]) if keys and system.rotate is not None else (None, None)
     c = system.complement
     unmirrored = f"{system.description}: the rotate complement maps an orbit onto no orbit"
     orbits: dict[Key, tuple[int, tuple[int, ...]]] = {}  # each orbit's size and totals by its lead
@@ -259,7 +277,7 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
             orbits[min(orb)] = size, totals
             if pick is None:
                 continue
-            image = [tuple([c - v for v in pick(key)]) for key in orb]
+            image = list(map(mirror, orb))
             if image[0] in unvisited:
                 before = len(unvisited)
                 unvisited.difference_update(image)
@@ -274,21 +292,33 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
     return OrbitPartition(system=system, leads=leads, sizes=sizes, columns=tuple(zip(*totals)))
 
 
-def _rotate_positions(system: System, length: int) -> Callable[[Key], tuple[int, ...]]:
-    """The getter of a key's entries at the rotate images of its positions:
-    entry i of what it returns is the key's entry at rho(i), where rho maps
-    the position of each support item to that of its rotate image.  A
-    rotate that does not permute the key's positions raises
-    :class:`PreconditionError` naming the system."""
+def _mirror(system: System, key: Key) -> tuple[Callable[[Sequence[int]], Sequence[int]], Callable[[Key], Key]]:
+    """The getter pick of a sequence's entries at the rotate images of its
+    positions, and the mirror mu(key) = c - pick(key) on keys of the type
+    and length of `key`.  Entry i of pick(s) is s[rho(i)], where rho maps
+    the position of each support item to that of its rotate image, and c
+    is the system's `complement`.  On `bytes` keys mu is one translate
+    through the table of c - v, of the reversed key when rho reverses the
+    key positions (as on rectangles), or else of pick(key).  A rotate that
+    does not permute the key's positions raises :class:`PreconditionError`
+    naming the system."""
+    length = len(key)
     try:
         rho = {system.position(x): system.position(y) for x, y in system.rotate.items()}
     except PreconditionError as exc:
         raise PreconditionError(f"{system.description}: {exc}") from exc
     if sorted(rho) != list(range(length)) or sorted(rho.values()) != list(range(length)):
         raise PreconditionError(f"{system.description}: the rotate involution does not permute the key positions")
-    if length > 1:
-        return itemgetter(*(rho[i] for i in range(length)))
-    return itemgetter(slice(length))  # a slice reads one position or none as a tuple too
+    images = [rho[i] for i in range(length)]
+    # a slice reads one position or none as a sequence too
+    pick = itemgetter(*images) if length > 1 else itemgetter(slice(length))
+    c = system.complement
+    if type(key) is not bytes:
+        return pick, lambda key: tuple([c - v for v in pick(key)])
+    table = bytes([(c - v) % 256 for v in range(256)])  # exact at every entry of an element, 1..c - 1
+    if images == list(range(length - 1, -1, -1)):
+        return pick, lambda key: key[::-1].translate(table)
+    return pick, lambda key: bytes(pick(key)).translate(table)
 
 
 # -- verdicts ------------------------------------------------------------------

@@ -20,8 +20,9 @@ complement v -> d + 1 - v.  :func:`k_promote_step` and
 orbit walks below step label tuples and build an
 :class:`IncreasingTableau` only for their result.  The tests check both
 against the chain of :func:`switch` calls.  :func:`increasing_labels` is
-the enumeration on label tuples alone, which homomesy systems walk with
-:func:`k_promote_step`.
+the enumeration on labels alone, which homomesy systems walk with
+:func:`k_promote_step`, both packed by a key packer (`bytes` on a poset
+of up to 255 elements).
 """
 
 from __future__ import annotations
@@ -98,11 +99,12 @@ def switch(state: Sequence[int], a: int, b: int, poset: FinitePoset) -> tuple[in
     return tuple(out)
 
 
-def _bullet_slide(ahead: Sequence[Sequence[int]], d: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+def _bullet_slide(ahead: Sequence[Sequence[int]], d: int, pack: type) -> Callable[[Sequence[int]], Sequence[int]]:
     """K-promotion on the label tuples of increasing tableaux with labels
     1..d, read through `ahead` (a poset's `above`, or its `below` for the
     dual poset): the chain of ``switch(., i, BULLET)`` for i = 2..d
-    without visiting the i that move nothing.
+    without visiting the i that move nothing.  Each result is packed by
+    `pack` (a :func:`~promotab.shapes.key_packer`).
 
     Every label is decremented and the 1s become bullets.  Then, while
     some bullet has anything ahead of it, let m be the least label ahead
@@ -112,7 +114,7 @@ def _bullet_slide(ahead: Sequence[Sequence[int]], d: int) -> Callable[[Sequence[
     when each takes the label d.
     """
 
-    def step(labels: Sequence[int]) -> tuple[int, ...]:
+    def step(labels: Sequence[int]) -> Sequence[int]:
         lab = [v - 1 for v in labels]
         bullets = [x for x, v in enumerate(labels) if v == 1]
         while True:
@@ -138,29 +140,29 @@ def _bullet_slide(ahead: Sequence[Sequence[int]], d: int) -> Callable[[Sequence[
             bullets = moved
         for x in bullets:
             lab[x] = d
-        return tuple(lab)
+        return pack(lab)
 
     return step
 
 
-def k_promote_step(p: FinitePoset, d: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+def k_promote_step(p: FinitePoset, d: int, pack: type = tuple) -> Callable[[Sequence[int]], Sequence[int]]:
     """K-promotion on the label tuples of the increasing tableaux of p with
     labels 1..d: bulletize the 1s, switch the bullets up through 2..d, then
     decrement every label and turn bullets into d.  No object is built and
-    the labels are not checked."""
-    return _bullet_slide(p.above, d)
+    the labels are not checked; each result is packed by `pack`."""
+    return _bullet_slide(p.above, d, pack)
 
 
-def k_promote_inverse_step(p: FinitePoset, d: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+def k_promote_inverse_step(p: FinitePoset, d: int, pack: type = tuple) -> Callable[[Sequence[int]], Sequence[int]]:
     """Inverse K-promotion on label tuples, as :func:`k_promote_step`: the
     complement c(v) = d + 1 - v takes the increasing tableaux of p to
     those of the dual poset, and inverse K-promotion is c, then
     K-promotion on the dual poset, then c."""
-    slide = _bullet_slide(p.below, d)
+    slide = _bullet_slide(p.below, d, tuple)
     top = d + 1
 
-    def step(labels: Sequence[int]) -> tuple[int, ...]:
-        return tuple([top - v for v in slide([top - v for v in labels])])
+    def step(labels: Sequence[int]) -> Sequence[int]:
+        return pack([top - v for v in slide([top - v for v in labels])])
 
     return step
 
@@ -201,12 +203,12 @@ def k_evacuate(t: IncreasingTableau) -> IncreasingTableau:
     return IncreasingTableau(p, labels)
 
 
-def increasing_labels(p: FinitePoset, q: int) -> Iterator[tuple[int, ...]]:
-    """The labels of every increasing tableau of deficiency q: the order
-    of :func:`order_ideal_chains` with d = |P| - q labels."""
+def increasing_labels(p: FinitePoset, q: int, pack: type = tuple) -> Iterator[Sequence[int]]:
+    """The labels of every increasing tableau of deficiency q, packed by
+    `pack`: the order of :func:`order_ideal_chains` with d = |P| - q labels."""
     if not 0 <= q <= p.size:
         raise PreconditionError(f"deficiency {q} out of range [0, {p.size}]")
-    return order_ideal_chains(p.size, p.covers, p.size - q)
+    return order_ideal_chains(p.size, p.covers, p.size - q, pack)
 
 
 def enumerate_increasing(p: FinitePoset, q: int) -> Iterator[IncreasingTableau]:

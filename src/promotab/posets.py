@@ -14,8 +14,8 @@ with one kernel, on the poset's covers indexed from 0, and build one
 :class:`LinearExtension`, their result; the tests check each of them
 against the chain of :func:`poset_toggle` calls.
 :func:`linear_extension_labels` and :func:`poset_promote_labels` are the
-enumeration and the promotion on label tuples alone, which homomesy
-systems walk.
+enumeration and the promotion on labels alone, which homomesy systems
+walk, packed by a key packer (`bytes` on a poset of up to 255 elements).
 """
 
 from __future__ import annotations
@@ -99,17 +99,19 @@ class FinitePoset:
             raise PreconditionError(f"element {x} outside the poset")
         return tuple(y + 1 for y in self.below[x - 1])
 
-    def labelling_test(self, d: int) -> Callable[[Sequence[int]], bool]:
+    def labelling_test(self, d: int, pack: type = tuple) -> Callable[[Sequence[int]], bool]:
         """The test whether labels, one per element (element x's at index
         x - 1), strictly increase along every cover and take exactly the
         values 1..d: what :class:`LinearExtension` (d = size) and an
-        increasing tableau with d labels check, on a plain tuple.  The
-        covers are tested by a :func:`~promotab.shapes.pairwise_test`,
-        generated once, on the test's first call."""
+        increasing tableau with d labels check, on labels packed by `pack`
+        (a :func:`~promotab.shapes.key_packer`); labels of another type are
+        refused.  The covers are tested by a
+        :func:`~promotab.shapes.pairwise_test`, generated once, on the
+        test's first call."""
         size, values = self.size, frozenset(range(1, d + 1))
         increasing = pairwise_test(lt, [(x - 1, y - 1) for x, y in sorted(self.covers)])
-        # one set per call: values.issubset(labels) would build it from the tuple too, and more slowly
-        return lambda labels: len(labels) == size and increasing(labels) and set(labels) == values
+        # one set per call: values.issubset(labels) would build it from the labels too, and more slowly
+        return lambda labels: type(labels) is pack and len(labels) == size and increasing(labels) and set(labels) == values
 
     def element_at(self, box: Box) -> int:
         if box not in self._box_of:
@@ -271,10 +273,11 @@ def rotate(p: FinitePoset) -> dict[int, int]:
 # -- linear extension dynamics ----------------------------------------------
 
 
-def linear_extension_labels(p: FinitePoset) -> Iterator[tuple[int, ...]]:
-    """The labels of every linear extension: :func:`order_ideal_chains`
-    with one label per element, trying the smallest ready element first."""
-    return order_ideal_chains(p.size, p.covers, p.size)
+def linear_extension_labels(p: FinitePoset, pack: type = tuple) -> Iterator[Sequence[int]]:
+    """The labels of every linear extension, packed by `pack`:
+    :func:`order_ideal_chains` with one label per element, trying the
+    smallest ready element first."""
+    return order_ideal_chains(p.size, p.covers, p.size, pack)
 
 
 def linear_extensions(p: FinitePoset) -> Iterator[LinearExtension]:
@@ -298,10 +301,10 @@ def poset_toggle(t: LinearExtension, i: int) -> LinearExtension:
     return LinearExtension(t.poset, labels)
 
 
-def _sweep(p: FinitePoset, labels: Sequence[int], indices: Iterable[int]) -> tuple[int, ...]:
+def _sweep(p: FinitePoset, labels: Sequence[int], indices: Iterable[int], pack: type = tuple) -> Sequence[int]:
     """The labels of a linear extension of p after the poset toggles at
-    `indices`, applied in order.  The labels are toggled in a list, next
-    to the inverse array from each label to its element."""
+    `indices`, applied in order, packed by `pack`.  The labels are toggled
+    in a list, next to the inverse array from each label to its element."""
     labels = list(labels)
     element = [0] * (len(labels) + 1)
     for x, v in enumerate(labels):
@@ -312,13 +315,14 @@ def _sweep(p: FinitePoset, labels: Sequence[int], indices: Iterable[int]) -> tup
         if y not in up[x]:
             labels[x], labels[y] = i + 1, i
             element[i], element[i + 1] = y, x
-    return tuple(labels)
+    return pack(labels)
 
 
-def poset_promote_labels(p: FinitePoset, labels: Sequence[int]) -> tuple[int, ...]:
+def poset_promote_labels(p: FinitePoset, labels: Sequence[int], pack: type = tuple) -> Sequence[int]:
     """Promotion on the labels of a linear extension of p: the ascending
-    toggle sweep, with no object built."""
-    return _sweep(p, labels, range(1, p.size))
+    toggle sweep, with no object built, packed by `pack` (a
+    :func:`~promotab.shapes.key_packer`)."""
+    return _sweep(p, labels, range(1, p.size), pack)
 
 
 def poset_promote(t: LinearExtension) -> LinearExtension:

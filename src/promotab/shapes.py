@@ -13,7 +13,9 @@ up to a cap, so a poset system knows its size before it enumerates.
 :func:`ssyt_words` is the one SSYT enumerator: it yields reading words,
 laid out by a :class:`ReadingLayout`, and :func:`enumerate_ssyt` wraps
 each in a tableau.  Both enumerators are loops over explicit state, not
-recursions.
+recursions, and pack each word or labelling with a key packer
+(:func:`key_packer`): `tuple` by default and for every object built from
+them, `bytes` for a homomesy system whose entries fit in a byte.
 """
 
 from __future__ import annotations
@@ -226,6 +228,16 @@ _COMPARISONS = {lt: "<", le: "<="}
 CHUNK = 2000
 
 
+def key_packer(largest: int) -> type:
+    """The type that packs the flat keys of a system whose keys and key
+    tests hold entries from 0 to `largest`: `bytes` when they all fit in a
+    byte, otherwise `tuple`.  Either is called on the entries, as
+    ``pack(entries)``.  Equal-length `bytes` compare like the tuples of
+    their entries, and iterate and index as those ints, so a system walks
+    the same orbits, in the same order, on either."""
+    return bytes if 0 <= largest <= 255 else tuple
+
+
 def pairwise_test(op: Callable[[int, int], bool], pairs: Sequence[tuple[int, int]]) -> Callable[[Sequence[int]], bool]:
     """The test whether ``op(s[i], s[j])`` holds for every (i, j) in
     `pairs`, on a sequence s, for `op` :func:`operator.lt` or
@@ -328,21 +340,24 @@ class ReadingLayout:
         first call."""
         return len(word) == self.size and self.weak_rows(word) and self.strict_columns(word + (0, ceiling + 1))
 
-    def semistandard_test(self, ceiling: int) -> Callable[[tuple[int, ...]], bool]:
+    def semistandard_test(self, ceiling: int, pack: type = tuple) -> Callable[[Sequence[int]], bool]:
         """:meth:`is_semistandard` at one ceiling, as a function of the
-        word alone, for the many words of a system or an orbit walk."""
+        word alone, for the many words of a system or an orbit walk, on
+        words packed by `pack` (see :func:`key_packer`): the bounds are
+        appended in the same type, and a word of another type is refused."""
         n, weak_rows, strict_columns = self.size, self.weak_rows, self.strict_columns
-        bounds = (0, ceiling + 1)
+        bounds = pack((0, ceiling + 1))
 
-        def test(word: tuple[int, ...]) -> bool:
-            return len(word) == n and weak_rows(word) and strict_columns(word + bounds)
+        def test(word: Sequence[int]) -> bool:
+            return type(word) is pack and len(word) == n and weak_rows(word) and strict_columns(word + bounds)
 
         return test
 
 
-def ssyt_words(layout: ReadingLayout, ceiling: int) -> Iterator[tuple[int, ...]]:
+def ssyt_words(layout: ReadingLayout, ceiling: int, pack: type = tuple) -> Iterator[Sequence[int]]:
     """The reading words of every semistandard tableau of the layout's
-    shape with entries <= ceiling, in the order of :func:`enumerate_ssyt`.
+    shape with entries <= ceiling, in the order of :func:`enumerate_ssyt`,
+    each packed by `pack` (see :func:`key_packer`).
 
     Cells are filled row by row, left to right, trying smaller values
     first and backing up to the previous cell when one has no value left;
@@ -353,7 +368,7 @@ def ssyt_words(layout: ReadingLayout, ceiling: int) -> Iterator[tuple[int, ...]]
         raise PreconditionError(f"ceiling must be nonnegative: {ceiling}")
     n = layout.size
     if not n:
-        yield ()
+        yield pack()
         return
     caps = [ceiling - below for below in layout.below]
     if min(caps) < 1:  # a column longer than the ceiling
@@ -370,7 +385,7 @@ def ssyt_words(layout: ReadingLayout, ceiling: int) -> Iterator[tuple[int, ...]]
                 i += 1
                 v = max(values[left[i]], values[above[i]] + 1)
             else:
-                yield tuple(values[:n])
+                yield pack(values[:n])
                 v += 1
         elif i:
             i -= 1
@@ -456,9 +471,10 @@ def _chain_graph(size: int, covers: Iterable[tuple[int, int]], d: int) -> tuple[
     return [0, 1, size, roots, None], expand
 
 
-def order_ideal_chains(size: int, covers: Iterable[tuple[int, int]], d: int) -> Iterator[tuple[int, ...]]:
+def order_ideal_chains(size: int, covers: Iterable[tuple[int, int]], d: int, pack: type = tuple) -> Iterator[Sequence[int]]:
     """Every strictly order-preserving surjection onto 1..d from the poset
-    on 1..size with covers (x, y), y covering x, as the labels of 1..size.
+    on 1..size with covers (x, y), y covering x, as the labels of 1..size
+    packed by `pack` (see :func:`key_packer`).
 
     The search walks the :func:`_chain_graph`, expanding each state when it
     first enters it, in a loop over a stack that holds the edges each
@@ -469,7 +485,7 @@ def order_ideal_chains(size: int, covers: Iterable[tuple[int, int]], d: int) -> 
     if graph is None:
         return
     if d < 1:
-        yield ()  # the empty poset, with no labels
+        yield pack()  # the empty poset, with no labels
         return
     root, expand = graph
     labels = [0] * size
@@ -488,7 +504,7 @@ def order_ideal_chains(size: int, covers: Iterable[tuple[int, int]], d: int) -> 
             if len(state[3]) == state[2] > 0:  # the last label takes every element left
                 for x in state[3]:
                     labels[x - 1] = d
-                yield tuple(labels)
+                yield pack(labels)
         else:
             stack.pop()
 

@@ -362,9 +362,9 @@ class TestHomomesy:
         built = []
         labelling_test = posets.FinitePoset.labelling_test
 
-        def recorded(poset, d):
+        def recorded(poset, d, *pack):
             built.append(d)
-            return labelling_test(poset, d) if 0 <= d <= poset.size else lambda labels: False
+            return labelling_test(poset, d, *pack) if 0 <= d <= poset.size else lambda labels: False
 
         monkeypatch.setattr(posets.FinitePoset, "labelling_test", recorded)
         code, out, err = run(capsys, "homomesy", *"--shape 3x3 -q -1000000000 --cells 1,1 --budget 100".split())

@@ -369,7 +369,7 @@ class TestPromotionPeriod:
 
     def test_every_period_word_is_checked_semistandard(self, monkeypatch):
         # a kernel that steps (1, 2) to a decreasing row
-        def kernel(layout, k):
+        def kernel(layout, k, pack):
             return lambda word: (2, 1) if word == (1, 2) else (1, 2)
 
         monkeypatch.setitem(dynamics.OPERATORS, "promote", kernel)
@@ -380,7 +380,7 @@ class TestPromotionPeriod:
         # the period walks reading words with the registered promote kernel
         a, b = (1, 2), (1, 3)
 
-        def swap(layout, k):
+        def swap(layout, k, pack):
             return lambda word: b if word == a else a
 
         monkeypatch.setitem(dynamics.OPERATORS, "promote", swap)

@@ -24,9 +24,17 @@ from promotab.homomesy import (
     verdict,
 )
 from promotab.ktableaux import IncreasingTableau, increasing_from_grid
-from promotab.posets import LinearExtension, build_cominuscule, ferrers_poset, linear_extensions, rotate, rotate_reverse
-from promotab.shapes import Tableau, count_ssyt, enumerate_ssyt
-from util import element_of, orbit_walks, recorded_compiles
+from promotab.posets import (
+    FinitePoset,
+    LinearExtension,
+    build_cominuscule,
+    ferrers_poset,
+    linear_extensions,
+    rotate,
+    rotate_reverse,
+)
+from promotab.shapes import Tableau, count_ssyt, enumerate_ssyt, key_packer
+from util import as_tuples, element_of, orbit_walks, recorded_compiles, tuple_keyed
 
 
 def stat(*boxes):
@@ -254,15 +262,15 @@ class TestPartition:
     @pytest.mark.parametrize(
         "enumerate, step",
         [
-            # every element steps to one fixed element, [[1, 1], [2, 2]]
-            (lambda: ssyt_system((2, 2), 3).enumerate(), lambda word: (2, 2, 1, 1)),
+            # (the system's keys are bytes) every element steps to one fixed element, [[1, 1], [2, 2]]
+            (lambda: ssyt_system((2, 2), 3).enumerate(), lambda word: bytes((2, 2, 1, 1))),
             # promotion leaves an enumeration that stops short: entry (1, 1) is the third letter
             (lambda: (w for w in ssyt_system((2, 2), 3).enumerate() if w[2] == 1), None),
             # an enumeration that repeats an element
-            (lambda: [*ssyt_system((2, 2), 3).enumerate(), (2, 2, 1, 1)], None),
+            (lambda: [*ssyt_system((2, 2), 3).enumerate(), bytes((2, 2, 1, 1))], None),
             # an enumeration that yields a word that is not semistandard, [[2, 2], [1, 1]],
             # under a step that is a bijection on any set
-            (lambda: [*ssyt_system((2, 2), 3).enumerate(), (1, 1, 2, 2)], lambda word: word),
+            (lambda: [*ssyt_system((2, 2), 3).enumerate(), bytes((1, 1, 2, 2))], lambda word: word),
         ],
         ids=["constant-step", "step-leaves-set", "repeated-element", "invalid-key"],
     )
@@ -447,11 +455,11 @@ class TestComplementIdentity:
 
 def _ssyt_mirror(shape, k, operator="promote"):
     system = ssyt_system(shape, k, operator)
-    return system, lambda key: evacuate(element_of(system, key, Tableau, k)).row_reading()
+    return system, lambda key: type(key)(evacuate(element_of(system, key, Tableau, k)).row_reading())
 
 
 def _poset_mirror(p):
-    return syt_poset_system(p), lambda key: rotate_reverse(LinearExtension(p, key)).labels
+    return syt_poset_system(p), lambda key: type(key)(rotate_reverse(LinearExtension(p, key)).labels)
 
 
 def _inc_mirror(p, q):
@@ -459,7 +467,7 @@ def _inc_mirror(p, q):
 
     def mirror(key):
         t = IncreasingTableau(p, key)
-        return IncreasingTableau(p, [d + 1 - t.label(rot[x]) for x in p.elements()]).labels
+        return type(key)(IncreasingTableau(p, [d + 1 - t.label(rot[x]) for x in p.elements()]).labels)
 
     return inc_system(p, q), mirror
 
@@ -521,7 +529,7 @@ class TestMirror:
         complement maps onto three fixed keys, which form no orbit.  On a
         rectangle's reading words the rotate reverses the word."""
         first = list(islice(base.enumerate(), 3))
-        mirrors = {tuple(base.complement - v for v in reversed(key)) for key in first}
+        mirrors = {type(key)(base.complement - v for v in reversed(key)) for key in first}
         assert len(mirrors) == 3 and not mirrors & set(first)
         following = dict(zip(first, first[1:] + first[:1]))
         return lambda key: following.get(key, key)
@@ -537,7 +545,7 @@ class TestMirror:
         keys = list(base.enumerate())
         k = base.complement - 1
         a, b = keys[0], next(key for key in keys if k in key)
-        mirror = {key: tuple(k - v for v in reversed(key)) for key in (a, b)}
+        mirror = {key: type(key)(k - v for v in reversed(key)) for key in (a, b)}
         rest = [key for key in keys if k not in key and key != a]
         assert mirror[a] in rest and mirror[b] not in keys
         following = {a: b, b: a, mirror[b]: mirror[a]}
@@ -575,6 +583,75 @@ class TestMirror:
         system = replace(ssyt_system((2, 2), 4), position=refuse)
         with pytest.raises(BudgetExceededError):
             partition_orbits(system, budget=19)
+
+
+def _chain(size):
+    """The chain 1 < 2 < ... < size, with its rotate x -> size + 1 - x: one
+    linear extension, and one increasing tableau of each deficiency."""
+    return FinitePoset(size, [(x, x + 1) for x in range(1, size)], rotation={x: size + 1 - x for x in range(1, size + 1)})
+
+
+class TestKeyPackers:
+    """A system walks `bytes` keys when its entries and its key test's
+    bounds fit in a byte, and int tuples otherwise, and either way finds
+    the partition that its walk on tuple keys finds."""
+
+    @pytest.mark.parametrize("group", MIRROR_SYSTEMS)
+    def test_bytes_keys_partition_like_tuple_keys(self, group):
+        for system, _ in MIRROR_SYSTEMS[group]():
+            partition = partition_orbits(system, budget=100_000)
+            oracle = partition_orbits(tuple_keyed(system), budget=100_000)
+            # a system with no element (a column longer than its ceiling) has no lead
+            assert {type(lead) for lead in partition.leads} <= {bytes}, system.description
+            assert {type(lead) for lead in oracle.leads} <= {tuple}, system.description
+            assert as_tuples(partition) == as_tuples(oracle), system.description
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 1)], ids=["row", "column"])
+    @pytest.mark.parametrize("ceiling, pack", [(254, bytes), (255, tuple)])
+    def test_the_ssyt_packer_is_bytes_up_to_ceiling_254(self, shape, ceiling, pack):
+        # the key test appends ceiling + 1 to a word, which must fit in a byte too
+        system = ssyt_system(shape, ceiling)
+        partition = partition_orbits(system, budget=100_000)
+        assert sum(partition.sizes) == count_ssyt(shape, ceiling)
+        assert {type(lead) for lead in partition.leads} == {pack}
+        assert as_tuples(partition) == as_tuples(partition_orbits(tuple_keyed(system), budget=100_000))
+        assert as_tuples(partition) == as_tuples(partition_orbits(replace(system, rotate=None), budget=100_000))
+        # a bytes tuple equals no int tuple, so the representative holds int tuples
+        lead = tuple(partition.leads[-1])  # a word reads the bottom row first
+        assert system.representative(partition.leads[-1]) == ((lead,) if shape == (2,) else ((lead[1],), (lead[0],)))
+
+    @pytest.mark.parametrize("size, pack", [(255, bytes), (256, tuple)])
+    def test_the_poset_packer_is_bytes_up_to_255_elements(self, size, pack):
+        p = _chain(size)
+        for system in (syt_poset_system(p), inc_system(p, 0)):
+            partition = partition_orbits(system, budget=10)
+            assert [type(lead) for lead in partition.leads] == [pack], system.description
+            assert as_tuples(partition) == as_tuples(partition_orbits(replace(system, rotate=None), budget=10))
+            assert system.representative(partition.leads[0]) == tuple(range(1, size + 1))
+
+    def test_the_packer_is_chosen_by_the_largest_entry(self):
+        assert [key_packer(largest) for largest in (0, 1, 255, 256, 10**6, -1)] == [bytes] * 3 + [tuple] * 3
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ssyt_system((2, 2), 3),
+            lambda: ssyt_system((1, 1), 255),
+            lambda: syt_poset_system(build_cominuscule("cayley")),
+            lambda: inc_system(build_cominuscule("rectangle", 3, 4), 3),
+        ],
+        ids=["ssyt", "ssyt-tuple", "linear-extensions", "increasing"],
+    )
+    def test_a_key_of_the_other_type_is_refused_as_no_element(self, build):
+        base = build()
+        keys = list(base.enumerate())
+        other = tuple if type(keys[0]) is bytes else bytes
+        wrong = other(keys[-1])  # the last element's entries, in the other type
+        assert base.admits(keys[-1]) and not base.admits(wrong)
+        system = replace(base, description="broken", enumerate=lambda: [*keys[:-1], wrong])
+        message = f"^broken: the enumeration yields {re.escape(str(wrong))}, which is not an element$"
+        with pytest.raises(PreconditionError, match=message):
+            partition_orbits(system, budget=100_000)
 
 
 class TestJson:

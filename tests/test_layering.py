@@ -573,9 +573,9 @@ REPORT_WRITERS = [("homomesy", "reports_to_json"), ("cli", "_homomesy_text")]
 def summary_uses(path: Path, function: str) -> list[str]:
     """What the file's top-level `function`, nested code included, does to
     get a per-row summary object: each call of `OrbitSummary` or `Fraction`,
-    by bare or qualified name, and each read of a report's summary views
-    (`orbits` on anything but a partition, `witness`, `average`,
-    `common_average`), in source order."""
+    by bare or qualified name, and each read of a summary view (`orbits`,
+    `witness`, `average`, `common_average`) on anything, in source order.
+    An orbit partition has no `orbits`, so a read of one is a report's."""
     tree = ast.parse(path.read_text(), filename=str(path))
     top = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function)
     found = []
@@ -586,8 +586,7 @@ def summary_uses(path: Path, function: str) -> list[str]:
             if name in SUMMARY_BUILDERS:
                 found.append((node.lineno, node.col_offset, ast.unparse(func)))
         elif isinstance(node, ast.Attribute) and node.attr in SUMMARY_VIEWS and isinstance(node.ctx, ast.Load):
-            if not (node.attr == "orbits" and ast.unparse(node.value).rsplit(".", 1)[-1] == "partition"):
-                found.append((node.lineno, node.col_offset, ast.unparse(node)))
+            found.append((node.lineno, node.col_offset, ast.unparse(node)))
     return [text for *_, text in sorted(found)]
 
 
@@ -617,5 +616,7 @@ def test_summary_guard_sees_constructions_and_views(tmp_path):
         "o.average",
         "r.orbits",
         "r.witness",
+        "reports[0].partition.orbits",
+        "r.partition.orbits",
     ]
     assert summary_uses(probe, "plain") == ["Fraction", "report.orbits"]

@@ -68,7 +68,9 @@ from util import (
     pairwise_test_by_getters,
     partial_promote_by_definition,
     partitions_up_to,
+    as_tuples,
     sweep,
+    tuple_keyed,
 )
 
 SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -105,6 +107,9 @@ def test_the_word_kernels_are_the_toggle_sweeps(t):
     forward, backward = promote_via_toggles(t), promote_inverse_via_toggles(t)
     assert reading_word_step(layout, k, "promote")(word) == forward.row_reading()
     assert reading_word_step(layout, k, "promote_inverse")(word) == backward.row_reading()
+    # the same kernels on bytes keys, as an SSYT system walks them
+    assert reading_word_step(layout, k, "promote", bytes)(bytes(word)) == bytes(forward.row_reading())
+    assert reading_word_step(layout, k, "promote_inverse", bytes)(bytes(word)) == bytes(backward.row_reading())
     assert promote(t) == forward
     assert promote_inverse(t) == backward
     assert evacuate(t) == evacuate_via_toggles(t)
@@ -167,6 +172,9 @@ def test_the_semistandard_word_test_agrees_with_the_tableau_constructor(case):
         t = None
     expected = t is not None and t.row_reading() == word and t.outer == layout.outer and validate(t, "semistandard")
     assert layout.semistandard_test(k)(word) == layout.is_semistandard(word, k) == expected
+    # on bytes keys, as an SSYT system tests them; a key of the other type is refused
+    assert layout.semistandard_test(k, bytes)(bytes(word)) == expected
+    assert not layout.semistandard_test(k, bytes)(word) and not layout.semistandard_test(k)(bytes(word))
 
 
 @SETTINGS
@@ -343,6 +351,9 @@ def test_the_labelling_test_agrees_with_the_constructors(case):
     ds = range(p.size + 2)
     assert [p.labelling_test(d)(labels) for d in ds] == [t is not None and t.d == d for d in ds]
     assert p.labelling_test(p.size)(labels) == (builds(LinearExtension, p, labels) is not None)
+    # on bytes keys, as the poset systems test them; a key of the other type is refused
+    assert [p.labelling_test(d, bytes)(bytes(labels)) for d in ds] == [t is not None and t.d == d for d in ds]
+    assert not any(p.labelling_test(d, bytes)(labels) or p.labelling_test(d)(bytes(labels)) for d in ds)
 
 
 def width(size: int, covers) -> int:
@@ -377,6 +388,8 @@ def test_the_bullet_slides_are_the_switch_chains(poset):
             assert image == k_promote_by_switches(t).labels
             assert backward(labels) == k_promote_inverse_by_switches(t).labels
             assert backward(image) == labels
+            assert k_promote_step(p, size - q, bytes)(bytes(labels)) == bytes(image)
+            assert k_promote_inverse_step(p, size - q, bytes)(bytes(image)) == bytes(labels)
 
 
 @st.composite
@@ -400,9 +413,15 @@ def self_dual_posets(draw) -> tuple[FinitePoset, int]:
 @given(self_dual_posets())
 def test_the_mirrored_partition_is_the_walked_one(case):
     # the partition derives each orbit's rotate complement instead of
-    # walking it; without a rotate it walks every orbit
+    # walking it; without a rotate it walks every orbit.  On both packers:
+    # the systems' own bytes keys, and the same systems on tuple keys
     p, q = case
     for system in (syt_poset_system(p), inc_system(p, q)):
         assert (system.rotate is None) == (p.size == 0)
-        partition, oracle = partition_orbits(system, 10_000), partition_orbits(replace(system, rotate=None), 10_000)
-        assert (partition.leads, partition.sizes, partition.columns) == (oracle.leads, oracle.sizes, oracle.columns)
+        partitions = []
+        for keyed, pack in ((system, bytes), (tuple_keyed(system), tuple)):
+            partition, oracle = partition_orbits(keyed, 10_000), partition_orbits(replace(keyed, rotate=None), 10_000)
+            assert (partition.leads, partition.sizes, partition.columns) == (oracle.leads, oracle.sizes, oracle.columns)
+            assert {type(lead) for lead in partition.leads} <= {pack}
+            partitions.append(as_tuples(partition))
+        assert partitions[0] == partitions[1]

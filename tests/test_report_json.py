@@ -82,6 +82,20 @@ def digest(runs) -> str:
     return hashlib.sha256(json.dumps(runs).encode("utf-8")).hexdigest()
 
 
+def same_text(got: str, expected: str) -> None:
+    """Assert ``got == expected``; on a difference, fail naming the first
+    differing line, so a multi-megabyte output is never diffed whole."""
+    if got != expected:
+        got_lines, expected_lines = got.splitlines(keepends=True), expected.splitlines(keepends=True)
+        pairs = zip(got_lines, expected_lines)
+        line = next((i for i, (a, b) in enumerate(pairs) if a != b), min(len(got_lines), len(expected_lines)))
+        pytest.fail(
+            f"the output differs first at line {line + 1} of {len(got_lines)} (expected {len(expected_lines)}): "
+            f"{got_lines[line:line + 1]} != {expected_lines[line:line + 1]}",
+            pytrace=False,
+        )
+
+
 @pytest.mark.parametrize("argv", ARGVS)
 def test_output_equals_the_definition_and_the_pin(argv, monkeypatch):
     reports = []
@@ -94,9 +108,9 @@ def test_output_equals_the_definition_and_the_pin(argv, monkeypatch):
         assert (code, err) == (1 if any(r.verdict == "violated" for r in reports) else 0, "")
         if fmt == "json":
             payload = [report_to_jsonable(r) for r in reports]
-            assert out == json.dumps(payload[0] if len(payload) == 1 else payload, sort_keys=True, indent=2) + "\n"
+            same_text(out, json.dumps(payload[0] if len(payload) == 1 else payload, sort_keys=True, indent=2) + "\n")
         else:
-            assert out == "".join(f"{line}\n" for r in reports for line in ascii_lines(r))
+            same_text(out, "".join(f"{line}\n" for r in reports for line in ascii_lines(r)))
         runs.append([code, out, err])
     assert digest(runs) == json.loads(PINS.read_text())[argv]
 

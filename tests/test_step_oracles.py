@@ -242,14 +242,18 @@ def c10_systems():
 
 
 def check_keyed_system(system, elements, step) -> None:
-    """The system's keys are its public enumeration's entries tuples, in
-    order; each builds its element, and steps to its element's step."""
+    """The system's keys are its public enumeration's entries, in order,
+    as `bytes`, since every entry fits in a byte; each builds its element,
+    and steps to its element's step, as `bytes` too.  The same entries as
+    a tuple are not a key of the system."""
     keys = list(system.enumerate())
-    assert keys == [key_of(x) for x in elements]
+    assert list(map(tuple, keys)) == [key_of(x) for x in elements]
     for key, x in zip(keys, elements):
-        assert system.admits(key)
+        assert type(key) is bytes
+        assert system.admits(key) and not system.admits(tuple(key))
         assert element_of(system, key, type(x), x.ceiling if isinstance(x, Tableau) else x.poset) == x
-        assert system.step(key) == key_of(step(x))
+        image = system.step(key)
+        assert type(image) is bytes and tuple(image) == key_of(step(x))
 
 
 @pytest.mark.parametrize("operator", ["promote", "promote_inverse"])

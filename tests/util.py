@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 from operator import itemgetter
@@ -56,6 +57,25 @@ def element_of(system, key, kind, over):
     if kind is Tableau:
         return Tableau(system.representative(key), over)
     return kind(over, key)
+
+
+def tuple_keyed(system):
+    """The oracle of a homomesy system on tuple keys: its own enumeration
+    and step, each key converted with `tuple`, and its key test on a key
+    converted back to the system's packer, so a partition of it walks the
+    same orbits on tuples, and mirrors them on tuples."""
+    pack = type(next(iter(system.enumerate()), ()))
+    return replace(
+        system,
+        enumerate=lambda: map(tuple, system.enumerate()),
+        step=lambda key: tuple(system.step(key)),
+        admits=lambda key: system.admits(pack(key)),
+    )
+
+
+def as_tuples(partition) -> tuple:
+    """A partition's leads, as int tuples, its sizes and its columns."""
+    return tuple(map(tuple, partition.leads)), partition.sizes, partition.columns
 
 
 def orbit_walks(system, size: int) -> list[list]:
