@@ -12,7 +12,9 @@ that type, and equal-length `bytes` order and iterate like the tuples of
 their entries, so leads, orbit order and totals do not depend on it;
 representatives are int tuples either way.
 :func:`partition_orbits` enumerates it under an explicit element budget,
-checks every key with the system's key test, and walks each orbit
+checks all of its keys with one call of the system's key test, which
+returns the index of the first key that is no element (it checks them per
+chunk, in packed columns, and generates no code), and walks each orbit
 once on keys, keeping the orbit's least key (its lead), its size and the
 total of every entry over the orbit, laid out like the key; no element
 object is built, and no representative until a report is written.
@@ -111,12 +113,14 @@ class System:
     An element's key is its entries, packed by the system's key packer
     (`bytes` or `tuple`, see :func:`~promotab.shapes.key_packer`): a
     tableau's reading word or a poset labelling's labels.  `enumerate`
-    yields every key, `step` maps a key to the next one, `admits` tests a
-    key against the conditions of the element's constructor and refuses a
-    key of another type, and `representative` is what reports print for
-    it, in int tuples whatever the key type.  `position` is the key index
-    of a support item (a box, or a poset element or its box), and refuses
-    items the elements lack;
+    yields every key, `step` maps a key to the next one, `admits` takes a
+    list of keys and returns the index of the first one that fails the
+    conditions of the element's constructor or has another type, or None
+    (a :func:`~promotab.shapes.packed_test`: it checks the keys per chunk,
+    in packed columns, and generates no code), and `representative` is
+    what reports print for a key, in int tuples whatever the key type.
+    `position` is the key index of a support item (a box, or a poset
+    element or its box), and refuses items the elements lack;
     `rotate` is the rotate involution on the items, if any, and
     `complement` the constant c of the mirror mu(key)[i] = c - key[rho(i)],
     rho being the rotate on key positions: the largest entry plus one, so
@@ -128,7 +132,7 @@ class System:
     description: str
     enumerate: Callable[[], Iterable[Key]]
     step: Callable[[Key], Key]
-    admits: Callable[[Key], bool]
+    admits: Callable[[Sequence[Key]], int | None]
     representative: Callable[[Key], tuple]
     position: Callable[[object], int]
     rotate: dict | None
@@ -152,7 +156,7 @@ def ssyt_system(shape, ceiling: int, operator: str = "promote") -> System:
         description=f"ssyt(shape={','.join(map(str, layout.outer))};k={ceiling};op={operator})",
         enumerate=lambda: ssyt_words(layout, ceiling, pack),
         step=reading_word_step(layout, ceiling, operator, pack),
-        admits=layout.semistandard_test(ceiling, pack),
+        admits=layout.semistandard_keys_test(ceiling, pack),
         representative=lambda word: tuple(map(tuple, layout.rows(word))),
         position=position,
         rotate={(r, c): (m + 1 - r, n + 1 - c) for r, c in index} if len(set(layout.outer)) == 1 else None,
@@ -180,7 +184,7 @@ def syt_poset_system(p: FinitePoset) -> System:
         description=f"syt_poset({label})",
         enumerate=lambda: linear_extension_labels(p, pack),
         step=lambda labels: poset_promote_labels(p, labels, pack),
-        admits=p.labelling_test(p.size, pack),
+        admits=p.labelling_keys_test(p.size, pack),
         complement=p.size + 1,
         count=lambda cap: count_order_ideal_chains(p.size, p.covers, p.size, cap),
         **_poset_layout(p),
@@ -196,7 +200,7 @@ def inc_system(p: FinitePoset, q: int) -> System:
         description=f"inc({label};q={q})",
         enumerate=lambda: increasing_labels(p, q, pack),
         step=k_promote_step(p, p.size - q, pack),
-        admits=p.labelling_test(p.size - q, pack) if 0 <= q <= p.size else lambda labels: False,
+        admits=p.labelling_keys_test(p.size - q, pack) if 0 <= q <= p.size else lambda keys: 0 if keys else None,
         complement=p.size - q + 1,
         count=lambda cap: count_order_ideal_chains(p.size, p.covers, p.size - q, cap),
         **_poset_layout(p),
@@ -225,7 +229,9 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
 
     `budget` caps the number of elements: a system whose `count` exceeds
     it raises :class:`BudgetExceededError` before any key is enumerated,
-    and every enumerated key must pass `system.admits`.  Each walk is a
+    and `system.admits` is called once, on the list of enumerated keys,
+    which it checks per chunk in packed columns; the first key it refuses
+    is named in the error.  Each walk is a
     :func:`~promotab.dynamics.cycle` that consumes one set of the
     enumerated keys, so it may only visit keys that no walk has visited
     yet and ends within the element count.  An enumeration that yields a
@@ -253,9 +259,9 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
     if count > budget:
         raise BudgetExceededError(f"{system.description} exceeds the element budget {budget}")
     keys = list(islice(system.enumerate(), count + 1))
-    if not all(map(system.admits, keys)):
-        key = next(key for key in keys if not system.admits(key))
-        raise PreconditionError(f"{system.description}: the enumeration yields {key}, which is not an element")
+    refused = system.admits(keys)
+    if refused is not None:
+        raise PreconditionError(f"{system.description}: the enumeration yields {keys[refused]}, which is not an element")
     if len(keys) != count:
         raise PreconditionError(f"{system.description}: the enumeration does not yield its {count} elements")
     unvisited = set(keys)

@@ -24,7 +24,7 @@ from operator import lt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import PreconditionError
-from .shapes import Box, check_partition, order_ideal_chains, pairwise_test
+from .shapes import Box, check_partition, order_ideal_chains, packed_test, pairwise_test
 
 CAYLEY_ROWS = ((0, 5), (2, 3), (3, 3), (3, 5))
 FREUDENTHAL_ROWS = ((0, 6), (3, 3), (4, 3), (4, 5), (4, 5), (7, 2), (8, 1), (8, 1), (8, 1))
@@ -40,10 +40,12 @@ class FinitePoset:
     elements to boxes and enables the geometric `rotate` involutions.
     `above` and `below` count elements from 0, as label tuples do:
     ``above[x - 1]`` holds the elements that cover x, each as y - 1, and
-    ``below[x - 1]`` the elements that x covers.
+    ``below[x - 1]`` the elements that x covers.  `cover_pairs` holds
+    each cover (x, y), in sorted order, as the label indices (x - 1, y - 1)
+    whose labels must strictly increase: the pairs of both labelling tests.
     """
 
-    __slots__ = ("size", "covers", "embedding", "rotation", "name", "above", "below", "_box_of")
+    __slots__ = ("size", "covers", "embedding", "rotation", "name", "above", "below", "cover_pairs", "_box_of")
 
     def __init__(
         self,
@@ -89,6 +91,7 @@ class FinitePoset:
         self.name = name
         self.above = tuple(tuple(y - 1 for y in up[x]) for x in up)
         self.below = tuple(tuple(y - 1 for y in down[x]) for x in down)
+        self.cover_pairs = tuple((x - 1, y - 1) for x, y in sorted(covers_f))
         self._box_of = {box: x for x, box in (self.embedding or {}).items()}
 
     def elements(self) -> range:
@@ -106,12 +109,22 @@ class FinitePoset:
         increasing tableau with d labels check, on labels packed by `pack`
         (a :func:`~promotab.shapes.key_packer`); labels of another type are
         refused.  The covers are tested by a
-        :func:`~promotab.shapes.pairwise_test`, generated once, on the
-        test's first call."""
+        :func:`~promotab.shapes.pairwise_test` of `cover_pairs`, generated
+        once, on the test's first call."""
         size, values = self.size, frozenset(range(1, d + 1))
-        increasing = pairwise_test(lt, [(x - 1, y - 1) for x, y in sorted(self.covers)])
+        increasing = pairwise_test(lt, self.cover_pairs)
         # one set per call: values.issubset(labels) would build it from the labels too, and more slowly
         return lambda labels: type(labels) is pack and len(labels) == size and increasing(labels) and set(labels) == values
+
+    def labelling_keys_test(self, d: int, pack: type = tuple) -> Callable[[Sequence[Sequence[int]]], int | None]:
+        """The :func:`~promotab.shapes.packed_test` of many labellings with
+        d labels, packed by `pack`: the index of the first that
+        :meth:`labelling_test` refuses, or None.  It packs `cover_pairs`
+        and checks that each labelling is onto 1..d, generates no code, and
+        reads the labellings one by one with :meth:`labelling_test` only in
+        a chunk that fails."""
+        each = self.labelling_test(d, pack)
+        return packed_test(self.size, d, pack, each, strict=self.cover_pairs, onto=True)
 
     def element_at(self, box: Box) -> int:
         if box not in self._box_of:

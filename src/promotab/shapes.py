@@ -20,6 +20,8 @@ them, `bytes` for a homomesy system whose entries fit in a byte.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -274,6 +276,115 @@ def pairwise_test(op: Callable[[int, int], bool], pairs: Sequence[tuple[int, int
     return tests[0] if len(tests) == 1 else lambda s: all(test(s) for test in tests)
 
 
+# the most keys one packed test checks at once: a chunk's extra memory grows with it
+KEYS_PER_CHUNK = 4096
+
+
+def packed_test(
+    size: int,
+    top: int,
+    pack: type,
+    each: Callable[[Sequence[int]], bool],
+    strict: Sequence[tuple[int, int]] = (),
+    weak: Sequence[tuple[int, int]] = (),
+    onto: bool = False,
+) -> Callable[[Sequence[Sequence[int]]], int | None]:
+    """The test of a list of keys that returns the index of the first key
+    that `each`, the test of one key, refuses, or None if it refuses none.
+    `each` must refuse exactly the keys that are not of type `pack` (see
+    :func:`key_packer`) with `size` entries in 1..top, for which
+    s[i] < s[j] for every (i, j) in `strict` and s[i] <= s[j] for every
+    (i, j) in `weak`, index `size` reading 0 and `size` + 1 reading
+    top + 1, and, if `onto`, whose entries are not all of 1..top.
+
+    The test generates no code.  It checks the keys in chunks of
+    :data:`KEYS_PER_CHUNK`, each at once: the type and length of every
+    key, then the chunk's entries joined into one buffer (`bytes` keys by
+    ``b"".join``, tuples through an unsigned `array`) and checked in
+    range, then each key position's column packed into one int, a field
+    per key with a guard bit above its value, so that
+    ``(col_j + G - col_i - ONE) & G == G`` decides s[i] < s[j] for every
+    key of the chunk, and the same without ``- ONE`` decides s[i] <= s[j].
+    Onto 1..top ORs each label's bit, by a `translate` of the buffer per
+    eight labels, over the columns, or compares the sizes of the keys'
+    sets when an entry takes more than a byte.  Only a chunk that fails
+    is read again key by key with `each`, which finds the first refused
+    key, so the answer is always that of `each`.
+    """
+    bound = top + 1
+    width = (bound.bit_length() + 8) // 8  # bytes per field, whose top bit, the guard, lies above bound
+    allowed = bytes(range(1, min(top, 255) + 1))
+    # the narrowest unsigned array of the entries of tuple keys, none for entries beyond 64 bits
+    code = next((c for c in "BHIQ" if top.bit_length() <= 8 * array(c).itemsize), None)
+    # by 8 labels from 1, the table taking each of them to its bit and any other value to 0
+    tables = [
+        bytes(1 << (v - low - 1) if low < v <= low + 8 else 0 for v in range(256))
+        for low in range(0, min(top, 255) if onto else 0, 8)
+    ]
+
+    def flat(chunk: Sequence[Sequence[int]]) -> tuple[bytes, int] | None:
+        """The chunk's entries as one buffer of little-endian items and
+        its item size, or None if an entry lies outside 1..top."""
+        if pack is bytes:
+            blob = b"".join(chunk)
+            return None if blob.translate(None, allowed) else (blob, 1)
+        try:
+            entries = array(code, chain.from_iterable(chunk))
+        except (OverflowError, TypeError):  # an entry below 0, beyond the array, or no int
+            return None
+        if entries and not 1 <= min(entries) <= max(entries) <= top:
+            return None
+        if sys.byteorder == "big":
+            entries.byteswap()
+        return entries.tobytes(), entries.itemsize
+
+    def admitted(chunk: Sequence[Sequence[int]]) -> bool:
+        if set(map(type, chunk)) != {pack} or set(map(len, chunk)) != {size} or code is None:
+            return False
+        buffer = flat(chunk)
+        if buffer is None:
+            return False
+        blob, itemsize = buffer
+        m = len(chunk)
+        one = int.from_bytes(bytes([1]).ljust(width, b"\0") * m, "little")
+        guard = one << (8 * width - 1)
+        columns = []
+        for j in range(size):  # each entry's bytes go to the low end of its key's field
+            field = bytearray(width * m)
+            for b in range(itemsize):
+                field[b::width] = blob[j * itemsize + b :: size * itemsize]
+            columns.append(int.from_bytes(field, "little"))
+        columns += [0, bound * one]
+        below = guard - one
+        if any((columns[j] + below - columns[i]) & guard != guard for i, j in strict):
+            return False
+        if any((columns[j] + guard - columns[i]) & guard != guard for i, j in weak):
+            return False
+        if onto and itemsize > 1:
+            return set(map(len, map(set, chunk))) == {top}
+        if onto:
+            ones = int.from_bytes(bytes([1]) * m, "little")
+            for low, table in zip(range(0, top, 8), tables):
+                bits = blob.translate(table)
+                seen = 0
+                for j in range(size):
+                    seen |= int.from_bytes(bits[j::size], "little")
+                if seen != ((1 << min(8, top - low)) - 1) * ones:
+                    return False
+        return True
+
+    def test(keys: Sequence[Sequence[int]]) -> int | None:
+        for start in range(0, len(keys), KEYS_PER_CHUNK):
+            chunk = keys[start : start + KEYS_PER_CHUNK]
+            if not admitted(chunk):
+                refused = next((i for i, key in enumerate(chunk) if not each(key)), None)
+                if refused is not None:
+                    return start + refused
+        return None
+
+    return test
+
+
 class ReadingLayout:
     """Where each cell of a (skew) shape sits in its reading word: rows
     bottom to top, each left to right, as in :meth:`Tableau.row_reading`.
@@ -287,13 +398,17 @@ class ReadingLayout:
     the cell and the number of cells under it.  `south`, `east`, `north`
     and `west` hold, by word index, the word index of the cell below, to
     the right, above and to the left, or -1 for a missing one.
-    `weak_rows` and `strict_columns` are the row and column comparisons
-    that every ceiling's test shares.
+    `row_pairs` and `column_pairs` are the (i, j) word index pairs whose
+    entries must satisfy s[i] <= s[j] and s[i] < s[j], the latter with
+    the bounds 0 and ceiling + 1 at indices size and size + 1, and
+    `weak_rows` and `strict_columns` their generated tests, which every
+    ceiling's test of one word shares; the test of many words
+    (:meth:`semistandard_keys_test`) packs the same pairs.
     """
 
     __slots__ = (
-        "outer", "inner", "size", "bounds", "fill", "below",
-        "south", "east", "north", "west", "weak_rows", "strict_columns",
+        "outer", "inner", "size", "bounds", "fill", "below", "south", "east",
+        "north", "west", "row_pairs", "column_pairs", "weak_rows", "strict_columns",
     )
 
     def __init__(self, shape: Sequence[int], inner: Sequence[int] = ()):
@@ -322,8 +437,10 @@ class ReadingLayout:
         # the word is tested with (0, ceiling + 1) appended, at indices n and n + 1
         lowest = [(n, i) for i in range(n) if west[i] < 0 and north[i] < 0]
         highest = [(i, n + 1) for i in range(n) if east[i] < 0 and south[i] < 0]
-        self.weak_rows = pairwise_test(le, [(j, i) for i, j in enumerate(west) if j >= 0])
-        self.strict_columns = pairwise_test(lt, [(a, i) for i, a in enumerate(north) if a >= 0] + lowest + highest)
+        self.row_pairs = tuple((j, i) for i, j in enumerate(west) if j >= 0)
+        self.column_pairs = tuple([(a, i) for i, a in enumerate(north) if a >= 0] + lowest + highest)
+        self.weak_rows = pairwise_test(le, self.row_pairs)
+        self.strict_columns = pairwise_test(lt, self.column_pairs)
 
     def rows(self, word: Sequence[int]) -> list[Sequence[int]]:
         """The rows, top row first, of the tableau whose reading word is `word`."""
@@ -352,6 +469,15 @@ class ReadingLayout:
             return type(word) is pack and len(word) == n and weak_rows(word) and strict_columns(word + bounds)
 
         return test
+
+    def semistandard_keys_test(self, ceiling: int, pack: type = tuple) -> Callable[[Sequence[Sequence[int]]], int | None]:
+        """The :func:`packed_test` of many words at one ceiling, on words
+        packed by `pack`: the index of the first word that
+        :meth:`semistandard_test` refuses, or None.  It packs the layout's
+        row and column pairs, generates no code, and reads the words one by
+        one with :meth:`semistandard_test` only in a chunk that fails."""
+        each = self.semistandard_test(ceiling, pack)
+        return packed_test(self.size, ceiling, pack, each, strict=self.column_pairs, weak=self.row_pairs)
 
 
 def ssyt_words(layout: ReadingLayout, ceiling: int, pack: type = tuple) -> Iterator[Sequence[int]]:

@@ -357,16 +357,27 @@ class TestHomomesy:
         with pytest.raises(AssertionError, match="compiled a key test"):  # the patched generator is the one in use
             shapes.pairwise_test(lt, [(0, 1)])((1, 2))
 
+    @pytest.mark.parametrize("args", ["--shape 1x1 -k 300", "--shape 1x2 -k 3", "--family cayley", "--shape 2x3 -q 2"])
+    def test_a_partition_compiles_no_key_test(self, monkeypatch, capsys, args):
+        # the packed key test generates no code, on tuple keys (k = 300) as on bytes keys
+        def refuse(*_):
+            raise AssertionError("compiled a key test")
+
+        monkeypatch.setattr(shapes, "compile", refuse, raising=False)
+        monkeypatch.setattr(shapes, "eval", refuse, raising=False)
+        code, out, err = run(capsys, "homomesy", *args.split(), "--cells", "1,1", "--budget", "1000")
+        assert code in (0, 1) and err == "" and "\nverdict: " in out
+
     def test_a_q_out_of_range_builds_no_key_test(self, monkeypatch, capsys):
         # the key test of d = |P| - q labels would hold every label 1..d
         built = []
-        labelling_test = posets.FinitePoset.labelling_test
+        labelling_keys_test = posets.FinitePoset.labelling_keys_test
 
         def recorded(poset, d, *pack):
             built.append(d)
-            return labelling_test(poset, d, *pack) if 0 <= d <= poset.size else lambda labels: False
+            return labelling_keys_test(poset, d, *pack) if 0 <= d <= poset.size else lambda keys: 0 if keys else None
 
-        monkeypatch.setattr(posets.FinitePoset, "labelling_test", recorded)
+        monkeypatch.setattr(posets.FinitePoset, "labelling_keys_test", recorded)
         code, out, err = run(capsys, "homomesy", *"--shape 3x3 -q -1000000000 --cells 1,1 --budget 100".split())
         assert (code, out, err) == (3, "", "precondition violated: deficiency -1000000000 out of range [0, 9]\n")
         assert built == []

@@ -647,7 +647,8 @@ class TestKeyPackers:
         keys = list(base.enumerate())
         other = tuple if type(keys[0]) is bytes else bytes
         wrong = other(keys[-1])  # the last element's entries, in the other type
-        assert base.admits(keys[-1]) and not base.admits(wrong)
+        assert base.admits(keys) is None and base.admits([*keys[:-1], wrong]) == len(keys) - 1
+        assert base.admits([keys[-1]]) is None and base.admits([wrong]) == 0
         system = replace(base, description="broken", enumerate=lambda: [*keys[:-1], wrong])
         message = f"^broken: the enumeration yields {re.escape(str(wrong))}, which is not an element$"
         with pytest.raises(PreconditionError, match=message):
@@ -666,11 +667,11 @@ class TestJson:
 
 
 def test_two_systems_on_one_shape_compile_no_further_key_test(monkeypatch):
-    # the systems share the shape's layout, and with it its row and column tests
+    # a partition's key test packs the layout's pairs and generates no code
     compiled = recorded_compiles(monkeypatch)
     dynamics.straight_layout.cache_clear()
     partition_orbits(ssyt_system((3, 2), 4), budget=1000)
-    assert len(compiled) == 2
+    assert len(compiled) == 0
     partition_orbits(ssyt_system((3, 2), 4), budget=1000)
     partition_orbits(ssyt_system([3, 2], 5, "promote_inverse"), budget=1000)
-    assert len(compiled) == 2
+    assert len(compiled) == 0

@@ -13,7 +13,10 @@ on Ferrers posets), and that the K-promotion
 bullet slide and its inverse are the `switch` chains kept there (on
 posets of width at most 3).  The generated pairwise tests behind both key
 tests are checked against the item-getter definition kept in `util`, and
-the poset labelling test against the validating constructors.  On
+the poset labelling test against the validating constructors.  The packed
+tests of key lists, which the systems' `admits` are, must name the first
+key the per-key test refuses, with one key corrupted at a chunk's edge;
+and the `homomesy` command exits 0 to 4, never raising, on odd argv.  On
 random straight and skew shapes, the tableau built from a reading word
 is the one the rows constructor builds, and the SSYT and SYT enumerations
 are the brute-force filters of every filling, as many as the hook
@@ -21,15 +24,18 @@ formulas count.  The runs are derandomized and small, so the suite stays
 reproducible.
 """
 
+import contextlib
+import io
 from dataclasses import replace
 from functools import reduce
-from itertools import accumulate, combinations, islice, permutations, product
+from itertools import accumulate, chain, combinations, islice, permutations, product, repeat
 from operator import eq, ge, gt, le, lt, ne
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from promotab.cli import main
 from promotab.dynamics import (
     cycle,
     evacuate,
@@ -48,6 +54,7 @@ from promotab.ktableaux import IncreasingTableau, increasing_labels, k_promote_i
 from promotab.posets import FinitePoset, LinearExtension, ferrers_poset
 from promotab.errors import PreconditionError
 from promotab.shapes import (
+    KEYS_PER_CHUNK,
     ReadingLayout,
     Tableau,
     conjugate,
@@ -425,3 +432,158 @@ def test_the_mirrored_partition_is_the_walked_one(case):
             assert {type(lead) for lead in partition.leads} <= {pack}
             partitions.append(as_tuples(partition))
         assert partitions[0] == partitions[1]
+
+
+def corrupted(draw, keys: list, top: int, onto: bool) -> list:
+    """The keys repeated to a drawn length, with one key, at index 0, at
+    the last index of a chunk or at the first of the next, often changed:
+    two entries swapped, often neighbours, an entry set to 0, top + 1 or
+    beyond (in a tuple, to one no array holds), an entry added or dropped,
+    the key given the other type, or, with `onto`, one label replaced by
+    another, so that it is missing."""
+    where = draw(st.sampled_from([0, KEYS_PER_CHUNK - 1, KEYS_PER_CHUNK]))
+    length = draw(st.sampled_from([1, 2, 5, KEYS_PER_CHUNK + 1]) if where == 0 else st.just(KEYS_PER_CHUNK + 1))
+    keys = list(islice(chain.from_iterable(repeat(keys)), length))
+    pack, entries = type(keys[where]), list(keys[where])
+    changes = ["none", "swap", "low", "high", "longer", "shorter", "type"] + ["missing"] * onto
+    change = draw(st.sampled_from(changes))
+    at = draw(st.integers(0, max(0, len(entries) - 1)))
+    if change == "swap" and len(entries) > 1:
+        # often the next entry, in the same row of a tableau but for its last cell
+        other = draw(st.one_of(st.just(min(at + 1, len(entries) - 1)), st.integers(0, len(entries) - 1)))
+        entries[at], entries[other] = entries[other], entries[at]
+    elif change in ("low", "high") and entries:
+        outside = [0, top + 1, 255] if pack is bytes else [0, top + 1, -1, 2**70]
+        entries[at] = draw(st.sampled_from(outside))
+    elif change == "longer":
+        entries.insert(at, draw(st.integers(0, top + 1)))
+    elif change == "shorter" and entries:
+        entries.pop(at)
+    elif change == "missing" and top > 1:
+        label = draw(st.integers(1, top))
+        stand_in = draw(st.integers(1, top - 1))
+        entries = [stand_in + (stand_in >= label) if v == label else v for v in entries]
+    if change == "type":
+        keys[where] = tuple(entries) if pack is bytes else bytes(v % 256 for v in entries)
+    elif pack is bytes and not all(0 <= v <= 255 for v in entries):
+        keys[where] = tuple(entries)  # an entry no byte holds, in the other type
+    else:
+        keys[where] = pack(entries)
+    return keys
+
+
+def first_refused(each, keys: list) -> int | None:
+    """The definition of a packed test's answer: the index of the first key
+    `each` refuses, or None."""
+    return next((i for i, key in enumerate(keys) if not each(key)), None)
+
+
+@st.composite
+def ssyt_key_lists(draw) -> tuple[ReadingLayout, int, type, list]:
+    """A straight or skew shape with at most 10 cells, the empty one
+    included, a ceiling from 0 to 6 or above a byte, one of the key
+    packers that holds it, and a corrupted list of its words."""
+    layout = draw(st.one_of(st.just(ReadingLayout(())), skew_layouts()))
+    k = draw(st.one_of(st.integers(0, 6), st.just(300)))
+    pack = draw(st.sampled_from([bytes, tuple] if k < 255 else [tuple]))
+    words = list(islice(ssyt_words(layout, k, pack), 40)) or [pack((1,) * layout.size)]
+    return layout, k, pack, corrupted(draw, words, k, onto=False)
+
+
+@FEWER
+@given(ssyt_key_lists())
+def test_the_packed_semistandard_test_is_the_per_key_definition(case):
+    layout, k, pack, keys = case
+    each = layout.semistandard_test(k, pack)
+    assert layout.semistandard_keys_test(k, pack)(keys) == first_refused(each, keys)
+
+
+@st.composite
+def labelling_key_lists(draw) -> tuple[FinitePoset, type, list[list]]:
+    """A random poset, the empty one included, a key packer, and for every
+    number of labels d from 0 to its size plus one a corrupted list of its
+    labellings onto 1..d."""
+    size, covers = draw(st.one_of(st.just((0, [])), reduced_posets()))
+    pack = draw(st.sampled_from([bytes, tuple]))
+    lists = []
+    for d in range(size + 2):
+        labellings = list(islice(order_ideal_chains(size, covers, d, pack), 40)) or [pack((1,) * size)]
+        lists.append(corrupted(draw, labellings, d, onto=True))
+    return FinitePoset(size, covers), pack, lists
+
+
+# each example checks a list at every d, so fewer examples keep the file's time
+@settings(SETTINGS, max_examples=30)
+@given(labelling_key_lists())
+def test_the_packed_labelling_test_is_the_per_key_definition(case):
+    p, pack, lists = case
+    for d, keys in enumerate(lists):
+        each = p.labelling_test(d, pack)
+        assert p.labelling_keys_test(d, pack)(keys) == first_refused(each, keys), d
+
+
+def test_the_packed_labelling_test_refuses_a_label_out_of_range_alone():
+    # two incomparable elements with one label: (1, 1) is its labelling, and a 0 or a 2 breaks only the range
+    p = FinitePoset(2, [])
+    for pack in (bytes, tuple):
+        for wrong in ((0, 1), (1, 2)):
+            keys = [pack((1, 1)), pack(wrong)]
+            assert p.labelling_keys_test(1, pack)(keys) == first_refused(p.labelling_test(1, pack), keys) == 1
+
+
+def test_the_packed_labelling_test_of_labels_above_a_byte():
+    # a chain of 299 elements beside one more: 300 labellings, each of 300 labels in two-byte items
+    p = FinitePoset(300, [(x, x + 1) for x in range(1, 299)])
+    keys = list(order_ideal_chains(p.size, p.covers, p.size))
+    assert len(keys) == 300 and p.labelling_keys_test(300)(keys) is None
+    twice = [(*key[:-1], key[0]) for key in keys]  # the last label repeats the first, so 300 or another is missing
+    for wrong in (twice, [(1,) * 300], [key[::-1] for key in keys]):
+        mixed = keys[:7] + wrong
+        assert p.labelling_keys_test(300)(mixed) == first_refused(p.labelling_test(300), mixed) == 7
+
+
+@st.composite
+def homomesy_argvs(draw) -> list[str]:
+    """A `homomesy` command line of small, odd or out-of-range values:
+    shapes and partitions with zero or negative parts, families with bad
+    parameters, ceilings and deficiencies out of range or beyond any
+    budget, supports off the shape or empty, budgets of 0 and up."""
+    argv = ["homomesy"]
+    system = draw(st.sampled_from(["shape", "partition", "family", "none"]))
+    if system == "shape":
+        argv += ["--shape", f"{draw(st.integers(-1, 3))}x{draw(st.integers(0, 3))}"]
+    elif system == "partition":
+        argv += ["--partition", ",".join(map(str, draw(st.lists(st.integers(0, 3), max_size=3))))]
+    elif system == "family":
+        families = ["cayley", "freudenthal", "propeller:2", "propeller:4", "rectangle:2x2", "shifted_staircase:3", "pyramid"]
+        argv += ["--family", draw(st.sampled_from(families))]
+    labels = draw(st.sampled_from(["k", "q", "none"]))
+    if labels == "k":
+        argv += ["-k", str(draw(st.one_of(st.integers(-1, 6), st.just(300), st.just(10**20))))]
+    elif labels == "q":
+        argv += ["-q", str(draw(st.integers(-1, 8)))]
+    if draw(st.booleans()):
+        argv += ["--cells", draw(st.sampled_from(["1,1", "", "9,9", "1,1;2,2", "1,1;1,1", "x", "-1,1"]))]
+    if draw(st.booleans()):
+        argv.append("--symmetric-all")
+    if draw(st.booleans()):
+        argv += ["--operator", "promote-inverse"]
+    argv += ["--format", draw(st.sampled_from(["ascii", "json"]))]
+    if draw(st.integers(0, 9)):
+        argv += ["--budget", str(draw(st.sampled_from([0, 1, 10, 1000])))]
+    return argv
+
+
+@settings(SETTINGS, max_examples=60)
+@given(homomesy_argvs())
+@example("homomesy --shape 0x3 -k 2 --cells 1,1 --budget 10".split())
+@example(["homomesy", "--shape", "2x2", "-k", "2", "--cells", "", "--budget", "10"])
+@example("homomesy --shape 2x2 -k 2 --cells 1,1 --budget 0".split())
+@example("homomesy --family propeller:2 --cells 1,1 --budget 10".split())
+@example("homomesy --shape 2x2 -k 99999999999999999999 --cells 1,1 --budget 10".split())
+@example("homomesy --shape 2x2 -k 3 --cells 9,9 --budget 100".split())
+@example("homomesy --shape 1x1 -k 300 --cells 1,1 --budget 1000".split())  # tuple keys
+def test_the_homomesy_command_exits_0_to_4_and_never_raises(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in range(5), argv

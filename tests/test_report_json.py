@@ -23,7 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promotab import cli, homomesy
@@ -181,46 +181,67 @@ def _writer_systems() -> dict:
     }
 
 
-WRITER_SYSTEMS = _writer_systems()
+@pytest.fixture(scope="module")
+def writer_systems() -> dict:
+    # built when a test first asks, so that a broken partition fails the tests that use it, not the module's collection
+    return _writer_systems()
 
 
 @st.composite
-def report_lists(draw) -> list:
+def report_lists(draw, writer_systems: dict) -> list:
     """Zero to four reports, on one partition or several, of random or
     rotate-fixed supports, each possibly repeated."""
     reports = []
     for _ in range(draw(st.integers(0, 4))):
-        partition, items, symmetric = WRITER_SYSTEMS[draw(st.sampled_from(sorted(WRITER_SYSTEMS)))]
+        partition, items, symmetric = writer_systems[draw(st.sampled_from(sorted(writer_systems)))]
         support = draw(st.one_of(st.frozensets(st.sampled_from(items), max_size=4), st.sampled_from(symmetric)))
         name = draw(st.text(alphabet='ab"\\\né', max_size=4))
         reports += [homomesy.verdict(partition, homomesy.CellStatistic(support, name))] * draw(st.integers(1, 2))
     return reports
 
 
-def _report(system: str, *support) -> homomesy.HomomesyReport:
-    return homomesy.verdict(WRITER_SYSTEMS[system][0], homomesy.CellStatistic(frozenset(support), "s"))
+def _report(writer_systems: dict, system: str, *support) -> homomesy.HomomesyReport:
+    return homomesy.verdict(writer_systems[system][0], homomesy.CellStatistic(frozenset(support), "s"))
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(report_lists())
-# every orbit of the inc system has one pair on two rotate-fixed supports, and a witness on (1, 2)
-@example([_report("inc", 1, 9), _report("inc", (1, 2), (3, 2)), _report("inc", (1, 2))])
-# element 1 and its box, an empty support, an empty partition and a violated one
-@example([_report("syt-poset", 1, (1, 1)), _report("ssyt"), _report("ssyt-empty", (9, 9)), _report("ssyt", (1, 1))])
-@example([_report("inc-empty")])
-def test_random_writes_equal_the_definitions(reports):
+def check_writes(reports: list) -> None:
+    """Both writers write the reports as their definitions do."""
     payload = [report_to_jsonable(r) for r in reports]
     expected = json.dumps(payload[0] if len(payload) == 1 else payload, sort_keys=True, indent=2)
     assert homomesy.reports_to_json(reports) == expected
     assert cli._homomesy_text(reports) == "".join(f"{line}\n" for r in reports for line in ascii_lines(r))
 
 
-def test_the_examples_cover_what_the_writer_shares():
-    shared = [_report("inc", 1, 9), _report("inc", (1, 2), (3, 2))]
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_random_writes_equal_the_definitions(writer_systems, data):
+    check_writes(data.draw(report_lists(writer_systems)))
+
+
+# each report as its system's name and its support
+EXAMPLE_WRITES = {
+    # every orbit of the inc system has one pair on two rotate-fixed supports, and a witness on (1, 2)
+    "shared-pairs": [("inc", 1, 9), ("inc", (1, 2), (3, 2)), ("inc", (1, 2))],
+    # element 1 and its box, an empty support, an empty partition and a violated one
+    "edge-supports": [("syt-poset", 1, (1, 1)), ("ssyt",), ("ssyt-empty", (9, 9)), ("ssyt", (1, 1))],
+    "empty-inc": [("inc-empty",)],
+}
+
+
+@pytest.mark.parametrize("writes", EXAMPLE_WRITES.values(), ids=EXAMPLE_WRITES)
+def test_example_writes_equal_the_definitions(writer_systems, writes):
+    check_writes([_report(writer_systems, *write) for write in writes])
+
+
+def test_the_examples_cover_what_the_writer_shares(writer_systems):
+    def report(system, *support):
+        return _report(writer_systems, system, *support)
+
+    shared = [report("inc", 1, 9), report("inc", (1, 2), (3, 2))]
     assert len({(s, n) for r in shared for s, n in zip(r.sums, r.partition.sizes)}) == 1 < len(shared[0].sums)
-    assert _report("syt-poset", 1, (1, 1)).sums == tuple(2 * s for s in _report("syt-poset", 1).sums)
-    assert _report("ssyt-empty", (9, 9)).sums == () and _report("ssyt").sums == (0,) * len(_report("ssyt").sums)
-    assert _report("ssyt", (1, 1)).witness is not None and _report("inc", (1, 2)).witness is not None
+    assert report("syt-poset", 1, (1, 1)).sums == tuple(2 * s for s in report("syt-poset", 1).sums)
+    assert report("ssyt-empty", (9, 9)).sums == () and report("ssyt").sums == (0,) * len(report("ssyt").sums)
+    assert report("ssyt", (1, 1)).witness is not None and report("inc", (1, 2)).witness is not None
 
 
 @pytest.mark.parametrize(
@@ -261,16 +282,18 @@ def _orbit_objects(partition, kind, over) -> list[list]:
     return [[element_of(partition.system, key, kind, over) for key in walk] for walk in walks]
 
 
-ORBIT_OBJECTS = {name: _orbit_objects(WRITER_SYSTEMS[name][0], *spec) for name, spec in OBJECT_SYSTEMS.items()}
+@pytest.fixture(scope="module")
+def orbit_objects(writer_systems) -> dict:
+    return {name: _orbit_objects(writer_systems[name][0], *spec) for name, spec in OBJECT_SYSTEMS.items()}
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(st.sampled_from(sorted(OBJECT_SYSTEMS)), st.data())
-def test_summaries_equal_orbit_averages_on_objects(name, data):
-    partition, items, _ = WRITER_SYSTEMS[name]
+def test_summaries_equal_orbit_averages_on_objects(writer_systems, orbit_objects, name, data):
+    partition, items, _ = writer_systems[name]
     statistic = homomesy.CellStatistic(data.draw(st.frozensets(st.sampled_from(items), max_size=4)), "s")
     report = homomesy.verdict(partition, statistic)
-    averages = [homomesy.orbit_average(objects, statistic) for objects in ORBIT_OBJECTS[name]]
+    averages = [homomesy.orbit_average(objects, statistic) for objects in orbit_objects[name]]
     assert [o.average for o in report.orbits] == averages
     representatives = map(partition.system.representative, partition.leads)
     assert [(o.size, o.representative) for o in report.orbits] == list(zip(partition.sizes, representatives))

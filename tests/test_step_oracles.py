@@ -245,12 +245,14 @@ def check_keyed_system(system, elements, step) -> None:
     """The system's keys are its public enumeration's entries, in order,
     as `bytes`, since every entry fits in a byte; each builds its element,
     and steps to its element's step, as `bytes` too.  The same entries as
-    a tuple are not a key of the system."""
+    a tuple are not a key of the system, alone or after its keys."""
     keys = list(system.enumerate())
     assert list(map(tuple, keys)) == [key_of(x) for x in elements]
+    assert system.admits(keys) is None
+    assert system.admits([*keys, tuple(keys[-1])]) == len(keys) if keys else system.admits([()]) == 0
     for key, x in zip(keys, elements):
         assert type(key) is bytes
-        assert system.admits(key) and not system.admits(tuple(key))
+        assert system.admits([key]) is None and system.admits([tuple(key)]) == 0
         assert element_of(system, key, type(x), x.ceiling if isinstance(x, Tableau) else x.poset) == x
         image = system.step(key)
         assert type(image) is bytes and tuple(image) == key_of(step(x))

@@ -61,15 +61,15 @@ def element_of(system, key, kind, over):
 
 def tuple_keyed(system):
     """The oracle of a homomesy system on tuple keys: its own enumeration
-    and step, each key converted with `tuple`, and its key test on a key
-    converted back to the system's packer, so a partition of it walks the
-    same orbits on tuples, and mirrors them on tuples."""
+    and step, each key converted with `tuple`, and its key test on the
+    keys converted back to the system's packer, so a partition of it walks
+    the same orbits on tuples, and mirrors them on tuples."""
     pack = type(next(iter(system.enumerate()), ()))
     return replace(
         system,
         enumerate=lambda: map(tuple, system.enumerate()),
         step=lambda key: tuple(system.step(key)),
-        admits=lambda key: system.admits(pack(key)),
+        admits=lambda keys: system.admits(list(map(pack, keys))),
     )
 
 
