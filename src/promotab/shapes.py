@@ -20,12 +20,10 @@ them, `bytes` for a homomesy system whose entries fit in a byte.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from math import factorial
 from operator import le, lt
 from typing import Callable, Iterable, Iterator, Sequence
@@ -299,79 +297,81 @@ def packed_test(
 
     The test generates no code.  It checks the keys in chunks of
     :data:`KEYS_PER_CHUNK`, each at once: the type and length of every
-    key, then the chunk's entries joined into one buffer (`bytes` keys by
-    ``b"".join``, tuples through an unsigned `array`) and checked in
-    range, then each key position's column packed into one int, a field
-    per key with a guard bit above its value, so that
-    ``(col_j + G - col_i - ONE) & G == G`` decides s[i] < s[j] for every
-    key of the chunk, and the same without ``- ONE`` decides s[i] <= s[j].
-    Onto 1..top ORs each label's bit, by a `translate` of the buffer per
-    eight labels, over the columns, or compares the sizes of the keys'
-    sets when an entry takes more than a byte.  Only a chunk that fails
-    is read again key by key with `each`, which finds the first refused
-    key, so the answer is always that of `each`.
+    key, the range of every entry, then each key position's column packed
+    into one int, a field of whole bytes per key whose top bit, a guard,
+    lies above top + 1, so that ``(col_j + G - col_i - ONE) & G == G``
+    decides s[i] < s[j] for every key of the chunk, and the same without
+    ``- ONE`` decides s[i] <= s[j].  `bytes` keys are joined into one
+    buffer, range-checked by ``translate`` and cut into columns by strided
+    slices, and onto 1..top ORs each label's bit, by a ``translate`` of
+    the buffer per eight labels, over the columns; other keys are
+    transposed by ``zip``, their entries written field by field with
+    ``int.to_bytes``, and onto compares the sizes of the keys' sets.  Only
+    a chunk that fails is read again key by key with `each`, which finds
+    the first refused key, so the answer is always that of `each`.
     """
     bound = top + 1
     width = (bound.bit_length() + 8) // 8  # bytes per field, whose top bit, the guard, lies above bound
     allowed = bytes(range(1, min(top, 255) + 1))
-    # the narrowest unsigned array of the entries of tuple keys, none for entries beyond 64 bits
-    code = next((c for c in "BHIQ" if top.bit_length() <= 8 * array(c).itemsize), None)
-    # by 8 labels from 1, the table taking each of them to its bit and any other value to 0
-    tables = [
-        bytes(1 << (v - low - 1) if low < v <= low + 8 else 0 for v in range(256))
-        for low in range(0, min(top, 255) if onto else 0, 8)
-    ]
+    # on bytes keys, by 8 labels from 1, the table taking each of them to its bit and any other value to 0
+    tables = None
+    if onto and pack is bytes and top < 256:
+        tables = [
+            bytes(1 << (v - low - 1) if low < v <= low + 8 else 0 for v in range(256)) for low in range(0, top, 8)
+        ]
 
-    def flat(chunk: Sequence[Sequence[int]]) -> tuple[bytes, int] | None:
-        """The chunk's entries as one buffer of little-endian items and
-        its item size, or None if an entry lies outside 1..top."""
+    def columns(chunk: Sequence[Sequence[int]]) -> list[int] | None:
+        """Each key position's column of the chunk packed into one int,
+        or None if an entry is no int in 1..top."""
         if pack is bytes:
             blob = b"".join(chunk)
-            return None if blob.translate(None, allowed) else (blob, 1)
+            if blob.translate(None, allowed):
+                return None
+            field, packed = bytearray(width * len(chunk)), []
+            for j in range(size):  # each entry's byte goes to the low end of its key's field
+                field[::width] = blob[j::size]
+                packed.append(int.from_bytes(field, "little"))
+            return packed
+        transposed = list(zip(*chunk))
         try:
-            entries = array(code, chain.from_iterable(chunk))
-        except (OverflowError, TypeError):  # an entry below 0, beyond the array, or no int
+            if transposed and not 1 <= min(map(min, transposed)) <= max(map(max, transposed)) <= top:
+                return None
+            return [
+                int.from_bytes(b"".join(map(int.to_bytes, column, repeat(width), repeat("little"))), "little")
+                for column in transposed
+            ]
+        except TypeError:  # an entry that is no int
             return None
-        if entries and not 1 <= min(entries) <= max(entries) <= top:
-            return None
-        if sys.byteorder == "big":
-            entries.byteswap()
-        return entries.tobytes(), entries.itemsize
+
+    def labelled(chunk: Sequence[Sequence[int]]) -> bool:
+        """Whether every key of the chunk, its entries in 1..top, takes
+        every value of 1..top."""
+        if tables is None:
+            return set(map(len, map(set, chunk))) == {top}
+        blob, ones = b"".join(chunk), int.from_bytes(bytes([1]) * len(chunk), "little")
+        for low, table in zip(range(0, top, 8), tables):
+            bits, seen = blob.translate(table), 0
+            for j in range(size):
+                seen |= int.from_bytes(bits[j::size], "little")
+            if seen != ((1 << min(8, top - low)) - 1) * ones:
+                return False
+        return True
 
     def admitted(chunk: Sequence[Sequence[int]]) -> bool:
-        if set(map(type, chunk)) != {pack} or set(map(len, chunk)) != {size} or code is None:
+        if set(map(type, chunk)) != {pack} or set(map(len, chunk)) != {size}:
             return False
-        buffer = flat(chunk)
-        if buffer is None:
+        packed = columns(chunk)
+        if packed is None:
             return False
-        blob, itemsize = buffer
-        m = len(chunk)
-        one = int.from_bytes(bytes([1]).ljust(width, b"\0") * m, "little")
+        one = int.from_bytes(bytes([1]).ljust(width, b"\0") * len(chunk), "little")
         guard = one << (8 * width - 1)
-        columns = []
-        for j in range(size):  # each entry's bytes go to the low end of its key's field
-            field = bytearray(width * m)
-            for b in range(itemsize):
-                field[b::width] = blob[j * itemsize + b :: size * itemsize]
-            columns.append(int.from_bytes(field, "little"))
-        columns += [0, bound * one]
         below = guard - one
-        if any((columns[j] + below - columns[i]) & guard != guard for i, j in strict):
+        packed += [0, bound * one]
+        if any((packed[j] + below - packed[i]) & guard != guard for i, j in strict):
             return False
-        if any((columns[j] + guard - columns[i]) & guard != guard for i, j in weak):
+        if any((packed[j] + guard - packed[i]) & guard != guard for i, j in weak):
             return False
-        if onto and itemsize > 1:
-            return set(map(len, map(set, chunk))) == {top}
-        if onto:
-            ones = int.from_bytes(bytes([1]) * m, "little")
-            for low, table in zip(range(0, top, 8), tables):
-                bits = blob.translate(table)
-                seen = 0
-                for j in range(size):
-                    seen |= int.from_bytes(bits[j::size], "little")
-                if seen != ((1 << min(8, top - low)) - 1) * ones:
-                    return False
-        return True
+        return not onto or labelled(chunk)
 
     def test(keys: Sequence[Sequence[int]]) -> int | None:
         for start in range(0, len(keys), KEYS_PER_CHUNK):

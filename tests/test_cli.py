@@ -357,15 +357,24 @@ class TestHomomesy:
         with pytest.raises(AssertionError, match="compiled a key test"):  # the patched generator is the one in use
             shapes.pairwise_test(lt, [(0, 1)])((1, 2))
 
-    @pytest.mark.parametrize("args", ["--shape 1x1 -k 300", "--shape 1x2 -k 3", "--family cayley", "--shape 2x3 -q 2"])
-    def test_a_partition_compiles_no_key_test(self, monkeypatch, capsys, args):
-        # the packed key test generates no code, on tuple keys (k = 300) as on bytes keys
+    @pytest.mark.parametrize(
+        "args, budget",
+        [
+            ("--shape 1x1 -k 300", 1000),
+            ("--shape 1x1 -k 65536", 65536),  # a key test of 3-byte fields
+            ("--shape 1x2 -k 3", 1000),
+            ("--family cayley", 1000),
+            ("--shape 2x3 -q 2", 1000),
+        ],
+    )
+    def test_a_partition_compiles_no_key_test(self, monkeypatch, capsys, args, budget):
+        # the packed key test generates no code, on tuple keys (k = 300 and 65536) as on bytes keys
         def refuse(*_):
             raise AssertionError("compiled a key test")
 
         monkeypatch.setattr(shapes, "compile", refuse, raising=False)
         monkeypatch.setattr(shapes, "eval", refuse, raising=False)
-        code, out, err = run(capsys, "homomesy", *args.split(), "--cells", "1,1", "--budget", "1000")
+        code, out, err = run(capsys, "homomesy", *args.split(), "--cells", "1,1", "--budget", str(budget))
         assert code in (0, 1) and err == "" and "\nverdict: " in out
 
     def test_a_q_out_of_range_builds_no_key_test(self, monkeypatch, capsys):

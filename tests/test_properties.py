@@ -437,21 +437,23 @@ def test_the_mirrored_partition_is_the_walked_one(case):
 def corrupted(draw, keys: list, top: int, onto: bool) -> list:
     """The keys repeated to a drawn length, with one key, at index 0, at
     the last index of a chunk or at the first of the next, often changed:
-    two entries swapped, often neighbours, an entry set to 0, top + 1 or
-    beyond (in a tuple, to one no array holds), an entry added or dropped,
-    the key given the other type, or, with `onto`, one label replaced by
-    another, so that it is missing."""
+    two entries swapped, often neighbours, an entry set to 1 or top, or
+    to 0, top + 1 or beyond (in a tuple, below 0 or far above top), an
+    entry added or dropped, the key given the other type, or, with
+    `onto`, one label replaced by another, so that it is missing."""
     where = draw(st.sampled_from([0, KEYS_PER_CHUNK - 1, KEYS_PER_CHUNK]))
     length = draw(st.sampled_from([1, 2, 5, KEYS_PER_CHUNK + 1]) if where == 0 else st.just(KEYS_PER_CHUNK + 1))
     keys = list(islice(chain.from_iterable(repeat(keys)), length))
     pack, entries = type(keys[where]), list(keys[where])
-    changes = ["none", "swap", "low", "high", "longer", "shorter", "type"] + ["missing"] * onto
+    changes = ["none", "swap", "end", "low", "high", "longer", "shorter", "type"] + ["missing"] * onto
     change = draw(st.sampled_from(changes))
     at = draw(st.integers(0, max(0, len(entries) - 1)))
     if change == "swap" and len(entries) > 1:
         # often the next entry, in the same row of a tableau but for its last cell
         other = draw(st.one_of(st.just(min(at + 1, len(entries) - 1)), st.integers(0, len(entries) - 1)))
         entries[at], entries[other] = entries[other], entries[at]
+    elif change == "end" and entries and top:
+        entries[at] = draw(st.sampled_from([1, top]))
     elif change in ("low", "high") and entries:
         outside = [0, top + 1, 255] if pack is bytes else [0, top + 1, -1, 2**70]
         entries[at] = draw(st.sampled_from(outside))
@@ -481,12 +483,17 @@ def first_refused(each, keys: list) -> int | None:
 @st.composite
 def ssyt_key_lists(draw) -> tuple[ReadingLayout, int, type, list]:
     """A straight or skew shape with at most 10 cells, the empty one
-    included, a ceiling from 0 to 6 or above a byte, one of the key
-    packers that holds it, and a corrupted list of its words."""
+    included, a ceiling from 0 to 6 or a larger one, whose bound k + 1
+    fills the last of its bytes (200, 40000) or starts a new one (300,
+    65536, 2**32, 10**20), one of the key packers that holds it, and a
+    corrupted list of its words."""
     layout = draw(st.one_of(st.just(ReadingLayout(())), skew_layouts()))
-    k = draw(st.one_of(st.integers(0, 6), st.just(300)))
+    k = draw(st.one_of(st.integers(0, 6), st.sampled_from([200, 300, 40000, 65536, 2**32, 10**20])))
     pack = draw(st.sampled_from([bytes, tuple] if k < 255 else [tuple]))
     words = list(islice(ssyt_words(layout, k, pack), 40)) or [pack((1,) * layout.size)]
+    if draw(st.booleans()):  # the same words raised to end at k, so that their entries fill the fields
+        shift = k - max(chain.from_iterable(words), default=k)
+        words = [pack(v + shift for v in word) for word in words]
     return layout, k, pack, corrupted(draw, words, k, onto=False)
 
 
@@ -532,7 +539,7 @@ def test_the_packed_labelling_test_refuses_a_label_out_of_range_alone():
 
 
 def test_the_packed_labelling_test_of_labels_above_a_byte():
-    # a chain of 299 elements beside one more: 300 labellings, each of 300 labels in two-byte items
+    # a chain of 299 elements beside one more: 300 labellings, each of 300 labels in two-byte fields
     p = FinitePoset(300, [(x, x + 1) for x in range(1, 299)])
     keys = list(order_ideal_chains(p.size, p.covers, p.size))
     assert len(keys) == 300 and p.labelling_keys_test(300)(keys) is None
@@ -540,6 +547,16 @@ def test_the_packed_labelling_test_of_labels_above_a_byte():
     for wrong in (twice, [(1,) * 300], [key[::-1] for key in keys]):
         mixed = keys[:7] + wrong
         assert p.labelling_keys_test(300)(mixed) == first_refused(p.labelling_test(300), mixed) == 7
+
+
+def test_the_packed_labelling_test_where_the_labels_fill_their_bytes():
+    # d = 200 fills its last byte, so a field needs one more for its guard
+    # bit; without it, label d over label 1 on a cover would pass
+    for d, pack in ((200, bytes), (200, tuple)):
+        p = FinitePoset(d, [(1, 2)])
+        right, wrong = [pack((1, d, *range(2, d)))], [pack((d, 1, *range(2, d)))]
+        assert p.labelling_keys_test(d, pack)(right) is None
+        assert p.labelling_keys_test(d, pack)(wrong) == first_refused(p.labelling_test(d, pack), wrong) == 0
 
 
 @st.composite
