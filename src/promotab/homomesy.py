@@ -11,7 +11,11 @@ int tuples.  Its enumerator, its step kernel and its key test all work in
 that type, and equal-length `bytes` order and iterate like the tuples of
 their entries, so leads, orbit order and totals do not depend on it;
 representatives are int tuples either way.
-:func:`partition_orbits` enumerates it under an explicit element budget,
+:func:`partition_orbits` counts it and enumerates it under an explicit
+element budget, by the one walk of `shapes`, whose middle states keep
+the completions below them, so a key is one join per path into such a
+state; an SSYT system builds its reading layout, step and key test on
+their first use, and one with no element builds none.  It then
 checks all of its keys with one call of the system's key test, which
 returns the index of the first key that is no element (it checks them per
 chunk, in packed columns, and generates no code), and walks each orbit
@@ -49,18 +53,19 @@ in a write; the text format prints none.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from math import gcd
 from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .dynamics import cycle, reading_word_step, straight_layout
+from .dynamics import OPERATORS, cycle, reading_word_step, straight_layout
 from .errors import BudgetExceededError, PreconditionError
 from .ktableaux import IncreasingTableau, increasing_labels, k_promote_step
 from .posets import FinitePoset, LinearExtension, linear_extension_labels, poset_promote_labels, rotate
-from .shapes import Tableau, check_partition, count_order_ideal_chains, count_ssyt, key_packer, part, ssyt_words
+from .shapes import Tableau, check_partition, count_order_ideal_chains, count_ssyt, key_packer, ssyt_words_of_shape
 
 
 @dataclass(frozen=True)
@@ -135,33 +140,84 @@ class System:
     admits: Callable[[Sequence[Key]], int | None]
     representative: Callable[[Key], tuple]
     position: Callable[[object], int]
-    rotate: dict | None
+    rotate: Mapping | None
     complement: int
     count: Callable[[int], int]
 
 
+def _is_box(outer: tuple[int, ...], box) -> bool:
+    """Whether `box` is a (row, column) pair of ints naming a box of the
+    straight shape `outer`."""
+    return (
+        isinstance(box, tuple)
+        and len(box) == 2
+        and all(isinstance(v, int) for v in box)
+        and 1 <= box[0] <= len(outer)
+        and 1 <= box[1] <= outer[box[0] - 1]
+    )
+
+
+class _RectangleRotation(Mapping):
+    """The 180-degree rotation of the boxes of a rectangle, read like the
+    dict of it, in row-major order, with no dict built."""
+
+    def __init__(self, outer: tuple[int, ...]):
+        self.outer = outer
+
+    def __getitem__(self, box):
+        if not _is_box(self.outer, box):
+            raise KeyError(box)
+        return len(self.outer) + 1 - box[0], self.outer[0] + 1 - box[1]
+
+    def __contains__(self, box) -> bool:
+        return _is_box(self.outer, box)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return ((r, c) for r, n in enumerate(self.outer, start=1) for c in range(1, n + 1))
+
+    def __len__(self) -> int:
+        return sum(self.outer)
+
+
 def ssyt_system(shape, ceiling: int, operator: str = "promote") -> System:
-    """Semistandard tableaux of a straight shape under (inverse) promotion."""
-    layout = straight_layout(check_partition(shape))
-    index = {(r, c): a + c - 1 for r, (a, b) in enumerate(layout.bounds, start=1) for c in range(1, b - a + 1)}
+    """Semistandard tableaux of a straight shape under (inverse) promotion.
+
+    The enumeration reads the shape alone (:func:`~promotab.shapes.ssyt_words_of_shape`),
+    and a box's key index and rotate image are computed per box, so the
+    reading layout, the step and the key test are built on their first
+    use: a system with no element, one whose first column is longer than
+    the ceiling, builds none of them."""
+    outer = check_partition(shape)
+    if operator not in OPERATORS:
+        raise PreconditionError(f"unknown operator {operator!r}")
+    pack = key_packer(ceiling + 1)  # the key test appends ceiling + 1
+    starts = list(accumulate(reversed(outer), initial=0))[::-1]  # each row's first key index, from row 1
 
     def position(box) -> int:
-        if box not in index:
+        if not _is_box(outer, box):
             raise PreconditionError(f"box {box} is not present in the tableau")
-        return index[box]
+        return starts[box[0]] + box[1] - 1
 
-    m, n = len(layout.outer), part(layout.outer, 1)
-    pack = key_packer(ceiling + 1)  # the key test appends ceiling + 1
+    def step(word):
+        return kernel(word)
+
+    def first_step(word):  # builds the kernel that every later step calls
+        nonlocal kernel
+        kernel = reading_word_step(straight_layout(outer), ceiling, operator, pack)
+        return kernel(word)
+
+    kernel = first_step
     return System(
-        description=f"ssyt(shape={','.join(map(str, layout.outer))};k={ceiling};op={operator})",
-        enumerate=lambda: ssyt_words(layout, ceiling, pack),
-        step=reading_word_step(layout, ceiling, operator, pack),
-        admits=layout.semistandard_keys_test(ceiling, pack),
-        representative=lambda word: tuple(map(tuple, layout.rows(word))),
+        description=f"ssyt(shape={','.join(map(str, outer))};k={ceiling};op={operator})",
+        enumerate=lambda: ssyt_words_of_shape(outer, ceiling, pack),
+        step=step,
+        # no key is refused without building a test
+        admits=lambda keys: straight_layout(outer).semistandard_keys_test(ceiling, pack)(keys) if keys else None,
+        representative=lambda word: tuple(map(tuple, straight_layout(outer).rows(word))),
         position=position,
-        rotate={(r, c): (m + 1 - r, n + 1 - c) for r, c in index} if len(set(layout.outer)) == 1 else None,
+        rotate=_RectangleRotation(outer) if len(set(outer)) == 1 else None,
         complement=ceiling + 1,
-        count=lambda cap: count_ssyt(layout.outer, ceiling),
+        count=lambda cap: count_ssyt(outer, ceiling),
     )
 
 

@@ -3,7 +3,9 @@
 An increasing tableau is a strictly order-preserving surjection from a
 poset onto 1..d; the deficiency q is |P| - d, and q = 0 recovers linear
 extensions.  Both are enumerated by
-:func:`~promotab.shapes.order_ideal_chains`.  K-promotion replaces the 1s
+:func:`~promotab.shapes.order_ideal_chains`, the same walk of (placed
+elements, next label) states with d labels, whose states at the middle
+label keep the labels below them.  K-promotion replaces the 1s
 by bullets, bubbles the bullets upward with the simultaneous `switch`
 operators, then decrements and refills.  Intermediate switch states carry
 bullets, encoded as label 0.

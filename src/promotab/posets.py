@@ -6,7 +6,9 @@ immediately below it and the box immediately to its right.  Every family
 carries a `rotate` involution: 180-degree rotation for rectangles,
 propellers, and the Cayley poset; antidiagonal reflection for shifted
 staircases and the Freudenthal poset.  Linear extensions are enumerated by
-:func:`~promotab.shapes.order_ideal_chains` with one label per element.
+:func:`~promotab.shapes.order_ideal_chains` with one label per element: a
+lazy walk of (placed elements, next label) states whose states at the
+middle label keep the labels below them, so each is walked below once.
 
 :func:`poset_toggle` is the one-step definition of the linear-extension
 dynamics.  Promotion, its inverse and evacuation toggle a plain label list

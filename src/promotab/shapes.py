@@ -11,21 +11,31 @@ one order ideal per label: standard tableaux here, linear extensions in
 :func:`count_order_ideal_chains` counts the paths through its state graph,
 up to a cap, so a poset system knows its size before it enumerates.
 :func:`ssyt_words` is the one SSYT enumerator: it yields reading words,
-laid out by a :class:`ReadingLayout`, and :func:`enumerate_ssyt` wraps
-each in a tableau.  Both enumerators are loops over explicit state, not
-recursions, and pack each word or labelling with a key packer
+cut into rows by a :class:`ReadingRows` (:func:`ssyt_words_of_shape`
+reads the shape alone), and :func:`enumerate_ssyt` wraps each in a
+tableau; a :class:`ReadingLayout` adds the cells' neighbours and key
+tests that the steps and key tests read.
+Both enumerators are one walk, :func:`_joined_paths`: a key is the join
+of one piece per level of a layered state graph, a packed row under the
+row above it or an int holding a label in the fields of an antichain,
+walked lazily by a loop over a stack, not a recursion.  The states of a
+middle level keep the completions below them the first time they are
+walked, so every later prefix into an equal state joins them without
+walking below it.  Each word or labelling is packed with a key packer
 (:func:`key_packer`): `tuple` by default and for every object built from
 them, `bytes` for a homomesy system whose entries fit in a byte.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, chain, repeat
 from math import factorial
-from operator import le, lt
+from operator import add, itemgetter, le, lt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError, PreconditionError
@@ -98,7 +108,7 @@ class Tableau:
         self._word = None
 
     @classmethod
-    def _of_word(cls, layout: ReadingLayout, word: tuple[int, ...], ceiling: int) -> Tableau:
+    def _of_word(cls, layout: ReadingRows, word: tuple[int, ...], ceiling: int) -> Tableau:
         """The tableau of the layout's shape whose reading word is `word`,
         a tuple of ints: ``Tableau(layout.rows(word), ceiling, layout.inner)``
         without re-deriving the checked shape.  It raises on every input
@@ -385,19 +395,49 @@ def packed_test(
     return test
 
 
-class ReadingLayout:
-    """Where each cell of a (skew) shape sits in its reading word: rows
-    bottom to top, each left to right, as in :meth:`Tableau.row_reading`.
+class ReadingRows:
+    """The rows of the reading words of a (skew) shape: rows bottom to
+    top, each left to right, as in :meth:`Tableau.row_reading`, read from
+    the shape alone.
+
+    `outer` and `inner` are the checked partitions, `size` the number of
+    cells, and `bounds` each row's slice of the word, top row first;
+    :meth:`rows` cuts a word into a tableau's rows (top row first).  It is
+    all that :func:`ssyt_words` and :meth:`Tableau._of_word` read, so
+    :func:`enumerate_ssyt` builds no cell table; :class:`ReadingLayout`
+    adds them.
+    """
+
+    __slots__ = ("outer", "inner", "size", "bounds")
+
+    def __init__(self, shape: Sequence[int], inner: Sequence[int] = ()):
+        outer = check_partition(shape) if shape else ()
+        inner_p = check_partition(inner) if inner else ()
+        if not contains(outer, inner_p):
+            raise PreconditionError(f"inner {inner_p} not contained in outer {outer}")
+        lengths = [part(outer, r) - part(inner_p, r) for r in range(1, len(outer) + 1)]
+        ends = list(accumulate(reversed(lengths), initial=0))
+        self.outer = outer
+        self.inner = inner_p
+        self.size = ends[-1]
+        self.bounds = tuple(zip(ends, ends[1:]))[::-1]
+
+    def rows(self, word: Sequence[int]) -> list[Sequence[int]]:
+        """The rows, top row first, of the tableau whose reading word is `word`."""
+        return [word[a:b] for a, b in self.bounds]
+
+
+class ReadingLayout(ReadingRows):
+    """Where each cell of a (skew) shape sits in its reading word: the
+    :class:`ReadingRows` of the shape, and its cells' tables.
 
     The reading word is the flat key of a tableau of the shape.
-    :meth:`rows` cuts a word into a tableau's rows (top row first), and
     :meth:`is_semistandard` and :meth:`semistandard_test` test words
-    without building a tableau.
-    `bounds` holds each row's slice of the word, top row first; `fill`
-    and `below` hold, for the cells in row-major order, the word index of
-    the cell and the number of cells under it.  `south`, `east`, `north`
-    and `west` hold, by word index, the word index of the cell below, to
-    the right, above and to the left, or -1 for a missing one.
+    without building a tableau.  `fill` and `below` hold, for the cells
+    in row-major order, the word index of the cell and the number of
+    cells under it.  `south`, `east`, `north` and `west` hold, by word
+    index, the word index of the cell below, to the right, above and to
+    the left, or -1 for a missing one.
     `row_pairs` and `column_pairs` are the (i, j) word index pairs whose
     entries must satisfy s[i] <= s[j] and s[i] < s[j], the latter with
     the bounds 0 and ceiling + 1 at indices size and size + 1, and
@@ -407,25 +447,15 @@ class ReadingLayout:
     """
 
     __slots__ = (
-        "outer", "inner", "size", "bounds", "fill", "below", "south", "east",
-        "north", "west", "row_pairs", "column_pairs", "weak_rows", "strict_columns",
+        "fill", "below", "south", "east", "north", "west",
+        "row_pairs", "column_pairs", "weak_rows", "strict_columns",
     )
 
     def __init__(self, shape: Sequence[int], inner: Sequence[int] = ()):
-        outer = check_partition(shape) if shape else ()
-        inner_p = check_partition(inner) if inner else ()
-        if not contains(outer, inner_p):
-            raise PreconditionError(f"inner {inner_p} not contained in outer {outer}")
-        lengths = [part(outer, r) - part(inner_p, r) for r in range(1, len(outer) + 1)]
-        ends = list(accumulate(reversed(lengths), initial=0))
-        bounds = list(zip(ends, ends[1:]))[::-1]
-        n = ends[-1]
-        cells = [(r, c) for r in range(1, len(outer) + 1) for c in range(part(inner_p, r) + 1, part(outer, r) + 1)]
-        index = {(r, c): bounds[r - 1][0] + c - part(inner_p, r) - 1 for r, c in cells}
-        self.outer = outer
-        self.inner = inner_p
-        self.size = n
-        self.bounds = tuple(bounds)
+        super().__init__(shape, inner)
+        outer, inner, n, bounds = self.outer, self.inner, self.size, self.bounds
+        cells = [(r, c) for r in range(1, len(outer) + 1) for c in range(part(inner, r) + 1, part(outer, r) + 1)]
+        index = {(r, c): bounds[r - 1][0] + c - part(inner, r) - 1 for r, c in cells}
         self.fill = tuple(index[cell] for cell in cells)
         heights = conjugate(outer)
         self.below = tuple(heights[c - 1] - r for r, c in cells)
@@ -441,10 +471,6 @@ class ReadingLayout:
         self.column_pairs = tuple([(a, i) for i, a in enumerate(north) if a >= 0] + lowest + highest)
         self.weak_rows = pairwise_test(le, self.row_pairs)
         self.strict_columns = pairwise_test(lt, self.column_pairs)
-
-    def rows(self, word: Sequence[int]) -> list[Sequence[int]]:
-        """The rows, top row first, of the tableau whose reading word is `word`."""
-        return [word[a:b] for a, b in self.bounds]
 
     def is_semistandard(self, word: tuple[int, ...], ceiling: int) -> bool:
         """Whether a tuple word is the reading word of a semistandard
@@ -480,44 +506,145 @@ class ReadingLayout:
         return packed_test(self.size, ceiling, pack, each, strict=self.column_pairs, weak=self.row_pairs)
 
 
-def ssyt_words(layout: ReadingLayout, ceiling: int, pack: type = tuple) -> Iterator[Sequence[int]]:
-    """The reading words of every semistandard tableau of the layout's
-    shape with entries <= ceiling, in the order of :func:`enumerate_ssyt`,
-    each packed by `pack` (see :func:`key_packer`).
+def _joined_paths(root, edges: Sequence[Callable], middle: int, memo_key: Callable | None, empty) -> Iterator:
+    """Every path from `root` through a layered state graph, one edge per
+    level, as the join of its edges' pieces, each later piece joined in
+    front (``piece + joined``): lazily, and in the order of the edges.
 
-    Cells are filled row by row, left to right, trying smaller values
-    first and backing up to the previous cell when one has no value left;
-    each value is written at the cell's index in the reading word.  A cell
-    takes at most the ceiling minus its `below`, so no branch is a dead end.
+    ``edges[level](state)`` yields the (piece, state) pairs of the edges
+    out of a state at `level`, from 0; a path ends after the last level,
+    and `empty` is the join of no pieces.  The walk is a loop over a stack
+    of edge iterators, with the edges into the leaves walked where their
+    state is reached.  A state at level `middle`, if that is a level with
+    edges, not 0, keeps its completions, the joins of the pieces of every
+    path below it, as they are walked the first time it is reached, under
+    ``memo_key(state)`` (or the state itself if that is None): every later
+    path into an equal state yields each kept completion joined in front
+    of its own prefix, in one `map`, and walks nothing below.
     """
-    if ceiling < 0:
-        raise PreconditionError(f"ceiling must be nonnegative: {ceiling}")
-    n = layout.size
-    if not n:
-        yield pack()
-        return
-    caps = [ceiling - below for below in layout.below]
-    if min(caps) < 1:  # a column longer than the ceiling
-        return
-    fill = layout.fill
-    left = [layout.west[j] for j in fill]  # by cell in row-major order
-    above = [layout.north[j] for j in fill]
-    values = [0] * (n + 1)  # a missing neighbour's index, -1, reads the last value, which stays 0
-    i, v = 0, 1  # the cell being filled, in row-major order, and the value to try in it
+    memo: dict = {}
+    # the completions of the last middle state reached, and the prefix into it; None if there is no middle
+    kept = prefix = None
+    last = len(edges) - 1  # the level whose edges end the paths
+    stack: list[Iterator] = []  # the edges left at each level above the state
+    joins: list = []  # the join of the pieces into the state of each level of the stack
+    state, joined = root, empty  # the state to walk next and the join of the pieces into it
+    piece_of = itemgetter(0)
+    while True:
+        if len(stack) == last:
+            if kept is None:
+                yield from map(add, map(piece_of, edges[last](state)), repeat(joined))
+            else:
+                for piece, _ in edges[last](state):
+                    piece += joined
+                    kept.append(piece)
+                    yield piece + prefix
+        else:
+            stack.append(iter(edges[len(stack)](state)))
+            joins.append(joined)
+        while stack:  # the next state: the next edge of the deepest level that has one
+            level = len(stack)  # the level the top edges lead to
+            for piece, state in stack[-1]:
+                joined = piece + joins[-1]
+                if level != middle:
+                    break
+                key = state if memo_key is None else memo_key(state)
+                completions = memo.get(key)
+                if completions is None:
+                    kept = memo[key] = []
+                    prefix, joined = joined, empty
+                    break
+                yield from map(add, completions, repeat(joined))
+            else:
+                stack.pop()
+                joins.pop()
+                continue
+            break
+        else:
+            return
+
+
+def _middle(depth: int) -> int:
+    """The level of a graph of `depth` levels whose states keep their
+    completions in :func:`_joined_paths`, or 0 for none: the level just
+    past the half, where fewer completions are kept per state than above
+    it, and at least the second, as a state of the first has one path
+    into it."""
+    middle = max(2, depth // 2 + 1)
+    return middle if middle < depth else 0
+
+
+def _semistandard_rows(length: int, pad: Sequence[int], caps: Sequence[int], pack: type, above: Sequence[int]) -> Iterator:
+    """Each weakly increasing row of `length` entries, in lexicographic
+    order, whose entry j is at most caps[j] and over entry j of
+    ``pad + above``: `pad` holds a 0 for each cell left of the row above,
+    `above`.  Each is yielded as a (row, row) pair of the row packed by
+    `pack`.  Entries are tried cell by cell, smallest first, backing up to
+    the previous cell when one has no value left."""
+    lows = pad + above
+    values = [0] * length
+    last = length - 1
+    i, v = 0, lows[0] + 1
     while True:
         if v <= caps[i]:
-            values[fill[i]] = v
-            if i + 1 < n:
+            values[i] = v
+            if i < last:
                 i += 1
-                v = max(values[left[i]], values[above[i]] + 1)
+                v = max(v, lows[i] + 1)
             else:
-                yield pack(values[:n])
+                row = pack(values)
+                yield row, row
                 v += 1
         elif i:
             i -= 1
-            v = values[fill[i]] + 1
+            v = values[i] + 1
         else:
             return
+
+
+def ssyt_words(layout: ReadingRows, ceiling: int, pack: type = tuple) -> Iterator[Sequence[int]]:
+    """The reading words of every semistandard tableau of the layout's
+    shape with entries <= ceiling, in the order of :func:`enumerate_ssyt`,
+    each packed by `pack` (see :func:`key_packer`): the
+    :func:`ssyt_words_of_shape` of the layout's outer and inner shapes."""
+    return ssyt_words_of_shape(layout.outer, ceiling, pack, layout.inner)
+
+
+def ssyt_words_of_shape(outer: Partition, ceiling: int, pack: type = tuple, inner: Partition = ()) -> Iterator[Sequence[int]]:
+    """The reading words of every semistandard tableau of the skew shape
+    outer/inner with entries <= ceiling, in row-major lexicographic order,
+    each packed by `pack`.  It reads the two partitions alone, which must
+    be checked ones (:func:`check_partition`), inner inside outer, as a
+    :class:`ReadingRows` holds them.
+
+    A word is the rows joined bottom to top, so each row, chosen top to
+    bottom given the row above it (:func:`_semistandard_rows`), goes in
+    front of the rows above: the :func:`_joined_paths` of the graph whose
+    states are rows, whose middle rows keep the rows below them.  A cell
+    takes at most the ceiling minus the cells under it in its column, so
+    every row lies on a word; a column longer than the ceiling yields no
+    word, and nothing is built for it.
+    """
+    if ceiling < 0:
+        raise PreconditionError(f"ceiling must be nonnegative: {ceiling}")
+    heights: list[int] = []  # the length of each column of outer
+    for r in range(len(outer), 0, -1):
+        heights += [r] * (outer[r - 1] - len(heights))
+    starts = inner + (0,) * (len(outer) - len(inner))
+    edges, previous = [], -1  # a level per row with cells, and the last such row, from 0
+    for r, (a, b) in enumerate(zip(starts, outer)):
+        if a == b:
+            continue
+        # a row's first cell has the most cells under it in the row, so the fewest values
+        if heights[a] - r > ceiling:
+            return iter(())
+        # the cells left of the row above, and a row under none, have no cell above
+        pad = pack(bytes(starts[r - 1] - a if previous == r - 1 >= 0 else b - a))
+        caps = [ceiling + r + 1 - h for h in heights[a:b]]
+        edges.append(partial(_semistandard_rows, b - a, pad, caps, pack))
+        previous = r
+    empty = pack()
+    return _joined_paths(empty, edges, _middle(len(edges)), None, empty) if edges else iter([empty])
 
 
 def enumerate_ssyt(shape: Sequence[int], ceiling: int, inner: Sequence[int] = ()) -> Iterator[Tableau]:
@@ -526,7 +653,7 @@ def enumerate_ssyt(shape: Sequence[int], ceiling: int, inner: Sequence[int] = ()
     Deterministic row-major lexicographic order: the tableaux of the
     reading words of :func:`ssyt_words`.
     """
-    layout = ReadingLayout(shape, inner)
+    layout = ReadingRows(shape, inner)
     for word in ssyt_words(layout, ceiling):
         yield Tableau._of_word(layout, word, ceiling)
 
@@ -602,37 +729,57 @@ def order_ideal_chains(size: int, covers: Iterable[tuple[int, int]], d: int, pac
     on 1..size with covers (x, y), y covering x, as the labels of 1..size
     packed by `pack` (see :func:`key_packer`).
 
-    The search walks the :func:`_chain_graph`, expanding each state when it
-    first enters it, in a loop over a stack that holds the edges each
-    state it entered has left to try.  Each edge's label goes on its
-    antichain, and the last label takes every element left.
+    A labelling is the :func:`_joined_paths` of the :func:`_chain_graph`:
+    each edge's piece is an int holding its label in the field of each
+    element of its antichain, fields of whole bytes as wide as d needs, the
+    last label's edges also holding it in the field of every element left;
+    the join is ``+``, and ``int.to_bytes`` lays the finished int out as
+    the labels, which `tuple` packing reads back.  Each state's pieces are
+    found once, and the states of the middle label keep their completions.
     """
     graph = _chain_graph(size, covers, d)
     if graph is None:
-        return
+        return iter(())
     if d < 1:
-        yield pack()  # the empty poset, with no labels
-        return
+        return iter([pack()])  # the empty poset, with no labels
+    if pack is bytes and d > 255:
+        raise PreconditionError(f"labels up to {d} do not fit in bytes keys")
     root, expand = graph
-    labels = [0] * size
-    stack = [(iter([((), root)]), 0)]  # per state entered: its edges left to try, and its label
-    while stack:
-        edges, label = stack[-1]
-        for chosen, state in edges:
-            for x in chosen:
-                labels[x - 1] = label
-            if state[1] < d:
-                out = state[4]
-                if out is None:
-                    out = expand(state)
-                stack.append((iter(out), state[1]))
-                break
-            if len(state[3]) == state[2] > 0:  # the last label takes every element left
-                for x in state[3]:
-                    labels[x - 1] = d
-                yield pack(labels)
-        else:
-            stack.pop()
+    width = 1 if d < 256 else 2 if d < 1 << 16 else 4 if d < 1 << 32 else 8  # bytes per label, an array item's size
+    little = sys.byteorder == "little"
+    # each element's 1 in its field: fields in element order, each in the machine's byte order, as arrays read them
+    ones = [0] + [1 << 8 * width * (x - 1 if little else size - x) for x in range(1, size + 1)]
+    one = ones.__getitem__
+    to_bytes = partial(int.to_bytes, length=width * size, byteorder=sys.byteorder)
+    if pack is bytes:
+        finish = to_bytes
+    else:  # bytes read as their ints, or as an array of the fields' items
+        code = "BHIQ"[width.bit_length() - 1]
+
+        def finish(labels: int) -> Sequence[int]:
+            raw = to_bytes(labels)
+            return pack(raw if width == 1 else memoryview(raw).cast(code))
+
+    if d == 1:  # no edges: the one label takes every element, all of them minimal
+        return iter([finish(sum(map(one, root[3])))] if len(root[3]) == size else [])
+
+    def edges(state: list) -> list[tuple[int, list]]:
+        """The (piece, state) pairs of a state's edges, found on its first
+        visit and kept in its edges slot in place of the antichains."""
+        if state[4] is None:
+            label, out = state[1], []
+            for chosen, child in expand(state):
+                piece = label * sum(map(one, chosen))
+                if child[1] == d:  # the last label takes every element left
+                    if not len(child[3]) == child[2] > 0:
+                        continue
+                    piece += d * sum(map(one, child[3]))
+                out.append((piece, child))
+            state[4] = out
+        return state[4]
+
+    depth = d - 1
+    return map(finish, _joined_paths(root, [edges] * depth, _middle(depth), itemgetter(0), 0))
 
 
 def count_order_ideal_chains(size: int, covers: Iterable[tuple[int, int]], d: int, cap: int) -> int:
@@ -705,15 +852,17 @@ def count_syt(shape: Sequence[int]) -> int:
 def count_ssyt(shape: Sequence[int], ceiling: int) -> int:
     """Number of semistandard tableaux with entries <= ceiling (hook content
     formula): the product of the contents ceiling + c - r over the product
-    of the hooks.  A content equal to a hook cancels it; the rest of each
-    are multiplied by :func:`_product_tree` and divided once."""
+    of the hooks, or 0 at once, before any hook is found, when the first
+    column is longer than the ceiling.  A content equal to a hook cancels
+    it; the rest of each are multiplied by :func:`_product_tree` and
+    divided once."""
     outer = check_partition(shape) if shape else ()
     if ceiling < 0:
         raise PreconditionError(f"ceiling must be nonnegative: {ceiling}")
-    hooks = hook_lengths(outer)
-    contents = Counter(ceiling + c - r for r, c in hooks)
-    if contents[0]:
+    if len(outer) > ceiling:  # the first column, whose entries strictly increase, has no filling
         return 0
+    hooks = hook_lengths(outer)
+    contents = Counter(ceiling + c - r for r, c in hooks)  # all positive, as every column fits
     lengths = Counter(hooks.values())
     common = contents & lengths
     contents -= common

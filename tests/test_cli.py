@@ -305,7 +305,7 @@ class TestHomomesy:
         def refuse(*_):
             raise AssertionError("enumerated a system known to exceed the budget")
 
-        monkeypatch.setattr("promotab.homomesy.ssyt_words", refuse)
+        monkeypatch.setattr("promotab.homomesy.ssyt_words_of_shape", refuse)
         code, out, err = run(capsys, "homomesy", *"--shape 3x3 -k 8 --symmetric-all --budget 14111".split())
         assert (code, out) == (4, "")
         assert err == "budget exhausted: ssyt(shape=3,3,3;k=8;op=promote) exceeds the element budget 14111\n"
@@ -325,7 +325,7 @@ class TestHomomesy:
         def refuse(*_):
             raise AssertionError("enumerated a system over the budget")
 
-        for name in ("ssyt_words", "linear_extension_labels", "increasing_labels"):
+        for name in ("ssyt_words_of_shape", "linear_extension_labels", "increasing_labels"):
             monkeypatch.setattr(homomesy, name, refuse)
         code, out, err = run(capsys, "homomesy", *args.split(), "--cells", "1,1", "--budget", str(budget))
         assert (code, out) == (4, "")
@@ -656,11 +656,12 @@ def test_malformed_input_is_refused_in_one_line(capsys, verb, case):
     assert err.endswith("\n") and err.count("\n") == 1, err
 
 
-def run_module(*argv) -> subprocess.CompletedProcess:
-    """`python -m promotab` with argv, in a new process, on this checkout's library."""
+def run_module(*argv, **options) -> subprocess.CompletedProcess:
+    """`python -m promotab` with argv, in a new process, on this checkout's
+    library; `options` go to :func:`subprocess.run`."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "promotab", *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "promotab", *argv], capture_output=True, text=True, env=env, **options)
 
 
 @pytest.mark.parametrize("cells", ["1,1", "1,1;2,2"])
@@ -681,3 +682,25 @@ def test_a_count_of_a_hundred_thousand_bits_is_refused_in_bounded_time():
     assert done.stderr.endswith(";k=600;op=promote) exceeds the element budget 10\n")
     assert done.stderr.count("\n") == 1
     assert elapsed < 2.5
+
+
+def test_a_system_with_no_element_builds_nothing_of_its_shape():
+    # 1,000 rows over a ceiling of 2: the count is 0 before any hook is
+    # found, and the enumeration reads the shape alone, so the layout of a
+    # million cells, with its step, key test and box index, is never built;
+    # building them took about 6 s and 900 MB, past the limit set here
+    import resource
+
+    limit = 256 << 20
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    started = time.perf_counter()
+    argv = "homomesy --shape 1000x1000 -k 2 --cells 1,1 --budget 10".split()
+    done = run_module(*argv, preexec_fn=limited)
+    elapsed = time.perf_counter() - started
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("system: ssyt(shape=1000,1000,")
+    assert done.stdout.endswith("statistic: cells:[(1, 1)]\nverdict: homomesic\n")
+    assert elapsed < 3

@@ -1,4 +1,6 @@
 import re
+import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
@@ -675,3 +677,25 @@ def test_two_systems_on_one_shape_compile_no_further_key_test(monkeypatch):
     partition_orbits(ssyt_system((3, 2), 4), budget=1000)
     partition_orbits(ssyt_system([3, 2], 5, "promote_inverse"), budget=1000)
     assert len(compiled) == 0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ssyt_system((4, 4, 4, 4), 8),
+        lambda: syt_poset_system(build_cominuscule("freudenthal")),
+        lambda: inc_system(build_cominuscule("rectangle", 3, 5), 3),
+    ],
+    ids=["ssyt-4x4-k8", "freudenthal", "inc-3x5-q3"],
+)
+def test_an_enumeration_keeps_little_beside_its_keys(build):
+    # the completions kept below the middle level, the state graph and the
+    # walk's stack take at most a tenth of what the keys themselves take
+    system = build()
+    tracemalloc.start()
+    try:
+        keys = list(system.enumerate())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * (sys.getsizeof(keys) + sum(map(sys.getsizeof, keys)))

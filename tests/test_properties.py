@@ -7,7 +7,9 @@ walks a memoized state graph.  Here random straight shapes, ceilings and
 tableaux check the kernels against the toggle sweeps and the word
 periods against the tableau orbits, and random transitively reduced
 posets check that the enumerator yields the same labellings, in the
-same order, as the stack search kept in `util`, that the count of the
+same order and in either key type, as the stack search kept in `util`
+(and random straight and skew shapes that the SSYT enumerator's walk of
+rows yields the words of the cell-by-cell search kept there), that the count of the
 graph's paths is their number up to any cap (and the hook-length formula
 on Ferrers posets), and that the K-promotion
 bullet slide and its inverse are the `switch` chains kept there (on
@@ -72,6 +74,7 @@ from util import (
     k_promote_by_switches,
     k_promote_inverse_by_switches,
     order_ideal_chains_by_stack,
+    ssyt_words_by_cells,
     pairwise_test_by_getters,
     partial_promote_by_definition,
     partitions_up_to,
@@ -223,6 +226,25 @@ def test_the_ssyt_enumeration_is_the_filter_of_every_filling(case):
         assert len(expected) == count_ssyt(layout.outer, k)
 
 
+# the small ceilings, enumerated whole, and two large ones, read in part
+CEILINGS = st.one_of(st.integers(0, 6), st.sampled_from([200, 10**20]))
+
+
+@settings(SETTINGS, max_examples=60)
+@given(skew_layouts(cells=8), CEILINGS, st.sampled_from([tuple, bytes]))
+@example(ReadingLayout((3, 2, 2, 1)), 6, bytes)  # four rows, whose third keep the fourth
+@example(ReadingLayout((4, 3, 1), (2, 1)), 10**20, tuple)
+def test_the_row_walk_is_the_cell_search_in_order(layout, k, pack):
+    # the words of the graph of rows, whose middle rows keep the rows below
+    # them, are the cell-by-cell search's, in its order, in either key type;
+    # the large ceilings are compared on their first words
+    pack = pack if k < 255 else tuple
+    words, expected = ssyt_words(layout, k, pack), ssyt_words_by_cells(layout, k, pack)
+    if k > 6:
+        words, expected = islice(words, 300), islice(expected, 300)
+    assert list(words) == list(expected)
+
+
 @FEWER
 @given(skew_layouts(cells=6).map(lambda layout: layout.outer))
 def test_the_syt_enumeration_is_the_filter_of_every_permutation(shape):
@@ -297,6 +319,19 @@ def reduced_posets(draw, most: int = 7) -> tuple[int, list[tuple[int, int]]]:
     return size, covers
 
 
+def check_walk(size: int, covers, d: int) -> None:
+    """The walk onto 1..d is the stack search, in its order, in either key
+    type that holds its labels, and its count is its length up to any cap."""
+    walk = list(order_ideal_chains(size, covers, d))
+    assert walk == list(order_ideal_chains_by_stack(size, covers, d)), d
+    if d < 256:  # the same labellings in bytes keys, which hold labels up to 255
+        assert list(order_ideal_chains(size, covers, d, bytes)) == list(map(bytes, walk)), d
+    n = len(walk)
+    for cap in (0, 1, n - 1, n, 10**9):
+        count = count_order_ideal_chains(size, covers, d, cap)
+        assert count == n if n <= cap else count > cap, (d, cap, count, n)
+
+
 @SETTINGS
 @given(reduced_posets())
 def test_the_state_graph_walk_is_the_stack_search_in_order(poset):
@@ -306,12 +341,13 @@ def test_the_state_graph_walk_is_the_stack_search_in_order(poset):
     size, covers = poset
     FinitePoset(size, covers)  # acyclic and transitively reduced
     for d in range(size + 2):
-        walk = list(order_ideal_chains(size, covers, d))
-        assert walk == list(order_ideal_chains_by_stack(size, covers, d)), d
-        n = len(walk)
-        for cap in (0, 1, n - 1, n, 10**9):
-            count = count_order_ideal_chains(size, covers, d, cap)
-            assert count == n if n <= cap else count > cap, (d, cap, count, n)
+        check_walk(size, covers, d)
+
+
+def test_the_state_graph_walk_of_a_chain_past_a_byte():
+    # 300 labels, in two-byte fields: the one labelling onto 1..300, and none onto one label fewer or more
+    for d in (299, 300, 301):
+        check_walk(300, [(x, x + 1) for x in range(1, 300)], d)
 
 
 def test_the_count_of_a_ferrers_poset_is_the_hook_length_formula():

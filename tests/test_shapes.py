@@ -1,17 +1,21 @@
 import inspect
 import sys
-from itertools import accumulate, product
+import time
+import tracemalloc
+from itertools import accumulate, islice, product
 from operator import lt
 
 import pytest
 
 from promotab.errors import ParseError, PreconditionError
+from promotab.posets import ferrers_poset
 from promotab.shapes import (
     CHUNK,
     ReadingLayout,
     Tableau,
     Word,
     _chain_graph,
+    _semistandard_rows,
     complement_reverse,
     count_order_ideal_chains,
     count_ssyt,
@@ -43,21 +47,21 @@ def skew_shapes_up_to(cells: int):
         yield from ((outer, tuple(x for x in mu if x)) for mu in inners)
 
 
-def entered_cells(layout: ReadingLayout, ceiling: int) -> tuple[int, list]:
-    """The number of times :func:`ssyt_words` writes a value into a cell,
-    counted by a line tracer, and the words it yields."""
-    lines, start = inspect.getsourcelines(ssyt_words)
-    write = start + next(i for i, line in enumerate(lines) if line.strip() == "values[fill[i]] = v")
-    writes = 0
+def yielded_rows(layout: ReadingLayout, ceiling: int) -> tuple[list, list]:
+    """Each (row above, row) pair that the row generator behind
+    :func:`ssyt_words` yields, read by a line tracer, and the words
+    :func:`ssyt_words` yields; the row above the top row is empty."""
+    lines, start = inspect.getsourcelines(_semistandard_rows)
+    line = start + next(i for i, text in enumerate(lines) if text.strip() == "yield row, row")
+    pairs = []
 
     def local(frame, event, _):
-        nonlocal writes
-        if event == "line" and frame.f_lineno == write:
-            writes += 1
+        if event == "line" and frame.f_lineno == line:
+            pairs.append((frame.f_locals["above"], frame.f_locals["row"]))
         return local
 
     def trace(frame, event, _):
-        return local if frame.f_code is ssyt_words.__code__ else None
+        return local if frame.f_code is _semistandard_rows.__code__ else None
 
     previous = sys.gettrace()
     sys.settrace(trace)
@@ -65,7 +69,7 @@ def entered_cells(layout: ReadingLayout, ceiling: int) -> tuple[int, list]:
         words = list(ssyt_words(layout, ceiling))
     finally:
         sys.settrace(previous)
-    return writes, words
+    return pairs, words
 
 
 def walk_work(size: int, covers, d: int, cap: int, run=None) -> tuple[int, int, object]:
@@ -183,15 +187,37 @@ class TestEnumeration:
             ((5, 5, 5, 5, 5), (), (5, 6)),
         ],
     )
-    def test_every_cell_entered_leads_to_a_word(self, outer, inner, ceilings):
+    def test_every_row_yielded_lies_on_a_word(self, outer, inner, ceilings):
         layout = ReadingLayout(outer, inner)
         for k in ceilings:
-            writes, words = entered_cells(layout, k)
-            # a write fixes a row-major prefix that no earlier write fixed, so
-            # there are no dead ends exactly when every write is a prefix of a word
-            prefixes = {tuple(w[j] for j in layout.fill[:length]) for w in words for length in range(1, layout.size + 1)}
-            assert writes == len(prefixes), (outer, inner, k)
+            pairs, words = yielded_rows(layout, k)
+            # each row with cells of a word, top row first, after the row with cells above it
+            on_words = set()
+            for word in words:
+                rows = [row for row in layout.rows(word) if row]
+                on_words.update(zip([()] + rows, rows))
+            # no row is a dead end, and every row of a word is yielded under the row above it
+            assert set(pairs) == on_words, (outer, inner, k)
             assert len(words) == count_ssyt(outer, k) or inner
+
+    def test_the_first_keys_come_at_once_in_little_memory(self):
+        # each enumerator walks lazily: neither lists the rows or edges of a
+        # level, nor keeps more completions than it has yielded
+        p = ferrers_poset((12,) * 12)
+        firsts = [
+            lambda: [next(ssyt_words(ReadingLayout((2, 2)), 10**20))],
+            lambda: list(islice(order_ideal_chains(p.size, p.covers, p.size), 10)),
+        ]
+        for first in firsts:
+            tracemalloc.start()
+            start = time.perf_counter()
+            try:
+                keys = first()
+            finally:
+                elapsed = time.perf_counter() - start
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            assert keys and elapsed < 0.5 and peak < 1 << 20, (keys[0], elapsed, peak)
 
     def test_a_long_row_enumerates(self):
         assert len(list(enumerate_ssyt((1200,), 2))) == count_ssyt((1200,), 2) == 1201

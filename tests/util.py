@@ -499,6 +499,46 @@ def unpruned_ssyt_words(layout: ReadingLayout, ceiling: int):
             return
 
 
+def ssyt_words_by_cells(layout: ReadingLayout, ceiling: int, pack=tuple):
+    """Order oracle of `promotab.shapes.ssyt_words`: the same words in the
+    same order, each packed by `pack`, by a search that fills one cell at
+    a time instead of walking a graph of rows.
+
+    Cells are filled row by row, left to right, trying smaller values
+    first and backing up to the previous cell when one has no value left;
+    each value is written at the cell's index in the reading word.  A cell
+    takes at most the ceiling minus its `below`, so no branch is a dead end.
+    """
+    if ceiling < 0:
+        raise PreconditionError(f"ceiling must be nonnegative: {ceiling}")
+    n = layout.size
+    if not n:
+        yield pack()
+        return
+    caps = [ceiling - below for below in layout.below]
+    if min(caps) < 1:  # a column longer than the ceiling
+        return
+    fill = layout.fill
+    left = [layout.west[j] for j in fill]  # by cell in row-major order
+    above = [layout.north[j] for j in fill]
+    values = [0] * (n + 1)  # a missing neighbour's index, -1, reads the last value, which stays 0
+    i, v = 0, 1  # the cell being filled, in row-major order, and the value to try in it
+    while True:
+        if v <= caps[i]:
+            values[fill[i]] = v
+            if i + 1 < n:
+                i += 1
+                v = max(values[left[i]], values[above[i]] + 1)
+            else:
+                yield pack(values[:n])
+                v += 1
+        elif i:
+            i -= 1
+            v = values[fill[i]] + 1
+        else:
+            return
+
+
 def order_ideal_chains_by_stack(size, covers, d):
     """Order oracle of `promotab.shapes.order_ideal_chains`: the same
     labellings in the same order, by a stack search that recomputes each
