@@ -292,10 +292,13 @@ def _cmd_homomesy(args) -> int:
     orbits = len(partition.sizes)
     # every statistic is at least one report row, even on an empty system
     if count * max(orbits, 1) > args.budget:
+        # past 2^64 a count is 2^classes, written so: `str` may refuse its digits
+        many = str(count) if count < 1 << 64 else f"2^{count.bit_length() - 1}"
         if not orbits:
-            rows = f"{count} statistics exceed the budget {args.budget}; each is at least one report row"
+            rows = f"{many} statistics exceed the budget {args.budget}; each is at least one report row"
         else:
-            rows = f"{count} statistics x {orbits} orbits = {count * orbits} report rows exceed the budget {args.budget}"
+            total = str(count * orbits) if count < 1 << 64 else f"{orbits} x {many}"
+            rows = f"{many} statistics x {orbits} orbits = {total} report rows exceed the budget {args.budget}"
         raise BudgetExceededError(f"{system.description}: {rows}")
     reports = [homomesy.verdict(partition, stat) for stat in statistics()]
     if args.format == "json":

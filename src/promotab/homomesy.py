@@ -3,7 +3,8 @@
 A dynamical system here is any finite set with an invertible step map.
 A :class:`System` enumerates and steps flat keys, an element's entries
 (a tableau's reading word, a poset object's labels), and knows its
-layout: the key index of each box or element, and the rotate involution.
+layout: the key index of each box or element, and the rotate involution
+on key positions (a :class:`Rotation`), which each builder gives once.
 Each system picks its key type once, by :func:`~promotab.shapes.key_packer`:
 `bytes` when every entry and the bounds its key test appends fit in a
 byte (SSYT ceilings up to 254, posets of up to 255 elements), otherwise
@@ -23,8 +24,8 @@ once on keys, keeping the orbit's least key (its lead), its size and the
 total of every entry over the orbit, laid out like the key; no element
 object is built, and no representative until a report is written.
 A system with a rotate involution rho, an order-reversing involution of
-its cells, walks only half of its orbits: the mirror
-mu(key)[i] = c - key[rho(i)], with c the largest entry plus one (on
+its cells given on key positions, walks only half of its orbits: the
+mirror mu(key)[i] = c - key[rho(i)], with c the largest entry plus one (on
 `bytes` keys one `translate` through a table of c - v), maps
 elements to elements and conjugates promotion to its inverse
 (mu . step . mu = step^-1; on SSYT rectangles mu is evacuation), so the
@@ -53,12 +54,11 @@ in a write; the text format prints none.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from math import gcd
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, le, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .dynamics import OPERATORS, cycle, reading_word_step, straight_layout
@@ -110,6 +110,15 @@ def orbit_average(elements: Iterable, statistic: CellStatistic) -> Fraction:
 Key = bytes | tuple[int, ...]
 
 
+class Rotation(NamedTuple):
+    """A system's rotate involution rho on its key positions: `images[i]`
+    is rho(i), and `item(i)` the box or poset element that position i
+    names in statistic names."""
+
+    images: Sequence[int]
+    item: Callable[[int], object]
+
+
 @dataclass(frozen=True)
 class System:
     """A finite invertible dynamical system on flat keys, with the layout
@@ -126,12 +135,13 @@ class System:
     what reports print for a key, in int tuples whatever the key type.
     `position` is the key index of a support item (a box, or a poset
     element or its box), and refuses items the elements lack;
-    `rotate` is the rotate involution on the items, if any, and
-    `complement` the constant c of the mirror mu(key)[i] = c - key[rho(i)],
-    rho being the rotate on key positions: the largest entry plus one, so
-    that mu conjugates `step` to its inverse.  `count(cap)` is the number
-    of elements when that is at most cap, and otherwise any number over
-    cap, so a budget is refused before any key is enumerated.
+    `rotate` is the rotate involution rho on key positions, if any, and
+    `complement` the constant c of the mirror mu(key)[i] = c - key[rho(i)]:
+    the largest entry plus one, so that mu conjugates `step` to its
+    inverse; the orbit walk reads rho as given and resolves no support
+    item.  `count(cap)` is the number of elements when that is at most
+    cap, and otherwise any number over cap, so a budget is refused before
+    any key is enumerated.
     """
 
     description: str
@@ -140,7 +150,7 @@ class System:
     admits: Callable[[Sequence[Key]], int | None]
     representative: Callable[[Key], tuple]
     position: Callable[[object], int]
-    rotate: Mapping | None
+    rotate: Rotation | None
     complement: int
     count: Callable[[int], int]
 
@@ -157,36 +167,15 @@ def _is_box(outer: tuple[int, ...], box) -> bool:
     )
 
 
-class _RectangleRotation(Mapping):
-    """The 180-degree rotation of the boxes of a rectangle, read like the
-    dict of it, in row-major order, with no dict built."""
-
-    def __init__(self, outer: tuple[int, ...]):
-        self.outer = outer
-
-    def __getitem__(self, box):
-        if not _is_box(self.outer, box):
-            raise KeyError(box)
-        return len(self.outer) + 1 - box[0], self.outer[0] + 1 - box[1]
-
-    def __contains__(self, box) -> bool:
-        return _is_box(self.outer, box)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return ((r, c) for r, n in enumerate(self.outer, start=1) for c in range(1, n + 1))
-
-    def __len__(self) -> int:
-        return sum(self.outer)
-
-
 def ssyt_system(shape, ceiling: int, operator: str = "promote") -> System:
     """Semistandard tableaux of a straight shape under (inverse) promotion.
 
     The enumeration reads the shape alone (:func:`~promotab.shapes.ssyt_words_of_shape`),
-    and a box's key index and rotate image are computed per box, so the
-    reading layout, the step and the key test are built on their first
-    use: a system with no element, one whose first column is longer than
-    the ceiling, builds none of them."""
+    a box's key index is computed per box, and a rectangle's rotate
+    reverses the reading word, a lazy `range` of images, so the reading
+    layout, the step and the key test are built on their first use: a
+    system with no element, one whose first column is longer than the
+    ceiling, builds none of them."""
     outer = check_partition(shape)
     if operator not in OPERATORS:
         raise PreconditionError(f"unknown operator {operator!r}")
@@ -207,6 +196,10 @@ def ssyt_system(shape, ceiling: int, operator: str = "promote") -> System:
         return kernel(word)
 
     kernel = first_step
+    rotation = None
+    if len(set(outer)) == 1:  # a rectangle's rotate reverses the word, which reads row m first
+        m, n = len(outer), outer[0]
+        rotation = Rotation(range(m * n - 1, -1, -1), lambda i: (m - i // n, i % n + 1))
     return System(
         description=f"ssyt(shape={','.join(map(str, outer))};k={ceiling};op={operator})",
         enumerate=lambda: ssyt_words_of_shape(outer, ceiling, pack),
@@ -215,7 +208,7 @@ def ssyt_system(shape, ceiling: int, operator: str = "promote") -> System:
         admits=lambda keys: straight_layout(outer).semistandard_keys_test(ceiling, pack)(keys) if keys else None,
         representative=lambda word: tuple(map(tuple, straight_layout(outer).rows(word))),
         position=position,
-        rotate=_RectangleRotation(outer) if len(set(outer)) == 1 else None,
+        rotate=rotation,
         complement=ceiling + 1,
         count=lambda cap: count_ssyt(outer, ceiling),
     )
@@ -229,7 +222,11 @@ def _poset_layout(p: FinitePoset) -> dict:
             raise PreconditionError(f"element {x} outside the poset")
         return x - 1
 
-    return dict(representative=tuple, position=position, rotate=rotate(p) if p.rotation else None)
+    rotation = None
+    if p.rotation:  # element x is at key position x - 1
+        rot = rotate(p)
+        rotation = Rotation(tuple(rot[x] - 1 for x in p.elements()), lambda i: i + 1)
+    return dict(representative=tuple, position=position, rotate=rotation)
 
 
 def syt_poset_system(p: FinitePoset) -> System:
@@ -299,10 +296,10 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
 
     A system with a `rotate` walks each orbit O or its mirror mu(O), never
     both: mu(key)[i] = c - key[rho(i)], for c its `complement` and rho its
-    rotate on key positions, which is derived once through `position`,
-    and only when there is a key.  On `bytes` keys mu is one `translate`
-    through a table of c - v, of the reversed key when rho reverses the
-    positions; on tuples it builds the tuple of c - v.  After walking O it
+    rotate on key positions, read as given: no support item is resolved.
+    On `bytes` keys mu is one `translate` through a table of c - v, of the
+    reversed key when rho reverses the positions; on tuples it builds the
+    tuple of c - v.  After walking O it
     derives mu(O): if mu(O) is unvisited, it must consume exactly |O|
     unvisited keys and the step of mu(x_1) must be mu(x_0), since
     mu . step . mu = step^-1; otherwise mu(O) must be O itself.  A mirror
@@ -357,21 +354,16 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
 def _mirror(system: System, key: Key) -> tuple[Callable[[Sequence[int]], Sequence[int]], Callable[[Key], Key]]:
     """The getter pick of a sequence's entries at the rotate images of its
     positions, and the mirror mu(key) = c - pick(key) on keys of the type
-    and length of `key`.  Entry i of pick(s) is s[rho(i)], where rho maps
-    the position of each support item to that of its rotate image, and c
-    is the system's `complement`.  On `bytes` keys mu is one translate
-    through the table of c - v, of the reversed key when rho reverses the
-    key positions (as on rectangles), or else of pick(key).  A rotate that
-    does not permute the key's positions raises :class:`PreconditionError`
-    naming the system."""
+    and length of `key`.  Entry i of pick(s) is s[rho(i)], rho being the
+    system's rotate `images` as given, and c is the system's `complement`.
+    On `bytes` keys mu is one translate through the table of c - v, of the
+    reversed key when rho reverses the key positions (as on rectangles),
+    or else of pick(key).  Images that do not permute the key's positions
+    raise :class:`PreconditionError` naming the system."""
     length = len(key)
-    try:
-        rho = {system.position(x): system.position(y) for x, y in system.rotate.items()}
-    except PreconditionError as exc:
-        raise PreconditionError(f"{system.description}: {exc}") from exc
-    if sorted(rho) != list(range(length)) or sorted(rho.values()) != list(range(length)):
+    images = list(system.rotate.images)
+    if sorted(images) != list(range(length)):
         raise PreconditionError(f"{system.description}: the rotate involution does not permute the key positions")
-    images = [rho[i] for i in range(length)]
     # a slice reads one position or none as a sequence too
     pick = itemgetter(*images) if length > 1 else itemgetter(slice(length))
     c = system.complement
@@ -469,26 +461,26 @@ def verdict(partition: OrbitPartition, statistic: CellStatistic) -> HomomesyRepo
 # -- symmetric supports --------------------------------------------------------
 
 
+def _rotation(system: System) -> Rotation:
+    """The system's rotate involution, which symmetric supports need."""
+    if system.rotate is None:
+        raise PreconditionError(f"{system.description} has no rotate involution")
+    return system.rotate
+
+
 def _rotate_classes(system: System) -> list[tuple]:
     """The orbits of the system's rotate involution on its items, each
     sorted, ordered by their least item."""
-    rot = system.rotate
-    if rot is None:
-        raise PreconditionError(f"{system.description} has no rotate involution")
-    classes: list[tuple] = []
-    seen = set()
-    for x in sorted(rot):
-        if x not in seen:
-            cls = tuple(sorted({x, rot[x]}))
-            seen.update(cls)
-            classes.append(cls)
-    return classes
+    images, item = _rotation(system)
+    return sorted(tuple(sorted({item(i), item(j)})) for i, j in enumerate(images) if i <= j)
 
 
 def count_symmetric_subsets(system: System) -> int:
     """The number of statistics :func:`symmetric_subsets` yields,
-    2^(number of rotate classes), without building any."""
-    return 1 << len(_rotate_classes(system))
+    2^(number of rotate classes), from the rotate's images alone: a class
+    is a position i with i <= rho(i)."""
+    images = _rotation(system).images
+    return 1 << sum(map(le, range(len(images)), images))
 
 
 def symmetric_subsets(system: System) -> Iterator[CellStatistic]:
@@ -500,7 +492,7 @@ def symmetric_subsets(system: System) -> Iterator[CellStatistic]:
     smallest first, the classes ordered by their least item.
     """
     classes = _rotate_classes(system)
-    tag = "cells" if any(isinstance(x, tuple) for x in system.rotate) else "elements"
+    tag = "cells" if classes and isinstance(classes[0][0], tuple) else "elements"
     for mask in range(1 << len(classes)):
         support = frozenset(x for i, cls in enumerate(classes) if mask >> i & 1 for x in cls)
         yield CellStatistic(support=support, name=f"{tag}:{sorted(support)}")

@@ -433,11 +433,10 @@ class ReadingLayout(ReadingRows):
 
     The reading word is the flat key of a tableau of the shape.
     :meth:`is_semistandard` and :meth:`semistandard_test` test words
-    without building a tableau.  `fill` and `below` hold, for the cells
-    in row-major order, the word index of the cell and the number of
-    cells under it.  `south`, `east`, `north` and `west` hold, by word
-    index, the word index of the cell below, to the right, above and to
-    the left, or -1 for a missing one.
+    without building a tableau.  `fill` holds, for the cells in
+    row-major order, the word index of the cell.  `south`, `east`,
+    `north` and `west` hold, by word index, the word index of the cell
+    below, to the right, above and to the left, or -1 for a missing one.
     `row_pairs` and `column_pairs` are the (i, j) word index pairs whose
     entries must satisfy s[i] <= s[j] and s[i] < s[j], the latter with
     the bounds 0 and ceiling + 1 at indices size and size + 1, and
@@ -447,7 +446,7 @@ class ReadingLayout(ReadingRows):
     """
 
     __slots__ = (
-        "fill", "below", "south", "east", "north", "west",
+        "fill", "south", "east", "north", "west",
         "row_pairs", "column_pairs", "weak_rows", "strict_columns",
     )
 
@@ -457,8 +456,6 @@ class ReadingLayout(ReadingRows):
         cells = [(r, c) for r in range(1, len(outer) + 1) for c in range(part(inner, r) + 1, part(outer, r) + 1)]
         index = {(r, c): bounds[r - 1][0] + c - part(inner, r) - 1 for r, c in cells}
         self.fill = tuple(index[cell] for cell in cells)
-        heights = conjugate(outer)
-        self.below = tuple(heights[c - 1] - r for r, c in cells)
         by_index = sorted(cells, key=index.__getitem__)
         self.south = south = tuple(index.get((r + 1, c), -1) for r, c in by_index)
         self.east = east = tuple(index.get((r, c + 1), -1) for r, c in by_index)

@@ -704,3 +704,35 @@ def test_a_system_with_no_element_builds_nothing_of_its_shape():
     assert done.stdout.startswith("system: ssyt(shape=1000,1000,")
     assert done.stdout.endswith("statistic: cells:[(1, 1)]\nverdict: homomesic\n")
     assert elapsed < 3
+
+
+def test_symmetric_all_past_the_digits_str_writes_is_refused_as_a_power_of_two():
+    # 2^500000 statistics on a system with no element: the classes are
+    # counted from the rotate's images, a range, and the count is written
+    # as a power of two, since `str` refuses an int of over 4300 digits
+    import resource
+
+    limit = 256 << 20
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    started = time.perf_counter()
+    done = run_module(*"homomesy --shape 1000x1000 -k 2 --symmetric-all --budget 10".split(), preexec_fn=limited)
+    elapsed = time.perf_counter() - started
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr.startswith("budget exhausted: ssyt(shape=1000,1000,")
+    assert done.stderr.endswith(
+        ";k=2;op=promote): 2^500000 statistics exceed the budget 10; each is at least one report row\n"
+    )
+    assert elapsed < 3
+
+
+def test_symmetric_all_rows_past_the_digits_str_writes_are_refused_as_a_product(capsys):
+    # one row of 30,000 boxes below a ceiling of 1 is one element, one orbit
+    code, out, err = run(capsys, *"homomesy --shape 1x30000 -k 1 --symmetric-all --budget 10".split())
+    assert (code, out) == (4, "")
+    assert err == (
+        "budget exhausted: ssyt(shape=30000;k=1;op=promote): 2^15000 statistics x 1 orbits"
+        " = 1 x 2^15000 report rows exceed the budget 10\n"
+    )

@@ -449,19 +449,23 @@ class TestComplementIdentity:
                 assert vals == comp
 
 
-# Each build returns a system and its rotate complement on keys, computed
-# on objects: evacuation on SSYT rectangles, rotate_reverse on linear
+# Each build returns a system, its rotate complement on keys, computed on
+# objects (evacuation on SSYT rectangles, rotate_reverse on linear
 # extensions, and the labels d + 1 - label(rotate(x)) on increasing tableaux
-# with d labels.
+# with d labels), and the rotate on its items by the definition: the dict of
+# (r, c) -> (m+1-r, n+1-c) on the boxes of an m x n rectangle, or
+# posets.rotate on a poset's elements.
 
 
 def _ssyt_mirror(shape, k, operator="promote"):
     system = ssyt_system(shape, k, operator)
-    return system, lambda key: type(key)(evacuate(element_of(system, key, Tableau, k)).row_reading())
+    m, n = len(shape), shape[0]
+    turn = {(r, c): (m + 1 - r, n + 1 - c) for r in range(1, m + 1) for c in range(1, n + 1)}
+    return system, lambda key: type(key)(evacuate(element_of(system, key, Tableau, k)).row_reading()), turn
 
 
 def _poset_mirror(p):
-    return syt_poset_system(p), lambda key: type(key)(rotate_reverse(LinearExtension(p, key)).labels)
+    return syt_poset_system(p), lambda key: type(key)(rotate_reverse(LinearExtension(p, key)).labels), rotate(p)
 
 
 def _inc_mirror(p, q):
@@ -471,7 +475,7 @@ def _inc_mirror(p, q):
         t = IncreasingTableau(p, key)
         return type(key)(IncreasingTableau(p, [d + 1 - t.label(rot[x]) for x in p.elements()]).labels)
 
-    return inc_system(p, q), mirror
+    return inc_system(p, q), mirror, rot
 
 
 # the systems that the acceptance sweeps c03, c09 and c10 partition, and the
@@ -497,13 +501,21 @@ MIRROR_SYSTEMS = {
     ],
 }
 SELF_MIRRORED = {"one-stat-large": [60, 60, 0, 40]}
+# the mirror systems and increasing tableaux on posets that are not rectangles
+ROTATED_SYSTEMS = {
+    **MIRROR_SYSTEMS,
+    "non-rectangular": lambda: [
+        _inc_mirror(build_cominuscule("shifted_staircase", 3), 2),
+        _inc_mirror(build_cominuscule("propeller", 4), 1),
+    ],
+}
 
 
 class TestMirror:
     @pytest.mark.parametrize("group", MIRROR_SYSTEMS)
     def test_the_mirrored_partition_is_the_walked_one(self, group):
         self_mirrored = []
-        for system, mirror in MIRROR_SYSTEMS[group]():
+        for system, mirror, _ in MIRROR_SYSTEMS[group]():
             calls = []
 
             def step(key, step=system.step):
@@ -523,6 +535,18 @@ class TestMirror:
             walked = (len(orbit_of) + sum(map(len, selfs))) // 2
             assert len(calls) == walked + (len(walks) - len(selfs)) // 2, system.description
         assert self_mirrored == SELF_MIRRORED.get(group, self_mirrored)
+
+    @pytest.mark.parametrize("group", ROTATED_SYSTEMS)
+    def test_the_rotate_on_positions_is_the_rotate_of_the_items(self, group):
+        # rho is an involution of the key positions; item(i) is at position
+        # i, and its rotate, by the definition on items, at position rho(i)
+        for system, _, turn in ROTATED_SYSTEMS[group]():
+            images, item = system.rotate
+            positions = list(range(len(turn)))
+            assert sorted(images) == positions, system.description
+            assert [images[j] for j in images] == positions, system.description
+            assert [system.position(item(i)) for i in positions] == positions, system.description
+            assert [system.position(turn[item(i)]) for i in positions] == list(images), system.description
 
     @staticmethod
     def _three_cycle(base):
@@ -563,10 +587,10 @@ class TestMirror:
         [
             # entries complemented to c + 1 - v, past the ceiling
             lambda base: {"complement": base.complement + 1},
-            # the complement without the turn: not semistandard
-            lambda base: {"rotate": {box: box for box in base.rotate}},
-            # a turn of the first row alone, which leaves the other positions unpaired
-            lambda base: {"rotate": {(1, 1): (1, 3), (1, 3): (1, 1)}},
+            # the complement without the turn, the identity on positions: not semistandard
+            lambda base: {"rotate": base.rotate._replace(images=range(len(base.rotate.images)))},
+            # the turn of the first three positions alone, which gives the others no image
+            lambda base: {"rotate": base.rotate._replace(images=base.rotate.images[:3])},
             lambda base: {"step": TestMirror._three_cycle(base)},
             lambda base: TestMirror._half_image(base),
         ],
@@ -586,6 +610,22 @@ class TestMirror:
         with pytest.raises(BudgetExceededError):
             partition_orbits(system, budget=19)
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: ssyt_system((3, 3), 4), lambda: syt_poset_system(build_cominuscule("shifted_staircase", 4))],
+        ids=["ssyt", "poset"],
+    )
+    def test_an_admitted_system_resolves_no_position(self, build):
+        # the walk and its mirror read the rotate on key positions as given
+        def refuse(item):
+            raise AssertionError(f"support item {item} was resolved")
+
+        system = build()
+        assert system.rotate is not None
+        partition = partition_orbits(replace(system, position=refuse), budget=1000)
+        assert sum(partition.sizes) == system.count(1000)
+        assert as_tuples(partition) == as_tuples(partition_orbits(system, budget=1000))
+
 
 def _chain(size):
     """The chain 1 < 2 < ... < size, with its rotate x -> size + 1 - x: one
@@ -600,7 +640,7 @@ class TestKeyPackers:
 
     @pytest.mark.parametrize("group", MIRROR_SYSTEMS)
     def test_bytes_keys_partition_like_tuple_keys(self, group):
-        for system, _ in MIRROR_SYSTEMS[group]():
+        for system, _, _ in MIRROR_SYSTEMS[group]():
             partition = partition_orbits(system, budget=100_000)
             oracle = partition_orbits(tuple_keyed(system), budget=100_000)
             # a system with no element (a column longer than its ceiling) has no lead

@@ -22,7 +22,10 @@ rebuilds a tableau from a layout's cut of a reading word, as
 through `Tableau._of_word`, so no step drifts back onto the rows
 constructor.  The homomesy writers, `reports_to_json` and the CLI's text
 format, write from a report's integer sums: they build no `OrbitSummary`
-or `Fraction` and read no summary view, so no per-row object comes back."""
+or `Fraction` and read no summary view, so no per-row object comes back.
+Homomesy resolves a support item to its key position only in `verdict`
+and the system builders: the orbit walk reads a system's rotate on key
+positions as given, so no partition re-derives it."""
 
 import ast
 import re
@@ -620,3 +623,57 @@ def test_summary_guard_sees_constructions_and_views(tmp_path):
         "r.partition.orbits",
     ]
     assert summary_uses(probe, "plain") == ["Fraction", "report.orbits"]
+
+
+# where homomesy may resolve a support item: the reading of statistics, and
+# the builders that define each system's `position`
+POSITION_READERS = {"verdict", "ssyt_system", "_poset_layout", "syt_poset_system", "inc_system"}
+
+
+def position_reads(path: Path) -> set[str]:
+    """Top-level definitions of the file (`<module>` for other statements)
+    that read a `position` attribute of anything or get it by `getattr`,
+    nested code included: the ways to resolve a support item through a
+    system."""
+    found = set()
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            read = isinstance(node, ast.Attribute) and node.attr == "position" and isinstance(node.ctx, ast.Load)
+            got = (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "getattr"
+                and any(isinstance(arg, ast.Constant) and arg.value == "position" for arg in node.args)
+            )
+            if read or got:
+                found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_homomesy_resolves_positions_only_in_verdict_and_the_builders():
+    assert "verdict" in position_reads(SRC / "homomesy.py")
+    assert position_reads(SRC / "homomesy.py") <= POSITION_READERS
+
+
+def test_position_guard_sees_nested_attribute_reads_and_getattr(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def verdict(partition, statistic):\n"
+        "    return [partition.system.position(item) for item in statistic.support]\n"
+        "def partition_orbits(system, budget):\n"
+        "    rho = lambda x: system.position(system.rotate[x])\n"
+        "    return rho\n"
+        "def _mirror(system, key):\n"
+        "    return getattr(system, 'position')\n"
+        "class Walk:\n"
+        "    def images(self):\n"
+        "        return map(self.system.position, self.items)\n"
+        "def ssyt_system(shape):\n"
+        "    def position(box):\n"
+        "        return box[1]\n"
+        "    return dict(position=position)\n"
+        "def plain(layout):\n"
+        "    layout.position = 0\n"
+        "    return layout.positions\n"
+        "FIRST = SYSTEM.position((1, 1))\n"
+    )
+    assert position_reads(probe) == {"verdict", "partition_orbits", "_mirror", "Walk", "<module>"}

@@ -27,7 +27,6 @@ from promotab.shapes import (
     order_ideal_chains,
     pairwise_test,
     parse_tableau,
-    part,
     reading_word,
     rotate_complement,
     rsk_insert,
@@ -169,13 +168,6 @@ class TestEnumeration:
             layout = ReadingLayout(outer, inner)
             for k in range(5):
                 assert list(ssyt_words(layout, k)) == list(unpruned_ssyt_words(layout, k)), (outer, inner, k)
-
-    def test_below_is_the_column_count_of_the_rows_below_on_every_small_shape(self):
-        # the definition: the rows under each cell that reach its column
-        for outer, inner in skew_shapes_up_to(8):
-            layout = ReadingLayout(outer, inner)
-            cells = [(r, c) for r, length in enumerate(outer, start=1) for c in range(part(inner, r) + 1, length + 1)]
-            assert layout.below == tuple(sum(length >= c for length in outer[r:]) for r, c in cells), (outer, inner)
 
     @pytest.mark.parametrize(
         "outer, inner, ceilings",

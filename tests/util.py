@@ -507,7 +507,8 @@ def ssyt_words_by_cells(layout: ReadingLayout, ceiling: int, pack=tuple):
     Cells are filled row by row, left to right, trying smaller values
     first and backing up to the previous cell when one has no value left;
     each value is written at the cell's index in the reading word.  A cell
-    takes at most the ceiling minus its `below`, so no branch is a dead end.
+    takes at most the ceiling minus the number of cells under it, the rows
+    below that reach its column, so no branch is a dead end.
     """
     if ceiling < 0:
         raise PreconditionError(f"ceiling must be nonnegative: {ceiling}")
@@ -515,7 +516,9 @@ def ssyt_words_by_cells(layout: ReadingLayout, ceiling: int, pack=tuple):
     if not n:
         yield pack()
         return
-    caps = [ceiling - below for below in layout.below]
+    outer, inner = layout.outer, layout.inner
+    cells = [(r, c) for r, length in enumerate(outer, start=1) for c in range(shapes.part(inner, r) + 1, length + 1)]
+    caps = [ceiling - sum(length >= c for length in outer[r:]) for r, c in cells]
     if min(caps) < 1:  # a column longer than the ceiling
         return
     fill = layout.fill
