@@ -16,10 +16,14 @@ of the entries equal to the ceiling back in (inverse promotion).
 reading word and build one :class:`Tableau`, their result, straight
 from the kernel's word (``Tableau._of_word``).
 :data:`OPERATORS` holds the kernels that orbits step with
-:func:`reading_word_step` on reading words (the keys homomesy systems
-walk), each packing its result word by a key packer: `tuple` for the
-steps on tableaux, `bytes` on an SSYT system whose ceiling is at most
-254.  :func:`orbit` and :func:`promotion_period_words` walk a tableau's
+:func:`reading_word_step` on reading words, each packing its result word
+by a key packer (`tuple` for the steps on tableaux, `bytes` for words
+whose ceiling is at most 254).  Homomesy systems step many reading words
+at once with :func:`promotion_columns`, the column kernel: each cell's
+entries over a list of words are one packed int, and the same slides
+run on those ints, one hole per word, a diagonal at a time; the tests
+check it against :func:`reading_word_step` word by word.
+:func:`orbit` and :func:`promotion_period_words` walk a tableau's
 orbit in one place.  The toggle sweeps (:func:`promote_via_toggles`,
 :func:`promote_inverse_via_toggles`, :func:`evacuate_via_toggles`) toggle
 plain rows and build their result with the rows constructor, so the
@@ -34,7 +38,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import PreconditionError
-from .shapes import Box, Partition, ReadingLayout, Tableau, part
+from .shapes import Box, Partition, ReadingLayout, Tableau, field_ones, field_width, pack_columns, part, unpack_columns
 
 Picker = Callable[[list[Box]], Box]
 Slide = Callable[[Sequence[int]], Sequence[int]]
@@ -464,6 +468,91 @@ OPERATORS: dict[str, Callable[[ReadingLayout, int, type], Slide]] = {
     "promote": lambda layout, k, pack: _slide_out(layout, k, k, pack),
     "promote_inverse": _slide_in,
 }
+
+
+def promotion_columns(layout: ReadingLayout, ceiling: int, operator: str, pack: type = tuple) -> Callable[[Sequence[Sequence[int]]], list]:
+    """The step map `operator` on a list of semistandard reading words of
+    the straight layout, with entries <= k, the ceiling, at once: the list
+    of the words :func:`reading_word_step` gives them, in order, each
+    packed by `pack`, by the same slides as :func:`_slide_out` (with
+    i = k) for promotion and :func:`_slide_in` for its inverse.  No
+    tableau is built and the words are not checked.
+
+    Each cell's column of the words is one int of
+    :func:`~promotab.shapes.pack_columns`, a field per word wide enough for
+    a guard bit above k + 1.  The slides start at the same cells in the
+    same order as on one word: promotion's at the top row's cells,
+    rightmost first, in the words whose cell there holds 1, and inverse
+    promotion's at the bottom cell of each column, in reading order, in
+    the words whose cell there holds k; no earlier slide has reached that
+    cell.  A slide's holes, one per word, step together, one diagonal of
+    the shape at a time: the holes at a cell read its two neighbours (south
+    and east, or north and west) by a guard-bit comparison,
+    ``(col_j + G - col_i) & G``, and each takes the lesser neighbour's
+    entry (the greater one's for inverse promotion; the first on equal
+    entries), or, where both are absent, stops and holds the absent value,
+    k + 1 (or 0), which later slides read as absent.  Then every entry is
+    decremented (or incremented).  The work grows with the cells and the
+    top row, not with k.
+    """
+    if operator not in OPERATORS:
+        raise PreconditionError(f"unknown operator {operator!r}")
+    if layout.inner:
+        raise PreconditionError("promotion requires a straight shape")
+    forward = operator == "promote"
+    size = layout.size
+    width = field_width(ceiling + 1)
+    shift = 8 * width - 1
+    if forward:  # the holes of the top row's 1s slide south-east, rightmost first
+        top = size - part(layout.outer, 1)
+        starts, first, second = range(size - 1, top - 1, -1), layout.south, layout.east
+        start, stop = 1, ceiling + 1
+    else:  # the holes of the k's slide north-west, in reading order
+        starts, first, second = [h for h in range(size) if layout.south[h] < 0], layout.north, layout.west
+        start, stop = ceiling, 0
+
+    def step(words: Sequence[Sequence[int]]) -> list:
+        count = len(words)
+        one = field_ones(count, width)
+        guard = one << shift
+        below = guard - one
+        absent = stop * one
+        cells = pack_columns(words, size, width, pack)
+
+        def full(mask: int) -> int:  # every bit of the fields whose guard bit is set in mask
+            return mask - (mask >> shift) | mask
+
+        for p in starts:
+            holes = (cells[p] ^ start * one) + below & guard ^ guard
+            frontier = {p: holes} if holes else {}
+            while frontier:  # the holes on one diagonal, by cell
+                ahead: dict[int, int] = {}
+                for h, holes in frontier.items():
+                    a, b = first[h], second[h]
+                    x = cells[a] if a >= 0 else absent
+                    y = cells[b] if b >= 0 else absent
+                    # the holes that take the first neighbour's entry (x <= y, or x >= y
+                    # backwards), those of them that find it absent, and the others
+                    picked = holes & (y + guard - x if forward else x + guard - y)
+                    stopped = picked & ~((x ^ absent) + below)
+                    took, other = picked ^ stopped, holes ^ picked
+                    whole = full(holes)
+                    entries = cells[h] & ~whole
+                    # a hole moves only onto a cell of the shape, so each slide ends within its diagonals
+                    if took and a >= 0:
+                        entries |= x & (whole if took == holes else full(took))
+                        ahead[a] = ahead.get(a, 0) | took
+                    if other and b >= 0:
+                        entries |= y & (whole if other == holes else full(other))
+                        ahead[b] = ahead.get(b, 0) | other
+                    if stopped:
+                        entries |= absent & full(stopped)
+                    cells[h] = entries
+                frontier = ahead
+        relabel = -one if forward else one
+        return unpack_columns([cell + relabel for cell in cells], count, width, pack)
+
+    return step
 
 
 def reading_word_step(layout: ReadingLayout, ceiling: int, operator: str, pack: type = tuple) -> Slide:

@@ -11,7 +11,11 @@ byte (SSYT ceilings up to 254, posets of up to 255 elements), otherwise
 int tuples.  Its enumerator, its step kernel and its key test all work in
 that type, and equal-length `bytes` order and iterate like the tuples of
 their entries, so leads, orbit order and totals do not depend on it;
-representatives are int tuples either way.
+representatives are int tuples either way.  A system's step, like its
+key test, takes a list of keys: it is one column kernel, which packs each
+key position's column of the list into one int and steps every key at
+once (:func:`~promotab.dynamics.promotion_columns` on SSYT,
+:func:`~promotab.ktableaux.k_promotion_columns` on posets).
 :func:`partition_orbits` counts it and enumerates it under an explicit
 element budget, by the one walk of `shapes`, whose middle states keep
 the completions below them, so a key is one join per path into such a
@@ -19,10 +23,12 @@ state; an SSYT system builds its reading layout, step and key test on
 their first use, and one with no element builds none.  It then
 checks all of its keys with one call of the system's key test, which
 returns the index of the first key that is no element (it checks them per
-chunk, in packed columns, and generates no code), and walks each orbit
-once on keys, keeping the orbit's least key (its lead), its size and the
-total of every entry over the orbit, laid out like the key; no element
-object is built, and no representative until a report is written.
+chunk, in packed columns, and generates no code), steps them, chunk by
+chunk, into one dict of each key's image, and walks each orbit once on
+that dict, consuming it, keeping the orbit's least key (its lead), its
+size and the total of every entry over the orbit, laid out like the key;
+no element object is built, and no representative until a report is
+written.
 A system with a rotate involution rho, an order-reversing involution of
 its cells given on key positions, walks only half of its orbits: the
 mirror mu(key)[i] = c - key[rho(i)], with c the largest entry plus one (on
@@ -30,16 +36,17 @@ mirror mu(key)[i] = c - key[rho(i)], with c the largest entry plus one (on
 elements to elements and conjugates promotion to its inverse
 (mu . step . mu = step^-1; on SSYT rectangles mu is evacuation), so the
 image mu(O) of a walked orbit O is an orbit of the same size whose
-totals are |O| c - totals_O[rho(i)].  Each derived orbit is checked: it
-must consist of |O| keys no walk has visited, and one step must take
-mu(x_1) to mu(x_0); an orbit whose image was visited must be its own
-image.  A partition is its orbits' leads and sizes and one column per
-key position of every orbit's total there, the orbits ordered by lead,
-so every report is deterministic.  Cell sums are linear in the support,
-so :func:`verdict` reads a statistic's orbit sums as the sum of its
-positions' columns, resolved through the system's layout, and keeps them
-as integers; the verdict is `homomesic` exactly when every orbit
-average, compared by cross-multiplying, equals the first.
+totals are |O| c - totals_O[rho(i)].  Each derived orbit is checked
+whole, from the images already stepped: every mu(x_j) must be a key no
+walk has visited, whose image is mu(x_{j-1}); an orbit whose image was
+visited must be its own image.  A partition is its orbits' leads and
+sizes and one column per key position of every orbit's total there, the
+orbits ordered by lead, so every report is deterministic.  Cell sums are
+linear in the support, so :func:`verdict` reads a statistic's orbit sums
+as the sum of its positions' columns, resolved through the system's
+layout, and keeps them as integers; the verdict is `homomesic` exactly
+when every orbit average, compared by cross-multiplying, equals the
+first.
 :func:`cell_sum` and :func:`orbit_average` stay the definitions on
 objects that the tests check the totals against, through the
 :class:`OrbitSummary` views a report builds when they are read.
@@ -61,11 +68,19 @@ from math import gcd
 from operator import add, itemgetter, le, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .dynamics import OPERATORS, cycle, reading_word_step, straight_layout
+from .dynamics import OPERATORS, cycle, promotion_columns, straight_layout
 from .errors import BudgetExceededError, PreconditionError
-from .ktableaux import IncreasingTableau, increasing_labels, k_promote_step
-from .posets import FinitePoset, LinearExtension, linear_extension_labels, poset_promote_labels, rotate
-from .shapes import Tableau, check_partition, count_order_ideal_chains, count_ssyt, key_packer, ssyt_words_of_shape
+from .ktableaux import IncreasingTableau, increasing_labels, k_promotion_columns
+from .posets import FinitePoset, LinearExtension, linear_extension_labels, rotate
+from .shapes import (
+    KEYS_PER_CHUNK,
+    Tableau,
+    check_partition,
+    count_order_ideal_chains,
+    count_ssyt,
+    key_packer,
+    ssyt_words_of_shape,
+)
 
 
 @dataclass(frozen=True)
@@ -127,9 +142,12 @@ class System:
     An element's key is its entries, packed by the system's key packer
     (`bytes` or `tuple`, see :func:`~promotab.shapes.key_packer`): a
     tableau's reading word or a poset labelling's labels.  `enumerate`
-    yields every key, `step` maps a key to the next one, `admits` takes a
-    list of keys and returns the index of the first one that fails the
-    conditions of the element's constructor or has another type, or None
+    yields every key, `step` takes a list of keys and returns the list of
+    their images, in order (a column kernel: it packs each key position's
+    column into one int and steps every key of the list at once),
+    `admits` takes a list of keys and returns the index of the first one
+    that fails the conditions of the element's constructor or has another
+    type, or None
     (a :func:`~promotab.shapes.packed_test`: it checks the keys per chunk,
     in packed columns, and generates no code), and `representative` is
     what reports print for a key, in int tuples whatever the key type.
@@ -146,7 +164,7 @@ class System:
 
     description: str
     enumerate: Callable[[], Iterable[Key]]
-    step: Callable[[Key], Key]
+    step: Callable[[Sequence[Key]], list[Key]]
     admits: Callable[[Sequence[Key]], int | None]
     representative: Callable[[Key], tuple]
     position: Callable[[object], int]
@@ -187,13 +205,13 @@ def ssyt_system(shape, ceiling: int, operator: str = "promote") -> System:
             raise PreconditionError(f"box {box} is not present in the tableau")
         return starts[box[0]] + box[1] - 1
 
-    def step(word):
-        return kernel(word)
+    def step(words):
+        return kernel(words)
 
-    def first_step(word):  # builds the kernel that every later step calls
+    def first_step(words):  # builds the kernel that every later step calls
         nonlocal kernel
-        kernel = reading_word_step(straight_layout(outer), ceiling, operator, pack)
-        return kernel(word)
+        kernel = promotion_columns(straight_layout(outer), ceiling, operator, pack)
+        return kernel(words)
 
     kernel = first_step
     rotation = None
@@ -236,7 +254,7 @@ def syt_poset_system(p: FinitePoset) -> System:
     return System(
         description=f"syt_poset({label})",
         enumerate=lambda: linear_extension_labels(p, pack),
-        step=lambda labels: poset_promote_labels(p, labels, pack),
+        step=k_promotion_columns(p, p.size, pack),
         admits=p.labelling_keys_test(p.size, pack),
         complement=p.size + 1,
         count=lambda cap: count_order_ideal_chains(p.size, p.covers, p.size, cap),
@@ -252,7 +270,7 @@ def inc_system(p: FinitePoset, q: int) -> System:
     return System(
         description=f"inc({label};q={q})",
         enumerate=lambda: increasing_labels(p, q, pack),
-        step=k_promote_step(p, p.size - q, pack),
+        step=k_promotion_columns(p, p.size - q, pack),
         admits=p.labelling_keys_test(p.size - q, pack) if 0 <= q <= p.size else lambda keys: 0 if keys else None,
         complement=p.size - q + 1,
         count=lambda cap: count_order_ideal_chains(p.size, p.covers, p.size - q, cap),
@@ -284,13 +302,18 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
     it raises :class:`BudgetExceededError` before any key is enumerated,
     and `system.admits` is called once, on the list of enumerated keys,
     which it checks per chunk in packed columns; the first key it refuses
-    is named in the error.  Each walk is a
-    :func:`~promotab.dynamics.cycle` that consumes one set of the
-    enumerated keys, so it may only visit keys that no walk has visited
-    yet and ends within the element count.  An enumeration that yields a
-    key the system does not admit, repeats one or yields other than
-    `count` keys, or a step map that leaves the enumerated set or is not
-    a bijection on it, raises :class:`PreconditionError` naming the system.
+    is named in the error.  Then `system.step` is called on the keys in
+    chunks of :data:`~promotab.shapes.KEYS_PER_CHUNK`, each key once, into
+    `following`, one dict of each key's image, held as the enumerated key
+    equal to it, so a key and its image are one object.  Each walk is a
+    :func:`~promotab.dynamics.cycle` whose step is `following.pop`: it
+    consumes the images of the keys it visits, so it may only visit keys
+    that no walk has visited yet and ends within the element count.  An
+    enumeration that yields a key the system does not admit, repeats one
+    (the dict then holds fewer than `count` keys) or yields other than
+    `count` keys, or a step that gives other than one image per key,
+    leaves the enumerated set or is not a bijection on it, raises
+    :class:`PreconditionError` naming the system.
     No element object is built, nor any representative: reports print
     `system.representative` of an orbit's lead when they are written.
 
@@ -300,8 +323,9 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
     On `bytes` keys mu is one `translate` through a table of c - v, of the
     reversed key when rho reverses the positions; on tuples it builds the
     tuple of c - v.  After walking O it
-    derives mu(O): if mu(O) is unvisited, it must consume exactly |O|
-    unvisited keys and the step of mu(x_1) must be mu(x_0), since
+    derives mu(O) and checks it whole, from the images already in
+    `following`: if mu(x_0) is unvisited, every mu(x_j) must be an
+    unvisited key, which it consumes, whose image is mu(x_{j-1}), since
     mu . step . mu = step^-1; otherwise mu(O) must be O itself.  A mirror
     that fails either check, or a rotate that does not permute the key
     positions, raises :class:`PreconditionError` naming the system.
@@ -317,18 +341,33 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
         raise PreconditionError(f"{system.description}: the enumeration yields {keys[refused]}, which is not an element")
     if len(keys) != count:
         raise PreconditionError(f"{system.description}: the enumeration does not yield its {count} elements")
-    unvisited = set(keys)
-    if len(unvisited) != len(keys):
+    following: dict[Key, Key] = dict(zip(keys, keys))  # each key by itself, then by its image
+    if len(following) != count:
         raise PreconditionError(f"{system.description}: the enumeration repeats an element")
+    # each image as the enumerated key equal to it, so that a key and its image are one object
+    images: list[Key] = []
+    try:
+        for start in range(0, count, KEYS_PER_CHUNK):
+            images += map(following.__getitem__, system.step(keys[start : start + KEYS_PER_CHUNK]))
+    except KeyError:
+        raise PreconditionError(f"{system.description}: the step map leaves the enumerated elements") from None
+    if len(images) != count:
+        raise PreconditionError(f"{system.description}: the step gives {len(images)} images of {count} keys")
+    following.update(zip(keys, images))  # until a walk consumes it
+    del images
     # pick(key)[i] is key[rho(i)], and mirror(key) is mu(key), c - pick(key)
     pick, mirror = _mirror(system, keys[0]) if keys and system.rotate is not None else (None, None)
     c = system.complement
-    unmirrored = f"{system.description}: the rotate complement maps an orbit onto no orbit"
+    unmirrored = f"{system.description}: the rotate complement maps an orbit onto no orbit walked in reverse"
     orbits: dict[Key, tuple[int, tuple[int, ...]]] = {}  # each orbit's size and totals by its lead
     for start in keys:
-        if start in unvisited:
+        if start in following:
             try:
-                orb = list(cycle(start, system.step, unvisited))
+                orb = list(cycle(start, following.pop))
+            except KeyError:  # a key stepped to twice
+                raise PreconditionError(
+                    f"{system.description}: the step map is not a bijection on the enumerated elements"
+                ) from None
             except PreconditionError as exc:
                 raise PreconditionError(f"{system.description}: {exc}") from exc
             size = len(orb)
@@ -337,11 +376,14 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
             if pick is None:
                 continue
             image = list(map(mirror, orb))
-            if image[0] in unvisited:
-                before = len(unvisited)
-                unvisited.difference_update(image)
-                # image[j] is mu(x_j), and mu conjugates the step to its inverse
-                if before - len(unvisited) != size or system.step(image[1 % size]) != image[0]:
+            if image[0] in following:
+                # image[j] is mu(x_j), and mu conjugates the step to its inverse:
+                # each of them, unvisited, must step to the one before it
+                try:
+                    stepped = list(map(following.pop, image))
+                except KeyError:
+                    raise PreconditionError(unmirrored) from None
+                if stepped != image[-1:] + image[:-1]:
                     raise PreconditionError(unmirrored)
                 orbits[min(image)] = size, tuple([size * c - t for t in pick(totals)])
             elif set(image) != set(orb):  # an image already visited is the orbit itself

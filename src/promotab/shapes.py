@@ -24,6 +24,11 @@ walked, so every later prefix into an equal state joins them without
 walking below it.  Each word or labelling is packed with a key packer
 (:func:`key_packer`): `tuple` by default and for every object built from
 them, `bytes` for a homomesy system whose entries fit in a byte.
+:func:`pack_columns` packs each key position's column of a list of keys
+into one int, a field of whole bytes per key with a guard bit above its
+values (:func:`field_width`), and :func:`unpack_columns` is its inverse:
+the systems' key tests (:func:`packed_test`) and their column kernels,
+which step every key at once, work on these ints.
 """
 
 from __future__ import annotations
@@ -284,8 +289,63 @@ def pairwise_test(op: Callable[[int, int], bool], pairs: Sequence[tuple[int, int
     return tests[0] if len(tests) == 1 else lambda s: all(test(s) for test in tests)
 
 
-# the most keys one packed test checks at once: a chunk's extra memory grows with it
+# the most keys one packed test checks, or one orbit walk steps, at once: a chunk's extra memory grows with it
 KEYS_PER_CHUNK = 4096
+
+
+def field_width(largest: int) -> int:
+    """The bytes of a field of a packed column (:func:`pack_columns`) whose
+    values lie in 0..largest: whole bytes whose top bit, a guard, lies
+    above `largest`, so that fieldwise sums and differences of such values
+    carry into the guard and never into the next field."""
+    return (largest.bit_length() + 8) // 8
+
+
+def field_ones(count: int, width: int) -> int:
+    """The packed column of `count` fields of `width` bytes that holds 1 in
+    every field; its multiple by v holds v in every field, and its shift
+    by 8 * width - 1 bits is every field's guard bit."""
+    return int.from_bytes(b"\1".ljust(width, b"\0") * count, "little")
+
+
+def pack_columns(keys: Sequence[Sequence[int]], size: int, width: int, pack: type) -> list[int]:
+    """Each of the `size` key positions' column of `keys`, keys of type
+    `pack` (see :func:`key_packer`) with `size` entries each, packed into
+    one int: field i, the `width` bytes from byte i * width on (little
+    endian), holds key i's entry at that position.  `bytes` keys are joined
+    into one buffer and cut into columns by strided slices; other keys are
+    transposed by ``zip`` and their entries written field by field with
+    ``int.to_bytes``, which raises on an entry that is no int or that no
+    field holds.  :func:`unpack_columns` is the inverse."""
+    if pack is bytes:
+        blob = b"".join(keys)
+        field, packed = bytearray(width * len(keys)), []
+        for j in range(size):  # each entry's byte goes to the low end of its key's field
+            field[::width] = blob[j::size]
+            packed.append(int.from_bytes(field, "little"))
+        return packed
+    return [
+        int.from_bytes(b"".join(map(int.to_bytes, column, repeat(width), repeat("little"))), "little")
+        for column in (zip(*keys) if keys else [()] * size)
+    ]
+
+
+def unpack_columns(columns: Sequence[int], count: int, width: int, pack: type) -> list:
+    """The `count` keys of type `pack` whose packed columns, in fields of
+    `width` bytes, are `columns`: the inverse of :func:`pack_columns`, in
+    the order of the fields.  On `bytes` keys each field's value must fit
+    in its low byte."""
+    size, length = len(columns), width * count
+    if not size:
+        return [pack()] * count
+    if pack is bytes:
+        blob = bytearray(size * count)
+        for j, column in enumerate(columns):  # the low byte of every field of column j
+            blob[j::size] = column.to_bytes(length, "little")[::width]
+        blob = bytes(blob)
+        return [blob[a : a + size] for a in range(0, len(blob), size)]
+    fields = [column.to_bytes(length, "little") for column in columns]
+    return list(zip(*([int.from_bytes(f[a : a + width], "little") for a in range(0, length, width)] for f in fields)))
 
 
 def packed_test(
@@ -308,20 +368,21 @@ def packed_test(
     The test generates no code.  It checks the keys in chunks of
     :data:`KEYS_PER_CHUNK`, each at once: the type and length of every
     key, the range of every entry, then each key position's column packed
-    into one int, a field of whole bytes per key whose top bit, a guard,
-    lies above top + 1, so that ``(col_j + G - col_i - ONE) & G == G``
-    decides s[i] < s[j] for every key of the chunk, and the same without
-    ``- ONE`` decides s[i] <= s[j].  `bytes` keys are joined into one
-    buffer, range-checked by ``translate`` and cut into columns by strided
-    slices, and onto 1..top ORs each label's bit, by a ``translate`` of
-    the buffer per eight labels, over the columns; other keys are
-    transposed by ``zip``, their entries written field by field with
-    ``int.to_bytes``, and onto compares the sizes of the keys' sets.  Only
-    a chunk that fails is read again key by key with `each`, which finds
-    the first refused key, so the answer is always that of `each`.
+    into one int by :func:`pack_columns`, in fields of
+    :func:`field_width` (top + 1) bytes, so that
+    ``(col_j + G - col_i - ONE) & G == G`` decides s[i] < s[j] for every
+    key of the chunk, G being every field's guard bit and ONE every
+    field's 1, and the same without ``- ONE`` decides s[i] <= s[j].
+    `bytes` keys are range-checked by a ``translate`` of their joined
+    buffer, and onto 1..top ORs each label's bit, by a ``translate`` of
+    the buffer per eight labels, over the key positions; other keys are
+    range-checked by their least and largest entries, and onto compares
+    the sizes of the keys' sets.  Only a chunk that fails is read again
+    key by key with `each`, which finds the first refused key, so the
+    answer is always that of `each`.
     """
     bound = top + 1
-    width = (bound.bit_length() + 8) // 8  # bytes per field, whose top bit, the guard, lies above bound
+    width = field_width(bound)
     allowed = bytes(range(1, min(top, 255) + 1))
     # on bytes keys, by 8 labels from 1, the table taking each of them to its bit and any other value to 0
     tables = None
@@ -334,25 +395,16 @@ def packed_test(
         """Each key position's column of the chunk packed into one int,
         or None if an entry is no int in 1..top."""
         if pack is bytes:
-            blob = b"".join(chunk)
-            if blob.translate(None, allowed):
+            if b"".join(chunk).translate(None, allowed):
                 return None
-            field, packed = bytearray(width * len(chunk)), []
-            for j in range(size):  # each entry's byte goes to the low end of its key's field
-                field[::width] = blob[j::size]
-                packed.append(int.from_bytes(field, "little"))
-            return packed
-        transposed = list(zip(*chunk))
+            return pack_columns(chunk, size, width, pack)
+        entries = list(chain.from_iterable(chunk))
         try:
-            if transposed and not 1 <= min(map(min, transposed)) <= max(map(max, transposed)) <= top:
+            if entries and not 1 <= min(entries) <= max(entries) <= top:
                 return None
-            return [
-                int.from_bytes(b"".join(map(int.to_bytes, column, repeat(width), repeat("little"))), "little")
-                for column in transposed
-            ]
+            return pack_columns(chunk, size, width, pack)
         except TypeError:  # an entry that is no int
             return None
-
     def labelled(chunk: Sequence[Sequence[int]]) -> bool:
         """Whether every key of the chunk, its entries in 1..top, takes
         every value of 1..top."""
@@ -373,7 +425,7 @@ def packed_test(
         packed = columns(chunk)
         if packed is None:
             return False
-        one = int.from_bytes(bytes([1]).ljust(width, b"\0") * len(chunk), "little")
+        one = field_ones(len(chunk), width)
         guard = one << (8 * width - 1)
         below = guard - one
         packed += [0, bound * one]

@@ -3,7 +3,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 
@@ -35,7 +35,7 @@ from promotab.posets import (
     rotate,
     rotate_reverse,
 )
-from promotab.shapes import Tableau, count_ssyt, enumerate_ssyt, key_packer
+from promotab.shapes import KEYS_PER_CHUNK, Tableau, count_ssyt, enumerate_ssyt, key_packer
 from util import as_tuples, element_of, orbit_walks, recorded_compiles, tuple_keyed
 
 
@@ -265,16 +265,18 @@ class TestPartition:
         "enumerate, step",
         [
             # (the system's keys are bytes) every element steps to one fixed element, [[1, 1], [2, 2]]
-            (lambda: ssyt_system((2, 2), 3).enumerate(), lambda word: bytes((2, 2, 1, 1))),
+            (lambda: ssyt_system((2, 2), 3).enumerate(), lambda words: [bytes((2, 2, 1, 1))] * len(words)),
             # promotion leaves an enumeration that stops short: entry (1, 1) is the third letter
             (lambda: (w for w in ssyt_system((2, 2), 3).enumerate() if w[2] == 1), None),
             # an enumeration that repeats an element
             (lambda: [*ssyt_system((2, 2), 3).enumerate(), bytes((2, 2, 1, 1))], None),
             # an enumeration that yields a word that is not semistandard, [[2, 2], [1, 1]],
             # under a step that is a bijection on any set
-            (lambda: [*ssyt_system((2, 2), 3).enumerate(), bytes((1, 1, 2, 2))], lambda word: word),
+            (lambda: [*ssyt_system((2, 2), 3).enumerate(), bytes((1, 1, 2, 2))], lambda words: list(words)),
+            # a step that gives one image fewer than its keys, each a key: the last key would look fixed
+            (lambda: ssyt_system((2, 2), 3).enumerate(), lambda words: list(words)[:-1]),
         ],
-        ids=["constant-step", "step-leaves-set", "repeated-element", "invalid-key"],
+        ids=["constant-step", "step-leaves-set", "repeated-element", "invalid-key", "short-step"],
     )
     def test_non_bijective_system_fails_loudly(self, enumerate, step):
         base = ssyt_system((2, 2), 3)
@@ -518,22 +520,23 @@ class TestMirror:
         for system, mirror, _ in MIRROR_SYSTEMS[group]():
             calls = []
 
-            def step(key, step=system.step):
-                calls.append(key)
-                return step(key)
+            def step(keys, step=system.step):
+                calls.append(list(keys))
+                return step(keys)
 
             partition = partition_orbits(replace(system, step=step), budget=100_000)
             assert system.rotate is not None
             oracle = partition_orbits(replace(system, rotate=None), budget=100_000)
             assert (partition.leads, partition.sizes, partition.columns) == (oracle.leads, oracle.sizes, oracle.columns)
+            # the step sees every enumerated key exactly once, in order, in
+            # chunks of at most KEYS_PER_CHUNK keys, and the walks and the
+            # mirror's checks read the images it gave
+            assert list(chain.from_iterable(calls)) == list(system.enumerate()), system.description
+            assert all(0 < len(keys) <= KEYS_PER_CHUNK for keys in calls), system.description
             walks = orbit_walks(system, 100_000)
             orbit_of = {key: i for i, walk in enumerate(walks) for key in walk}
             selfs = [walk for i, walk in enumerate(walks) if orbit_of[mirror(walk[0])] == i]
             self_mirrored.append(len(selfs))
-            # each other orbit pairs with its mirror: one of the two is walked,
-            # the other is derived and checked by one step
-            walked = (len(orbit_of) + sum(map(len, selfs))) // 2
-            assert len(calls) == walked + (len(walks) - len(selfs)) // 2, system.description
         assert self_mirrored == SELF_MIRRORED.get(group, self_mirrored)
 
     @pytest.mark.parametrize("group", ROTATED_SYSTEMS)
@@ -558,7 +561,20 @@ class TestMirror:
         mirrors = {type(key)(base.complement - v for v in reversed(key)) for key in first}
         assert len(mirrors) == 3 and not mirrors & set(first)
         following = dict(zip(first, first[1:] + first[:1]))
-        return lambda key: following.get(key, key)
+        return lambda keys: [following.get(key, key) for key in keys]
+
+    @staticmethod
+    def _reordered_mirror(base):
+        """The first four keys of `base` stepped in a 4-cycle x0 -> x1 -> x2
+        -> x3 -> x0, their mirrors A, B, C, D (A = mu(x0), ...) stepped
+        B -> A -> C -> D -> B, and every other key fixed: a bijection under
+        which the mirror of the 4-cycle is an orbit of four unvisited keys
+        and mu(x1) steps to mu(x0), yet mu(x0) steps to C, not to mu(x3)."""
+        first = list(islice(base.enumerate(), 4))
+        a, b, c, d = (type(key)(base.complement - v for v in reversed(key)) for key in first)
+        assert len({a, b, c, d}) == 4 and not {a, b, c, d} & set(first)
+        following = dict(zip(first, first[1:] + first[:1])) | {b: a, a: c, c: d, d: b}
+        return lambda keys: [following.get(key, key) for key in keys]
 
     @staticmethod
     def _half_image(base):
@@ -579,7 +595,7 @@ class TestMirror:
             "complement": k,
             "enumerate": lambda: [a, b, *rest],
             "count": lambda cap: len(rest) + 2,
-            "step": lambda key: following.get(key, key),
+            "step": lambda keys: [following.get(key, key) for key in keys],
         }
 
     @pytest.mark.parametrize(
@@ -593,8 +609,9 @@ class TestMirror:
             lambda base: {"rotate": base.rotate._replace(images=base.rotate.images[:3])},
             lambda base: {"step": TestMirror._three_cycle(base)},
             lambda base: TestMirror._half_image(base),
+            lambda base: {"step": TestMirror._reordered_mirror(base)},
         ],
-        ids=["complement", "no-turn", "part-of-the-turn", "three-cycle", "half-image"],
+        ids=["complement", "no-turn", "part-of-the-turn", "three-cycle", "half-image", "reordered-mirror"],
     )
     def test_a_mirror_that_maps_an_orbit_onto_no_orbit_fails_loudly(self, change):
         base = ssyt_system((3, 3), 4)

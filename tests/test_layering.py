@@ -20,7 +20,10 @@ rotate-complement mirror, so no second walk hides behind one.  No function
 rebuilds a tableau from a layout's cut of a reading word, as
 `Tableau(layout.rows(word), ...)`: results made from reading words go
 through `Tableau._of_word`, so no step drifts back onto the rows
-constructor.  The homomesy writers, `reports_to_json` and the CLI's text
+constructor.  Homomesy names none of the steps of one key
+(`reading_word_step`, `k_promote_step`, `poset_promote_labels`): every
+system steps a list of keys by its column kernel, so none slides back to
+a per-key step.  The homomesy writers, `reports_to_json` and the CLI's text
 format, write from a report's integer sums: they build no `OrbitSummary`
 or `Fraction` and read no summary view, so no per-row object comes back.
 Homomesy resolves a support item to its key position only in `verdict`
@@ -520,6 +523,42 @@ def test_walk_guard_sees_a_second_cycle_call_and_an_added_parameter(tmp_path):
     )
     assert cycle_calls(probe) == ["partition_orbits", "partition_orbits", "walk"]
     assert parameters(probe, "partition_orbits") == ("system", "budget", "mirror")
+
+
+# the steps of one key that the systems' column kernels replace: each stays
+# an object-level step and an oracle, never a system's step
+PER_KEY_STEPS = {"reading_word_step", "k_promote_step", "poset_promote_labels"}
+
+
+def per_key_steps(path: Path) -> set[str]:
+    """The per-key steps the file imports or reads, bare, aliased or as an
+    attribute, or names in a string, as `getattr` would take it."""
+    strings = {
+        node.value for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    return (names_used(path) | strings) & PER_KEY_STEPS
+
+
+def test_homomesy_steps_no_system_one_key_at_a_time():
+    assert per_key_steps(SRC / "homomesy.py") == set()
+
+
+def test_per_key_step_guard_sees_aliases_attributes_and_getattr(tmp_path):
+    probe = tmp_path / "homomesy.py"
+    probe.write_text(
+        "from .dynamics import promotion_columns, reading_word_step as step\n"
+        "from . import ktableaux, posets\n"
+        "def ssyt_system(shape, k):\n"
+        "    return promotion_columns(shape, k), step\n"
+        "def inc_system(p, q):\n"
+        "    return ktableaux.k_promote_step(p, p.size - q)\n"
+        "def syt_poset_system(p):\n"
+        "    return lambda labels: getattr(posets, 'poset_promote_labels')(p, labels)\n"
+    )
+    assert per_key_steps(probe) == PER_KEY_STEPS
+    probe.write_text("from .ktableaux import k_promotion_columns\nSTEP = k_promotion_columns\n")
+    assert per_key_steps(probe) == set()
 
 
 def rows_rebuilds(path: Path) -> list[str]:

@@ -17,8 +17,14 @@ posets of width at most 3).  The generated pairwise tests behind both key
 tests are checked against the item-getter definition kept in `util`, and
 the poset labelling test against the validating constructors.  The packed
 tests of key lists, which the systems' `admits` are, must name the first
-key the per-key test refuses, with one key corrupted at a chunk's edge;
-and the `homomesy` command exits 0 to 4, never raising, on odd argv.  On
+key the per-key test refuses, with one key corrupted at a chunk's edge.
+The column kernels that the systems step with, every key at once, must
+give each key what its per-key kernel gives it, on random posets at
+every deficiency and random straight shapes and ceilings, in both key
+types, where the entries fill their fields, on no key, on keys of no
+entry and on more keys than a chunk; and every orbit of promotion on an
+SSYT rectangle has a size dividing the ceiling.  The `homomesy` command
+exits 0 to 4, never raising, on odd argv.  On
 random straight and skew shapes, the tableau built from a reading word
 is the one the rows constructor builds, and the SSYT and SYT enumerations
 are the brute-force filters of every filling, as many as the hook
@@ -47,13 +53,21 @@ from promotab.dynamics import (
     promote_inverse,
     promote_inverse_via_toggles,
     promote_via_toggles,
+    promotion_columns,
     promotion_period_words,
     reading_word_step,
+    straight_layout,
     toggle,
 )
-from promotab.homomesy import inc_system, partition_orbits, syt_poset_system
-from promotab.ktableaux import IncreasingTableau, increasing_labels, k_promote_inverse_step, k_promote_step
-from promotab.posets import FinitePoset, LinearExtension, ferrers_poset
+from promotab.homomesy import inc_system, partition_orbits, ssyt_system, syt_poset_system
+from promotab.ktableaux import (
+    IncreasingTableau,
+    increasing_labels,
+    k_promote_inverse_step,
+    k_promote_step,
+    k_promotion_columns,
+)
+from promotab.posets import FinitePoset, LinearExtension, build_cominuscule, ferrers_poset
 from promotab.errors import PreconditionError
 from promotab.shapes import (
     KEYS_PER_CHUNK,
@@ -433,6 +447,87 @@ def test_the_bullet_slides_are_the_switch_chains(poset):
             assert backward(image) == labels
             assert k_promote_step(p, size - q, bytes)(bytes(labels)) == bytes(image)
             assert k_promote_inverse_step(p, size - q, bytes)(bytes(image)) == bytes(labels)
+
+
+# a chain of size - 2 elements beside two more: its labels fill their fields
+# at d = 126 and 127 (one byte below the guard bit) and 254 (two bytes)
+def _chain_beside_two(size: int) -> FinitePoset:
+    return FinitePoset(size, [(x, x + 1) for x in range(1, size - 2)])
+
+
+@settings(SETTINGS, max_examples=60)
+@given(reduced_posets(), st.sampled_from([bytes, tuple]))
+@example((0, []), bytes)  # the empty poset, whose keys have no entry
+def test_the_column_k_promotion_is_the_bullet_slide_of_each_key(poset, pack):
+    # the poset systems step every key at once by the column kernel; with
+    # q = 0 it is promotion on linear extensions
+    size, covers = poset
+    p = FinitePoset(size, covers)
+    for q in range(size + 1):
+        keys = list(islice(increasing_labels(p, q, pack), 400))
+        step = k_promotion_columns(p, size - q, pack)
+        assert step(keys) == list(map(k_promote_step(p, size - q, pack), keys)), q
+        assert step([]) == []
+
+
+@pytest.mark.parametrize("size, pack", [(126, bytes), (127, bytes), (128, bytes), (254, bytes), (255, bytes), (300, tuple)])
+def test_the_column_k_promotion_where_the_labels_fill_their_fields(size, pack):
+    p = _chain_beside_two(size)
+    for q in (0, 1):
+        keys = list(islice(increasing_labels(p, q, pack), 100))
+        assert k_promotion_columns(p, size - q, pack)(keys) == list(map(k_promote_step(p, size - q, pack), keys))
+
+
+@settings(SETTINGS, max_examples=60)
+@given(
+    skew_layouts(cells=8).map(lambda layout: straight_layout(layout.outer)),
+    st.integers(0, 7),
+    st.sampled_from([bytes, tuple]),
+    st.sampled_from(["promote", "promote_inverse"]),
+)
+@example(straight_layout(()), 3, bytes, "promote")  # the empty shape, whose words have no entry
+def test_the_column_slides_are_the_slides_of_each_word(layout, k, pack, operator):
+    # the SSYT systems step every word at once by the column slides
+    words = list(islice(ssyt_words(layout, k, pack), 400))
+    step = promotion_columns(layout, k, operator, pack)
+    assert step(words) == list(map(reading_word_step(layout, k, operator, pack), words))
+    assert step([]) == []
+
+
+@pytest.mark.parametrize("operator", ["promote", "promote_inverse"])
+@pytest.mark.parametrize("k, pack", [(126, bytes), (127, bytes), (254, bytes), (300, tuple)])
+@pytest.mark.parametrize("shape", [(1, 1), (2,), (2, 1), (3, 2, 2)], ids=repr)
+def test_the_column_slides_where_the_entries_fill_their_fields(shape, k, pack, operator):
+    # k + 1 = 127 fills a one-byte field below its guard bit, 128 and 255
+    # need two bytes; the words of ceiling 6 with their entries over 3
+    # raised to end at k hold entries from both ends
+    layout = straight_layout(shape)
+    words = [pack(v if v <= 3 else v + k - 6 for v in word) for word in ssyt_words(layout, 6)]
+    step = promotion_columns(layout, k, operator, pack)
+    assert step(words) == list(map(reading_word_step(layout, k, operator, pack), words))
+
+
+def test_the_column_steps_of_more_keys_than_a_chunk():
+    # the kernels take any number of keys at once; the orbit walk gives them at most a chunk
+    for pack in (bytes, tuple):
+        layout = straight_layout((2, 2))
+        words = list(ssyt_words(layout, 4, pack))
+        words *= KEYS_PER_CHUNK // len(words) + 2
+        assert len(words) > KEYS_PER_CHUNK
+        assert promotion_columns(layout, 4, "promote", pack)(words) == list(map(reading_word_step(layout, 4, "promote", pack), words))
+        p = build_cominuscule("rectangle", 2, 3)
+        keys = list(increasing_labels(p, 1, pack))
+        keys *= KEYS_PER_CHUNK // len(keys) + 2
+        assert k_promotion_columns(p, 5, pack)(keys) == list(map(k_promote_step(p, 5, pack), keys))
+
+
+@settings(SETTINGS, max_examples=30)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 7), st.sampled_from(["promote", "promote_inverse"]))
+def test_every_orbit_size_on_a_rectangle_divides_the_ceiling(m, n, k, operator):
+    # promotion on SSYT(m x n, k) has order k (Rhoades), and each orbit the partition walks or mirrors divides it
+    partition = partition_orbits(ssyt_system((n,) * m, k, operator), 100_000)
+    assert sum(partition.sizes) == count_ssyt((n,) * m, k)
+    assert all(k % size == 0 for size in partition.sizes), partition.sizes
 
 
 @st.composite

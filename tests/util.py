@@ -61,14 +61,15 @@ def element_of(system, key, kind, over):
 
 def tuple_keyed(system):
     """The oracle of a homomesy system on tuple keys: its own enumeration
-    and step, each key converted with `tuple`, and its key test on the
-    keys converted back to the system's packer, so a partition of it walks
-    the same orbits on tuples, and mirrors them on tuples."""
+    and step, each key converted with `tuple`, and its step and key test
+    on the keys converted back to the system's packer, one call for a
+    list of keys as the system's own, so a partition of it walks the same
+    orbits on tuples, and mirrors them on tuples."""
     pack = type(next(iter(system.enumerate()), ()))
     return replace(
         system,
         enumerate=lambda: map(tuple, system.enumerate()),
-        step=lambda key: tuple(system.step(key)),
+        step=lambda keys: list(map(tuple, system.step(list(map(pack, keys))))),
         admits=lambda keys: system.admits(list(map(pack, keys))),
     )
 
@@ -79,14 +80,17 @@ def as_tuples(partition) -> tuple:
 
 
 def orbit_walks(system, size: int) -> list[list]:
-    """A homomesy system's orbits, found by stepping each enumerated key
-    until it returns (each walk at most `size` keys), as lists of keys
-    ordered by their least key."""
+    """A homomesy system's orbits, found by following each enumerated key's
+    image, from one step of the list of all of them, until it returns
+    (each walk at most `size` keys), as lists of keys ordered by their
+    least key."""
+    keys = list(system.enumerate())
+    following = dict(zip(keys, system.step(keys)))
     walks, seen = [], set()
-    for key in system.enumerate():
+    for key in keys:
         if key not in seen:
             walk = [key]
-            while (image := system.step(walk[-1])) != key:
+            while (image := following[walk[-1]]) != key:
                 walk.append(image)
                 assert len(walk) <= size
             seen.update(walk)
