@@ -480,8 +480,11 @@ def promotion_columns(layout: ReadingLayout, ceiling: int, operator: str, pack: 
 
     Each cell's column of the words is one int of
     :func:`~promotab.shapes.pack_columns`, a field per word wide enough for
-    a guard bit above k + 1.  The slides start at the same cells in the
-    same order as on one word: promotion's at the top row's cells,
+    a guard bit above k + 1.  Inverse promotion runs promotion's slides,
+    north-west, on the complements k + 1 - v of the entries, which turn
+    its larger neighbour into the lesser one and its absent 0 into k + 1,
+    and complements the result back.  The slides start at the same cells
+    in the same order as on one word: promotion's at the top row's cells,
     rightmost first, in the words whose cell there holds 1, and inverse
     promotion's at the bottom cell of each column, in reading order, in
     the words whose cell there holds k; no earlier slide has reached that
@@ -489,11 +492,10 @@ def promotion_columns(layout: ReadingLayout, ceiling: int, operator: str, pack: 
     the shape at a time: the holes at a cell read its two neighbours (south
     and east, or north and west) by a guard-bit comparison,
     ``(col_j + G - col_i) & G``, and each takes the lesser neighbour's
-    entry (the greater one's for inverse promotion; the first on equal
-    entries), or, where both are absent, stops and holds the absent value,
-    k + 1 (or 0), which later slides read as absent.  Then every entry is
-    decremented (or incremented).  The work grows with the cells and the
-    top row, not with k.
+    entry (the first on equal entries), or, where both are absent, stops
+    and holds the absent value, k + 1, which later slides read as absent.
+    Then every entry is decremented.  The work grows with the cells and
+    the top row, not with k.
     """
     if operator not in OPERATORS:
         raise PreconditionError(f"unknown operator {operator!r}")
@@ -506,51 +508,42 @@ def promotion_columns(layout: ReadingLayout, ceiling: int, operator: str, pack: 
     if forward:  # the holes of the top row's 1s slide south-east, rightmost first
         top = size - part(layout.outer, 1)
         starts, first, second = range(size - 1, top - 1, -1), layout.south, layout.east
-        start, stop = 1, ceiling + 1
-    else:  # the holes of the k's slide north-west, in reading order
+    else:  # the holes of the k's, complemented to 1s, slide north-west, in reading order
         starts, first, second = [h for h in range(size) if layout.south[h] < 0], layout.north, layout.west
-        start, stop = ceiling, 0
 
     def step(words: Sequence[Sequence[int]]) -> list:
         count = len(words)
         one = field_ones(count, width)
         guard = one << shift
         below = guard - one
-        absent = stop * one
+        absent = (ceiling + 1) * one
         cells = pack_columns(words, size, width, pack)
-
-        def full(mask: int) -> int:  # every bit of the fields whose guard bit is set in mask
-            return mask - (mask >> shift) | mask
-
+        if not forward:
+            cells = [absent - cell for cell in cells]
+        cells.append(absent)  # a missing neighbour's index, -1, reads this absent cell
         for p in starts:
-            holes = (cells[p] ^ start * one) + below & guard ^ guard
+            holes = (cells[p] ^ one) + below & guard ^ guard
             frontier = {p: holes} if holes else {}
             while frontier:  # the holes on one diagonal, by cell
                 ahead: dict[int, int] = {}
                 for h, holes in frontier.items():
                     a, b = first[h], second[h]
-                    x = cells[a] if a >= 0 else absent
-                    y = cells[b] if b >= 0 else absent
-                    # the holes that take the first neighbour's entry (x <= y, or x >= y
-                    # backwards), those of them that find it absent, and the others
-                    picked = holes & (y + guard - x if forward else x + guard - y)
-                    stopped = picked & ~((x ^ absent) + below)
-                    took, other = picked ^ stopped, holes ^ picked
-                    whole = full(holes)
-                    entries = cells[h] & ~whole
+                    x, y = cells[a], cells[b]
+                    # the holes that take the first neighbour's entry (x <= y), and every bit of
+                    # their fields; where x is absent the hole stops, holding it
+                    picked = holes & y + guard - x
+                    whole, taken = holes - (holes >> shift) | holes, picked - (picked >> shift) | picked
+                    cells[h] = cells[h] & ~whole | x & taken | y & (whole ^ taken)
                     # a hole moves only onto a cell of the shape, so each slide ends within its diagonals
-                    if took and a >= 0:
-                        entries |= x & (whole if took == holes else full(took))
+                    took, other = picked & (x ^ absent) + below, holes ^ picked
+                    if took:
                         ahead[a] = ahead.get(a, 0) | took
-                    if other and b >= 0:
-                        entries |= y & (whole if other == holes else full(other))
+                    if other:
                         ahead[b] = ahead.get(b, 0) | other
-                    if stopped:
-                        entries |= absent & full(stopped)
-                    cells[h] = entries
                 frontier = ahead
-        relabel = -one if forward else one
-        return unpack_columns([cell + relabel for cell in cells], count, width, pack)
+        cells.pop()
+        moved = [cell - one for cell in cells] if forward else [absent + one - cell for cell in cells]
+        return unpack_columns(moved, count, width, pack)
 
     return step
 
@@ -570,26 +563,19 @@ def reading_word_step(layout: ReadingLayout, ceiling: int, operator: str, pack: 
     return kernel(layout, ceiling, pack)
 
 
-def cycle(start: X, step: Callable[[X], X], unvisited: set | None = None) -> Iterator[X]:
+def cycle(start: X, step: Callable[[X], X]) -> Iterator[X]:
     """Yield start, step(start), ... and stop just before start returns.
 
     If some other element returns first, step is not injective on the
     orbit and :class:`PreconditionError` is raised, so on a finite set the
-    walk always ends.  Given `unvisited`, a set holding start, the walk
-    removes each element from it as it yields it, and an element not in
-    it (one outside the set, or visited by this walk or an earlier one)
-    raises instead: the step map is then not a bijection on the set.
+    walk always ends.
     """
-    # an element is fresh while it is in the set to consume, or not yet in the set of those seen
-    consume = unvisited is not None
-    marks = unvisited if consume else set()
-    mark = marks.remove if consume else marks.add
-    broken = "not a bijection on the enumerated elements" if consume else "not injective: the walk revisited an element"
+    seen = set()
     cur = start
     while True:
-        if (cur in marks) is not consume:
-            raise PreconditionError(f"the step map is {broken}")
-        mark(cur)
+        if cur in seen:
+            raise PreconditionError("the step map is not injective: the walk revisited an element")
+        seen.add(cur)
         yield cur
         cur = step(cur)
         if cur == start:

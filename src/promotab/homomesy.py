@@ -311,8 +311,8 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
     that no walk has visited yet and ends within the element count.  An
     enumeration that yields a key the system does not admit, repeats one
     (the dict then holds fewer than `count` keys) or yields other than
-    `count` keys, or a step that gives other than one image per key,
-    leaves the enumerated set or is not a bijection on it, raises
+    `count` keys, or a step that gives other than one image per key of a
+    chunk, leaves the enumerated set or is not a bijection on it, raises
     :class:`PreconditionError` naming the system.
     No element object is built, nor any representative: reports print
     `system.representative` of an orbit's lead when they are written.
@@ -348,11 +348,13 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
     images: list[Key] = []
     try:
         for start in range(0, count, KEYS_PER_CHUNK):
-            images += map(following.__getitem__, system.step(keys[start : start + KEYS_PER_CHUNK]))
+            chunk = keys[start : start + KEYS_PER_CHUNK]
+            stepped = system.step(chunk)
+            if len(stepped) != len(chunk):
+                raise PreconditionError(f"{system.description}: the step gives {len(stepped)} images of {len(chunk)} keys")
+            images += map(following.__getitem__, stepped)
     except KeyError:
         raise PreconditionError(f"{system.description}: the step map leaves the enumerated elements") from None
-    if len(images) != count:
-        raise PreconditionError(f"{system.description}: the step gives {len(images)} images of {count} keys")
     following.update(zip(keys, images))  # until a walk consumes it
     del images
     # pick(key)[i] is key[rho(i)], and mirror(key) is mu(key), c - pick(key)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, repeat
 from math import factorial
-from operator import add, itemgetter, le, lt
+from operator import add, and_, itemgetter, le, lshift, lt, rshift
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError, PreconditionError
@@ -314,9 +314,10 @@ def pack_columns(keys: Sequence[Sequence[int]], size: int, width: int, pack: typ
     one int: field i, the `width` bytes from byte i * width on (little
     endian), holds key i's entry at that position.  `bytes` keys are joined
     into one buffer and cut into columns by strided slices; other keys are
-    transposed by ``zip`` and their entries written field by field with
-    ``int.to_bytes``, which raises on an entry that is no int or that no
-    field holds.  :func:`unpack_columns` is the inverse."""
+    transposed by ``zip`` into one list of entries, column by column, and
+    each byte of every field is written by one ``bytes`` of the shifted
+    entries, which raises on an entry that is no int or that no field
+    holds.  :func:`unpack_columns` is the inverse."""
     if pack is bytes:
         blob = b"".join(keys)
         field, packed = bytearray(width * len(keys)), []
@@ -324,10 +325,15 @@ def pack_columns(keys: Sequence[Sequence[int]], size: int, width: int, pack: typ
             field[::width] = blob[j::size]
             packed.append(int.from_bytes(field, "little"))
         return packed
-    return [
-        int.from_bytes(b"".join(map(int.to_bytes, column, repeat(width), repeat("little"))), "little")
-        for column in (zip(*keys) if keys else [()] * size)
-    ]
+    if not keys:
+        return [0] * size
+    entries = list(chain.from_iterable(zip(*keys)))  # column by column
+    blob = bytearray(width * len(entries))
+    for b in range(width):  # byte b of every field; the top byte raises on an entry no field holds
+        shifted = map(rshift, entries, repeat(8 * b))
+        blob[b::width] = bytes(shifted if b == width - 1 else map(and_, shifted, repeat(255)))
+    length = width * len(keys)
+    return [int.from_bytes(blob[a : a + length], "little") for a in range(0, len(blob), length)]
 
 
 def unpack_columns(columns: Sequence[int], count: int, width: int, pack: type) -> list:
@@ -344,8 +350,11 @@ def unpack_columns(columns: Sequence[int], count: int, width: int, pack: type) -
             blob[j::size] = column.to_bytes(length, "little")[::width]
         blob = bytes(blob)
         return [blob[a : a + size] for a in range(0, len(blob), size)]
-    fields = [column.to_bytes(length, "little") for column in columns]
-    return list(zip(*([int.from_bytes(f[a : a + width], "little") for a in range(0, length, width)] for f in fields)))
+    blob = b"".join(column.to_bytes(length, "little") for column in columns)  # column by column
+    entries = list(blob[::width])
+    for b in range(1, width):  # add byte b of every field
+        entries = list(map(add, entries, map(lshift, blob[b::width], repeat(8 * b))))
+    return [tuple(entries[i::count]) for i in range(count)]
 
 
 def packed_test(

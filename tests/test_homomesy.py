@@ -284,6 +284,22 @@ class TestPartition:
         with pytest.raises(PreconditionError, match="broken"):
             partition_orbits(system, budget=100)
 
+    def test_a_step_that_moves_an_image_into_another_chunk_fails_loudly(self):
+        # every chunk after the first gives the images of the keys one place on, the
+        # first one image too many, so the images, concatenated, are the keys in order
+        base = ssyt_system((3, 3), 9)
+        keys = list(base.enumerate())
+        assert KEYS_PER_CHUNK < len(keys) <= 2 * KEYS_PER_CHUNK
+        index = {key: i for i, key in enumerate(keys)}
+
+        def step(words):
+            start = index[words[0]]
+            return keys[start + (start > 0) : start + len(words) + 1]
+
+        system = replace(base, description="broken", step=step)
+        with pytest.raises(PreconditionError, match=f"broken: the step gives {KEYS_PER_CHUNK + 1} images of {KEYS_PER_CHUNK} keys"):
+            partition_orbits(system, budget=len(keys))
+
     @pytest.mark.parametrize(
         "build",
         [
