@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, repeat
 from math import factorial
-from operator import add, and_, itemgetter, le, lshift, lt, rshift
+from operator import add, itemgetter, le, lshift, lt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError, PreconditionError
@@ -314,10 +314,10 @@ def pack_columns(keys: Sequence[Sequence[int]], size: int, width: int, pack: typ
     one int: field i, the `width` bytes from byte i * width on (little
     endian), holds key i's entry at that position.  `bytes` keys are joined
     into one buffer and cut into columns by strided slices; other keys are
-    transposed by ``zip`` into one list of entries, column by column, and
-    each byte of every field is written by one ``bytes`` of the shifted
-    entries, which raises on an entry that is no int or that no field
-    holds.  :func:`unpack_columns` is the inverse."""
+    transposed by ``zip`` and their entries, column by column, written
+    into one buffer with ``int.to_bytes``, which raises on an entry that
+    is no int or that no field holds, and cut into columns by slices.
+    :func:`unpack_columns` is the inverse."""
     if pack is bytes:
         blob = b"".join(keys)
         field, packed = bytearray(width * len(keys)), []
@@ -327,11 +327,7 @@ def pack_columns(keys: Sequence[Sequence[int]], size: int, width: int, pack: typ
         return packed
     if not keys:
         return [0] * size
-    entries = list(chain.from_iterable(zip(*keys)))  # column by column
-    blob = bytearray(width * len(entries))
-    for b in range(width):  # byte b of every field; the top byte raises on an entry no field holds
-        shifted = map(rshift, entries, repeat(8 * b))
-        blob[b::width] = bytes(shifted if b == width - 1 else map(and_, shifted, repeat(255)))
+    blob = b"".join(map(int.to_bytes, chain.from_iterable(zip(*keys)), repeat(width), repeat("little")))  # column by column
     length = width * len(keys)
     return [int.from_bytes(blob[a : a + length], "little") for a in range(0, len(blob), length)]
 
