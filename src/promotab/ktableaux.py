@@ -152,6 +152,59 @@ def _bullet_slide(ahead: Sequence[Sequence[int]], d: int, pack: type) -> Callabl
     return step
 
 
+def _label_ranges(ahead: Sequence[Sequence[int]], behind: Sequence[Sequence[int]], d: int) -> list[range]:
+    """Each element's range of labels in the increasing tableaux with labels
+    1..d read through `ahead` and `behind` (a poset's `above` and `below`).
+    Its label is at least the length of a longest chain ending at it, and,
+    since q = |P| - d is the labels' whole excess over one element each,
+    at least the size of its down-set (itself included) less q; the same
+    two bounds read from above, subtracted from d + 1, bound it from
+    above.  On linear extensions (q = 0) a label thus lies between the
+    size of its down-set and |P| + 1 less the size of its up-set."""
+    size = len(ahead)
+    q = size - d
+    bounds = []
+    for forward, backward in ((ahead, behind), (behind, ahead)):
+        chain, behind_set = [1] * size, [0] * size  # a longest chain ending at x, and its down-set less x, as a bitmask
+        waiting = list(map(len, backward))
+        ready = [x for x in range(size) if not waiting[x]]
+        for x in ready:  # Kahn's order, growing as it is read
+            for y in forward[x]:
+                chain[y] = max(chain[y], chain[x] + 1)
+                behind_set[y] |= behind_set[x] | 1 << x
+                waiting[y] -= 1
+                if not waiting[y]:
+                    ready.append(y)
+        bounds.append([max(c, below.bit_count() + 1 - q) for c, below in zip(chain, behind_set)])
+    low, high = bounds
+    return [range(lo, d + 2 - hi) for lo, hi in zip(low, high)]
+
+
+def _slide_plan(ahead: Sequence[Sequence[int]], behind: Sequence[Sequence[int]], d: int) -> list:
+    """The switches of the column bullet slide with labels 1..d, read
+    through `ahead` and `behind`, that can move a bullet: for each
+    decremented label m = 1..d - 1 in turn, the m-cells that a bullet can
+    reach, each with the elements behind it, and the bullets that can take
+    m, each with the m-cells ahead of it.  An element y can hold m when
+    m + 1 lies in its label range; every element behind it has a lesser
+    label, so it can be a bullet by then.  The work is the sum of the
+    label ranges, not d times the size."""
+    ranges = _label_ranges(ahead, behind, d)
+    holders: dict[int, list[int]] = {}
+    for y, labels in enumerate(ranges):
+        if behind[y]:  # a minimal element is never ahead of a bullet
+            for m in range(max(labels.start, 2) - 1, min(labels.stop, d + 1) - 1):
+                holders.setdefault(m, []).append(y)
+    plan = []
+    for m, ys in sorted(holders.items()):
+        takers: dict[int, list[int]] = {}
+        for y in ys:
+            for x in behind[y]:
+                takers.setdefault(x, []).append(y)
+        plan.append((m, [(y, behind[y]) for y in ys], list(takers.items())))
+    return plan
+
+
 def k_promotion_columns(p: FinitePoset, d: int, pack: type = tuple) -> Callable[[Sequence[Sequence[int]]], list]:
     """K-promotion on a list of label keys at once, each the labels of an
     increasing tableau of p with labels 1..d packed by `pack` (a
@@ -165,9 +218,8 @@ def k_promotion_columns(p: FinitePoset, d: int, pack: type = tuple) -> Callable[
     :func:`~promotab.shapes.pack_columns`, a field per key wide enough for
     a guard bit above d, holding the decremented labels, with the 1s as
     bullets, 0.  Then for each label m = 1..d - 1 in turn (the switch with
-    the undecremented m + 1), on the columns of the elements that are not
-    minimal (a minimal element is never ahead of a bullet) and of those
-    behind them: a fieldwise equality with m, by the guard bits of
+    the undecremented m + 1), on the columns of the elements whose label
+    ranges hold it: a fieldwise equality with m, by the guard bits of
     ``(col ^ m) + (G - ONE)``, marks the m-cells and the bullets; every
     bullet with an m-cell ahead takes m, and every m-cell with a bullet
     behind becomes a bullet, both read before either changes, as the
@@ -177,17 +229,19 @@ def k_promotion_columns(p: FinitePoset, d: int, pack: type = tuple) -> Callable[
     size = len(ahead)
     width = field_width(d)
     shift = 8 * width - 1
-    givers = [(y, behind[y]) for y in range(size) if behind[y]]  # each element that can hold m, with those behind it
-    takers = [(x, ahead[x]) for x in range(size) if ahead[x]]  # each element that can take m, with those ahead of it
+    plan = None  # built on the first call: a q out of range has no key to step
 
     def step(keys: Sequence[Sequence[int]]) -> list:
+        nonlocal plan
+        if plan is None:
+            plan = _slide_plan(ahead, behind, d)
         count = len(keys)
         one = field_ones(count, width)
         guard = one << shift
         low = guard - one
         labels = [column - one for column in pack_columns(keys, size, width, pack)]
         bullets = [(column + low) & guard ^ guard for column in labels]  # guard bits where a label is 0
-        for m in range(1, d):
+        for m, givers, takers in plan:
             level = m * one
             held = {y: (labels[y] ^ level) + low & guard ^ guard for y, _ in givers}
             moves = []

@@ -8,6 +8,7 @@ from promotab.dynamics import promote as tableau_promote
 from promotab.errors import PreconditionError
 from promotab.ktableaux import (
     BULLET,
+    _slide_plan,
     IncreasingTableau,
     enumerate_increasing,
     from_linear_extension,
@@ -226,3 +227,14 @@ class TestBridges:
     def test_grid_rejects_non_increasing(self):
         with pytest.raises(PreconditionError):
             increasing_from_grid(Tableau([[1, 1], [2, 3]], 3))
+
+
+def test_the_column_slide_reads_each_element_of_a_chain_at_its_one_label():
+    # element i of a chain has label i in its one linear extension, so the column
+    # K-promotion's plan holds |P| - 1 switches, where reading every non-minimal
+    # element at every label would hold (|P| - 1)^2 and slide a long chain in
+    # quadratic time
+    n = 40
+    p = FinitePoset(n, [(x, x + 1) for x in range(1, n)])
+    plan = _slide_plan(p.above, p.below, n)
+    assert [(m, [y for y, _ in givers]) for m, givers, _ in plan] == [(m, [m]) for m in range(1, n)]
