@@ -8,6 +8,7 @@ output is exact (integers and reduced fractions); no floats are printed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, Iterable
@@ -392,7 +393,11 @@ def _add_io_arguments(sub, with_input: bool = True) -> None:
     sub.add_argument("--format", choices=("ascii", "json"), default="ascii")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing leaves
+    it unchanged, so every call of :func:`main` shares it, and no caller
+    may add to it."""
     parser = _ArgumentParser(
         prog="promotab",
         description="Promotion, evacuation, and exact homomesy verification "

@@ -24,38 +24,28 @@ their first use, and one with no element builds none.  It then
 checks all of its keys with one call of the system's key test, which
 returns the index of the first key that is no element (it checks them per
 chunk, in packed columns, and generates no code), steps them, chunk by
-chunk, into one dict of each key's image, and walks each orbit once on
+chunk, into one dict of each key's image, and walks every orbit once on
 that dict, consuming it, keeping the orbit's least key (its lead), its
-size and the total of every entry over the orbit, laid out like the key;
-no element object is built, and no representative until a report is
-written.
-A system with a rotate involution rho, an order-reversing involution of
-its cells given on key positions, walks only half of its orbits: the
-mirror mu(key)[i] = c - key[rho(i)], with c the largest entry plus one (on
-`bytes` keys one `translate` through a table of c - v), maps
-elements to elements and conjugates promotion to its inverse
-(mu . step . mu = step^-1; on SSYT rectangles mu is evacuation), so the
-image mu(O) of a walked orbit O is an orbit of the same size whose
-totals are |O| c - totals_O[rho(i)].  Each derived orbit is checked
-whole, from the images already stepped: every mu(x_j) must be a key no
-walk has visited, whose image is mu(x_{j-1}); an orbit whose image was
-visited must be its own image.  A partition is its orbits' leads and
-sizes and one column per key position of every orbit's total there, the
-orbits ordered by lead, so every report is deterministic.  Cell sums are
-linear in the support, so :func:`verdict` reads a statistic's orbit sums
-as the sum of its positions' columns, resolved through the system's
-layout, and keeps them as integers; the verdict is `homomesic` exactly
-when every orbit average, compared by cross-multiplying, equals the
-first.
+size and its keys joined into one sequence of entries; no element object
+is built, and no representative until a report is written.  A partition
+is its orbits' leads, sizes and joined entries, the orbits ordered by
+lead, so every report is deterministic.  Cell sums are linear in the
+support, so :func:`verdict` reads a statistic's orbit sums as the sum of
+its positions' columns, resolved through the system's layout, each
+column the totals of one key position over every orbit, summed from the
+joined entries on its first read; it keeps them as integers, and the
+verdict is `homomesic` exactly when every orbit average, compared by
+cross-multiplying, equals the first.
 :func:`cell_sum` and :func:`orbit_average` stay the definitions on
 objects that the tests check the totals against, through the
 :class:`OrbitSummary` views a report builds when they are read.
 
 :func:`reports_to_json` and the command line's text format write reports
 from those integers: each (sum, size) pair's average text is computed
-once per write (:class:`AverageTexts`).  The JSON writer builds each
-orbit's representative from its lead, with its size, once per partition
-in a write; the text format prints none.
+once per write (:class:`AverageTexts`).  The JSON writer asks the system
+for one representative per partition in a write, of the key of key
+positions, and formats every orbit's entry from that template and the
+orbit's lead; the text format prints no representative.
 """
 
 from __future__ import annotations
@@ -63,7 +53,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import gcd
 from operator import add, itemgetter, le, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -150,16 +140,16 @@ class System:
     type, or None
     (a :func:`~promotab.shapes.packed_test`: it checks the keys per chunk,
     in packed columns, and generates no code), and `representative` is
-    what reports print for a key, in int tuples whatever the key type.
+    what reports print for a key, in int tuples whatever the key type: a
+    rearrangement of the key's entries, each entry once (a tableau's rows,
+    top row first, or a poset labelling's labels), so that of the key
+    ``tuple(range(length))`` names the key position of each printed slot.
     `position` is the key index of a support item (a box, or a poset
     element or its box), and refuses items the elements lack;
-    `rotate` is the rotate involution rho on key positions, if any, and
-    `complement` the constant c of the mirror mu(key)[i] = c - key[rho(i)]:
-    the largest entry plus one, so that mu conjugates `step` to its
-    inverse; the orbit walk reads rho as given and resolves no support
-    item.  `count(cap)` is the number of elements when that is at most
-    cap, and otherwise any number over cap, so a budget is refused before
-    any key is enumerated.
+    `rotate` is the rotate involution rho on key positions, if any, which
+    only the rotate-fixed supports read.  `count(cap)` is the number of
+    elements when that is at most cap, and otherwise any number over cap,
+    so a budget is refused before any key is enumerated.
     """
 
     description: str
@@ -169,7 +159,6 @@ class System:
     representative: Callable[[Key], tuple]
     position: Callable[[object], int]
     rotate: Rotation | None
-    complement: int
     count: Callable[[int], int]
 
 
@@ -227,7 +216,6 @@ def ssyt_system(shape, ceiling: int, operator: str = "promote") -> System:
         representative=lambda word: tuple(map(tuple, straight_layout(outer).rows(word))),
         position=position,
         rotate=rotation,
-        complement=ceiling + 1,
         count=lambda cap: count_ssyt(outer, ceiling),
     )
 
@@ -256,7 +244,6 @@ def syt_poset_system(p: FinitePoset) -> System:
         enumerate=lambda: linear_extension_labels(p, pack),
         step=k_promotion_columns(p, p.size, pack),
         admits=p.labelling_keys_test(p.size, pack),
-        complement=p.size + 1,
         count=lambda cap: count_order_ideal_chains(p.size, p.covers, p.size, cap),
         **_poset_layout(p),
     )
@@ -272,7 +259,6 @@ def inc_system(p: FinitePoset, q: int) -> System:
         enumerate=lambda: increasing_labels(p, q, pack),
         step=k_promotion_columns(p, p.size - q, pack),
         admits=p.labelling_keys_test(p.size - q, pack) if 0 <= q <= p.size else lambda keys: 0 if keys else None,
-        complement=p.size - q + 1,
         count=lambda cap: count_order_ideal_chains(p.size, p.covers, p.size - q, cap),
         **_poset_layout(p),
     )
@@ -285,14 +271,40 @@ def inc_system(p: FinitePoset, q: int) -> System:
 class OrbitPartition:
     """A system split into orbits, ordered by least key: `leads[i]` is the
     least key of orbit i, in increasing order, `sizes[i]` its size and
-    `columns[p][i]` its total at key position p, so every statistic's
-    orbit sums are sums of these columns.  Reports print an orbit as
+    `entries[i]` its keys joined, in walk order, into one sequence of
+    ``sizes[i] * length`` entries (`bytes` on `bytes` keys, else an int
+    tuple), so an orbit's total at key position p is the sum of
+    ``entries[i][p::length]``.  `column(p)` is that total over every
+    orbit, summed on its first read, and every statistic's orbit sums are
+    sums of these columns.  Reports print an orbit as
     `system.representative` of its lead."""
 
     system: System
     leads: tuple[Key, ...]
     sizes: tuple[int, ...]
-    columns: tuple[tuple[int, ...], ...]
+    entries: tuple[Key, ...]
+    _columns: dict[int, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def length(self) -> int:
+        """The number of key positions, 0 on a partition with no orbit."""
+        return len(self.leads[0]) if self.leads else 0
+
+    def column(self, p: int) -> tuple[int, ...]:
+        """Each orbit's total at key position p, which must lie in
+        0..length - 1: a p past the end would read the next key's entries."""
+        column = self._columns.get(p)
+        if column is None:
+            length = self.length
+            if not 0 <= p < length:
+                raise PreconditionError(f"{self.system.description}: key position {p} outside 0..{length - 1}")
+            column = self._columns[p] = tuple([sum(orbit[p::length]) for orbit in self.entries])
+        return column
+
+    @property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Every key position's column, in position order."""
+        return tuple(map(self.column, range(self.length)))
 
 
 def partition_orbits(system: System, budget: int) -> OrbitPartition:
@@ -314,21 +326,13 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
     `count` keys, or a step that gives other than one image per key of a
     chunk, leaves the enumerated set or is not a bijection on it, raises
     :class:`PreconditionError` naming the system.
-    No element object is built, nor any representative: reports print
-    `system.representative` of an orbit's lead when they are written.
-
-    A system with a `rotate` walks each orbit O or its mirror mu(O), never
-    both: mu(key)[i] = c - key[rho(i)], for c its `complement` and rho its
-    rotate on key positions, read as given: no support item is resolved.
-    On `bytes` keys mu is one `translate` through a table of c - v, of the
-    reversed key when rho reverses the positions; on tuples it builds the
-    tuple of c - v.  After walking O it
-    derives mu(O) and checks it whole, from the images already in
-    `following`: if mu(x_0) is unvisited, every mu(x_j) must be an
-    unvisited key, which it consumes, whose image is mu(x_{j-1}), since
-    mu . step . mu = step^-1; otherwise mu(O) must be O itself.  A mirror
-    that fails either check, or a rotate that does not permute the key
-    positions, raises :class:`PreconditionError` naming the system.
+    A walk keeps its orbit's keys; once every orbit is walked, the key
+    list and the dict are dropped, and each orbit's keys are joined into
+    its `entries` (``b"".join`` on `bytes` keys, the chained entries on
+    tuples), freeing them.  No element object is built, no support item
+    is resolved and no column is summed: `verdict` sums the columns it
+    reads, and reports print `system.representative` of an orbit's lead
+    when they are written.
     """
     if budget < 1:
         raise PreconditionError(f"budget must be positive: {budget}")
@@ -357,11 +361,7 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
         raise PreconditionError(f"{system.description}: the step map leaves the enumerated elements") from None
     following.update(zip(keys, images))  # until a walk consumes it
     del images
-    # pick(key)[i] is key[rho(i)], and mirror(key) is mu(key), c - pick(key)
-    pick, mirror = _mirror(system, keys[0]) if keys and system.rotate is not None else (None, None)
-    c = system.complement
-    unmirrored = f"{system.description}: the rotate complement maps an orbit onto no orbit walked in reverse"
-    orbits: dict[Key, tuple[int, tuple[int, ...]]] = {}  # each orbit's size and totals by its lead
+    orbits: dict[Key, list[Key]] = {}  # each orbit's keys by its lead
     for start in keys:
         if start in following:
             try:
@@ -372,51 +372,13 @@ def partition_orbits(system: System, budget: int) -> OrbitPartition:
                 ) from None
             except PreconditionError as exc:
                 raise PreconditionError(f"{system.description}: {exc}") from exc
-            size = len(orb)
-            totals = tuple(map(sum, zip(*orb)))
-            orbits[min(orb)] = size, totals
-            if pick is None:
-                continue
-            image = list(map(mirror, orb))
-            if image[0] in following:
-                # image[j] is mu(x_j), and mu conjugates the step to its inverse:
-                # each of them, unvisited, must step to the one before it
-                try:
-                    stepped = list(map(following.pop, image))
-                except KeyError:
-                    raise PreconditionError(unmirrored) from None
-                if stepped != image[-1:] + image[:-1]:
-                    raise PreconditionError(unmirrored)
-                orbits[min(image)] = size, tuple([size * c - t for t in pick(totals)])
-            elif set(image) != set(orb):  # an image already visited is the orbit itself
-                raise PreconditionError(unmirrored)
+            orbits[min(orb)] = orb
+    join = b"".join if keys and type(keys[0]) is bytes else lambda orb: tuple(chain.from_iterable(orb))
+    del keys, following  # the orbits hold every key
     leads = tuple(sorted(orbits))
-    sizes, totals = zip(*map(orbits.__getitem__, leads)) if leads else ((), ())
-    return OrbitPartition(system=system, leads=leads, sizes=sizes, columns=tuple(zip(*totals)))
-
-
-def _mirror(system: System, key: Key) -> tuple[Callable[[Sequence[int]], Sequence[int]], Callable[[Key], Key]]:
-    """The getter pick of a sequence's entries at the rotate images of its
-    positions, and the mirror mu(key) = c - pick(key) on keys of the type
-    and length of `key`.  Entry i of pick(s) is s[rho(i)], rho being the
-    system's rotate `images` as given, and c is the system's `complement`.
-    On `bytes` keys mu is one translate through the table of c - v, of the
-    reversed key when rho reverses the key positions (as on rectangles),
-    or else of pick(key).  Images that do not permute the key's positions
-    raise :class:`PreconditionError` naming the system."""
-    length = len(key)
-    images = list(system.rotate.images)
-    if sorted(images) != list(range(length)):
-        raise PreconditionError(f"{system.description}: the rotate involution does not permute the key positions")
-    # a slice reads one position or none as a sequence too
-    pick = itemgetter(*images) if length > 1 else itemgetter(slice(length))
-    c = system.complement
-    if type(key) is not bytes:
-        return pick, lambda key: tuple([c - v for v in pick(key)])
-    table = bytes([(c - v) % 256 for v in range(256)])  # exact at every entry of an element, 1..c - 1
-    if images == list(range(length - 1, -1, -1)):
-        return pick, lambda key: key[::-1].translate(table)
-    return pick, lambda key: bytes(pick(key)).translate(table)
+    sizes = tuple([len(orbits[lead]) for lead in leads])
+    entries = tuple([join(orbits.pop(lead)) for lead in leads])
+    return OrbitPartition(system=system, leads=leads, sizes=sizes, entries=entries)
 
 
 # -- verdicts ------------------------------------------------------------------
@@ -471,17 +433,19 @@ def verdict(partition: OrbitPartition, statistic: CellStatistic) -> HomomesyRepo
     """Compare the exact orbit averages of one statistic over a partition.
 
     Cell sums are linear in the support, so the statistic's orbit sums
-    are the element-wise sum of the partition's `columns` at the
+    are the element-wise sum of the partition's `column` at each of the
     support's key positions, which the system's `position` resolves (an
-    empty partition never checks them).  Each sum over its orbit's size
-    is the mean of :func:`cell_sum` over the orbit; a position named
-    twice, by an element and by its box, counts twice there too.  Averages
-    are compared by cross-multiplying the integer sums and sizes, and the
-    report keeps the sums: no :class:`Fraction` is built.
+    empty partition never checks them); a column is summed once per
+    partition, on its first read, so the other positions cost nothing.
+    Each sum over its orbit's size is the mean of :func:`cell_sum` over
+    the orbit; a position named twice, by an element and by its box,
+    counts twice there too.  Averages are compared by cross-multiplying
+    the integer sums and sizes, and the report keeps the sums: no
+    :class:`Fraction` is built.
     """
     sizes = partition.sizes
     if sizes:
-        picked = [partition.columns[partition.system.position(item)] for item in statistic.support]
+        picked = [partition.column(partition.system.position(item)) for item in statistic.support]
         sums = tuple(map(sum, zip(*picked))) if picked else (0,) * len(sizes)
     else:
         sums = ()
@@ -568,6 +532,31 @@ class AverageTexts(dict):
         return text
 
 
+def _fragments(partition: OrbitPartition, item: str, brace: str) -> list[str]:
+    """Each orbit's JSON entry after its average's text: its
+    representative and its size, with the orbit keys at indent `item` and
+    the closing brace at `brace`.  The system's representative of the key
+    of key positions, ``tuple(range(length))``, is the layout of every
+    representative with each slot's key position; it must name each
+    position exactly once, or :class:`PreconditionError` names the system.
+    The layout's JSON with ``%d`` in each slot and in the size is a
+    template that each orbit fills with its lead's entries in slot order
+    and its size."""
+    if not partition.leads:  # no probe: an SSYT system with no element builds no layout
+        return []
+    system, length = partition.system, partition.length
+    probe = system.representative(tuple(range(length)))
+    rows = bool(probe) and not isinstance(probe[0], int)  # a tableau's rows, or a poset's labels
+    order = list(chain.from_iterable(probe)) if rows else list(probe)
+    if len(order) != length or set(order) != set(range(length)):
+        raise PreconditionError(f"{system.description}: the representative does not name each key position once")
+    slots = [_json_list(["%d"] * len(row), item + "  ") for row in probe] if rows else ["%d"] * length
+    template = f'",\n{item}"representative": {_json_list(slots, item)},\n{item}"size": %d\n{brace}}}'
+    # a slice reads one position or none as a sequence too
+    pick = itemgetter(*order) if length > 1 else itemgetter(slice(length))
+    return [template % (*pick(lead), size) for lead, size in zip(partition.leads, partition.sizes)]
+
+
 def reports_to_json(reports: Sequence[HomomesyReport]) -> str:
     """One report as a JSON object, any other number as a list, in the
     bytes of ``json.dumps(payload, sort_keys=True, indent=2)`` where a
@@ -576,11 +565,12 @@ def reports_to_json(reports: Sequence[HomomesyReport]) -> str:
 
     Each orbit entry is written from the report's integers: the text of
     its (sum, size) pair, from one :class:`AverageTexts` for the whole
-    write, then its orbit's fragment (the representative of its lead,
-    encoded from its int tuples, and its size), built once per partition
-    in the write and shared by every report on it.  A witness repeats two
-    entries of the report's orbit list.  No summary or :class:`Fraction`
-    is built."""
+    write, then its orbit's fragment (its representative and its size,
+    formatted from its lead by one template per partition), built once per
+    partition in the write and shared by every report on it.  A witness
+    repeats two entries of the report's orbit list.  No summary or
+    :class:`Fraction` is built, and `representative` is called once per
+    partition in the write, on the key of key positions."""
     if not reports:
         return "[]"
     pad = "  " if len(reports) > 1 else ""  # the reports' braces
@@ -589,18 +579,11 @@ def reports_to_json(reports: Sequence[HomomesyReport]) -> str:
     open_, sep, close = f"[\n{brace}{head}", f",\n{brace}{head}", f"\n{key}]"
     average = AverageTexts().__getitem__
     fragments: dict[int, list[str]] = {}  # by the id of a partition, which the reports keep alive
-
-    def fragment(rep: tuple, size: int) -> str:
-        if rep and not isinstance(rep[0], int):
-            rep = [_json_list(row, item + "  ") for row in rep]
-        return f'",\n{item}"representative": {_json_list(rep, item)},\n{item}"size": {size}\n{brace}}}'
-
     out = ["[\n  "] if pad else []  # pieces of the text, joined once
     for i, r in enumerate(reports):
         tails = fragments.get(id(r.partition))
         if tails is None:
-            p = r.partition
-            tails = fragments[id(p)] = list(map(fragment, map(p.system.representative, p.leads), p.sizes))
+            tails = fragments[id(r.partition)] = _fragments(r.partition, item, brace)
         # each orbit entry is its average's text and its orbit's fragment
         entries = list(map(add, map(average, zip(r.sums, r.partition.sizes)), tails))
         out += [",\n  {\n" if i else "{\n", key, '"orbits": ']

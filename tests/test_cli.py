@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from promotab import growth, homomesy, paths, posets, shapes
+from promotab import cli, growth, homomesy, paths, posets, shapes
 from promotab.cli import main
 from promotab.dynamics import promotion_period_words
 
@@ -662,6 +662,21 @@ def run_module(*argv, **options) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "promotab", *argv], capture_output=True, text=True, env=env, **options)
+
+
+def test_commands_in_one_process_run_as_each_runs_alone(capsys):
+    # the parser is built once per process; a parse error and a flag set by
+    # an earlier call leave nothing behind in it
+    argvs = [
+        "homomesy --shape 2x2 -k 3 --operator promote-inverse --symmetric-all --budget 1000",
+        "homomesy --shape 2x2 -k x --cells 1,1 --budget 100",
+        "homomesy --shape 2x2 -k 3 --cells 1,1 --budget 1000",
+    ]
+    alone = [run_module(*argv.split()) for argv in argvs]
+    in_turn = [run(capsys, *argv.split()) for argv in argvs]
+    assert in_turn == [(done.returncode, done.stdout, done.stderr) for done in alone]
+    assert [code for code, _, _ in in_turn] == [0, 2, 1]  # (1, 1) alone is not homomesic here
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize("cells", ["1,1", "1,1;2,2"])

@@ -23,7 +23,9 @@ give each key what its per-key kernel gives it, on random posets at
 every deficiency and random straight shapes and ceilings, in both key
 types, where the entries fill their fields, on no key, on keys of no
 entry and on more keys than a chunk; and every orbit of promotion on an
-SSYT rectangle has a size dividing the ceiling.  The `homomesy` command
+SSYT rectangle has a size dividing the ceiling.  On random self-dual
+posets, each orbit partition is the one that `util.walked_partition` finds
+key by key, in both key types.  The `homomesy` command
 exits 0 to 4, never raising, on odd argv.  On
 random straight and skew shapes, the tableau built from a reading word
 is the one the rows constructor builds, and the SSYT and SYT enumerations
@@ -34,7 +36,6 @@ reproducible.
 
 import contextlib
 import io
-from dataclasses import replace
 from functools import reduce
 from itertools import accumulate, chain, combinations, islice, permutations, product, repeat
 from operator import eq, ge, gt, le, lt, ne
@@ -95,6 +96,7 @@ from util import (
     as_tuples,
     sweep,
     tuple_keyed,
+    walked_partition,
 )
 
 SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -524,7 +526,7 @@ def test_the_column_steps_of_more_keys_than_a_chunk():
 @settings(SETTINGS, max_examples=30)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 7), st.sampled_from(["promote", "promote_inverse"]))
 def test_every_orbit_size_on_a_rectangle_divides_the_ceiling(m, n, k, operator):
-    # promotion on SSYT(m x n, k) has order k (Rhoades), and each orbit the partition walks or mirrors divides it
+    # promotion on SSYT(m x n, k) has order k (Rhoades), and each orbit the partition walks divides it
     partition = partition_orbits(ssyt_system((n,) * m, k, operator), 100_000)
     assert sum(partition.sizes) == count_ssyt((n,) * m, k)
     assert all(k % size == 0 for size in partition.sizes), partition.sizes
@@ -549,17 +551,17 @@ def self_dual_posets(draw) -> tuple[FinitePoset, int]:
 # 30 examples draw 27 distinct cases and every q from 0 to 5, so the file stays under 5 s
 @settings(SETTINGS, max_examples=30)
 @given(self_dual_posets())
-def test_the_mirrored_partition_is_the_walked_one(case):
-    # the partition derives each orbit's rotate complement instead of
-    # walking it; without a rotate it walks every orbit.  On both packers:
-    # the systems' own bytes keys, and the same systems on tuple keys
+def test_the_partition_of_a_self_dual_poset_is_the_walked_one(case):
+    # the partition's leads, sizes and columns are those of the orbits that
+    # util.orbit_walks follows, key by key, on both packers: the systems'
+    # own bytes keys, and the same systems on tuple keys
     p, q = case
     for system in (syt_poset_system(p), inc_system(p, q)):
         assert (system.rotate is None) == (p.size == 0)
         partitions = []
         for keyed, pack in ((system, bytes), (tuple_keyed(system), tuple)):
-            partition, oracle = partition_orbits(keyed, 10_000), partition_orbits(replace(keyed, rotate=None), 10_000)
-            assert (partition.leads, partition.sizes, partition.columns) == (oracle.leads, oracle.sizes, oracle.columns)
+            partition = partition_orbits(keyed, 10_000)
+            assert as_tuples(partition) == walked_partition(keyed, 10_000)
             assert {type(lead) for lead in partition.leads} <= {pack}
             partitions.append(as_tuples(partition))
         assert partitions[0] == partitions[1]

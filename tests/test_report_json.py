@@ -10,8 +10,10 @@ digests in ``report_pins.json``.  Rewrite the pins only for a deliberate change 
 output: ``PYTHONPATH=src python tests/test_report_json.py --pin``.
 Random writes of reports on several partitions are checked against the
 same two definitions, and the summaries the reports build from their
-integer sums against `orbit_average` on objects.  Only the JSON writer
-builds orbit representatives, one per orbit of a partition.
+integer sums against `orbit_average` on objects, and two more layouts
+against the definition alone.  Only the JSON writer asks a system for a
+representative, once per partition per write, of the key of key
+positions, and refuses one that drops or repeats a position.
 """
 
 import contextlib
@@ -249,7 +251,7 @@ def test_the_examples_cover_what_the_writer_shares(writer_systems):
     [homomesy.ssyt_system((3, 3), 3), homomesy.inc_system(build_cominuscule("rectangle", 3, 4), 3)],
     ids=["ssyt", "inc-violated"],
 )
-def test_only_the_json_writer_builds_representatives_once_per_orbit(system):
+def test_the_json_writer_builds_one_representative_per_partition_of_the_key_positions(system):
     calls = []
 
     def representative(key, _representative=system.representative):
@@ -263,8 +265,51 @@ def test_only_the_json_writer_builds_representatives_once_per_orbit(system):
     assert len(reports) > 1
     cli._homomesy_text(reports)
     assert calls == []
+    probe = tuple(range(partition.length))
     homomesy.reports_to_json(reports)
-    assert calls == list(partition.leads)
+    assert calls == [probe]
+    # one probe per partition per write, however many reports share it
+    other = homomesy.partition_orbits(replace(system, description="other"), budget=100_000)
+    homomesy.reports_to_json([*reports, homomesy.verdict(other, homomesy.CellStatistic(frozenset(), "none")), reports[0]])
+    assert calls == [probe] * 3
+
+
+def _repeat_first(rep: tuple) -> tuple:
+    """The representative with its first slot repeated in place of its
+    last one, the first row in place of the last on a tableau."""
+    return rep[:1] + rep[:-1]
+
+
+@pytest.mark.parametrize(
+    "system",
+    [homomesy.ssyt_system((2, 2), 3), homomesy.syt_poset_system(build_cominuscule("cayley"))],
+    ids=["rows", "labels"],
+)
+@pytest.mark.parametrize("change", [lambda rep: rep[:-1], _repeat_first, lambda rep: (*rep, rep[0])], ids=["drop", "repeat", "add"])
+def test_a_representative_that_drops_or_repeats_a_position_fails_loudly(system, change):
+    base = system
+    system = replace(base, description="broken", representative=lambda key: change(base.representative(key)))
+    report = homomesy.verdict(homomesy.partition_orbits(system, budget=100_000), homomesy.CellStatistic(frozenset(), "s"))
+    with pytest.raises(homomesy.PreconditionError, match="^broken: the representative does not name each key position once$"):
+        homomesy.reports_to_json([report])
+
+
+# layouts that the pinned argvs lack: one-position tuple keys, which
+# itemgetter would read as one int, and rows of unequal length
+LAYOUT_ARGVS = ["--shape 1x1 -k 300 --cells 1,1", "--partition 3,1 -k 3 --cells 1,1"]
+
+
+@pytest.mark.parametrize("argv", LAYOUT_ARGVS)
+def test_more_layouts_equal_the_definition(argv, monkeypatch):
+    reports = []
+    verdict = homomesy.verdict
+    monkeypatch.setattr(homomesy, "verdict", lambda *args: reports.append(verdict(*args)) or reports[-1])
+    code, out, err = run(argv, "json")
+    assert len(reports) == 1 and (code, err) == (1 if reports[0].witness else 0, "")
+    same_text(out, json.dumps(report_to_jsonable(reports[0]), sort_keys=True, indent=2) + "\n")
+    partition = reports[0].partition
+    assert partition.leads
+    assert {type(lead) for lead in partition.leads} == ({tuple} if "300" in argv else {bytes})
 
 
 # one system of each kind, with the class and the ceiling or poset that rebuild its objects

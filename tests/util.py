@@ -64,7 +64,7 @@ def tuple_keyed(system):
     and step, each key converted with `tuple`, and its step and key test
     on the keys converted back to the system's packer, one call for a
     list of keys as the system's own, so a partition of it walks the same
-    orbits on tuples, and mirrors them on tuples."""
+    orbits on tuples."""
     pack = type(next(iter(system.enumerate()), ()))
     return replace(
         system,
@@ -97,6 +97,15 @@ def orbit_walks(system, size: int) -> list[list]:
             walks.append(walk)
     walks.sort(key=min)
     return walks
+
+
+def walked_partition(system, size: int = 100_000) -> tuple:
+    """The partition that :func:`orbit_walks` finds, as :func:`as_tuples`
+    gives a partition: each orbit's least key, as an int tuple, its size
+    and the totals of its keys at each key position."""
+    walks = orbit_walks(system, size)
+    totals = [tuple(map(sum, zip(*walk))) for walk in walks]
+    return tuple(tuple(min(walk)) for walk in walks), tuple(map(len, walks)), tuple(zip(*totals))
 
 
 def report_to_jsonable(report: HomomesyReport) -> dict:
